@@ -1,0 +1,1 @@
+"""External end-to-end benchmark; see ``README.md`` in this directory."""
