@@ -11,8 +11,7 @@ for the constructs that silently break that contract:
   ``random.Random(...)`` construction is the one allowed use;
 * ``time.time()`` / ``datetime.now()`` / ``datetime.utcnow()`` — wall
   clock reads that leak into reports (``time.perf_counter`` and friends
-  are fine: they measure durations, never serialized timestamps... and
-  the perf observatory quarantines them behind recorded baselines).
+  are fine: they measure durations, never serialized timestamps).
 
 Exit status 0 when clean, 1 with one ``path:line`` finding per line.
 """

@@ -2,14 +2,12 @@
 """Observability-overhead guard for the closed-loop benchmark.
 
 Runs the bench_closed_loop workload (the paper's final architecture against
-the fast-motor physics) in five legs, using the shared warmup + interleaved
-timing discipline of :mod:`repro.perf.timing`:
+the fast-motor physics) in four legs, timed after one untimed warmup and
+then interleaved round by round:
 
 * **disabled** — no instrumentation at all;
 * **recorder** — flight recorder attached, tracing off (the always-on
   production configuration);
-* **profiler** — routine-level :class:`~repro.obs.perfprof.PerfProfiler`
-  attached (the cheap hot-path attribution level);
 * **lineage** — :class:`~repro.obs.lineage.LineageTracker` attached (the
   causal-provenance recorder: hot path appends raw hop tuples only, all
   DAG digestion is deferred to query time);
@@ -17,31 +15,22 @@ timing discipline of :mod:`repro.perf.timing`:
 
 Checks, against ``scripts/overhead_baseline.json``:
 
-* **determinism** (always): total reference-clock cycles, configuration
-  cycles and final motor positions must match across all five legs and the
-  baseline exactly — observability must not perturb the simulation;
-* **leg overhead** (always): the recorder, profiler and lineage legs must
-  stay within ``--threshold`` (default 5%) of the disabled leg — a *hard*
-  failure.  Overhead is the median of per-round ratios
-  (:func:`repro.perf.timing.paired_overhead`): within a round the legs
-  run back-to-back so load drift cancels in the ratio.  When a budget
-  overshoots, the measurement is *extended* (another full set of rounds,
-  pooled with the first) up to ``--retries`` times before failing: the
-  cumulative median converges on the true overhead, so a noise burst
-  that swamps a few rounds washes out while a real regression only
-  firms up.  The tracer leg is advisory: it may cost something, a
-  warning is printed when it does;
-* **wall clock** (only when the environment fingerprint matches the
-  baseline's): the disabled leg's median-of-N must not regress more than
-  ``--wall-threshold`` over the recorded baseline median.  Absolute wall
-  time on a shared host drifts far more than back-to-back legs do, so
-  this check is a smoke alarm for gross regressions (default 15%), not
-  the fine-grained budget the paired legs enforce.  A host-speed
-  calibration — a fixed pure-Python spin loop
-  (:func:`repro.perf.timing.calibration_spin`) timed as a sixth leg of
-  the same interleaved rounds — can *excuse* a slow host (the smaller of
-  the raw and normalized ratios is used) but never convicts a run the
-  raw comparison would pass.
+* **determinism**: total reference-clock cycles, configuration cycles and
+  final motor positions must match across all four legs and the baseline
+  exactly — observability must not perturb the simulation;
+* **leg overhead**: the recorder and lineage legs must stay within
+  ``--threshold`` (default 5%) of the disabled leg — a *hard* failure.
+  Overhead is the median of per-round ratios (:func:`paired_overhead`):
+  within a round the legs run back-to-back so load drift cancels in the
+  ratio.  When a budget overshoots, the measurement is *extended* (another
+  full set of rounds, pooled with the first) up to ``--retries`` times
+  before failing: the cumulative median converges on the true overhead,
+  so a noise burst that swamps a few rounds washes out while a real
+  regression only firms up.  The tracer leg is advisory: it may cost
+  something, a warning is printed when it does.
+
+Host-time regressions of the simulator itself are the job of the
+end-to-end benchmark (``python -m benchmarks.e2e run``), not of this guard.
 
 Refresh the baseline after an intended simulator change::
 
@@ -49,21 +38,17 @@ Refresh the baseline after an intended simulator change::
 """
 
 import argparse
+import gc
 import json
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.flow import build_system
 from repro.isa import MD16_TEP
-from repro.obs import FlightRecorder, LineageTracker, PerfProfiler, Tracer
-from repro.perf import (
-    calibration_spin,
-    fingerprint,
-    measure_interleaved,
-    paired_overhead,
-)
+from repro.obs import FlightRecorder, LineageTracker, Tracer
 from repro.workloads import (
     MoveCommand,
     SMD_MUTUAL_EXCLUSIONS,
@@ -83,6 +68,89 @@ FAST_MOTORS = {
 }
 COMMANDS = [MoveCommand(60, 45, 8), MoveCommand(25, 30, 4)]
 
+#: the legs whose overhead budget is a hard failure: the flight recorder is
+#: always-on in production farms and the lineage tracker rides every farm
+#: run under --lineage; the full tracer's budget is advisory
+HARD_LEGS = ("recorder", "lineage")
+MEASURED_LEGS = HARD_LEGS + ("enabled",)
+
+
+def median(values):
+    """The sample median (mean of the middle pair for even counts)."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return (ordered[middle - 1] + ordered[middle]) / 2.0
+
+
+class LegTiming:
+    """Per-leg result of :func:`measure_interleaved`."""
+
+    __slots__ = ("times_ns", "payload")
+
+    def __init__(self):
+        #: one wall-clock sample per timed round, in nanoseconds
+        self.times_ns = []
+        #: the leg callable's return value from the last timed round
+        self.payload = None
+
+    @property
+    def median_ns(self):
+        return median(self.times_ns)
+
+
+def measure_interleaved(legs, rounds):
+    """Time *legs* (ordered name → zero-argument callable) interleaved.
+
+    Every leg first runs one untimed warmup repetition (in leg order), then
+    *rounds* timed rounds run the legs round-robin, with the schedule
+    *rotated* one position every round (a Latin-square scheme: over
+    ``len(legs)`` rounds each leg occupies each position exactly once).
+    That cancels position-dependent load bias — both monotonic drift
+    (which taxes late positions) and periodic bursts whose period aliases
+    against the round time (which tax one fixed position).  Each callable's
+    return value is kept as the leg's ``payload`` (last round wins) so the
+    caller can check determinism of what the timed runs computed.
+    """
+    results = {name: LegTiming() for name in legs}
+    for run in legs.values():
+        run()
+    order = list(legs.items())
+    for round_index in range(rounds):
+        shift = round_index % len(order)
+        for name, run in order[shift:] + order[:shift]:
+            # drain garbage left by the previous leg outside the timed
+            # window: collections trigger on allocation thresholds, so
+            # without this they land *systematically* in whichever leg
+            # the accumulated pattern taxes, biasing the paired ratios
+            gc.collect()
+            started = time.perf_counter_ns()
+            payload = run()
+            elapsed = time.perf_counter_ns() - started
+            timing = results[name]
+            timing.times_ns.append(elapsed)
+            timing.payload = payload
+    return results
+
+
+def paired_overhead(candidate, reference):
+    """Overhead of *candidate* over *reference* as the **median of
+    per-round ratios** — the noise-robust leg-vs-leg estimator.
+
+    Within one interleaved round the two legs run back-to-back, so
+    machine-load drift (CPU steal, frequency scaling) is mostly shared by
+    the pair and cancels in the ratio; the median then discards rounds
+    where a spike hit one leg but not the other.  Comparing best-of-k
+    instead pits the *luckiest* run of each leg against the other, which
+    on a noisy host swings by many percent in either direction.
+    """
+    ratios = [c / r for c, r in zip(candidate.times_ns, reference.times_ns)
+              if r]
+    if not ratios:
+        return 0.0
+    return median(ratios) - 1.0
+
 
 def build_final_system():
     arch = MD16_TEP.with_(n_teps=2, microcode_optimized=True,
@@ -90,13 +158,10 @@ def build_final_system():
     return build_system(smd_chart(), SMD_ROUTINES, arch, specialize=True)
 
 
-def run_once(system, tracer=None, recorder=None, profiler=None,
-             lineage=None):
+def run_once(system, tracer=None, recorder=None, lineage=None):
     loop = SmdClosedLoop(system, motor_specs=FAST_MOTORS, tracer=tracer)
     if recorder is not None:
         loop.machine.attach_recorder(recorder)
-    if profiler is not None:
-        loop.machine.attach_profiler(profiler)
     if lineage is not None:
         loop.machine.attach_lineage(lineage)
     return loop.run(COMMANDS, max_configuration_cycles=40000)
@@ -113,46 +178,51 @@ def determinism_record(report):
 
 
 def measure(system, rounds):
-    """One full interleaved measurement: the five legs plus the
-    host-speed calibration spin riding the same rounds."""
-    print(f"timing disabled/recorder/profiler/lineage/enabled + "
-          f"calibration interleaved ({rounds} rounds each) ...")
+    """One full interleaved measurement of the four legs."""
+    print(f"timing disabled/recorder/lineage/enabled interleaved "
+          f"({rounds} rounds each) ...")
     legs = measure_interleaved({
         "disabled": lambda: run_once(system),
         "recorder": lambda: run_once(system, recorder=FlightRecorder()),
-        "profiler": lambda: run_once(
-            system, profiler=PerfProfiler(level="routine")),
         "lineage": lambda: run_once(system, lineage=LineageTracker()),
         "enabled": lambda: run_once(system, Tracer()),
-        "calibration": calibration_spin,
-    }, rounds=rounds, warmup=1)
+    }, rounds)
     disabled = legs["disabled"]
     print(f"  disabled median {disabled.median_ns / 1e6:.1f} ms, "
           f"{disabled.payload.total_cycles} cycles")
     overheads = {}
-    for name in ("recorder", "profiler", "lineage", "enabled"):
+    for name in MEASURED_LEGS:
         overheads[name] = paired_overhead(legs[name], disabled)
         print(f"  {name:8s} median {legs[name].median_ns / 1e6:.1f} ms "
               f"({overheads[name] * 100:+.1f}% vs disabled, paired)")
     return legs, overheads
 
 
+def _int_at_least(minimum):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
                         help="record the current run as the new baseline")
-    parser.add_argument("--rounds", type=int, default=12,
+    parser.add_argument("--rounds", type=_int_at_least(1), default=12,
                         help="timing rounds per leg (interleaved with a "
-                             "rotating schedule; a multiple of the six "
+                             "rotating schedule; a multiple of the four "
                              "legs keeps the position balance exact)")
     parser.add_argument("--threshold", type=float, default=0.05,
                         help="allowed paired-leg overhead fraction")
-    parser.add_argument("--wall-threshold", type=float, default=0.15,
-                        help="allowed absolute wall-clock regression over "
-                             "the baseline (a gross-regression smoke "
-                             "alarm: absolute time on a shared host is "
-                             "far noisier than the paired legs)")
-    parser.add_argument("--retries", type=int, default=2,
+    parser.add_argument("--retries", type=_int_at_least(0), default=2,
                         help="re-measurements allowed before a busted leg "
                              "budget becomes a failure")
     args = parser.parse_args(argv)
@@ -163,39 +233,28 @@ def main(argv=None):
     # a busted hard budget extends the measurement rather than failing:
     # the pooled median converges on the true overhead, so a noise burst
     # washes out while a real regression only firms up
-    legs = None
-    for attempt in range(args.retries + 1):
-        fresh, overheads = measure(system, args.rounds)
-        if legs is None:
-            legs = fresh
-        else:
-            for name, timing in fresh.items():
-                legs[name].times_ns.extend(timing.times_ns)
-                legs[name].payload = timing.payload
-            overheads = {
-                name: paired_overhead(legs[name], legs["disabled"])
-                for name in ("recorder", "profiler", "lineage", "enabled")}
-            print("  pooled   " + ", ".join(
-                f"{name} {overheads[name] * 100:+.1f}%"
-                for name in ("recorder", "profiler", "lineage", "enabled")))
-        if all(overheads[name] <= args.threshold
-               for name in ("recorder", "profiler", "lineage")):
+    legs, overheads = measure(system, args.rounds)
+    for _ in range(args.retries):
+        if all(overheads[name] <= args.threshold for name in HARD_LEGS):
             break
-        if attempt < args.retries:
-            print("hard-budget overshoot; extending the measurement to "
-                  "wash out machine-load bursts ...")
+        print("hard-budget overshoot; extending the measurement to "
+              "wash out machine-load bursts ...")
+        fresh, _ = measure(system, args.rounds)
+        for name, timing in fresh.items():
+            legs[name].times_ns.extend(timing.times_ns)
+            legs[name].payload = timing.payload
+        overheads = {name: paired_overhead(legs[name], legs["disabled"])
+                     for name in MEASURED_LEGS}
+        print("  pooled   " + ", ".join(
+            f"{name} {overheads[name] * 100:+.1f}%"
+            for name in MEASURED_LEGS))
 
-    disabled = legs["disabled"]
-    record = determinism_record(disabled.payload)
-    for name in ("recorder", "profiler", "lineage", "enabled"):
+    record = determinism_record(legs["disabled"].payload)
+    for name in MEASURED_LEGS:
         if determinism_record(legs[name].payload) != record:
             print(f"FAIL: {name} run diverged from disabled run")
             return 1
-    # the flight recorder is always-on in production farms, the
-    # routine-level profiler is the attachable hot-path attribution, and
-    # the lineage tracker rides every farm run under --lineage: all three
-    # overhead budgets are hard failures, the full tracer's is advisory
-    for name in ("recorder", "profiler", "lineage"):
+    for name in HARD_LEGS:
         if overheads[name] > args.threshold:
             print(f"FAIL: {name} overhead {overheads[name] * 100:.1f}% "
                   f"exceeds {args.threshold * 100:.0f}% budget")
@@ -206,20 +265,13 @@ def main(argv=None):
               f"{args.threshold * 100:.0f}% target")
 
     if args.update or not BASELINE_PATH.exists():
-        baseline = {
-            "fingerprint": fingerprint(),
-            "wall_seconds_median": disabled.median_seconds,
-            "calibration_ns": int(legs["calibration"].median_ns),
-            "determinism": record,
-            "rounds": args.rounds,
-        }
+        baseline = {"determinism": record, "rounds": args.rounds}
         BASELINE_PATH.write_text(json.dumps(baseline, indent=2,
                                             sort_keys=True) + "\n")
         print(f"baseline written to {BASELINE_PATH}")
         return 0
 
     baseline = json.loads(BASELINE_PATH.read_text())
-
     if record != baseline["determinism"]:
         print("FAIL: simulation diverged from the recorded baseline:")
         for key, expected in baseline["determinism"].items():
@@ -228,38 +280,6 @@ def main(argv=None):
         print("(if the change is intended, re-record with --update)")
         return 1
     print("determinism: OK (cycles and positions match the baseline)")
-
-    if fingerprint() != baseline["fingerprint"]:
-        print("environment differs from the baseline's; skipping the "
-              "wall-clock comparison")
-        return 0
-
-    reference = baseline["wall_seconds_median"]
-    measured = disabled.median_seconds
-    baseline_cal = baseline.get("calibration_ns")
-    if baseline_cal:
-        # the calibration leg rode the same rounds, so a genuinely slow
-        # host shows up in it too — but a tight spin loop and an
-        # allocation-heavy workload don't scale identically under every
-        # kind of load, so normalization may only excuse, never convict
-        speed = legs["calibration"].median_ns / baseline_cal
-        normalized = disabled.median_seconds / speed
-        if normalized < measured:
-            measured = normalized
-            print(f"host-speed ratio {speed:.2f} vs baseline "
-                  f"(wall normalized {disabled.median_seconds * 1e3:.1f} "
-                  f"-> {measured * 1e3:.1f} ms)")
-    allowed = reference * (1.0 + args.wall_threshold)
-    ratio = measured / reference
-    if measured > allowed:
-        print(f"FAIL: tracing-disabled run regressed: "
-              f"{measured * 1e3:.1f} ms vs baseline "
-              f"{reference * 1e3:.1f} ms ({(ratio - 1) * 100:+.1f}%, "
-              f"allowed {args.wall_threshold * 100:.0f}%)")
-        print("(if the change is intended, re-record with --update)")
-        return 1
-    print(f"wall clock: OK ({(ratio - 1) * 100:+.1f}% vs baseline, "
-          f"allowed {args.wall_threshold * 100:.0f}%)")
     return 0
 
 

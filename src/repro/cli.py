@@ -50,9 +50,6 @@ Observability subcommands (see docs/OBSERVABILITY.md)::
 
     python -m repro trace PROJECT [--out trace.json] [--cycles N] ...
     python -m repro stats PROJECT [--json] [--cycles N] ...
-    python -m repro bench [--workloads smd,elevator,farm] [--repeats K]
-                          [--out BENCH_6.json] [--compare] [--baseline PATH]
-                          [--update-baseline] [--tolerance F]
 
 Robustness subcommands (see docs/ROBUSTNESS.md and docs/RESILIENCE.md)::
 
@@ -72,10 +69,6 @@ Robustness subcommands (see docs/ROBUSTNESS.md and docs/RESILIENCE.md)::
 writes Chrome trace-event JSON — open it at https://ui.perfetto.dev —
 with one track per TEP plus the SLA, scheduler and condition-cache bus;
 ``stats`` runs the same simulation and prints the metrics registry;
-``bench`` runs the pinned-seed perf workloads (warmup + interleaved
-median-of-k) and writes a machine-readable ``BENCH_6.json`` — with
-``--compare`` it diffs the run against the committed baseline
-(``benchmarks/perf_baseline.json``) and exits non-zero on regressions;
 ``faults`` runs seeded fault-injection campaigns over the SMD closed loop
 and reports detected/recovered/missed per fault class; ``serve`` runs a
 supervised farm of machine instances over a seeded event stream — with
@@ -905,132 +898,6 @@ def run_why(argv: List[str], out=sys.stdout) -> int:
     return 0
 
 
-def run_bench(argv: List[str], out=sys.stdout) -> int:
-    """``repro bench``: seeded perf benches + the regression guard.
-
-    Exit status: 0 on success, 1 when ``--compare`` finds a regression,
-    2 when inputs cannot be loaded.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="run the pinned-seed perf workloads (warmup + "
-                    "interleaved median-of-k) and emit a machine-readable "
-                    "BENCH document; --compare diffs it against a recorded "
-                    "baseline and fails on regressions (see "
-                    "docs/OBSERVABILITY.md)")
-    parser.add_argument("--workloads", default=None, metavar="NAMES",
-                        help="comma-separated subset of smd,elevator,farm "
-                             "(default: all)")
-    parser.add_argument("--repeats", type=_positive_int, default=3,
-                        help="timed repetitions per workload; the median "
-                             "is recorded (default: 3)")
-    parser.add_argument("--warmup", type=int, default=1,
-                        help="untimed warmup repetitions (default: 1)")
-    parser.add_argument("--out", default="BENCH_6.json", metavar="PATH",
-                        help="output document (default: BENCH_6.json)")
-    parser.add_argument("--profile-top", type=_positive_int, default=10,
-                        help="profiler rows kept per table (default: 10)")
-    parser.add_argument("--baseline",
-                        default="benchmarks/perf_baseline.json",
-                        metavar="PATH",
-                        help="baseline document for --compare / "
-                             "--update-baseline")
-    parser.add_argument("--compare", action="store_true",
-                        help="diff the run against the baseline; exit 1 "
-                             "on any regression")
-    parser.add_argument("--candidate", default=None, metavar="PATH",
-                        help="with --compare: diff this document instead "
-                             "of running the benches")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="allowed wall-clock slowdown fraction "
-                             "(default: 0.15)")
-    parser.add_argument("--check-wall", choices=["auto", "always", "never"],
-                        default="auto",
-                        help="wall/throughput comparison: auto gates on "
-                             "matching environment fingerprints")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="also record this run as the new baseline")
-    parser.add_argument("--json", action="store_true",
-                        help="print the document to stdout as well")
-    args = parser.parse_args(argv)
-
-    from repro.perf import DEFAULT_TOLERANCE, compare_documents, run_bench \
-        as run_bench_suite
-
-    workloads = None
-    if args.workloads:
-        workloads = [name.strip() for name in args.workloads.split(",")
-                     if name.strip()]
-
-    if args.candidate is not None and not args.compare:
-        print("error: --candidate requires --compare", file=sys.stderr)
-        return 2
-
-    if args.candidate is not None:
-        try:
-            with open(args.candidate) as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            document = run_bench_suite(
-                workloads=workloads, repeats=args.repeats,
-                warmup=args.warmup, profile_top=args.profile_top,
-                progress=lambda message: print(message, file=out))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            with open(args.out, "w") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for name, workload in sorted(document["workloads"].items()):
-            wall_ms = workload["wall"]["median_ns"] / 1e6
-            line = f"  {name}: median {wall_ms:.1f} ms"
-            per_cycle = workload["throughput"].get("ns_per_reference_cycle")
-            if per_cycle is not None:
-                line += f", {per_cycle:.0f} ns/ref-cycle"
-            print(line, file=out)
-        print(f"wrote {args.out}", file=out)
-        if args.update_baseline:
-            try:
-                with open(args.baseline, "w") as handle:
-                    json.dump(document, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(f"baseline written to {args.baseline}", file=out)
-
-    if args.json:
-        json.dump(document, out, indent=2, sort_keys=True)
-        print(file=out)
-
-    if not args.compare:
-        return 0
-    try:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    check_wall = {"auto": None, "always": True, "never": False}[
-        args.check_wall]
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else DEFAULT_TOLERANCE)
-    report = compare_documents(document, baseline, tolerance=tolerance,
-                               check_wall=check_wall)
-    print(f"comparing against {args.baseline} "
-          f"(tolerance {tolerance * 100:.0f}%):", file=out)
-    print(report.render(), file=out)
-    return 0 if report.ok else 1
-
-
 def run_fuzz(argv: List[str], out=sys.stdout) -> int:
     """``repro fuzz``: seeded differential campaigns over generated charts.
 
@@ -1478,8 +1345,6 @@ def run(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
         return run_forensics(argv[1:], out)
     if argv and argv[0] == "why":
         return run_why(argv[1:], out)
-    if argv and argv[0] == "bench":
-        return run_bench(argv[1:], out)
     if argv and argv[0] == "fuzz":
         return run_fuzz(argv[1:], out)
     args = build_argument_parser().parse_args(argv)

@@ -44,12 +44,6 @@ from repro.obs.flightrec import (
 )
 from repro.obs.flowprof import FlowProfile, RungProfile
 from repro.obs.lineage import LineageTracker
-from repro.obs.perfprof import (
-    OPCODE_LEVEL,
-    ROUTINE_LEVEL,
-    STEP_PHASES,
-    PerfProfiler,
-)
 from repro.obs.metrics import (
     DEFAULT_CYCLE_BUCKETS,
     Counter,
@@ -66,9 +60,7 @@ __all__ = [
     "FarmSampler",
     "ShardAggregator", "FlightRecorder", "FlowProfile", "Gauge",
     "Histogram", "INSTANT", "LineageTracker", "MetricsRegistry",
-    "OPCODE_LEVEL",
-    "PerfProfiler", "ROUTINE_LEVEL", "RungProfile",
-    "STEP_PHASES", "SUPPORTED_FORENSICS_VERSIONS", "ScopedRegistry",
+    "RungProfile", "SUPPORTED_FORENSICS_VERSIONS", "ScopedRegistry",
     "SPAN",
     "Tracer", "chrome_trace", "chrome_trace_events", "dag_flow_events",
     "load_dag",

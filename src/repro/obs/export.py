@@ -39,10 +39,6 @@ TRACE_PID = 1
 #: first pid handed to a machine in a merged farm trace
 FIRST_MACHINE_PID = TRACE_PID + 1
 
-#: pid of the profiler's self-profile process in a merged export — far
-#: above any farm's machine pids so the processes never collide
-SELF_PROFILE_PID = 1000
-
 
 def chrome_trace_events(tracer: Tracer, pid: int = TRACE_PID,
                         process_name: str = "PSCP machine",
@@ -89,35 +85,23 @@ def chrome_trace_events(tracer: Tracer, pid: int = TRACE_PID,
 
 
 def chrome_trace(tracer: Tracer,
-                 metrics: Optional[MetricsRegistry] = None,
-                 profile=None) -> Dict[str, Any]:
-    """The full trace JSON object (``traceEvents`` + metadata).
-
-    *profile* — a :class:`~repro.obs.perfprof.PerfProfiler` — adds its
-    self-profile tracks as a separate trace-event process (pid
-    :data:`SELF_PROFILE_PID`), so the host-time attribution rides in the
-    same Perfetto page as the simulated-cycle timeline.  ``None`` (the
-    default) keeps the output byte-identical to the historical export.
-    """
+                 metrics: Optional[MetricsRegistry] = None
+                 ) -> Dict[str, Any]:
+    """The full trace JSON object (``traceEvents`` + metadata)."""
     document: Dict[str, Any] = {
         "traceEvents": chrome_trace_events(tracer),
         "displayTimeUnit": "ms",
         "otherData": dict(tracer.metadata),
     }
-    if profile is not None:
-        document["traceEvents"].extend(
-            profile.chrome_trace_events(SELF_PROFILE_PID))
-        document["otherData"]["self_profile"] = profile.to_json()
     if metrics is not None:
         document["otherData"]["metrics"] = metrics.collect()
     return document
 
 
 def write_chrome_trace(tracer: Tracer, destination: Union[str, IO[str]],
-                       metrics: Optional[MetricsRegistry] = None,
-                       profile=None) -> None:
+                       metrics: Optional[MetricsRegistry] = None) -> None:
     """Serialize :func:`chrome_trace` to a path or file object."""
-    document = chrome_trace(tracer, metrics, profile)
+    document = chrome_trace(tracer, metrics)
     if hasattr(destination, "write"):
         json.dump(document, destination)
     else:

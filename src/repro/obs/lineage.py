@@ -18,7 +18,7 @@ Zero overhead when detached
 ``None`` guard.  Attached, the cost per configuration cycle is one tuple
 append plus two appends per dispatched transition — enforced by the
 ``lineage`` leg of ``scripts/check_overhead.py`` under the same hard <5%
-paired budget as the recorder and profiler legs.
+paired budget as the recorder leg.
 
 Identity scheme
 ---------------

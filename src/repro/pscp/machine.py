@@ -166,9 +166,6 @@ class PscpMachine:
                         if history_limit is not None else [])
         #: observability: ``None`` keeps every hook a no-op guard
         self.tracer = None
-        #: hot-path profiler (:class:`repro.obs.perfprof.PerfProfiler`);
-        #: ``None`` keeps every phase mark a no-op guard
-        self.profiler = None
         self._tr_machine = self._tr_sla = self._tr_sched = self._tr_bus = 0
         self._tr_teps: List[int] = []
         self._span_names: Dict[int, str] = {}
@@ -225,25 +222,6 @@ class PscpMachine:
             self.injector.attach_tracer(tracer)
         if self.guard is not None:
             self.guard.attach_tracer(tracer)
-
-    def attach_profiler(self, profiler) -> None:
-        """Attach a :class:`repro.obs.PerfProfiler`: every ``step()``
-        attributes its host wall time across the five step phases, and the
-        executor attributes dispatched-routine (and, at the ``opcode``
-        level, per-instruction) time.  Pass ``None`` to detach and restore
-        the zero-overhead disabled path.  The profiler observes only: the
-        simulated cycle counts and ``MachineStep`` stream are identical
-        with and without it.
-        """
-        self.profiler = profiler
-        self.executor.profiler = profiler
-        if profiler is None:
-            return
-        for transition in self.chart.transitions:
-            routine = (action_routine_name(transition.action)
-                       if transition.action else "(no action)")
-            profiler.label_names.setdefault(
-                f"__t{transition.index}", f"t{transition.index} {routine}")
 
     def attach_recorder(self, recorder) -> None:
         """Attach a :class:`repro.obs.FlightRecorder`: every configuration
@@ -362,16 +340,6 @@ class PscpMachine:
             raise MachineError(f"unknown external events {sorted(unknown)!r}")
         injector = self.injector
         guard = self.guard
-        profiler = self.profiler
-        _psample = False
-        if profiler is not None:
-            # phase boundaries are clocked on one step in phase_stride;
-            # the rest of the hooks below are inline integer bookkeeping
-            profiler.steps += 1
-            _psample = profiler.steps % profiler.phase_stride == 0
-            if _psample:
-                _pclock = profiler.clock
-                _pt0 = _pclock()
         if injector is not None:
             # bus faults: drop / duplicate / delay external events
             external = injector.filter_events(self.cycle_count, external)
@@ -391,8 +359,6 @@ class PscpMachine:
                     self.cr.configuration = guard.on_illegal_configuration(
                         self.cycle_count, problems)
         sampled = frozenset(self.cr.events)
-        if _psample:
-            _pt1 = _pclock()
 
         tracer = self.tracer
         enabled = self.pla.enabled(self.cr.bits)
@@ -410,10 +376,6 @@ class PscpMachine:
         self.tat.post(enabled)
         if retries:
             self.tat.post(retries)
-        if _psample:
-            # trace emission below lands in "dispatch" (tracing and timed
-            # profiling are not meant to run together anyway)
-            _pt2 = _pclock()
         if tracer is not None:
             if not enabled and not sampled and not retries:
                 # quiescent cycle: coalesce into one pending "idle" span
@@ -492,8 +454,6 @@ class PscpMachine:
             if guard is not None and guard.has_open_abort(index):
                 guard.on_retry_success(self.cycle_count, index)
 
-        if _psample:
-            _pt3 = _pclock()
         # state update (same per-transition order as the interpreter)
         configuration = set(self.cr.configuration)
         for transition in transitions:
@@ -516,8 +476,6 @@ class PscpMachine:
                 self.cr.configuration = guard.on_illegal_configuration(
                     self.cycle_count, problems)
 
-        if _psample:
-            _pt4 = _pclock()
         makespan = plan.makespan(lambda i: costs[i]) if plan else 0
         cycle_length = SLA_OVERHEAD_CYCLES + makespan
         step = MachineStep(
@@ -543,12 +501,6 @@ class PscpMachine:
         self.cycle_count += 1
         if self._keep_history:
             self.history.append(step)
-        if profiler is not None:
-            profiler.sla_cycles += SLA_OVERHEAD_CYCLES
-            profiler.dispatch_cycles += makespan
-            if _psample:
-                profiler.phase_sample(_pt0, _pt1, _pt2, _pt3, _pt4,
-                                      _pclock())
         return step
 
     def _execute_dispatch(self, index: int, effect, budget: Optional[int]

@@ -117,9 +117,6 @@ class Tep:
         #: observability: ``None`` keeps run() on the zero-overhead path
         self.tracer = None
         self._trace_track: Optional[int] = None
-        #: hot-path profiler (:class:`repro.obs.perfprof.PerfProfiler`);
-        #: ``None`` keeps run() on the zero-overhead path
-        self.profiler = None
 
     # -- state access -----------------------------------------------------
     def load_memory(self, values) -> None:
@@ -197,36 +194,19 @@ class Tep:
         With a tracer attached (:attr:`tracer`), each run is recorded as one
         span on this TEP's track — entry label, cycles consumed, and the
         instruction retire count — timestamped in the TEP's own cumulative
-        cycle time.  With a profiler attached (:attr:`profiler`), the run's
-        host wall time is attributed to *entry* (and, at the ``opcode``
-        level, to every executed instruction and CALLed routine).
+        cycle time.
         """
         tracer = self.tracer
-        profiler = self.profiler
-        if tracer is None and profiler is None:
+        if tracer is None:
             return self._run(entry, max_cycles)
         start_cycles = self.cycles
         start_retired = self.instructions_executed
-        if profiler is None:
-            consumed = self._run(entry, max_cycles)
-        elif profiler.per_opcode:
-            consumed = self._run_profiled(entry, max_cycles, profiler)
-        else:
-            started = profiler.clock()
-            try:
-                consumed = self._run(entry, max_cycles)
-            finally:
-                # aborted runs (watchdog / faults) still get attributed
-                profiler.note_run(
-                    entry, profiler.clock() - started,
-                    self.cycles - start_cycles,
-                    self.instructions_executed - start_retired)
-        if tracer is not None:
-            if self._trace_track is None:
-                self._trace_track = tracer.track(self.name)
-            tracer.span(
-                self._trace_track, entry, start_cycles, consumed,
-                {"instructions": self.instructions_executed - start_retired})
+        consumed = self._run(entry, max_cycles)
+        if self._trace_track is None:
+            self._trace_track = tracer.track(self.name)
+        tracer.span(
+            self._trace_track, entry, start_cycles, consumed,
+            {"instructions": self.instructions_executed - start_retired})
         return consumed
 
     def _run(self, entry: str, max_cycles: int) -> int:
@@ -253,65 +233,6 @@ class Tep:
             if next_pc is None:
                 raise TepError("unbalanced return")
             pc = next_pc
-
-    def _run_profiled(self, entry: str, max_cycles: int, profiler) -> int:
-        """The `_run` loop with per-instruction profiler attribution.
-
-        Architecturally identical to :meth:`_run` — same fetch/charge/
-        execute order, same fault surfaces — with each instruction wrapped
-        in clock reads (opcode wall time) and a frame stack mirroring
-        CALL/RET (per-routine self vs cumulative time).  Only reached when
-        ``profiler.per_opcode``; expect whole-multiples of interpreter
-        overhead.  Exceptions (budget overruns, execution faults) close the
-        open frames first so partial runs still show up in the profile.
-        """
-        if entry not in self.labels:
-            raise TepError(f"unknown entry label {entry!r}")
-        clock = profiler.clock
-        frames: List[list] = []
-        profiler.open_frame(frames, entry)
-        start_cycles = self.cycles
-        pc = self.labels[entry]
-        depth = len(self.call_stack)
-        try:
-            while True:
-                if pc < 0 or pc >= len(self.program):
-                    raise TepError(f"PC out of range: {pc}")
-                instruction = self.program[pc]
-                cost = cycle_cost(instruction, self.arch)
-                self.cycles += cost
-                self.instructions_executed += 1
-                if self.cycles - start_cycles > max_cycles:
-                    raise TepBudgetExceeded(
-                        f"runaway execution in {entry!r} "
-                        f"(> {max_cycles} cycles)")
-                op = instruction.op
-                if op is Op.TRET or (op is Op.RET
-                                     and len(self.call_stack) == depth):
-                    profiler.note_opcode(op.name, cost, 0)
-                    frame = frames[-1]
-                    frame[3] += cost
-                    frame[4] += 1
-                    return self.cycles - start_cycles
-                started = clock()
-                next_pc = self._execute(instruction, pc)
-                elapsed = clock() - started
-                profiler.note_opcode(op.name, cost, elapsed)
-                frame = frames[-1]
-                frame[1] += elapsed
-                frame[3] += cost
-                frame[4] += 1
-                if op is Op.CALL:
-                    # _execute validated the LabelRef operand already
-                    profiler.open_frame(frames, instruction.operand.name)
-                elif op is Op.RET:
-                    profiler.close_frame(frames)
-                if next_pc is None:
-                    raise TepError("unbalanced return")
-                pc = next_pc
-        finally:
-            while frames:
-                profiler.close_frame(frames)
 
     def _branch_target(self, instruction: Instruction) -> int:
         operand = instruction.operand

@@ -15,8 +15,10 @@ from repro.action.check import Externals
 from repro.isa import CodeGenerator, MD16_TEP, NameMaps, prepare_program
 from repro.obs import (
     Counter,
+    FlightRecorder,
     Gauge,
     Histogram,
+    LineageTracker,
     MetricsRegistry,
     Tracer,
     chrome_trace,
@@ -78,6 +80,28 @@ class TestTracerParity:
         assert plain.time == traced.time
         assert plain.read_global("total") == traced.read_global("total")
         assert plain.cr.conditions == traced.cr.conditions
+
+    def test_identical_steps_with_every_observer_attached(self):
+        chart = pingpong_chart()
+        plain = build_machine(chart, PINGPONG_ROUTINES)
+        observed = build_machine(chart, PINGPONG_ROUTINES)
+        tracer, recorder, lineage = Tracer(), FlightRecorder(), \
+            LineageTracker()
+        observed.attach_tracer(tracer)
+        observed.attach_recorder(recorder)
+        observed.attach_lineage(lineage)
+
+        plain_steps = plain.run(STIMULUS)
+        observed_steps = observed.run(STIMULUS)
+
+        assert ([step_fingerprint(s) for s in plain_steps]
+                == [step_fingerprint(s) for s in observed_steps])
+        assert plain.time == observed.time
+        assert plain.read_global("total") == observed.read_global("total")
+        assert plain.cr.conditions == observed.cr.conditions
+        # each observer really ran on the hot path
+        assert len(tracer) and len(recorder) == len(STIMULUS)
+        assert lineage.hops
 
     def test_detach_restores_disabled_path(self):
         machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
