@@ -5,14 +5,21 @@ forms the configuration register (CR) of the chart.  Its content describes
 the current state of an application."
 
 The runtime object keeps the symbolic view (event/condition/state sets) and
-produces the packed bit vector for the SLA on demand; both views are kept
-consistent through the :class:`~repro.sla.encode.CrLayout`.
+produces the packed bit vector the SLA's compiled planes evaluate.  The
+symbolic view is authoritative and the packed word only a cache of it: the
+state field is re-encoded only when :attr:`configuration` is a different
+(frozen) object, and the event and condition bits are ORed in from
+precomputed masks.  The configuration stays symbolic because a fault can
+produce one the state encoding cannot represent (a stuck-on SLA output
+forcing a transition whose source is not active); round-tripping it
+through the code would hide exactly what the guard's exclusivity checker
+exists to catch.  :meth:`~repro.sla.encode.CrLayout.pack` remains the
+reference the packed word is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.sla.encode import CrLayout
 
@@ -28,14 +35,22 @@ class ConfigurationRegister:
             name for name, condition in chart.conditions.items()
             if condition.initial}
         self.configuration: FrozenSet[str] = chart.initial_configuration()
+        self._event_names = frozenset(layout.event_bits)
+        #: event/condition name -> its CR bit as a mask
+        self._signal_masks: Dict[str, int] = {
+            name: 1 << bit for bits in (layout.event_bits,
+                                        layout.condition_bits)
+            for name, bit in bits.items()}
+        #: the configuration the cached state field encodes, and the field
+        self._encoded: Optional[FrozenSet[str]] = None
+        self._state_word = 0
 
     # -- event part ---------------------------------------------------------
     def sample_events(self, external: Iterable[str],
                       internal: Iterable[str]) -> None:
         """Start of a configuration cycle: load this cycle's events."""
-        chart = self.layout.chart
-        events = set(external) | set(internal)
-        unknown = events - set(chart.events)
+        events = set(external).union(internal)
+        unknown = events - self._event_names
         if unknown:
             raise KeyError(f"unknown events {sorted(unknown)!r}")
         self.events = events
@@ -103,8 +118,20 @@ class ConfigurationRegister:
     # -- packed view -----------------------------------------------------------
     @property
     def bits(self) -> int:
-        return self.layout.pack(self.events, self.conditions,
-                                self.configuration)
+        """The packed CR word (see the module docstring for the caching)."""
+        configuration = self.configuration
+        if configuration is not self._encoded:
+            layout = self.layout
+            self._state_word = (layout.encoding.encode(configuration)
+                                << layout.state_offset)
+            self._encoded = configuration
+        word = self._state_word
+        masks = self._signal_masks
+        for name in self.events:
+            word |= masks[name]
+        for name in self.conditions:
+            word |= masks[name]
+        return word
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CR(events={sorted(self.events)}, "

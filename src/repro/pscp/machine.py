@@ -155,6 +155,7 @@ class PscpMachine:
             self.compiled.maps.conditions)
         self._event_index_to_name = {index: name for name, index
                                      in self.compiled.maps.events.items()}
+        self._event_names = frozenset(chart.events)
         self._pending_internal_events: Set[str] = set()
         self.time = 0
         self.cycle_count = 0
@@ -335,7 +336,7 @@ class PscpMachine:
     def step(self, external_events: Iterable[str] = ()) -> MachineStep:
         """Run one configuration cycle."""
         external = set(external_events)
-        unknown = external - set(self.chart.events)
+        unknown = external - self._event_names
         if unknown:
             raise MachineError(f"unknown external events {sorted(unknown)!r}")
         injector = self.injector
@@ -454,14 +455,12 @@ class PscpMachine:
             if guard is not None and guard.has_open_abort(index):
                 guard.on_retry_success(self.cycle_count, index)
 
-        # state update (same per-transition order as the interpreter)
-        configuration = set(self.cr.configuration)
-        for transition in transitions:
-            exited = self.chart.exit_set(transition, frozenset(configuration))
-            entered = self.chart.entry_set(transition)
-            configuration -= exited
-            configuration |= entered
-        self.cr.configuration = frozenset(configuration)
+        # state update through the SLA's next-state plane (same
+        # per-transition order as the interpreter); a quiescent cycle keeps
+        # its configuration object, so the CR's state field stays cached
+        if enabled:
+            self.cr.configuration = self.pla.next_configuration(
+                self.cr.configuration, enabled)
 
         self.cr.reset_events()
         self._pending_internal_events |= raised_names

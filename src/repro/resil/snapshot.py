@@ -26,7 +26,8 @@ Snapshots are JSON documents: :meth:`MachineSnapshot.to_json` /
 :meth:`~MachineSnapshot.to_json_str` (canonical key order).  Every document
 carries ``SNAPSHOT_VERSION`` plus the chart name and architecture
 description; :func:`restore_machine` refuses a snapshot from a different
-version, chart or architecture instead of silently corrupting state.
+version, chart or architecture, or one naming an event, condition or state
+the chart does not declare, instead of silently corrupting state.
 
 The machine's hot path never sees any of this: snapshotting is a pull-style
 read of machine state, so with snapshots unused the per-cycle behaviour is
@@ -302,6 +303,24 @@ _GUARD_COUNTERS = (
 # restore
 # ---------------------------------------------------------------------------
 
+def _check_names(snapshot: MachineSnapshot, chart) -> None:
+    """Refuse CR contents the chart does not declare: an unknown state or
+    condition would otherwise surface as a raw ``KeyError`` at the next
+    step, and an unknown event would be silently dropped."""
+    fields = (("cr.events", snapshot.cr["events"], chart.events),
+              ("cr.conditions", snapshot.cr["conditions"], chart.conditions),
+              ("cr.configuration", snapshot.cr["configuration"],
+               chart.states),
+              ("pending_internal_events", snapshot.pending_internal_events,
+               chart.events))
+    for name, values, declared in fields:
+        unknown = sorted(set(values) - set(declared))
+        if unknown:
+            raise SnapshotError(
+                f"snapshot field {name} names {unknown!r}, unknown to "
+                f"chart {chart.name!r}")
+
+
 def restore_machine(machine, snapshot: MachineSnapshot,
                     restore_attachments: bool = True,
                     timer_bank=None) -> None:
@@ -327,6 +346,7 @@ def restore_machine(machine, snapshot: MachineSnapshot,
         raise SnapshotError(
             f"snapshot architecture {snapshot.arch!r} does not match "
             f"machine architecture {machine.arch.describe()!r}")
+    _check_names(snapshot, machine.chart)
 
     machine.cycle_count = snapshot.cycle_count
     machine.time = snapshot.time

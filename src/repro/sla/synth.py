@@ -18,7 +18,19 @@ We synthesize a two-level (PLA) network over the CR bits:
   declaration order ties) is emitted as priority terms — output ``t<i>``
   suppressed by any conflicting higher-priority transition is listed in
   :attr:`Pla.guards` so the scheduler (hardware: extra decode logic) can
-  apply them.
+  apply them;
+* the next-state plane: per transition, the states its firing clears (the
+  strict descendants of its scope) and the states it sets (its entry set).
+
+The simulator evaluates the PLA the way the hardware does: each
+:class:`Pla` compiles its rows once into integer planes — an AND/OR row is
+``(care_mask, value, out_bit)``, a guard is a suppress mask over the
+transition outputs — so one SLA evaluation is a handful of integer tests on
+the packed CR word.  The next-state plane is applied to the *symbolic*
+configuration, not to the state code: a stuck-on SLA output can force a
+transition whose update yields a configuration the encoding cannot
+represent, and that illegal configuration is what the guard's exclusivity
+checker must see.
 
 The functional reference for all of this is the statechart interpreter; the
 equivalence is property-tested.
@@ -26,11 +38,11 @@ equivalence is property-tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.sla.encode import CrLayout, cr_layout
-from repro.statechart.model import Chart, Transition
+from repro.statechart.model import Chart
 
 
 @dataclass(frozen=True)
@@ -39,13 +51,19 @@ class ProductTerm:
 
     literals: Tuple[Tuple[int, bool], ...]
 
-    def matches(self, bits: int) -> bool:
-        return all(((bits >> bit) & 1) == int(value)
-                   for bit, value in self.literals)
-
     @property
     def n_literals(self) -> int:
         return len(self.literals)
+
+    def masks(self) -> Tuple[int, int]:
+        """``(care_mask, value)``: the row matches a CR word *w* iff
+        ``w & care_mask == value``."""
+        care = value = 0
+        for bit, required in self.literals:
+            care |= 1 << bit
+            if required:
+                value |= 1 << bit
+        return care, value
 
 
 @dataclass
@@ -58,6 +76,23 @@ class Pla:
     #: per transition index: the higher-priority transition indices that
     #: suppress it (the guard-signal network G0..Gm)
     guards: Dict[int, FrozenSet[int]]
+    #: per transition index: ``(clear, entry)`` — the states its firing
+    #: clears (its scope's strict descendants) and the states it sets (its
+    #: entry set); the next-state plane
+    next_state: Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]]
+
+    def __post_init__(self) -> None:
+        #: the AND/OR planes: one ``(care_mask, value, out_bit)`` row per
+        #: product term, ``out_bit`` the transition's output in the
+        #: raw-enabled word
+        self._rows: Tuple[Tuple[int, int, int], ...] = tuple(
+            term.masks() + (1 << index,)
+            for index in sorted(self.transition_terms)
+            for term in self.transition_terms[index])
+        #: per transition index: the outputs that suppress it
+        self._suppress: Dict[int, int] = {
+            index: sum(1 << other for other in suppressors)
+            for index, suppressors in self.guards.items()}
 
     @property
     def product_terms(self) -> int:
@@ -69,17 +104,38 @@ class Pla:
                    for terms in self.transition_terms.values()
                    for term in terms)
 
+    def _raw_word(self, cr_bits: int) -> int:
+        """The PLA outputs as a word: bit *i* is transition *i* (pre-guard)."""
+        word = 0
+        for care, value, out in self._rows:
+            if cr_bits & care == value:
+                word |= out
+        return word
+
     def raw_enabled(self, cr_bits: int) -> List[int]:
         """Transition indices whose PLA output is asserted (pre-guard)."""
-        return [index for index, terms in self.transition_terms.items()
-                if any(term.matches(cr_bits) for term in terms)]
+        return _indices(self._raw_word(cr_bits))
 
     def enabled(self, cr_bits: int) -> List[int]:
         """Transition indices after guard arbitration — what the Transition
         Address Table receives."""
-        raw = set(self.raw_enabled(cr_bits))
-        return sorted(index for index in raw
-                      if not (self.guards[index] & raw))
+        raw = self._raw_word(cr_bits)
+        if not raw:
+            return []
+        suppress = self._suppress
+        return [index for index in _indices(raw)
+                if not raw & suppress[index]]
+
+    def next_configuration(self, configuration: FrozenSet[str],
+                           fired: Iterable[int]) -> FrozenSet[str]:
+        """The state update of the *fired* transitions, in order: each
+        clears its scope's strict descendants and sets its entry set."""
+        updated = set(configuration)
+        for index in fired:
+            clear, entry = self.next_state[index]
+            updated -= clear
+            updated |= entry
+        return frozenset(updated)
 
     def output_names(self) -> List[str]:
         return [f"t{index}" for index in sorted(self.transition_terms)]
@@ -151,20 +207,43 @@ def synthesize(chart: Chart, onehot: bool = False) -> Pla:
                     terms.append(ProductTerm(tuple(sorted(combined.items()))))
         transition_terms[transition.index] = terms
 
-    guards = _guard_network(chart)
-    return Pla(layout, transition_terms, guards)
+    scopes = {t.index: chart.transition_scope(t) for t in chart.transitions}
+    return Pla(layout, transition_terms, _guard_network(chart, scopes),
+               _next_state_plane(chart, scopes))
 
 
-def _guard_network(chart: Chart) -> Dict[int, FrozenSet[int]]:
+def _indices(word: int) -> List[int]:
+    """The set bit positions of *word*, ascending."""
+    indices = []
+    while word:
+        low = word & -word
+        indices.append(low.bit_length() - 1)
+        word ^= low
+    return indices
+
+
+def _next_state_plane(chart: Chart, scopes: Dict[int, str]
+                      ) -> Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]]:
+    """Per transition: ``(clear, entry)``.  Firing *t* from *c* yields
+    ``(c - clear) | entry``, which equals the interpreter's
+    ``(c - chart.exit_set(t, c)) | chart.entry_set(t)`` because the exit
+    set is exactly the active part of the scope's strict descendants."""
+    return {t.index: (frozenset(chart.descendants(scopes[t.index])),
+                      chart.entry_set(t))
+            for t in chart.transitions}
+
+
+def _guard_network(chart: Chart, scopes: Dict[int, str]
+                   ) -> Dict[int, FrozenSet[int]]:
     """Which transitions suppress which (outer scope wins, then index)."""
     guards: Dict[int, Set[int]] = {t.index: set() for t in chart.transitions}
     transitions = chart.transitions
     for a in transitions:
-        scope_a = chart.transition_scope(a)
+        scope_a = scopes[a.index]
         for b in transitions:
             if a.index == b.index:
                 continue
-            scope_b = chart.transition_scope(b)
+            scope_b = scopes[b.index]
             related = (chart.is_ancestor(scope_a, scope_b)
                        or chart.is_ancestor(scope_b, scope_a))
             if not related:

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.isa import ArchConfig
+from repro.fault import (
+    ILLEGAL_CONFIGURATION,
+    Fault,
+    FaultInjector,
+    FaultPlan,
+    MachineGuard,
+)
+from repro.flow import build_system
+from repro.isa import MD16_TEP, ArchConfig
 from repro.pscp.cr import ConfigurationRegister
 from repro.pscp.scheduler import (
     DISPATCH_OVERHEAD_CYCLES,
@@ -68,6 +76,93 @@ class TestConfigurationRegister:
         assert events == {"E1"}
         assert conditions == {"C1"}
         assert states == cr.configuration
+
+
+def nested_chart():
+    """A 3-child OR (so one selector code is unused) whose third child is
+    itself an OR: forcing its inner transition from A is illegal."""
+    b = ChartBuilder("nested")
+    b.event("GO").event("HOP")
+    b.condition("C1", initial=True).condition("C2")
+    with b.or_state("Top", default="A"):
+        b.basic("A").transition("M", label="GO")
+        b.basic("B")
+        with b.or_state("M", default="R1"):
+            b.basic("R1").transition("R2", label="HOP")
+            b.basic("R2")
+    return b.build()
+
+
+def assert_coherent(cr):
+    assert cr.bits == cr.layout.pack(cr.events, cr.conditions,
+                                     cr.configuration)
+
+
+class TestPackedWordCoherence:
+    """The packed CR word is a cache of the symbolic contents; after every
+    way the CR changes it must equal the reference :meth:`CrLayout.pack`.
+    Each test reads :attr:`bits` first so the state field is cached."""
+
+    def make_cr(self):
+        cr = ConfigurationRegister(cr_layout(nested_chart()))
+        assert_coherent(cr)
+        return cr
+
+    def test_event_sampling_and_reset(self):
+        cr = self.make_cr()
+        cr.sample_events({"GO"}, {"HOP"})
+        assert_coherent(cr)
+        cr.reset_events()
+        assert_coherent(cr)
+
+    def test_condition_write(self):
+        cr = self.make_cr()
+        cr.write_conditions({"C1": False, "C2": True})
+        assert_coherent(cr)
+
+    def test_bit_flips(self):
+        cr = self.make_cr()
+        for _ in range(2):  # set, then clear again
+            cr.flip_event("HOP")
+            assert_coherent(cr)
+            cr.flip_condition("C1")
+            assert_coherent(cr)
+
+    def test_state_bit_corruption(self):
+        cr = self.make_cr()
+        for bit in range(cr.layout.encoding.width):
+            cr.corrupt_state_bit(bit)
+            assert_coherent(cr)
+
+    def test_state_update(self):
+        cr = self.make_cr()
+        cr.update_states(exited={"A"}, entered={"M", "R1"})
+        assert_coherent(cr)
+
+    def test_guard_recovery_assignment(self):
+        """A stuck-on t1 (R1->R2) from A enters R2 without M; the guard's
+        end-of-cycle recovery assigns the safe state (B, not the cached
+        A) directly."""
+        system = build_system(nested_chart(), "", MD16_TEP)
+        machine = system.make_machine()
+        machine.attach_injector(FaultInjector(FaultPlan(
+            (Fault("sla-stuck-on", 0, 1),))))
+        guard = MachineGuard(safe_state={"Root", "Top", "B"})
+        machine.attach_guard(guard)
+        step = machine.step(set())
+        assert [d.kind for d in step.recoveries] == [ILLEGAL_CONFIGURATION]
+        assert machine.cr.configuration == guard.safe_state
+        assert_coherent(machine.cr)
+
+    def test_restore(self):
+        system = build_system(nested_chart(), "", MD16_TEP)
+        moved = system.make_machine()
+        moved.step({"GO"})
+        fresh = system.make_machine()
+        assert_coherent(fresh.cr)
+        fresh.restore(moved.snapshot())
+        assert "R1" in fresh.cr.configuration
+        assert_coherent(fresh.cr)
 
 
 class TestDispatchPlan:

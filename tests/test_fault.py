@@ -6,11 +6,14 @@ byte-identical ``MachineStep`` history, cycle counts and architectural
 state versus a machine with no injector at all.
 """
 
+import io
 import json
+import pathlib
 
 import pytest
 
 from repro.action.check import Externals
+from repro.cli import run
 from repro.fault import (
     Fault,
     FaultCampaign,
@@ -460,3 +463,25 @@ class TestCampaign:
     def test_unknown_class_rejected(self, smd_system):
         with pytest.raises(ValueError):
             FaultCampaign(smd_system, classes=("gremlin",))
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SMD_PROJECT = pathlib.Path(__file__).parent.parent / "examples" / "smd"
+
+
+class TestSlaStuckOnGolden:
+    """The SLA stuck-at semantics, pinned.  Run 0 forces a transition whose
+    source is not active; its set-level next state is a configuration the
+    state encoding cannot represent, and the guard must see it (a CR that
+    round-tripped the configuration through the state code would not)."""
+
+    def test_campaign_matches_golden(self):
+        out = io.StringIO()
+        status = run(["faults", str(SMD_PROJECT), "--seed", "2",
+                      "--runs-per-class", "2", "--classes", "sla-stuck-on",
+                      "--json"], out=out)
+        assert status == 0
+        golden = (GOLDEN / "faults_smd_sla_stuck_on.json").read_text()
+        assert out.getvalue() == golden
+        assert ("illegal-configuration@2456 (RunY active but parent MoveY "
+                "is not) [recovered]") in golden

@@ -213,6 +213,28 @@ class TestSnapshotValidation:
         with pytest.raises(SnapshotError, match="missing"):
             MachineSnapshot.from_json(document)
 
+    @pytest.mark.parametrize("field, name", [
+        ("events", "GHOST"), ("conditions", "GHOST"),
+        ("configuration", "Nowhere")])
+    def test_unknown_cr_name_is_refused(self, field, name):
+        _, snapshot = self._snapshot()
+        snapshot.cr[field] = sorted(snapshot.cr[field] + [name])
+        fresh = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
+        with pytest.raises(SnapshotError,
+                           match=rf"cr\.{field} names \['{name}'\]"):
+            fresh.restore(snapshot)
+        # refused before any state was loaded: the machine still steps
+        assert fresh.cycle_count == 0
+        assert fresh.step({"GO"}).fired
+
+    def test_unknown_pending_event_is_refused(self):
+        _, snapshot = self._snapshot()
+        snapshot.pending_internal_events = ["GHOST"]
+        fresh = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
+        with pytest.raises(SnapshotError,
+                           match=r"pending_internal_events names \['GHOST'\]"):
+            fresh.restore(snapshot)
+
     def test_attachment_state_needs_an_attachment(self):
         chart = pingpong_chart()
         machine = build_machine(chart, PINGPONG_ROUTINES)

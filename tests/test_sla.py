@@ -2,6 +2,8 @@
 functional equivalence of the synthesized logic with the reference
 statechart interpreter."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,14 @@ from repro.sla import (
     parse_blif,
     synthesize,
 )
-from repro.statechart import ChartBuilder, Interpreter, StateKind
+from repro.statechart import (
+    ChartBuilder,
+    Interpreter,
+    StateKind,
+    check_configuration,
+)
+from repro.workloads import smd_chart
+from repro.workloads.elevator import elevator_chart
 
 
 def blinker():
@@ -203,6 +212,61 @@ class TestEquivalenceWithInterpreter:
         assert binary_pla.enabled(b_bits) == onehot_pla.enabled(o_bits)
 
 
+def reached_configurations(chart, steps=500, seed=1):
+    """Every configuration the reference interpreter reaches under a seeded
+    random event/condition trace, plus every configuration reached from
+    those by forcing one transition on (an SLA output stuck at 1)."""
+    rng = random.Random(seed)
+    interp = Interpreter(chart)
+    events = sorted(chart.events)
+    conditions = sorted(chart.conditions)
+    reached = {interp.configuration}
+    for _ in range(steps):
+        for name in conditions:
+            interp.set_condition(name, rng.random() < 0.5)
+        interp.step({name for name in events if rng.random() < 0.3})
+        reached.add(interp.configuration)
+    forced = {(c - chart.exit_set(t, c)) | chart.entry_set(t)
+              for c in reached for t in chart.transitions}
+    return reached | forced
+
+
+class TestNextStatePlane:
+    """The next-state plane against the interpreter's set-level update, on
+    reachable configurations and on the illegal ones a stuck-on fault
+    produces."""
+
+    @pytest.mark.parametrize("make_chart", [smd_chart, elevator_chart,
+                                            rich_chart])
+    def test_plane_equals_exit_entry_update(self, make_chart):
+        chart = make_chart()
+        pla = synthesize(chart)
+        configurations = reached_configurations(chart)
+        # the stuck-on case is covered: some configurations are illegal
+        assert any(check_configuration(chart, c) for c in configurations)
+        for configuration in configurations:
+            for transition in chart.transitions:
+                expected = ((configuration
+                             - chart.exit_set(transition, configuration))
+                            | chart.entry_set(transition))
+                assert pla.next_configuration(
+                    configuration, [transition.index]) == expected
+
+    def test_forced_transition_yields_unencodable_configuration(self):
+        """Why the plane updates the symbolic configuration: forcing the
+        inner RegA transition from Idle enters A2 without its parents, a
+        configuration no state code represents."""
+        chart = rich_chart()
+        pla = synthesize(chart)
+        encoding = pla.layout.encoding
+        inner = next(t for t in chart.transitions
+                     if (t.source, t.target) == ("A1", "A2"))
+        forced = pla.next_configuration(chart.initial_configuration(),
+                                        [inner.index])
+        assert "A2" in forced and "Work" not in forced
+        assert encoding.active_states(encoding.encode(forced)) != forced
+
+
 class TestBlif:
     def test_emit_contains_model_sections(self):
         text = emit_blif(synthesize(rich_chart()))
@@ -216,15 +280,29 @@ class TestBlif:
         bits = pla.layout.pack({"GO"}, {"OK"}, interp.configuration)
         assert evaluate_pla_via_blif(pla, bits) == pla.raw_enabled(bits)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.sets(st.sampled_from(["GO", "E1", "E2", "ABORT"])),
-           st.sets(st.sampled_from(["OK", "ARMED"])))
-    def test_blif_equivalence_random_inputs(self, events, conditions):
-        chart = rich_chart()
-        pla = synthesize(chart)
-        bits = pla.layout.pack(events, conditions,
-                               chart.initial_configuration())
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0,
+                       max_value=(1 << cr_layout(rich_chart()).width) - 1))
+    def test_blif_equivalence_random_inputs(self, bits):
+        """Random full-width CR words: any state code, including the
+        unused OR-selector codes no legal configuration encodes to."""
+        pla = synthesize(rich_chart())
         assert evaluate_pla_via_blif(pla, bits) == pla.raw_enabled(bits)
+
+    def test_compiled_planes_match_blif_on_every_cr_word(self):
+        """Exhaustive: the AND/OR planes against the BLIF evaluator, and the
+        guard suppress masks against the symbolic guard network."""
+        pla = synthesize(rich_chart())
+        model = parse_blif(emit_blif(pla))
+        names = pla.layout.input_names()
+        for bits in range(1 << pla.layout.width):
+            outputs = model.evaluate({name: bool((bits >> bit) & 1)
+                                      for bit, name in enumerate(names)})
+            raw = sorted(int(name[1:]) for name, value in outputs.items()
+                         if value)
+            assert pla.raw_enabled(bits) == raw
+            assert pla.enabled(bits) == [
+                index for index in raw if not pla.guards[index] & set(raw)]
 
     def test_parse_rejects_garbage(self):
         from repro.sla import BlifError
