@@ -1,8 +1,11 @@
-"""Bounded model checking on the enable-product algebra.
+"""Bounded model checking on the machine's compiled SLA planes.
 
 ``repro check`` front door: declared safety properties, deadline proofs and
-replayable counterexamples over the machine's real step semantics.  See
-docs/CHECKING.md for the property grammar and verdict semantics.
+replayable counterexamples.  The explorer steps the built system's
+:class:`~repro.sla.synth.Pla` — enabledness, guard arbitration and the
+next-state plane the machine runs — and takes each state's input alphabet
+from the AND plane's live rows.  See docs/CHECKING.md for the property
+grammar and verdict semantics.
 """
 
 from repro.analysis.bmc.checker import (

@@ -192,7 +192,7 @@ def _check_always_reach(prop: AlwaysReach, space: ExploredSpace
             arrivals = [edge for edge in space.edges[node]
                         if prop.event in edge.inputs]
         else:
-            # the event is dead at this node (no live product mentions
+            # the event is dead at this node (no live AND-plane row tests
             # it), so its arrival is sampled and dropped: every existing
             # edge doubles as an arrival edge
             arrivals = [Edge(edge.inputs | {prop.event}, edge.target,
@@ -378,7 +378,8 @@ def check_system(chart: Chart, source: str, system, *,
     checked = Checker(program, Externals.from_chart(chart)).analyze()
     actions = abstract_actions(chart, checked)
 
-    explorer = Explorer(chart, actions, depth=depth, max_states=max_states)
+    explorer = Explorer(system.pla, actions, depth=depth,
+                        max_states=max_states)
     space = explorer.explore()
 
     verdicts: List[PropertyVerdict] = []

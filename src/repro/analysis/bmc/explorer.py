@@ -1,27 +1,32 @@
-"""The bounded step-relation explorer under the machine's semantics.
+"""The bounded step-relation explorer, evaluated on the machine's own SLA.
 
 A symbolic state (:data:`BmcNode`) is the triple the hardware actually
 latches between configuration cycles::
 
     (active configuration, true conditions, pending raised events)
 
-Exploration is breadth-first from the chart's initial node.  From each node
-the environment's choices are *not* enumerated over all ``2^|events|``
-subsets: the enable products of the outgoing transitions
-(:func:`repro.analysis.chart_lint.enable_products`) are partially evaluated
-against the node's fixed condition values and pending events, and only the
-event literals that survive in some product — the **decision events** — can
-change what fires.  Every other event is sampled and dropped by the CR, so
-one representative suffices.  This is the pruning the ISSUE's "enable
-products instead of ``2^n``" refers to: conditions are part of the node (no
-valuation enumeration at all), and the input alphabet collapses to the
-products' free literals.
+Exploration is breadth-first from the chart's initial node.  Each expanded
+node is packed once into a Configuration Register word, and every cycle is
+computed by the built system's :class:`~repro.sla.synth.Pla` — the compiled
+planes :class:`~repro.pscp.machine.PscpMachine` runs:
 
-One cycle mirrors :meth:`repro.statechart.semantics.Interpreter.step`
-exactly — same enabledness, the *same* :func:`select_transitions` conflict
-resolution, same exit/entry accumulation — so a path through this graph is
-a candidate execution of the real machine.  Action routines are abstracted
-by their effect summaries (:mod:`repro.analysis.effects`), split into
+* **the input alphabet** comes from the AND plane (:meth:`Pla.open_events`).
+  A row is live when its state, condition and pending-event bits agree with
+  the node's word; the event bits the live rows still test are the
+  **decision events**.  Every other event is sampled and dropped by the CR,
+  so one representative suffices: conditions are part of the node (no
+  valuation enumeration at all), and the environment's ``2^|events|``
+  choices collapse to the subsets of the decision events;
+* **enabledness and conflict resolution** are :meth:`Pla.enabled` (the
+  AND/OR planes plus the guard-signal network) on the word with the subset's
+  event bits ORed in;
+* **the state update** is :meth:`Pla.next_configuration`, the next-state
+  plane.
+
+So a path through this graph is a candidate execution of the real machine,
+by construction rather than by a second implementation of the step.  Action
+routines are abstracted by their effect summaries
+(:mod:`repro.analysis.effects`), split into
 
 * **must** effects — top-level, unconditional ``SetTrue``/``SetFalse``/
   ``Raise`` calls, applied exactly; and
@@ -37,28 +42,25 @@ are only reported after they replay on the real machine
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.action.ast import Call, ExprStmt, Function
 from repro.action.check import CheckedProgram
 from repro.action.stdlib import is_builtin
-from repro.analysis.chart_lint import enable_products
 from repro.analysis.effects import EffectAnalyzer, Effects
+from repro.sla.synth import Pla
 from repro.statechart.labels import action_arguments, action_routine_name
-from repro.statechart.model import Chart, Transition
-from repro.statechart.semantics import select_transitions
+from repro.statechart.model import Chart
 
 #: (configuration, true conditions, pending raised events)
 BmcNode = Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]
+
+#: most decision events branched on at one node (``2^n`` abstract steps);
+#: beyond it the rest are dropped and the space is marked incomplete
+MAX_DECISION_EVENTS = 14
+#: most may-effect forks of one step; beyond it the step keeps only its
+#: must effects and the space is marked incomplete
+MAX_FORKS_PER_STEP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +189,8 @@ class ExploredSpace:
     nodes: Dict[BmcNode, int] = field(default_factory=dict)  # node -> depth
     edges: Dict[BmcNode, Tuple[Edge, ...]] = field(default_factory=dict)
     #: per expanded node, the input alphabet that was branched on; events
-    #: outside it provably cannot change the node's step (their products
-    #: are dead), so an arrival of one reuses the existing edges
+    #: outside it provably cannot change the node's step (no live AND-plane
+    #: row tests them), so an arrival of one reuses the existing edges
     decisions: Dict[BmcNode, Tuple[str, ...]] = field(default_factory=dict)
     parent: Dict[BmcNode, Tuple[BmcNode, FrozenSet[str]]] = \
         field(default_factory=dict)
@@ -217,107 +219,62 @@ class ExploredSpace:
 
 
 class Explorer:
-    """Breadth-first bounded exploration of one chart's step relation."""
+    """Breadth-first bounded exploration of one chart's step relation,
+    evaluated on the built system's SLA planes."""
 
-    def __init__(self, chart: Chart,
-                 actions: Dict[int, ActionAbstraction],
-                 *,
-                 depth: int = 40,
-                 max_states: int = 20000,
-                 max_decision_events: int = 14,
-                 max_forks_per_step: int = 16,
-                 watch_events: Iterable[str] = ()) -> None:
-        self.chart = chart
+    def __init__(self, pla: Pla, actions: Dict[int, ActionAbstraction], *,
+                 depth: int = 40, max_states: int = 20000) -> None:
+        self.pla = pla
+        self.chart = pla.layout.chart
         self.actions = actions
         self.depth = depth
         self.max_states = max_states
-        self.max_decision_events = max_decision_events
-        self.max_forks_per_step = max_forks_per_step
-        self.watch_events = frozenset(watch_events) & set(chart.events)
-        self._products = {t.index: enable_products(t)
-                          for t in chart.transitions}
-        self._outgoing: Dict[str, List[Transition]] = {}
-        for transition in chart.transitions:
-            self._outgoing.setdefault(transition.source, []).append(
-                transition)
+        self._event_names = {bit: name for name, bit
+                             in pla.layout.event_bits.items()}
 
     # -- the input alphabet ------------------------------------------------
-    def decision_events(self, node: BmcNode, space: ExploredSpace
-                        ) -> List[str]:
-        """Events whose presence can change what fires from *node*.
-
-        A product already contradicted by the node's condition values or
-        satisfied-by-pending literals contributes nothing; the surviving
-        products' event literals are the only inputs worth branching on.
-        """
-        config, conds, pending = node
-        events = set(self.chart.events)
-        conditions = set(self.chart.conditions)
-        decisions: Set[str] = set()
-        for source in sorted(config):
-            for transition in self._outgoing.get(source, ()):
-                for pos, neg in self._products[transition.index]:
-                    # conditions are fixed by the node: prune dead products
-                    if any(c in conditions and c not in conds for c in pos):
-                        continue
-                    if any(c in conditions and c in conds for c in neg):
-                        continue
-                    # pending raised events are asserted regardless
-                    if any(e in pending for e in neg):
-                        continue
-                    decisions |= {n for n in (pos | neg)
-                                  if n in events and n not in pending}
-        decisions |= {e for e in self.watch_events if e not in pending}
-        ordered = sorted(decisions)
-        if len(ordered) > self.max_decision_events:
+    def decision_events(self, word: int, space: ExploredSpace) -> List[str]:
+        """Events whose presence can change what fires from the node packed
+        in *word*: the clear event bits of the AND plane's live rows."""
+        ordered = sorted(self._event_names[bit]
+                         for bit in self.pla.open_events(word))
+        if len(ordered) > MAX_DECISION_EVENTS:
             space.mark_incomplete(
                 f"{len(ordered)} decision events at one node exceed the "
-                f"cap of {self.max_decision_events}")
-            ordered = ordered[:self.max_decision_events]
+                f"cap of {MAX_DECISION_EVENTS}")
+            ordered = ordered[:MAX_DECISION_EVENTS]
         return ordered
 
     # -- one abstract step -------------------------------------------------
     def successors(self, node: BmcNode, space: ExploredSpace) -> List[Edge]:
         config, conds, pending = node
+        word = self.pla.layout.pack(pending, conds, config)
         edges: List[Edge] = []
         seen: Set[Tuple[FrozenSet[str], BmcNode, Tuple[int, ...]]] = set()
-        decisions = self.decision_events(node, space)
+        decisions = self.decision_events(word, space)
         space.decisions[node] = tuple(decisions)
+        event_bits = self.pla.layout.event_bits
         for mask in range(1 << len(decisions)):
-            external = frozenset(
-                decisions[i] for i in range(len(decisions))
-                if mask & (1 << i))
-            for edge in self._step(node, external, space):
+            chosen = [name for i, name in enumerate(decisions)
+                      if mask & (1 << i)]
+            cr_bits = word
+            for name in chosen:
+                cr_bits |= 1 << event_bits[name]
+            for edge in self._step(node, frozenset(chosen), cr_bits, space):
                 key = (edge.inputs, edge.target, edge.fired)
                 if key not in seen:
                     seen.add(key)
                     edges.append(edge)
         return edges
 
-    def _step(self, node: BmcNode, external: FrozenSet[str],
+    def _step(self, node: BmcNode, external: FrozenSet[str], cr_bits: int,
               space: ExploredSpace) -> List[Edge]:
-        """All abstract outcomes of one cycle under *external* inputs."""
-        config, conds, pending = node
-        visible = external | pending
-        asserted = visible | conds
-        enabled = []
-        for source in sorted(config):
-            for transition in self._outgoing.get(source, ()):
-                trigger, guard = transition.trigger, transition.guard
-                if trigger is not None and not trigger.evaluate(asserted):
-                    continue
-                if guard is not None and not guard.evaluate(asserted):
-                    continue
-                enabled.append(transition)
-        fired = select_transitions(self.chart, enabled)
-
-        new_config = set(config)
-        for transition in fired:
-            exit_set = self.chart.exit_set(transition, frozenset(new_config))
-            new_config -= exit_set
-            new_config |= self.chart.entry_set(transition)
-        frozen_config = frozenset(new_config)
-        fired_indices = tuple(t.index for t in fired)
+        """All abstract outcomes of one cycle on the CR word *cr_bits*
+        (the node plus the *external* inputs)."""
+        config, conds, _ = node
+        fired = self.pla.enabled(cr_bits)
+        frozen_config = self.pla.next_configuration(config, fired)
+        fired_indices = tuple(fired)
 
         # must effects, in firing order; collect may choices
         base_conds = dict.fromkeys(conds, True)
@@ -325,8 +282,8 @@ class Explorer:
         may_cond: List[Tuple[str, Optional[bool]]] = []
         may_raise: List[str] = []
         forks = 1
-        for transition in fired:
-            abstraction = self.actions.get(transition.index)
+        for index in fired:
+            abstraction = self.actions.get(index)
             if abstraction is None:
                 continue
             for name, value in abstraction.must_cond:
@@ -341,10 +298,10 @@ class Explorer:
         may_cond = sorted(set(may_cond))
         may_raise = sorted(set(may_raise) - base_raised)
 
-        if forks > self.max_forks_per_step:
+        if forks > MAX_FORKS_PER_STEP:
             space.mark_incomplete(
                 f"{forks} abstraction forks at one step exceed the cap of "
-                f"{self.max_forks_per_step}")
+                f"{MAX_FORKS_PER_STEP}")
             may_cond, may_raise = [], []
 
         edges: List[Edge] = []

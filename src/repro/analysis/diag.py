@@ -135,6 +135,7 @@ CODES: Dict[str, CodeInfo] = {
     "PSC108": CodeInfo("event period must be positive", Severity.ERROR),
     "PSC109": CodeInfo("event port is not declared", Severity.ERROR),
     "PSC110": CodeInfo("condition port is not declared", Severity.ERROR),
+    "PSC111": CodeInfo("ref state is not resolved", Severity.ERROR),
     "PSC150": CodeInfo("structurally unreachable state", Severity.WARNING),
     "PSC151": CodeInfo("event triggers no transition", Severity.WARNING),
     "PSC152": CodeInfo("condition guards no transition", Severity.WARNING),

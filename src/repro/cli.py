@@ -30,9 +30,9 @@ Bounded model checking subcommand (see docs/CHECKING.md)::
                                   [--format text|json|sarif] [--out PATH]
     python -m repro check --workload smd|elevator
 
-``check`` explores every configuration the machine's step semantics can
-reach within the bound (enable-products prune the event alphabet per
-state) and decides the declared properties: ``never A while B``,
+``check`` explores every configuration the machine's compiled SLA planes
+can reach within the bound (the AND plane's live rows prune the event
+alphabet per state) and decides the declared properties: ``never A while B``,
 ``never COND in S``, ``always reach S within k cycles of E`` and
 ``deadline E [n]``.  Proofs are exhaustive within the bound; every
 counterexample is replayed on the real machine (witness + forensics
@@ -93,7 +93,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.flow import (
     Improver,
@@ -104,7 +104,7 @@ from repro.flow import (
     table3_report,
 )
 from repro.isa import MD16_TEP, MINIMAL_TEP
-from repro.statechart import parse_chart
+from repro.statechart import Chart, parse_chart
 
 _ARCHS = {"minimal": MINIMAL_TEP, "md16": MD16_TEP}
 
@@ -184,17 +184,6 @@ def _resolve_paths(project: str, routines: Optional[str]
     return project, routines
 
 
-def _load_sources(project: str, routines: Optional[str]
-                  ) -> Tuple[str, str]:
-    """Resolve (chart text, routine text) from a directory or a file pair."""
-    chart_path, routine_path = _resolve_paths(project, routines)
-    with open(chart_path) as handle:
-        chart_text = handle.read()
-    with open(routine_path) as handle:
-        routine_text = handle.read()
-    return chart_text, routine_text
-
-
 def _arch_for_chart(chart, routine_text: str, args):
     """Shared architecture defaulting for simulation and lint runs.
 
@@ -238,9 +227,79 @@ def _routine_error(exc, source_path):
 
 
 def _build_for_simulation(chart, routine_text: str, args):
-    """Build the system a trace/stats run simulates."""
+    """Build the system a trace/stats/faults/serve/check run uses."""
     arch, optimize = _arch_for_chart(chart, routine_text, args)
     return build_system(chart, routine_text, arch, specialize=optimize)
+
+
+class _Project(NamedTuple):
+    """One loaded project and what its command built from it."""
+
+    chart_path: str
+    source_path: str
+    chart: Chart
+    routine_text: str
+    built: object
+
+
+def _load_project(project: str, routines: Optional[str], args, out,
+                  build: Callable = _build_for_simulation
+                  ) -> Optional[_Project]:
+    """Read, parse and build one project: the one loader of every command
+    that takes a PROJECT (or the flow's CHART ROUTINES pair).
+
+    *build* ``(chart, routine_text, args)`` makes what the command runs; by
+    default the built system.  On bad input this prints why and returns
+    None, and the command exits 2: an unreadable project as ``error:`` on
+    stderr, anything else as diagnostics on *out* — PSC100 when the chart
+    does not parse, PSC111 per unresolved ref state (the flow does not
+    inline chart references), PSC301 when the routines do not parse or
+    check.
+    """
+    from repro.action.check import CheckError
+    from repro.action.parser import ActionParseError
+    from repro.analysis import Diagnostic, Severity, SourceLocation, \
+        render_text
+    from repro.statechart.model import ChartError, StateKind
+    from repro.statechart.parser import ParseError
+
+    try:
+        chart_path, source_path = _resolve_paths(project, routines)
+        with open(chart_path) as handle:
+            chart_text = handle.read()
+        with open(source_path) as handle:
+            routine_text = handle.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+    try:
+        chart = parse_chart(chart_text)
+    except (ParseError, ChartError) as exc:
+        problems = [Diagnostic(
+            code="PSC100", severity=Severity.ERROR,
+            message=f"chart does not parse: {exc}",
+            location=SourceLocation(file=chart_path,
+                                    line=getattr(exc, "line", None)))]
+    else:
+        problems = [Diagnostic(
+            code="PSC111", severity=Severity.ERROR,
+            message=f"ref state {state.name!r} (refers to "
+                    f"{repr(state.ref) if state.ref else 'no chart'}) is "
+                    "not resolved",
+            location=SourceLocation(file=chart_path, line=state.line,
+                                    obj=f"state {state.name!r}"),
+            hint="the flow does not inline chart references; copy the "
+                 "referenced chart's states in place of the ref state")
+            for state in chart.preorder() if state.kind is StateKind.REF]
+        if not problems:
+            try:
+                return _Project(chart_path, source_path, chart, routine_text,
+                                build(chart, routine_text, args))
+            except (ActionParseError, CheckError) as exc:
+                problems = [_routine_error(exc, source_path)]
+    print(render_text(problems, header=chart_path), file=out, end="")
+    return None
 
 
 def _simulate(system, cycles: Optional[int], tracer, metrics):
@@ -306,16 +365,17 @@ def run_trace(argv: List[str], out=sys.stdout) -> int:
     from repro.obs import MetricsRegistry, Tracer, trace_summary, \
         write_chrome_trace
 
+    project = _load_project(args.project, args.routines, args, out)
+    if project is None:
+        return 2
     try:
-        chart_text, routine_text = _load_sources(args.project, args.routines)
         # fail on an unwritable destination now, not after the simulation
         with open(args.out, "a"):
             pass
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    chart = parse_chart(chart_text)
-    system = _build_for_simulation(chart, routine_text, args)
+    system = project.built
     tracer = Tracer()
     metrics = MetricsRegistry()
     machine, _report = _simulate(system, args.cycles, tracer, metrics)
@@ -347,13 +407,10 @@ def run_stats(argv: List[str], out=sys.stdout) -> int:
     from repro.flow import ascii_table
     from repro.obs import MetricsRegistry, metrics_summary
 
-    try:
-        chart_text, routine_text = _load_sources(args.project, args.routines)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    project = _load_project(args.project, args.routines, args, out)
+    if project is None:
         return 2
-    chart = parse_chart(chart_text)
-    system = _build_for_simulation(chart, routine_text, args)
+    chart, system = project.chart, project.built
     metrics = MetricsRegistry()
     machine, report = _simulate(system, args.cycles, None, metrics)
     if args.json:
@@ -417,17 +474,6 @@ def run_faults(argv: List[str], out=sys.stdout) -> int:
     from repro.fault import ALL_FAULT_KINDS, FaultCampaign
     from repro.obs import MetricsRegistry, metrics_summary
 
-    try:
-        chart_text, routine_text = _load_sources(args.project, args.routines)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    chart = parse_chart(chart_text)
-    if chart.name != "smd_pickup_head":
-        print("error: fault campaigns drive the SMD closed loop; "
-              f"chart {chart.name!r} has no environment model",
-              file=sys.stderr)
-        return 2
     classes = ALL_FAULT_KINDS
     if args.classes:
         classes = tuple(name.strip() for name in args.classes.split(",")
@@ -437,7 +483,15 @@ def run_faults(argv: List[str], out=sys.stdout) -> int:
             print(f"error: unknown fault classes {sorted(unknown)}; "
                   f"known: {', '.join(ALL_FAULT_KINDS)}", file=sys.stderr)
             return 2
-    system = _build_for_simulation(chart, routine_text, args)
+    project = _load_project(args.project, args.routines, args, out)
+    if project is None:
+        return 2
+    chart, system = project.chart, project.built
+    if chart.name != "smd_pickup_head":
+        print("error: fault campaigns drive the SMD closed loop; "
+              f"chart {chart.name!r} has no environment model",
+              file=sys.stderr)
+        return 2
 
     tracer = None
     if args.trace is not None:
@@ -559,8 +613,10 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
         write_merged_chrome_trace
     from repro.resil import RestartPolicy, Supervisor, generate_event_stream
 
+    project = _load_project(args.project, args.routines, args, out)
+    if project is None:
+        return 2
     try:
-        chart_text, routine_text = _load_sources(args.project, args.routines)
         # fail on an unwritable trace destination now, not after the soak
         if args.trace is not None:
             with open(args.trace, "a"):
@@ -573,8 +629,7 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    chart = parse_chart(chart_text)
-    system = _build_for_simulation(chart, routine_text, args)
+    chart, system = project.chart, project.built
 
     if args.processes is not None:
         return _run_serve_distributed(args, chart, system, out)
@@ -1074,19 +1129,12 @@ def run_lint(argv: List[str], out=sys.stdout) -> int:
     args = parser.parse_args(argv)
 
     from repro.analysis import (
-        Diagnostic,
-        Severity,
-        SourceLocation,
         known_code,
         lint_system,
         render_json,
         render_sarif,
         render_text,
     )
-    from repro.action.check import CheckError
-    from repro.action.parser import ActionParseError
-    from repro.statechart.model import ChartError
-    from repro.statechart.parser import ParseError
 
     for code in (_parse_code_list(args.suppress)
                  + _parse_code_list(args.enable)):
@@ -1102,35 +1150,15 @@ def run_lint(argv: List[str], out=sys.stdout) -> int:
     else:
         if args.project is None:
             parser.error("PROJECT or --workload is required")
-        try:
-            chart_path, source_path = _resolve_paths(args.project,
-                                                     args.routines)
-            with open(chart_path) as handle:
-                chart_text = handle.read()
-            with open(source_path) as handle:
-                routine_text = handle.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        # lint_system builds the system itself, after its own routine
+        # passes; the loader only selects the architecture, which already
+        # parses the routines
+        project = _load_project(args.project, args.routines, args, out,
+                                build=_arch_for_chart)
+        if project is None:
             return 2
-        try:
-            chart = parse_chart(chart_text)
-        except (ParseError, ChartError) as exc:
-            diagnostic = Diagnostic(
-                code="PSC100", severity=Severity.ERROR,
-                message=f"chart does not parse: {exc}",
-                location=SourceLocation(file=chart_path,
-                                        line=getattr(exc, "line", None)))
-            print(render_text([diagnostic], header=chart_path), file=out,
-                  end="")
-            return 2
-        # architecture selection parses the routines before lint_system
-        # gets a chance to collect PSC301s; degrade to the same shape
-        try:
-            arch, specialize = _arch_for_chart(chart, routine_text, args)
-        except (ActionParseError, CheckError) as exc:
-            print(render_text([_routine_error(exc, source_path)],
-                              header=chart_path), file=out, end="")
-            return 2
+        chart_path, source_path, chart, routine_text, built = project
+        arch, specialize = built
 
     result = lint_system(
         chart, routine_text, arch,
@@ -1158,10 +1186,10 @@ def run_lint(argv: List[str], out=sys.stdout) -> int:
 
 
 def run_check(argv: List[str], out=sys.stdout) -> int:
-    """``repro check``: bounded model checking on the enable-product algebra.
+    """``repro check``: bounded model checking on the compiled SLA planes.
 
-    Explores the chart's configuration space with the machine's step
-    semantics, decides the declared safety/deadline properties within the
+    Explores the chart's configuration space through the built system's
+    SLA, decides the declared safety/deadline properties within the
     bound and replays every counterexample on the real machine before
     reporting it (see docs/CHECKING.md).
 
@@ -1214,19 +1242,12 @@ def run_check(argv: List[str], out=sys.stdout) -> int:
     args = parser.parse_args(argv)
 
     from repro.analysis import (
-        Diagnostic,
-        Severity,
-        SourceLocation,
         known_code,
         render_json,
         render_sarif,
         render_text,
     )
-    from repro.action.check import CheckError
-    from repro.action.parser import ActionParseError
     from repro.analysis.bmc import check_system
-    from repro.statechart.model import ChartError
-    from repro.statechart.parser import ParseError
 
     for code in (_parse_code_list(args.suppress)
                  + _parse_code_list(args.enable)):
@@ -1261,38 +1282,11 @@ def run_check(argv: List[str], out=sys.stdout) -> int:
     else:
         if args.project is None:
             parser.error("PROJECT or --workload is required")
-        try:
-            chart_path, source_path = _resolve_paths(args.project,
-                                                     args.routines)
-            with open(chart_path) as handle:
-                chart_text = handle.read()
-            with open(source_path) as handle:
-                routine_text = handle.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        project = _load_project(args.project, args.routines, args, out)
+        if project is None:
             return 2
-        try:
-            chart = parse_chart(chart_text)
-        except (ParseError, ChartError) as exc:
-            diagnostic = Diagnostic(
-                code="PSC100", severity=Severity.ERROR,
-                message=f"chart does not parse: {exc}",
-                location=SourceLocation(file=chart_path,
-                                        line=getattr(exc, "line", None)))
-            print(render_text([diagnostic], header=chart_path), file=out,
-                  end="")
-            return 2
+        chart_path, _, chart, routine_text, system = project
         label = os.path.splitext(os.path.basename(chart_path))[0]
-        # building the system parses and checks the routines; a broken
-        # routine file is a bad input (exit 2), not a crash
-        try:
-            arch, specialize = _arch_for_chart(chart, routine_text, args)
-            system = build_system(chart, routine_text, arch,
-                                  specialize=specialize)
-        except (ActionParseError, CheckError) as exc:
-            print(render_text([_routine_error(exc, source_path)],
-                              header=chart_path), file=out, end="")
-            return 2
 
     result = check_system(
         chart, routine_text, system,
@@ -1327,6 +1321,22 @@ def run_check(argv: List[str], out=sys.stdout) -> int:
     return 0
 
 
+def _build_for_flow(chart, routine_text: str, args):
+    """The flow command's build: the improvement ladder's result under
+    ``--improve``, otherwise one system on the selected architecture."""
+    if args.improve:
+        return Improver(chart, routine_text).run()
+    if args.arch is not None:
+        arch = _ARCHS[args.arch]
+    else:
+        arch = select_initial_architecture(chart, routine_text)
+    if args.teps is not None:
+        arch = arch.with_(n_teps=args.teps)
+    if args.optimize:
+        arch = arch.with_(microcode_optimized=True)
+    return build_system(chart, routine_text, arch, specialize=args.optimize)
+
+
 def run(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "lint":
@@ -1348,22 +1358,15 @@ def run(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
     if argv and argv[0] == "fuzz":
         return run_fuzz(argv[1:], out)
     args = build_argument_parser().parse_args(argv)
-
-    try:
-        with open(args.chart) as handle:
-            chart_text = handle.read()
-        with open(args.routines) as handle:
-            routine_text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    project = _load_project(args.chart, args.routines, args, out,
+                            build=_build_for_flow)
+    if project is None:
         return 2
-
-    chart = parse_chart(chart_text)
+    chart = project.chart
 
     improvement_profile = None
     if args.improve:
-        improver = Improver(chart, routine_text)
-        result = improver.run()
+        result = project.built
         system = result.final
         improvement_profile = result.profile
         if not args.json:
@@ -1374,16 +1377,7 @@ def run(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
             print(file=out)
             print(improvement_profile_report(improvement_profile), file=out)
     else:
-        if args.arch is not None:
-            arch = _ARCHS[args.arch]
-        else:
-            arch = select_initial_architecture(chart, routine_text)
-        if args.teps is not None:
-            arch = arch.with_(n_teps=args.teps)
-        if args.optimize:
-            arch = arch.with_(microcode_optimized=True)
-        system = build_system(chart, routine_text, arch,
-                              specialize=args.optimize)
+        system = project.built
 
     violations = system.violations()
 

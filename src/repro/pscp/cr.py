@@ -107,14 +107,6 @@ class ConfigurationRegister:
         self.configuration = frozenset(encoding.active_states(bits))
         return self.configuration
 
-    # -- state part ----------------------------------------------------------
-    def update_states(self, exited: Iterable[str],
-                      entered: Iterable[str]) -> None:
-        configuration = set(self.configuration)
-        configuration -= set(exited)
-        configuration |= set(entered)
-        self.configuration = frozenset(configuration)
-
     # -- packed view -----------------------------------------------------------
     @property
     def bits(self) -> int:

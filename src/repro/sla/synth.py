@@ -51,10 +51,6 @@ class ProductTerm:
 
     literals: Tuple[Tuple[int, bool], ...]
 
-    @property
-    def n_literals(self) -> int:
-        return len(self.literals)
-
     def masks(self) -> Tuple[int, int]:
         """``(care_mask, value)``: the row matches a CR word *w* iff
         ``w & care_mask == value``."""
@@ -93,16 +89,12 @@ class Pla:
         self._suppress: Dict[int, int] = {
             index: sum(1 << other for other in suppressors)
             for index, suppressors in self.guards.items()}
+        self._event_mask = sum(1 << bit
+                               for bit in self.layout.event_bits.values())
 
     @property
     def product_terms(self) -> int:
         return sum(len(terms) for terms in self.transition_terms.values())
-
-    @property
-    def literal_count(self) -> int:
-        return sum(term.n_literals
-                   for terms in self.transition_terms.values()
-                   for term in terms)
 
     def _raw_word(self, cr_bits: int) -> int:
         """The PLA outputs as a word: bit *i* is transition *i* (pre-guard)."""
@@ -125,6 +117,20 @@ class Pla:
         suppress = self._suppress
         return [index for index in _indices(raw)
                 if not raw & suppress[index]]
+
+    def open_events(self, cr_bits: int) -> List[int]:
+        """The event bits clear in *cr_bits* that can still change the
+        outputs.  A row is live when its state, condition and asserted-event
+        literals agree with *cr_bits*; the clear event bits a live row tests
+        are the only inputs worth asserting — any other event leaves every
+        output as it is."""
+        free = self._event_mask & ~cr_bits
+        fixed = ~free
+        open_bits = 0
+        for care, value, _ in self._rows:
+            if not (cr_bits ^ value) & care & fixed:
+                open_bits |= care & free
+        return _indices(open_bits)
 
     def next_configuration(self, configuration: FrozenSet[str],
                            fired: Iterable[int]) -> FrozenSet[str]:

@@ -64,10 +64,10 @@ def select_transitions(chart: Chart,
     """Resolve conflicts among *enabled* transitions: outermost scope wins,
     ties by declaration order.
 
-    This is the single implementation of the SLA's guard-signal exclusivity;
-    the interpreter and the bounded model checker
-    (:mod:`repro.analysis.bmc`) both call it so their step relations cannot
-    drift apart.
+    The reference interpreter (the oracle) is its only caller.  The
+    machine and the bounded model checker apply the same rule through the
+    SLA's guard-signal network (:meth:`repro.sla.synth.Pla.enabled`), which
+    the fuzz oracle and the SLA tests check against this one.
     """
     ranked = sorted(
         enabled,

@@ -25,6 +25,7 @@ from repro.analysis.bmc import (
     parse_properties,
     replay_witness,
 )
+from repro.analysis.bmc import explorer as explorer_module
 from repro.cli import run
 from repro.flow.build import build_system, select_initial_architecture
 from repro.statechart.parser import parse_chart
@@ -135,7 +136,7 @@ class TestExplorer:
         program = parse_with_preamble(source)
         checked = Checker(program, Externals.from_chart(chart)).analyze()
         actions = abstract_actions(chart, checked)
-        return Explorer(chart, actions, **kwargs).explore()
+        return Explorer(system.pla, actions, **kwargs).explore()
 
     def test_safe_fixture_space_is_tiny_and_complete(self):
         space = self.explore("safe")
@@ -159,13 +160,67 @@ class TestExplorer:
         assert "depth" in space.truncation
 
     def test_decision_events_prune_dead_alphabet(self):
-        # In the safe chart only GO/STOP ever appear in any enable
-        # product, and at Idle only GO is live.
+        # In the safe chart only GO/STOP ever appear in an AND-plane
+        # row, and at Idle only GO's row is live.
         space = self.explore("safe")
         for node, decisions in space.decisions.items():
             assert set(decisions) <= {"GO", "STOP"}
             if any(s == "Idle" for s in node[0]):
                 assert set(decisions) == {"GO"}
+
+
+class TestTruncationCaps:
+    """The input-alphabet and fork caps truncate honestly: the space is
+    incomplete, names the cap, and no property comes back proved."""
+
+    FORK_CHART = """
+chart forks;
+event GO period 1000;
+condition FLAG;
+orstate Main { contains Idle, Run; default Idle; }
+basicstate Idle { transition { target Run; label "GO/Decide()"; } }
+basicstate Run { transition { target Idle; label "GO [FLAG]"; } }
+"""
+    FORK_ROUTINES = """
+int:16 level;
+void Decide() {
+  level = level + 1;
+  if (level > 3) {
+    SetTrue(FLAG);
+  }
+}
+"""
+
+    def assert_undecided(self, result, cap):
+        assert result.space.complete is False
+        assert cap in result.space.truncation
+        codes = {d.code for d in result.diagnostics}
+        assert "PSC604" in codes
+        assert not codes & {"PSC603", "PSC610"}
+
+    def test_decision_event_cap(self, monkeypatch):
+        # Work has two live events (GO, STOP); Idle has one
+        monkeypatch.setattr(explorer_module, "MAX_DECISION_EVENTS", 1)
+        chart, source, system = build_fixture("safe")
+        props = (FIXTURES / "safe" / "properties.txt").read_text()
+        result = check_system(chart, source, system, properties_text=props)
+        self.assert_undecided(result, "2 decision events at one node "
+                                      "exceed the cap of 1")
+        work = [n for n in result.space.decisions if "Work" in n[0]]
+        assert work and all(result.space.decisions[n] == ("GO",)
+                            for n in work)
+
+    def test_fork_cap(self, monkeypatch):
+        # Decide() sets FLAG only under an `if`: a two-way may fork
+        monkeypatch.setattr(explorer_module, "MAX_FORKS_PER_STEP", 1)
+        chart = parse_chart(self.FORK_CHART)
+        arch = select_initial_architecture(chart, self.FORK_ROUTINES)
+        system = build_system(chart, self.FORK_ROUTINES, arch)
+        result = check_system(chart, self.FORK_ROUTINES, system,
+                              properties_text="never Idle while Run\n")
+        self.assert_undecided(result, "2 abstraction forks at one step "
+                                      "exceed the cap of 1")
+        assert result.space.abstraction_forks == 0
 
 
 # ---------------------------------------------------------------------------

@@ -103,3 +103,60 @@ class TestCli:
     def test_missing_file_error(self, tmp_path):
         code, _ = invoke([str(tmp_path / "nope.sc"), str(tmp_path / "nope.c")])
         assert code == 2
+
+
+#: a chart whose only leaf is a chart reference the flow never inlines
+REF_CHART = """
+chart refs;
+event GO period 900;
+orstate Top { contains A, Sub; default A; }
+basicstate A { transition { target Sub; label "GO"; } }
+refstate Sub { refers Other; }
+"""
+
+BAD_INPUTS = {
+    # name: (chart text, routine text, expected diagnostic)
+    "bad-chart": ("chart demo;\norstate Top { contains A\n", ROUTINES,
+                  "PSC100"),
+    "bad-routines": (CHART, "void Fast() { x = ; }\n", "PSC301"),
+    "unresolved-ref": (REF_CHART, ROUTINES, "PSC111"),
+}
+
+COMMANDS = {
+    "flow": [],
+    "trace": ["trace", "--cycles", "10"],
+    "stats": ["stats", "--cycles", "10"],
+    "faults": ["faults"],
+    "serve": ["serve", "--items", "4"],
+    "check": ["check"],
+    "lint": ["lint"],
+}
+
+
+class TestBadProjectInput:
+    """Every project-loading command reports bad input as a diagnostic and
+    exits 2 — never a traceback."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_diagnostic_and_exit_2(self, command, bad, tmp_path,
+                                   monkeypatch):
+        chart_text, routine_text, code = BAD_INPUTS[bad]
+        (tmp_path / "bad.sc").write_text(chart_text)
+        (tmp_path / "bad.c").write_text(routine_text)
+        monkeypatch.chdir(tmp_path)  # trace writes trace.json here
+        status, text = invoke(COMMANDS[command] + ["bad.sc", "bad.c"])
+        assert status == 2
+        assert text.startswith("bad.sc\n")
+        assert f" {code}: " in text
+        assert "1 error(s)" in text
+
+    def test_unresolved_ref_is_located_at_the_ref_state(self, tmp_path):
+        (tmp_path / "refs.sc").write_text(REF_CHART)
+        (tmp_path / "refs.c").write_text(ROUTINES)
+        status, text = invoke(["check", str(tmp_path)])
+        assert status == 2
+        line = REF_CHART.splitlines().index(
+            "refstate Sub { refers Other; }") + 1
+        assert (f"refs.sc:{line}: error PSC111: ref state 'Sub' (refers to "
+                "'Other') is not resolved") in text

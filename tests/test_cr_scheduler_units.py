@@ -64,11 +64,6 @@ class TestConfigurationRegister:
         with pytest.raises(KeyError):
             cr.write_conditions({"GHOST": True})
 
-    def test_state_update(self):
-        chart, cr = self.make_cr()
-        cr.update_states(exited={"A"}, entered={"B"})
-        assert "B" in cr.configuration and "A" not in cr.configuration
-
     def test_bits_roundtrip_through_layout(self):
         chart, cr = self.make_cr()
         cr.sample_events({"E1"}, set())
@@ -136,7 +131,7 @@ class TestPackedWordCoherence:
 
     def test_state_update(self):
         cr = self.make_cr()
-        cr.update_states(exited={"A"}, entered={"M", "R1"})
+        cr.configuration = (cr.configuration - {"A"}) | {"M", "R1"}
         assert_coherent(cr)
 
     def test_guard_recovery_assignment(self):

@@ -267,6 +267,47 @@ class TestNextStatePlane:
         assert encoding.active_states(encoding.encode(forced)) != forced
 
 
+class TestOpenEvents:
+    """``Pla.open_events`` is the model checker's input alphabet: an event
+    it leaves out must not change any output, whatever else is asserted."""
+
+    def test_live_rows_at_idle(self):
+        chart = rich_chart()
+        pla = synthesize(chart)
+        layout = pla.layout
+        idle = chart.initial_configuration()
+        names = {bit: name for name, bit in layout.event_bits.items()}
+
+        def open_names(conditions, pending=()):
+            word = layout.pack(pending, conditions, idle)
+            return {names[bit] for bit in pla.open_events(word)}
+
+        assert open_names({"OK"}) == {"GO"}
+        assert open_names(set()) == set()  # GO [OK]: the row is dead
+        assert open_names({"OK"}, pending={"GO"}) == set()  # asserted
+
+    @pytest.mark.parametrize("make_chart", [smd_chart, elevator_chart,
+                                            rich_chart])
+    def test_other_events_never_change_the_outputs(self, make_chart):
+        chart = make_chart()
+        pla = synthesize(chart)
+        layout = pla.layout
+        rng = random.Random(3)
+        events = sorted(chart.events)
+        for configuration in reached_configurations(chart, steps=100):
+            pending = {e for e in events if rng.random() < 0.2}
+            conditions = {c for c in chart.conditions if rng.random() < 0.5}
+            word = layout.pack(pending, conditions, configuration)
+            open_bits = pla.open_events(word)
+            assert not any(word >> bit & 1 for bit in open_bits)
+            word |= sum(1 << bit for bit in open_bits if rng.random() < 0.5)
+            outputs = pla.raw_enabled(word)
+            for event in events:
+                bit = layout.event_bits[event]
+                if bit not in open_bits:
+                    assert pla.raw_enabled(word | 1 << bit) == outputs
+
+
 class TestBlif:
     def test_emit_contains_model_sections(self):
         text = emit_blif(synthesize(rich_chart()))
