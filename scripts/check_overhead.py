@@ -161,9 +161,9 @@ def build_final_system():
 def run_once(system, tracer=None, recorder=None, lineage=None):
     loop = SmdClosedLoop(system, motor_specs=FAST_MOTORS, tracer=tracer)
     if recorder is not None:
-        loop.machine.attach_recorder(recorder)
+        loop.machine.attach(recorder)
     if lineage is not None:
-        loop.machine.attach_lineage(lineage)
+        loop.machine.attach(lineage)
     return loop.run(COMMANDS, max_configuration_cycles=40000)
 
 

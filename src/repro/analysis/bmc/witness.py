@@ -122,7 +122,7 @@ def replay_witness(system, witness: Witness,
     """
     machine = system.make_machine()
     recorder = FlightRecorder(capacity=recorder_capacity)
-    machine.attach_recorder(recorder)
+    machine.attach(recorder)
     steps = []
     try:
         for events in witness.trace:

@@ -326,7 +326,7 @@ def _simulate(system, cycles: Optional[int], tracer, metrics):
 
     machine = system.make_machine()
     if tracer is not None:
-        machine.attach_tracer(tracer)
+        machine.attach(tracer)
     monitor = DeadlineMonitor(system.chart)
     constrained = sorted(monitor.periods)
     next_arrival = {event: 0 for event in constrained}
@@ -342,7 +342,8 @@ def _simulate(system, cycles: Optional[int], tracer, metrics):
         if not constrained and all_events:
             due.add(all_events[index % len(all_events)])
         monitor.observe(machine.step(due))
-    machine.flush_trace()
+    if tracer is not None:
+        tracer.flush()
     if metrics is not None:
         monitor.publish(metrics)
         metrics.counter("machine.configuration_cycles").value = \
@@ -471,7 +472,7 @@ def run_faults(argv: List[str], out=sys.stdout) -> int:
                              "checkpoint instead of counting them crashed")
     args = parser.parse_args(argv)
 
-    from repro.fault import ALL_FAULT_KINDS, FaultCampaign
+    from repro.fault import ALL_FAULT_KINDS, CampaignError, FaultCampaign
     from repro.obs import MetricsRegistry, metrics_summary
 
     classes = ALL_FAULT_KINDS
@@ -505,7 +506,12 @@ def run_faults(argv: List[str], out=sys.stdout) -> int:
         faults_per_run=args.faults_per_run,
         restore_from_checkpoint=args.restore_from_checkpoint,
         tracer=tracer, metrics=metrics)
-    report = campaign.run()
+    try:
+        report = campaign.run()
+    except CampaignError as exc:
+        print(f"error: --cycles {campaign.max_configuration_cycles} is too "
+              f"short: {exc}", file=sys.stderr)
+        return 2
     if tracer is not None:
         from repro.obs import write_chrome_trace
         write_chrome_trace(tracer, args.trace, metrics)
@@ -657,15 +663,13 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
         # runaway bites already escalate to the supervisor
         return MachineGuard(max_retries=1, escalate_unrecoverable=True)
 
-    recorder_factory = None
-    if not args.no_recorder:
-        def recorder_factory(worker_index: int):
-            return FlightRecorder(capacity=args.recorder_capacity)
-
-    tracer_factory = None
-    if args.trace is not None:
-        def tracer_factory(worker_index: int):
-            return Tracer()
+    def observer_factory(worker_index: int):
+        observers = []
+        if not args.no_recorder:
+            observers.append(FlightRecorder(capacity=args.recorder_capacity))
+        if args.trace is not None:
+            observers.append(Tracer())
+        return observers
 
     sampler = FarmSampler(every=args.sample_every)
     metrics = MetricsRegistry()
@@ -678,8 +682,7 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
         shed_enabled=not args.no_shed,
         guard_factory=guard_factory,
         injector_factory=injector_factory,
-        tracer_factory=tracer_factory,
-        recorder_factory=recorder_factory,
+        observer_factory=observer_factory,
         metrics=metrics, sampler=sampler)
     stream = generate_event_stream(system.chart.events, args.items,
                                    seed=args.seed)

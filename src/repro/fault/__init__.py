@@ -13,6 +13,7 @@ Three layers (see docs/ROBUSTNESS.md):
 """
 
 from repro.fault.campaign import (
+    CampaignError,
     CampaignReport,
     ClassStats,
     DEFAULT_CLASSES,
@@ -48,6 +49,7 @@ from repro.fault.model import (
 __all__ = [
     "ALL_FAULT_KINDS",
     "ALL_TEPS_FAILED",
+    "CampaignError",
     "CampaignReport",
     "ClassStats",
     "DEFAULT_CLASSES",

@@ -65,6 +65,10 @@ for _kind in FAILOVER_KINDS:
 DEFAULT_CLASSES: Tuple[str, ...] = ALL_FAULT_KINDS
 
 
+class CampaignError(Exception):
+    """The campaign cannot run: its fault-free baseline is broken."""
+
+
 @dataclass
 class RunResult:
     """One fault run of the closed loop."""
@@ -342,9 +346,9 @@ class FaultCampaign:
         baseline = self._closed_loop().run(
             commands, max_configuration_cycles=self.max_configuration_cycles)
         if not baseline.all_moves_completed:
-            raise RuntimeError(
-                "fault-free baseline did not complete its moves; a fault "
-                "campaign over a broken workload is meaningless")
+            raise CampaignError(
+                "the fault-free baseline did not complete its moves in "
+                f"{self.max_configuration_cycles} configuration cycles")
         horizon = baseline.configuration_cycles
         baseline_misses = sum(d.misses for d in baseline.deadline_reports)
 

@@ -221,8 +221,12 @@ class MachineGuard:
     def _note_escalation(self, cycle: int, kind: str, detail: str) -> None:
         """Mark the escalation in the machine's flight recorder (if any) so
         the forensics bundle carries the cause inline with the ring."""
-        if self.machine is not None and self.machine.recorder is not None:
-            self.machine.recorder.note_escalation(cycle, kind, detail)
+        from repro.obs.flightrec import FlightRecorder
+
+        recorder = (None if self.machine is None
+                    else self.machine.observer(FlightRecorder))
+        if recorder is not None:
+            recorder.note_escalation(cycle, kind, detail)
 
     def drain_cycle_log(self) -> Tuple[Detection, ...]:
         if not self._cycle_log:

@@ -227,11 +227,6 @@ class FaultSurface:
                               system.arch)
 
     @classmethod
-    def from_machine(cls, machine) -> "FaultSurface":
-        return cls.from_parts(machine.chart, machine.compiled, machine.pla,
-                              machine.arch)
-
-    @classmethod
     def from_parts(cls, chart, compiled, pla, arch) -> "FaultSurface":
         from repro.isa.isa import Mem
 

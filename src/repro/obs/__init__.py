@@ -5,14 +5,14 @@ The measurement layer above the cycle-exact simulator::
     from repro.obs import Tracer, MetricsRegistry, write_chrome_trace
 
     tracer = Tracer()
-    machine.attach_tracer(tracer)
+    machine.attach(tracer)
     machine.run(stimulus)
     write_chrome_trace(tracer, "trace.json")   # open in ui.perfetto.dev
 
-Design rule: instrumented components hold a ``tracer`` attribute that is
-``None`` by default and every hook is guarded by ``if tracer is not None``,
-so the disabled path allocates nothing and benchmark numbers are
-byte-identical with tracing off.
+Design rule: the tracer, the flight recorder and the lineage tracker are
+:class:`~repro.pscp.machine.MachineObserver` subclasses attached with
+``machine.attach``; a machine with no observer calls no hook, and no
+observer changes what the machine computes.
 """
 
 from repro.obs.causal import (

@@ -206,10 +206,6 @@ class ShardAggregator:
     def series(self, field: str) -> List[Any]:
         return [sample[field] for sample in self.samples]
 
-    def shard_series(self, name: str, field: str) -> List[Any]:
-        return [sample["shards"][name][field]
-                for sample in self.samples if name in sample["shards"]]
-
     def conservation(self) -> List[str]:
         """Distributed ledger-identity violations across every sample."""
         problems: List[str] = []

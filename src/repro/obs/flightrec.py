@@ -30,7 +30,11 @@ and a restore-then-escalate still produces a complete bundle.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional, Union
+from collections import deque
+from typing import Any, Deque, Dict, IO, List, Optional, Union
+
+from repro.obs.lineage import LineageTracker
+from repro.pscp.machine import MachineObserver
 
 #: bump when the bundle layout changes; the pretty-printer refuses others.
 #: v1 (PR 4) had no ``lineage`` key; v2 adds the escalating machine's
@@ -45,28 +49,27 @@ CHECKPOINT = "checkpoint"
 ESCALATION = "escalation"
 
 
-class FlightRecorder:
+class FlightRecorder(MachineObserver):
     """A bounded ring of configuration-cycle digests.
 
-    Attach with :meth:`PscpMachine.attach_recorder`; the machine then calls
-    :meth:`record_step` once per cycle.  Checkpoint and escalation marks
+    Attached with :meth:`PscpMachine.attach`, the machine calls its one
+    hook, :meth:`record_step`, once per cycle.  Checkpoint and escalation marks
     arrive from the supervision layer (:meth:`note_checkpoint`,
     :meth:`note_escalation`).  ``capacity`` bounds memory: the ring keeps
     the last *capacity* entries, and the bundle reports how many older
     entries were dropped.
     """
 
-    __slots__ = ("capacity", "_ring", "_head", "recorded",
-                 "last_checkpoint", "last_escalation", "machine")
+    __slots__ = ("capacity", "_ring", "recorded", "last_checkpoint",
+                 "last_escalation", "machine")
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity
-        #: fixed-size ring written round-robin: one preallocated list plus
-        #: an integer head keeps the hot path to an index store
-        self._ring: List[Any] = [None] * capacity
-        self._head = 0
+        #: a bounded deque drops its oldest entry on append, so the hot
+        #: path is one C-level append
+        self._ring: Deque[Any] = deque(maxlen=capacity)
         self.recorded = 0
         self.last_checkpoint: Optional[str] = None
         self.last_escalation: Optional[Dict[str, Any]] = None
@@ -74,16 +77,13 @@ class FlightRecorder:
 
     # -- wiring ------------------------------------------------------------
     def bind(self, machine) -> None:
-        """Called by :meth:`PscpMachine.attach_recorder`."""
+        """Called by :meth:`PscpMachine.attach`."""
         self.machine = machine
 
     # -- the hot path ------------------------------------------------------
     def record_step(self, cycle: int, step) -> None:
         """Append one cycle digest (a reference, digested lazily)."""
-        head = self._head
-        self._ring[head] = (cycle, step)
-        head += 1
-        self._head = 0 if head == self.capacity else head
+        self._ring.append((cycle, step))
         self.recorded += 1
 
     # -- marks -------------------------------------------------------------
@@ -100,15 +100,12 @@ class FlightRecorder:
                             "escalation": kind, "detail": detail})
 
     def _append_entry(self, entry: Dict[str, Any]) -> None:
-        head = self._head
-        self._ring[head] = entry
-        head += 1
-        self._head = 0 if head == self.capacity else head
+        self._ring.append(entry)
         self.recorded += 1
 
     # -- reading back ------------------------------------------------------
     def __len__(self) -> int:
-        return min(self.recorded, self.capacity)
+        return len(self._ring)
 
     @property
     def dropped(self) -> int:
@@ -117,22 +114,7 @@ class FlightRecorder:
 
     def entries(self) -> List[Dict[str, Any]]:
         """The ring contents, oldest first, as JSON-ready digests."""
-        length = len(self)
-        start = (self._head - length) % self.capacity
-        out: List[Dict[str, Any]] = []
-        for offset in range(length):
-            out.append(_digest(self._ring[(start + offset) % self.capacity]))
-        return out
-
-    def step_entries(self) -> List[Dict[str, Any]]:
-        return [e for e in self.entries() if e["kind"] == STEP]
-
-    def clear(self) -> None:
-        self._ring = [None] * self.capacity
-        self._head = 0
-        self.recorded = 0
-        self.last_checkpoint = None
-        self.last_escalation = None
+        return [_digest(entry) for entry in self._ring]
 
     # -- checkpoint/restore ------------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
@@ -150,11 +132,7 @@ class FlightRecorder:
         re-digest to identical JSON, so snapshot round-trips stay
         byte-identical)."""
         self.capacity = state["capacity"]
-        entries = list(state["entries"])[-self.capacity:]
-        self._ring = [None] * self.capacity
-        for index, entry in enumerate(entries):
-            self._ring[index] = entry
-        self._head = len(entries) % self.capacity
+        self._ring = deque(state["entries"], maxlen=self.capacity)
         self.recorded = state["recorded"]
         self.last_checkpoint = state["last_checkpoint"]
         self.last_escalation = state["last_escalation"]
@@ -169,15 +147,14 @@ class FlightRecorder:
         *cause* describes why the dump happened (escalation detail,
         permanent failure, an operator's request); *metrics_delta* carries
         whatever progress counters the caller tracked since the last
-        checkpoint.  When the machine also carries a
-        :class:`~repro.obs.lineage.LineageTracker`, the bundle includes
-        its last-K causal hops (``lineage``, v2) so the post-mortem shows
-        *why* the escalating cycles happened, not just what they did.
+        checkpoint.  When a :class:`~repro.obs.lineage.LineageTracker` is
+        attached to the machine too, the bundle includes its last-K causal
+        hops (``lineage``, v2) so the post-mortem shows *why* the
+        escalating cycles happened, not just what they did.
         """
-        lineage_tail = None
-        if self.machine is not None \
-                and getattr(self.machine, "lineage", None) is not None:
-            lineage_tail = self.machine.lineage.tail(16)
+        lineage = (None if self.machine is None
+                   else self.machine.observer(LineageTracker))
+        lineage_tail = None if lineage is None else lineage.tail(16)
         bundle: Dict[str, Any] = {
             "version": FORENSICS_VERSION,
             "worker": worker,

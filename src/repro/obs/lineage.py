@@ -14,11 +14,10 @@ uses.
 Zero overhead when detached
 ---------------------------
 
-``PscpMachine.lineage`` is ``None`` by default and every hook is a
-``None`` guard.  Attached, the cost per configuration cycle is one tuple
-append plus two appends per dispatched transition — enforced by the
-``lineage`` leg of ``scripts/check_overhead.py`` under the same hard <5%
-paired budget as the recorder leg.
+The tracker is a :class:`~repro.pscp.machine.MachineObserver`.  Attached,
+it costs one list append per cycle plus one per dispatched transition —
+enforced by the ``lineage`` leg of ``scripts/check_overhead.py`` under the
+same hard <5% paired budget as the recorder leg.
 
 Identity scheme
 ---------------
@@ -44,6 +43,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.pscp.machine import MachineObserver
+
 #: hop tags (first element of every hop tuple)
 INJECT = "inject"
 DISPATCH = "dispatch"
@@ -53,18 +54,18 @@ STEP = "step"
 DEFAULT_TAIL = 64
 
 
-class LineageTracker:
+class LineageTracker(MachineObserver):
     """One machine's append-only causal hop log.
 
-    Attach with :meth:`PscpMachine.attach_lineage`.  The machine appends
-    compact tuples; :meth:`dag` digests them into a
+    Attached with :meth:`PscpMachine.attach`, its dispatch and step hooks
+    append compact tuples; :meth:`dag` digests them into a
     :class:`~repro.obs.causal.CausalDag`, :meth:`drain` ships the digest
     incrementally (the shard-farm worker does this per reply), and
     :meth:`tail` keeps the last few digested hops for forensics bundles.
     """
 
     __slots__ = ("origin", "hops", "_seq", "_digester", "_tail",
-                 "_transitions", "_event_index_to_name", "chart")
+                 "_transitions", "_event_index_to_name")
 
     def __init__(self, origin: str = "m0",
                  tail_limit: int = DEFAULT_TAIL) -> None:
@@ -76,12 +77,10 @@ class LineageTracker:
         self._tail: Deque[Dict[str, Any]] = deque(maxlen=tail_limit)
         self._transitions = None
         self._event_index_to_name: Dict[int, str] = {}
-        self.chart = None
 
     # -- wiring ------------------------------------------------------------
     def bind(self, machine) -> None:
-        """Called by :meth:`PscpMachine.attach_lineage`."""
-        self.chart = machine.chart
+        """Called by :meth:`PscpMachine.attach`."""
         self._transitions = machine.chart.transitions
         self._event_index_to_name = machine._event_index_to_name
         self._digester = _Digester(self._transitions,
@@ -106,17 +105,24 @@ class LineageTracker:
 
     # -- machine hooks (the hot path) --------------------------------------
     def on_dispatch(self, cycle: int, index: int, completed: bool,
-                    events_raised, port_accesses) -> None:
+                    cost: int, events_raised, port_accesses) -> None:
         """One TAT dispatch retired (or aborted).  *events_raised* is the
         executor's per-dispatch set (rebound, never mutated, so storing
         the reference is safe); *port_accesses* is the slice of the port
-        bus access log this dispatch appended."""
+        bus access log this dispatch appended (empty ones are kept as
+        ``()``, which the cycle collector does not track)."""
         self.hops.append((DISPATCH, cycle, index, completed,
-                          events_raised, port_accesses))
+                          events_raised or (), port_accesses or ()))
 
-    def on_step(self, cycle: int, step) -> None:
-        """The configuration cycle completed; *step* is its MachineStep."""
-        self.hops.append((STEP, cycle, step))
+    def record_step(self, cycle: int, step) -> None:
+        """The configuration cycle completed; *step* is its MachineStep,
+        kept as its events and fired transitions (a quiescent cycle as its
+        bare number, which the cycle collector does not track)."""
+        if step.events_sampled or step.events_raised or step.fired:
+            self.hops.append((STEP, cycle, step.events_sampled,
+                              step.events_raised, step.fired))
+        else:
+            self.hops.append(cycle)
 
     # -- digestion ---------------------------------------------------------
     def _ingest(self) -> None:
@@ -183,11 +189,14 @@ class _Digester:
 
     def feed(self, hops: List[Tuple]) -> None:
         for hop in hops:
+            if type(hop) is int:  # a quiescent cycle
+                self._feed_step(hop, (), (), ())
+                continue
             tag = hop[0]
             if tag == DISPATCH:
                 self._cycle_dispatches.append(hop)
             elif tag == STEP:
-                self._feed_step(hop[1], hop[2])
+                self._feed_step(*hop[1:])
             else:  # INJECT
                 _, event_id, name = hop
                 self.dag.add_node(event_id, "inject", event=name)
@@ -195,9 +204,10 @@ class _Digester:
                 self._tail.append({"kind": INJECT, "id": event_id,
                                    "event": name})
 
-    def _feed_step(self, cycle: int, step) -> None:
+    def _feed_step(self, cycle: int, events_sampled, events_raised,
+                   fired) -> None:
         dag = self.dag
-        sampled = sorted(step.events_sampled)
+        sampled = sorted(events_sampled)
         # latch nodes, fed by pending injections and last cycle's raises
         latch_of: Dict[str, str] = {}
         for name in sampled:
@@ -266,5 +276,5 @@ class _Digester:
         self._tail.extend(dispatch_digests)
         self._tail.append({"kind": STEP, "cycle": cycle,
                            "sampled": sampled,
-                           "raised": sorted(step.events_raised),
-                           "fired": [t.index for t in step.fired]})
+                           "raised": sorted(events_raised),
+                           "fired": [t.index for t in fired]})

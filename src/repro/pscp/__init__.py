@@ -9,6 +9,7 @@ from repro.pscp.condcache import ConditionCacheBridge
 from repro.pscp.cr import ConfigurationRegister
 from repro.pscp.machine import (
     MachineError,
+    MachineObserver,
     MachineStep,
     PscpMachine,
     build_transition_stubs,
@@ -29,7 +30,8 @@ __all__ = [
     "ConditionCacheBridge", "ConfigurationRegister",
     "DISPATCH_OVERHEAD_CYCLES", "DeadlineMonitor",
     "DeadlineReport", "DispatchPlan", "EventRecord", "InterruptController",
-    "MachineError", "MachineStep", "PortBus", "PortError", "PscpMachine",
+    "MachineError", "MachineObserver", "MachineStep", "PortBus",
+    "PortError", "PscpMachine",
     "SLA_OVERHEAD_CYCLES", "SimplePorts", "Tep", "TepError", "TepState",
     "Timer", "TimerBank", "build_transition_stubs", "round_robin_dispatch",
     "stub_wcet",

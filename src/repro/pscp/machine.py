@@ -23,8 +23,7 @@ parallelism across TEPs is a timing model — see
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.isa.arch import ArchConfig
@@ -35,7 +34,6 @@ from repro.pscp.condcache import ConditionCacheBridge
 from repro.pscp.cr import ConfigurationRegister
 from repro.pscp.ports import PortBus
 from repro.pscp.scheduler import (
-    DISPATCH_OVERHEAD_CYCLES,
     SLA_OVERHEAD_CYCLES,
     DispatchPlan,
     round_robin_dispatch,
@@ -121,6 +119,34 @@ class MachineStep:
         return not self.fired
 
 
+class MachineObserver:
+    """Watches a :class:`PscpMachine`'s configuration cycles, never changes
+    them.  :meth:`PscpMachine.attach` calls :meth:`bind`; each cycle then
+    calls the three hooks in order.  They are no-ops here, so an observer
+    implements only the hooks it needs."""
+
+    __slots__ = ()
+
+    def bind(self, machine: "PscpMachine") -> None:
+        """Called by :meth:`PscpMachine.attach`."""
+
+    def flush(self) -> None:
+        """Emit anything buffered; called on detach and after ``run()``."""
+
+    def on_sla(self, cycle: int, sampled: FrozenSet[str],
+               enabled: List[int], retries: List[int]) -> None:
+        """The TAT holds *enabled* plus the guard's *retries*, undrained."""
+
+    def on_dispatch(self, cycle: int, index: int, completed: bool,
+                    cost: int, raised: Set[int],
+                    port_accesses: List[Tuple[str, int, int]]) -> None:
+        """Transition *index* ran for *cost* cycles (*raised* is dropped
+        when not *completed*) and made *port_accesses* on the port bus."""
+
+    def record_step(self, cycle: int, step: MachineStep) -> None:
+        """The cycle is done; *step* is what it did."""
+
+
 class PscpMachine:
     """SLA + CR + scheduler + TAT + TEP(s) + compiled routines."""
 
@@ -131,8 +157,6 @@ class PscpMachine:
         pla: Optional[Pla] = None,
         port_bus: Optional[PortBus] = None,
         param_names: Optional[Dict[str, List[str]]] = None,
-        keep_history: bool = True,
-        history_limit: Optional[int] = None,
     ) -> None:
         self.chart = chart
         self.compiled = compiled
@@ -143,7 +167,8 @@ class PscpMachine:
         self.tat = TransitionAddressTable()
         self._param_names = param_names or {}
 
-        stub_instructions, entries = self._build_stubs()
+        stub_instructions, entries = build_transition_stubs(
+            chart, compiled, self._param_names or None)
         program = compiled.flat_instructions() + stub_instructions
         for index, label in entries.items():
             self.tat.bind(index, label)
@@ -159,89 +184,54 @@ class PscpMachine:
         self._pending_internal_events: Set[str] = set()
         self.time = 0
         self.cycle_count = 0
-        #: step records; a ring buffer when *history_limit* is set, nothing
-        #: at all when *keep_history* is false (attach a tracer to keep a
-        #: durable record of long runs without linear memory growth)
-        self._keep_history = keep_history or history_limit is not None
-        self.history = (deque(maxlen=history_limit)
-                        if history_limit is not None else [])
-        #: observability: ``None`` keeps every hook a no-op guard
-        self.tracer = None
-        self._tr_machine = self._tr_sla = self._tr_sched = self._tr_bus = 0
-        self._tr_teps: List[int] = []
-        self._span_names: Dict[int, str] = {}
-        self._idle_start: Optional[int] = None
-        self._idle_cycles = 0
+        #: attached observers, in attach order; a cycle calls each hook
+        #: only on the observers whose class overrides it
+        self.observers: Tuple[MachineObserver, ...] = ()
+        self._sla_observers = self._dispatch_observers = self.observers
+        self._step_observers = self.observers
         #: fault injection / recovery: ``None`` keeps every hook a no-op
-        #: guard, same zero-overhead pattern as the tracer
         self.injector = None
         self.guard = None
-        #: always-on forensics: ``None`` keeps the hook a no-op guard; an
-        #: attached :class:`repro.obs.FlightRecorder` costs one tuple
-        #: append per cycle (enforced by ``scripts/check_overhead.py``)
-        self.recorder = None
-        #: causal lineage: ``None`` keeps every hook a no-op guard; an
-        #: attached :class:`repro.obs.LineageTracker` appends compact hop
-        #: tuples (digested lazily at query time, never here)
-        self.lineage = None
         self.failed_teps: Set[int] = set()
         #: ``None`` until a TEP fails; then the surviving TEP indices the
         #: scheduler round-robins over
         self._available_teps: Optional[List[int]] = None
 
-    # -- observability -----------------------------------------------------
-    def attach_tracer(self, tracer) -> None:
-        """Start tracing into *tracer* (a :class:`repro.obs.Tracer`).
+    # -- observers ---------------------------------------------------------
+    def attach(self, observer: MachineObserver) -> None:
+        """Start feeding *observer* this machine's configuration cycles."""
+        observer.bind(self)
+        self._set_observers(self.observers + (observer,))
 
-        Track ids and per-transition span names are pre-computed here so the
-        per-cycle hot path does no string formatting.  Pass ``None`` to
-        detach and restore the zero-overhead disabled path.
-        """
-        previous = self.tracer
-        if previous is not None:
-            self._flush_idle(previous)
-        self.tracer = tracer
-        self._idle_start = None
-        self._idle_cycles = 0
-        if tracer is None:
-            return
-        self._tr_machine = tracer.track("machine")
-        self._tr_sla = tracer.track("SLA")
-        self._tr_sched = tracer.track("scheduler")
-        self._tr_teps = [tracer.track(f"TEP {index}")
-                         for index in range(self.arch.n_teps)]
-        self._tr_bus = tracer.track("cond-cache bus")
-        self._span_names = {}
-        for transition in self.chart.transitions:
-            routine = (action_routine_name(transition.action)
-                       if transition.action else "(no action)")
-            self._span_names[transition.index] = (
-                f"t{transition.index} {routine}")
-        tracer.metadata.setdefault("architecture", self.arch.describe())
-        tracer.metadata.setdefault("chart", self.chart.name)
-        if self.injector is not None:
-            self.injector.attach_tracer(tracer)
-        if self.guard is not None:
-            self.guard.attach_tracer(tracer)
+    def detach(self, observer: MachineObserver) -> None:
+        """Stop feeding *observer* and flush it; a detached tracer leaves
+        the injector and the guard too."""
+        self._set_observers(tuple(attached for attached in self.observers
+                                  if attached is not observer))
+        observer.flush()
 
-    def attach_recorder(self, recorder) -> None:
-        """Attach a :class:`repro.obs.FlightRecorder`: every configuration
-        cycle appends one digest to its bounded ring, so an escalation can
-        dump the recent execution history as a forensics bundle.  Pass
-        ``None`` to detach and restore the zero-overhead disabled path."""
-        self.recorder = recorder
-        if recorder is not None:
-            recorder.bind(self)
+    def _set_observers(self, observers) -> None:
+        """Index *observers* by the hooks their class overrides."""
+        self.observers = observers
+        self._sla_observers, self._dispatch_observers, self._step_observers = (
+            tuple(o for o in observers if getattr(type(o), hook)
+                  is not getattr(MachineObserver, hook))
+            for hook in ("on_sla", "on_dispatch", "record_step"))
+        self._share_tracer()
 
-    def attach_lineage(self, lineage) -> None:
-        """Attach a :class:`repro.obs.LineageTracker`: the machine then
-        records causal hops — injected event latched, latch enabling a
-        dispatch, dispatch raising events and writing ports — as compact
-        tuples on the tracker's hop log.  Pass ``None`` to detach and
-        restore the zero-overhead disabled path."""
-        self.lineage = lineage
-        if lineage is not None:
-            lineage.bind(self)
+    def observer(self, cls):
+        """The attached observer of class *cls*, or ``None``."""
+        return next((o for o in self.observers if isinstance(o, cls)), None)
+
+    def _share_tracer(self) -> None:
+        """Hand the attached tracer (or ``None``) to the injector, then the
+        guard: they write their fault and recovery instants into it."""
+        from repro.obs.tracer import Tracer
+
+        tracer = self.observer(Tracer)
+        for unit in (self.injector, self.guard):
+            if unit is not None:
+                unit.attach_tracer(tracer)
 
     # -- fault injection and recovery --------------------------------------
     def attach_injector(self, injector) -> None:
@@ -257,8 +247,7 @@ class PscpMachine:
         self.ports.injector = injector
         if injector is not None:
             injector.bind(self)
-            if self.tracer is not None:
-                injector.attach_tracer(self.tracer)
+            self._share_tracer()
 
     def attach_guard(self, guard) -> None:
         """Attach a :class:`repro.fault.MachineGuard`: arms the
@@ -267,8 +256,7 @@ class PscpMachine:
         self.guard = guard
         if guard is not None:
             guard.bind(self)
-            if self.tracer is not None:
-                guard.attach_tracer(self.tracer)
+            self._share_tracer()
 
     def fail_tep(self, index: int) -> None:
         """Mark a TEP failed mid-run; the scheduler re-plans over the
@@ -312,26 +300,6 @@ class PscpMachine:
                         restore_attachments=restore_attachments,
                         timer_bank=timer_bank)
 
-    def _flush_idle(self, tracer) -> None:
-        """Emit the pending coalesced quiescent-cycle span, if any."""
-        if self._idle_start is None:
-            return
-        tracer.span(self._tr_machine, "idle", self._idle_start,
-                    self._idle_cycles * SLA_OVERHEAD_CYCLES,
-                    {"cycles": self._idle_cycles})
-        self._idle_start = None
-        self._idle_cycles = 0
-
-    def flush_trace(self) -> None:
-        """Flush buffered trace state (call before exporting mid-run)."""
-        if self.tracer is not None:
-            self._flush_idle(self.tracer)
-
-    # -- construction helpers ------------------------------------------------
-    def _build_stubs(self):
-        return build_transition_stubs(
-            self.chart, self.compiled, self._param_names or None)
-
     # -- stepping ----------------------------------------------------------------
     def step(self, external_events: Iterable[str] = ()) -> MachineStep:
         """Run one configuration cycle."""
@@ -361,7 +329,6 @@ class PscpMachine:
                         self.cycle_count, problems)
         sampled = frozenset(self.cr.events)
 
-        tracer = self.tracer
         enabled = self.pla.enabled(self.cr.bits)
         if injector is not None:
             # stuck-at faults on the SLA product-term outputs
@@ -377,21 +344,8 @@ class PscpMachine:
         self.tat.post(enabled)
         if retries:
             self.tat.post(retries)
-        if tracer is not None:
-            if not enabled and not sampled and not retries:
-                # quiescent cycle: coalesce into one pending "idle" span
-                # instead of paying for per-cycle event emission
-                if self._idle_start is None:
-                    self._idle_start = self.time
-                self._idle_cycles += 1
-                tracer = None
-            else:
-                self._flush_idle(tracer)
-                tracer.span(self._tr_sla, "SLA eval", self.time,
-                            SLA_OVERHEAD_CYCLES, {"enabled": len(enabled)})
-                for name in sorted(sampled):
-                    tracer.instant(self._tr_machine, name, self.time)
-                words_before = self.cond_cache_bridge.words_total
+        for observer in self._sla_observers:
+            observer.on_sla(self.cycle_count, sampled, enabled, retries)
 
         transitions = [self.chart.transitions[i] for i in enabled]
         dispatch = enabled + retries
@@ -400,13 +354,12 @@ class PscpMachine:
             self._available_teps) if dispatch else None
 
         costs: Dict[int, int] = {}
-        retired: Optional[Dict[int, int]] = None if tracer is None else {}
         raised_names: Set[str] = set()
         event_index_to_name = self._event_index_to_name
         bridge = self.cond_cache_bridge
         cache = self.executor.condition_cache
-        lineage = self.lineage
-        port_log = None if lineage is None else self.ports.access_log
+        observers = self._dispatch_observers
+        port_log = self.ports.access_log
         log_before = 0
 
         while not self.tat.empty:
@@ -414,32 +367,28 @@ class PscpMachine:
             assert index is not None
             effect = (injector.dispatch_effect(self.cycle_count, index)
                       if injector is not None else None)
-            if lineage is not None:
+            if observers:
                 log_before = len(port_log)
             bridge.copy_in(self.cr, cache)
             self.executor.events_raised = set()
-            if retired is not None:
-                executed_before = self.executor.instructions_executed
             budget = guard.budgets.get(index) if guard is not None else None
             if effect is None and budget is None:
-                costs[index] = self.executor.run(self.tat.entry(index))
+                cost = self.executor.run(self.tat.entry(index))
                 completed = True
             else:
                 cost, completed, detected = self._execute_dispatch(
                     index, effect, budget)
-                costs[index] = cost
                 if not completed and detected:
                     guard.on_watchdog_abort(self.cycle_count, index)
-            if retired is not None:
-                retired[index] = (self.executor.instructions_executed
-                                  - executed_before)
-            if lineage is not None:
-                # recorded before the abort branch: an aborted dispatch is
-                # still a causal hop (its raises stay quarantined — the
-                # digester drops them, mirroring the transactional abort)
-                lineage.on_dispatch(self.cycle_count, index, completed,
-                                    self.executor.events_raised,
-                                    port_log[log_before:])
+            costs[index] = cost
+            if observers:
+                # observed before the abort branch: an aborted dispatch is
+                # still observed, with the raises the abort then drops
+                raised = self.executor.events_raised
+                accesses = port_log[log_before:]
+                for observer in observers:
+                    observer.on_dispatch(self.cycle_count, index, completed,
+                                         cost, raised, accesses)
             if not completed:
                 # aborted or runaway: the routine's condition/event effects
                 # are transactional — no copy-back, raised events dropped
@@ -489,17 +438,10 @@ class PscpMachine:
             faults=() if injector is None else injector.drain_cycle_log(),
             recoveries=() if guard is None else guard.drain_cycle_log(),
         )
-        if tracer is not None:
-            self._trace_cycle(tracer, step, plan, costs, retired,
-                              raised_names, words_before)
-        if self.recorder is not None:
-            self.recorder.record_step(self.cycle_count, step)
-        if lineage is not None:
-            lineage.on_step(self.cycle_count, step)
+        for observer in self._step_observers:
+            observer.record_step(self.cycle_count, step)
         self.time += cycle_length
         self.cycle_count += 1
-        if self._keep_history:
-            self.history.append(step)
         return step
 
     def _execute_dispatch(self, index: int, effect, budget: Optional[int]
@@ -541,43 +483,11 @@ class PscpMachine:
                 return budget, False, True
         return cost, True, False
 
-    def _trace_cycle(self, tracer, step: MachineStep,
-                     plan: Optional[DispatchPlan], costs: Dict[int, int],
-                     retired: Dict[int, int], raised_names: Set[str],
-                     words_before: int) -> None:
-        """Emit this configuration cycle's trace events (tracing enabled)."""
-        start, end = step.start_time, step.end_time
-        tracer.span(
-            self._tr_machine, "cycle", start, step.cycle_length,
-            {"cycle": self.cycle_count, "fired": len(step.fired)})
-        if plan is not None:
-            parallel_start = start + SLA_OVERHEAD_CYCLES
-            tracer.span(self._tr_sched, "TAT drain", parallel_start,
-                        step.cycle_length - SLA_OVERHEAD_CYCLES,
-                        {"transitions": len(plan.order)})
-            for index, tep_index in plan.diverted:
-                tracer.instant(self._tr_sched, "mutex-serialize",
-                               parallel_start,
-                               {"transition": index, "tep": tep_index})
-            for tep_index, queue in enumerate(plan.queues):
-                cursor = parallel_start
-                for index in queue:
-                    duration = DISPATCH_OVERHEAD_CYCLES + costs[index]
-                    tracer.span(
-                        self._tr_teps[tep_index], self._span_names[index],
-                        cursor, duration,
-                        {"transition": index, "cycles": costs[index],
-                         "instructions": retired[index]})
-                    cursor += duration
-        for name in sorted(raised_names):
-            tracer.instant(self._tr_machine, f"raise {name}", end)
-        words_delta = self.cond_cache_bridge.words_total - words_before
-        if words_delta:
-            tracer.counter(self._tr_bus, "cache words", end, words_delta)
-
     def run(self, traces: Iterable[Iterable[str]]) -> List[MachineStep]:
+        """Step once per event set in *traces*, then flush the observers."""
         steps = [self.step(events) for events in traces]
-        self.flush_trace()
+        for observer in self.observers:
+            observer.flush()
         return steps
 
     def _routine_of(self, transition_index: int) -> Optional[str]:

@@ -154,7 +154,7 @@ class WorkerCore:
             from repro.obs.lineage import LineageTracker
 
             self.lineage = LineageTracker(origin="worker")
-            self.machine.attach_lineage(self.lineage)
+            self.machine.attach(self.lineage)
         self.queue = BoundedQueue(config.queue_capacity,
                                   shed_enabled=config.shed_enabled)
         self.chain = DeltaChain(compact_ratio=config.compact_ratio,
@@ -176,12 +176,6 @@ class WorkerCore:
     def initial_checkpoint(self) -> Dict[str, Any]:
         """The anchor checkpoint shipped in the ``ready`` handshake."""
         return self._checkpoint()
-
-    def prime_chain(self) -> None:
-        """Seed the chain with the current state without emitting (the
-        promoted standby already shipped its full in the promote reply)."""
-        self.chain.record(snapshot_machine(self.machine,
-                                           include_attachments=False))
 
     # -- dispatch ----------------------------------------------------------
     def on_dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:

@@ -41,6 +41,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.flightrec import FlightRecorder
+
 #: bump when the document layout changes; ``restore`` refuses other versions
 SNAPSHOT_VERSION = 1
 
@@ -253,8 +255,9 @@ def snapshot_machine(machine, include_attachments: bool = True,
             snap.injector = _snapshot_injector(machine.injector)
         if machine.guard is not None:
             snap.guard = _snapshot_guard(machine.guard)
-        if machine.recorder is not None:
-            snap.flight_recorder = machine.recorder.snapshot_state()
+        recorder = machine.observer(FlightRecorder)
+        if recorder is not None:
+            snap.flight_recorder = recorder.snapshot_state()
     return snap
 
 
@@ -407,11 +410,12 @@ def restore_machine(machine, snapshot: MachineSnapshot,
                     "guard attached")
             _restore_guard(machine.guard, snapshot.guard)
         if snapshot.flight_recorder is not None:
-            if machine.recorder is None:
+            recorder = machine.observer(FlightRecorder)
+            if recorder is None:
                 raise SnapshotError(
                     "snapshot carries flight-recorder state but the "
                     "machine has no recorder attached")
-            machine.recorder.restore_state(snapshot.flight_recorder)
+            recorder.restore_state(snapshot.flight_recorder)
 
 
 def _restore_injector(injector, doc: Dict[str, Any]) -> None:

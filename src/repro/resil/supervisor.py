@@ -38,7 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import Histogram
+from repro.obs.tracer import Tracer
 from repro.resil.queue import (
     BoundedQueue,
     CircuitBreaker,
@@ -200,8 +202,9 @@ class MachineWorker:
             "time": self.machine.time,
             "restarts": self.restarts_used,
         }
-        if self.machine.recorder is not None:
-            self.machine.recorder.note_checkpoint(
+        recorder = self.machine.observer(FlightRecorder)
+        if recorder is not None:
+            recorder.note_checkpoint(
                 snapshot.cycle_count,
                 f"{self.name}:ckpt{self._checkpoint_seq}"
                 f"@cycle{snapshot.cycle_count}")
@@ -210,7 +213,7 @@ class MachineWorker:
     def _dump_forensics(self, tick: int, kind: str, detail: str) -> None:
         """Dump the machine's flight-recorder ring as a forensics bundle
         (no-op without a recorder attached)."""
-        recorder = self.machine.recorder
+        recorder = self.machine.observer(FlightRecorder)
         if recorder is None:
             return
         progress = self._progress_at_checkpoint
@@ -469,9 +472,8 @@ class Supervisor:
                        Callable[[int], Any]] = None,
                    breaker_factory: Optional[
                        Callable[[], CircuitBreaker]] = None,
-                   tracer_factory: Optional[Callable[[int], Any]] = None,
-                   recorder_factory: Optional[
-                       Callable[[int], Any]] = None,
+                   observer_factory: Optional[
+                       Callable[[int], Iterable[Any]]] = None,
                    metrics=None, sampler=None,
                    timeline_limit: Optional[int] = 4096) -> "Supervisor":
         """Build a farm of fresh machines over one built system.
@@ -480,11 +482,10 @@ class Supervisor:
         :class:`~repro.fault.guard.MachineGuard` per worker (defaults to one
         with escalation enabled); ``injector_factory(worker_index)`` returns
         a per-worker :class:`~repro.fault.injector.FaultInjector` — the
-        chaos hook — or ``None``.  ``tracer_factory(worker_index)`` /
-        ``recorder_factory(worker_index)`` likewise attach a per-worker
-        :class:`~repro.obs.Tracer` (full timeline, for the merged Perfetto
-        export) and :class:`~repro.obs.FlightRecorder` (bounded forensics
-        ring) — or ``None``.
+        chaos hook — or ``None``.  ``observer_factory(worker_index)``
+        returns the observers to attach to that worker's machine, such as a
+        :class:`~repro.obs.FlightRecorder` (bounded forensics ring) and a
+        :class:`~repro.obs.Tracer` (for the merged Perfetto export).
         """
         from repro.fault.guard import MachineGuard
 
@@ -501,14 +502,9 @@ class Supervisor:
                 guard = (guard_factory() if guard_factory is not None
                          else MachineGuard(escalate_unrecoverable=True))
                 machine.attach_guard(guard)
-                if recorder_factory is not None:
-                    recorder = recorder_factory(index)
-                    if recorder is not None:
-                        machine.attach_recorder(recorder)
-                if tracer_factory is not None:
-                    tracer = tracer_factory(index)
-                    if tracer is not None:
-                        machine.attach_tracer(tracer)
+                if observer_factory is not None:
+                    for observer in observer_factory(index):
+                        machine.attach(observer)
                 return machine
             breaker = (breaker_factory() if breaker_factory is not None
                        else CircuitBreaker())
@@ -598,9 +594,10 @@ class Supervisor:
         ``ledger.timeline`` for the whole-farm Perfetto view."""
         tracers: Dict[str, Any] = {}
         for worker in self.workers:
-            if worker.machine.tracer is not None:
-                worker.machine.flush_trace()
-                tracers[worker.name] = worker.machine.tracer
+            tracer = worker.machine.observer(Tracer)
+            if tracer is not None:
+                tracer.flush()
+                tracers[worker.name] = tracer
         return tracers
 
     def forensics_bundles(self) -> List[Dict[str, Any]]:

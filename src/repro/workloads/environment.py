@@ -90,7 +90,7 @@ class SmdClosedLoop:
         self.monitor = DeadlineMonitor(system.chart)
         #: observability (optional): a repro.obs Tracer / MetricsRegistry
         if tracer is not None:
-            self.machine.attach_tracer(tracer)
+            self.machine.attach(tracer)
         #: robustness (optional): a FaultInjector / MachineGuard
         if injector is not None:
             self.machine.attach_injector(injector)
@@ -288,7 +288,8 @@ class SmdClosedLoop:
                     ran_to_completion = True
                     break
 
-        machine.flush_trace()
+        for observer in machine.observers:
+            observer.flush()
         if self.metrics is not None:
             self._publish_metrics(completed, len(commands))
         return ClosedLoopReport(

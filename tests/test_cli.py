@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -39,6 +40,10 @@ def project(tmp_path):
     routine_file = tmp_path / "demo.c"
     routine_file.write_text(ROUTINES)
     return str(chart_file), str(routine_file)
+
+
+SMD_PROJECT = str(pathlib.Path(__file__).resolve().parents[1]
+                  / "examples" / "smd")
 
 
 def invoke(argv):
@@ -160,3 +165,14 @@ class TestBadProjectInput:
             "refstate Sub { refers Other; }") + 1
         assert (f"refs.sc:{line}: error PSC111: ref state 'Sub' (refers to "
                 "'Other') is not resolved") in text
+
+
+class TestFaultCampaignTooShort:
+    def test_short_cycles_are_a_usage_error(self, capsys):
+        # the baseline needs ~14,000 cycles to finish its move
+        status, text = invoke(["faults", SMD_PROJECT, "--cycles", "3000"])
+        assert status == 2
+        assert text == ""
+        error = capsys.readouterr().err
+        assert error.startswith("error: --cycles 3000 is too short: ")
+        assert error.count("\n") == 1

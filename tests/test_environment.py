@@ -4,6 +4,7 @@ import pytest
 
 from repro.flow import build_system
 from repro.isa import MD16_TEP
+from repro.pscp import MachineObserver
 from repro.workloads import (
     MoveCommand,
     SMD_ROUTINES,
@@ -17,6 +18,16 @@ FAST_MOTORS = {
     "Y": MotorSpec("Y", 50_000.0, 0.025e-3, 1.25, 2000.0),
     "Phi": MotorSpec("Phi", 9_000.0, 0.1, 900.0, 0.0),
 }
+
+
+class VisitedStates(MachineObserver):
+    """Collects every configuration the loop's machine passes through."""
+
+    def __init__(self):
+        self.visited = set()
+
+    def record_step(self, cycle, step):
+        self.visited |= step.configuration
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +92,9 @@ class TestRunLoop:
 
     def test_machine_visits_expected_states(self, optimized_system):
         loop = SmdClosedLoop(optimized_system, motor_specs=FAST_MOTORS)
+        states = VisitedStates()
+        loop.machine.attach(states)
         loop.run([MoveCommand(10, 10, 2)], max_configuration_cycles=15000)
-        visited = set()
-        for step in loop.machine.history:
-            visited |= set(step.configuration)
+        visited = states.visited
         assert {"Idle1", "Operation", "OpcodeReady", "Moving",
                 "RunX", "RunY", "RunPhi"} <= visited

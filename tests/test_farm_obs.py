@@ -89,7 +89,7 @@ class TestFlightRecorder:
     def test_ring_is_bounded_and_oldest_first(self, system):
         machine = system.make_machine()
         recorder = FlightRecorder(capacity=8)
-        machine.attach_recorder(recorder)
+        machine.attach(recorder)
         stimulus = round_robin_stimulus(system.chart, 20)
         for events in stimulus:
             machine.step(events)
@@ -103,10 +103,10 @@ class TestFlightRecorder:
     def test_ring_tail_matches_machine_history(self, system):
         machine = system.make_machine()
         recorder = FlightRecorder(capacity=6)
-        machine.attach_recorder(recorder)
-        for events in round_robin_stimulus(system.chart, 15):
-            machine.step(events)
-        tail = machine.history[-6:]
+        machine.attach(recorder)
+        steps = [machine.step(events)
+                 for events in round_robin_stimulus(system.chart, 15)]
+        tail = steps[-6:]
         entries = recorder.entries()
         assert [e["fired"] for e in entries] == \
             [[t.index for t in s.fired] for s in tail]
@@ -119,7 +119,7 @@ class TestFlightRecorder:
         stimulus = round_robin_stimulus(system.chart, 25)
         plain = system.make_machine()
         observed = system.make_machine()
-        observed.attach_recorder(FlightRecorder(capacity=4))
+        observed.attach(FlightRecorder(capacity=4))
         plain_steps = [plain.step(events) for events in stimulus]
         observed_steps = [observed.step(events) for events in stimulus]
         assert ([step_fingerprint(s) for s in plain_steps]
@@ -128,7 +128,7 @@ class TestFlightRecorder:
     def test_marks_interleave_with_steps(self, system):
         machine = system.make_machine()
         recorder = FlightRecorder(capacity=16)
-        machine.attach_recorder(recorder)
+        machine.attach(recorder)
         stimulus = round_robin_stimulus(system.chart, 4)
         machine.step(stimulus[0])
         recorder.note_checkpoint(machine.cycle_count, "ckpt1@cycle1")
@@ -153,7 +153,7 @@ class TestForensics:
     def _bundle(self, system):
         machine = system.make_machine()
         recorder = FlightRecorder(capacity=8)
-        machine.attach_recorder(recorder)
+        machine.attach(recorder)
         for events in round_robin_stimulus(system.chart, 10):
             machine.step(events)
         recorder.note_checkpoint(9, "w0:ckpt1@cycle9")
@@ -216,14 +216,16 @@ class TestRecorderSnapshots:
         stimulus = round_robin_stimulus(system.chart, 30)
         cut = 11
         original = system.make_machine()
-        original.attach_recorder(FlightRecorder(capacity=8))
+        original_recorder = FlightRecorder(capacity=8)
+        original.attach(original_recorder)
         for events in stimulus[:cut]:
             original.step(events)
         snapshot = original.snapshot()
         reference = [original.step(events) for events in stimulus[cut:]]
 
         restored = system.make_machine()
-        restored.attach_recorder(FlightRecorder(capacity=8))
+        restored_recorder = FlightRecorder(capacity=8)
+        restored.attach(restored_recorder)
         restored.restore(snapshot)
         continued = [restored.step(events) for events in stimulus[cut:]]
 
@@ -231,15 +233,14 @@ class TestRecorderSnapshots:
                 == [step_fingerprint(s) for s in reference])
         # both recorders agree on the ring from the continuation on, and
         # re-snapshotting stays byte-identical (digest is a fixpoint)
-        assert (restored.recorder.entries()
-                == original.recorder.entries())
+        assert restored_recorder.entries() == original_recorder.entries()
         assert (restored.snapshot().to_json_str()
                 == original.snapshot().to_json_str())
 
     def test_recorder_state_round_trips_through_json(self, system):
         machine = system.make_machine()
         recorder = FlightRecorder(capacity=4)
-        machine.attach_recorder(recorder)
+        machine.attach(recorder)
         for events in round_robin_stimulus(system.chart, 9):
             machine.step(events)
         recorder.note_checkpoint(9, "ref")
@@ -247,15 +248,16 @@ class TestRecorderSnapshots:
         reparsed = MachineSnapshot.from_json_str(text)
         assert reparsed.to_json_str() == text
         fresh = system.make_machine()
-        fresh.attach_recorder(FlightRecorder(capacity=4))
+        fresh_recorder = FlightRecorder(capacity=4)
+        fresh.attach(fresh_recorder)
         fresh.restore(reparsed)
-        assert fresh.recorder.entries() == recorder.entries()
-        assert fresh.recorder.recorded == recorder.recorded
-        assert fresh.recorder.last_checkpoint == "ref"
+        assert fresh_recorder.entries() == recorder.entries()
+        assert fresh_recorder.recorded == recorder.recorded
+        assert fresh_recorder.last_checkpoint == "ref"
 
     def test_restore_without_recorder_is_refused(self, system):
         machine = system.make_machine()
-        machine.attach_recorder(FlightRecorder(capacity=4))
+        machine.attach(FlightRecorder(capacity=4))
         machine.step(round_robin_stimulus(system.chart, 1)[0])
         snapshot = machine.snapshot()
         bare = system.make_machine()
@@ -281,10 +283,10 @@ class TestTraceExport:
     def _traced_machine(self, system, cycles=10):
         machine = system.make_machine()
         tracer = Tracer()
-        machine.attach_tracer(tracer)
+        machine.attach(tracer)
         for events in round_robin_stimulus(system.chart, cycles):
             machine.step(events)
-        machine.flush_trace()
+        tracer.flush()
         return tracer
 
     def test_default_pid_is_unchanged(self, system):
@@ -415,8 +417,8 @@ def chaos_run(system):
         guard_factory=lambda: MachineGuard(
             max_retries=1, escalate_unrecoverable=True),
         injector_factory=chaos_factory(system, seed=3),
-        tracer_factory=lambda index: Tracer(),
-        recorder_factory=lambda index: FlightRecorder(capacity=32),
+        observer_factory=lambda index: [FlightRecorder(capacity=32),
+                                        Tracer()],
         sampler=sampler)
     stream = generate_event_stream(system.chart.events, 80, seed=3)
     report = supervisor.run(stream)

@@ -65,7 +65,7 @@ def pipeline_system():
 def drive(system, stimulus, lineage=None):
     machine = system.make_machine()
     if lineage is not None:
-        machine.attach_lineage(lineage)
+        machine.attach(lineage)
     steps = []
     for events in stimulus:
         if lineage is not None:
@@ -90,7 +90,7 @@ class TestMachineLineage:
     def test_injection_to_consumption_chain(self, servers_system):
         lineage = LineageTracker(origin="m0")
         machine = servers_system.make_machine()
-        machine.attach_lineage(lineage)
+        machine.attach(lineage)
         machine.step(["START"])
         event_id = lineage.note_injection("REQ0")
         machine.step(["REQ0"])
@@ -107,7 +107,7 @@ class TestMachineLineage:
     def test_raise_propagates_to_next_cycle(self, pipeline_system):
         lineage = LineageTracker()
         machine = pipeline_system.make_machine()
-        machine.attach_lineage(lineage)
+        machine.attach(lineage)
         event_id = lineage.note_injection("FEED")
         machine.step(["FEED"])
         for _ in range(4):
@@ -126,7 +126,7 @@ class TestMachineLineage:
     def test_undeclared_events_still_get_latch_nodes(self, servers_system):
         lineage = LineageTracker()
         machine = servers_system.make_machine()
-        machine.attach_lineage(lineage)
+        machine.attach(lineage)
         machine.step(["START"])  # no note_injection
         dag = lineage.dag()
         latches = [n for n in dag.nodes if n.startswith("latch:")]
@@ -145,7 +145,7 @@ class TestMachineLineage:
 
     def test_detached_machine_carries_no_tracker(self, servers_system):
         machine = servers_system.make_machine()
-        assert machine.lineage is None
+        assert machine.observer(LineageTracker) is None
         machine.step(["START"])  # must not touch any lineage state
 
 
@@ -163,11 +163,11 @@ class TestDigester:
     def test_aborted_raises_are_quarantined_and_retry_linked(self):
         lineage = LineageTracker()
         # cycle 3: t0 aborts having raised event 1 — quarantined
-        lineage.on_dispatch(3, 0, False, {1}, [])
-        lineage.on_step(3, fake_step(sampled=["GO"]))
+        lineage.on_dispatch(3, 0, False, 9, {1}, [])
+        lineage.record_step(3, fake_step(sampled=["GO"]))
         # cycle 4: t0 re-executes and completes
-        lineage.on_dispatch(4, 0, True, set(), [])
-        lineage.on_step(4, fake_step(sampled=["GO"]))
+        lineage.on_dispatch(4, 0, True, 9, set(), [])
+        lineage.record_step(4, fake_step(sampled=["GO"]))
         dag = lineage.dag()
         assert not any(n.startswith("raise:") for n in dag.nodes), \
             "aborted dispatch's raise leaked into the DAG"
@@ -176,9 +176,9 @@ class TestDigester:
 
     def test_port_writes_become_nodes_reads_do_not(self):
         lineage = LineageTracker()
-        lineage.on_dispatch(5, 2, True, set(),
+        lineage.on_dispatch(5, 2, True, 9, set(),
                             [("r", 464, 9), ("w", 464, 7), ("w", 465, 1)])
-        lineage.on_step(5, fake_step())
+        lineage.record_step(5, fake_step())
         dag = lineage.dag()
         ports = sorted(n for n in dag.nodes if n.startswith("port:"))
         assert ports == ["port:5:t2:464:1", "port:5:t2:465:2"]
@@ -190,8 +190,8 @@ class TestDigester:
         lineage = LineageTracker(tail_limit=4)
         for cycle in range(6):
             lineage.note_injection("GO")
-            lineage.on_dispatch(cycle, 0, True, set(), [])
-            lineage.on_step(cycle, fake_step(sampled=["GO"]))
+            lineage.on_dispatch(cycle, 0, True, 9, set(), [])
+            lineage.record_step(cycle, fake_step(sampled=["GO"]))
         tail = lineage.tail(16)
         assert len(tail) == 4
         cycles = [hop["cycle"] for hop in tail if "cycle" in hop]
@@ -205,7 +205,7 @@ class TestDigester:
 
         incremental = LineageTracker()
         machine = servers_system.make_machine()
-        machine.attach_lineage(incremental)
+        machine.attach(incremental)
         merged = CausalDag()
         for events in stimulus:
             for name in events:
@@ -225,7 +225,7 @@ class TestRenderChain:
         def once():
             lineage = LineageTracker()
             machine = pipeline_system.make_machine()
-            machine.attach_lineage(lineage)
+            machine.attach(lineage)
             event_id = lineage.note_injection("FEED")
             machine.step(["FEED"])
             for _ in range(4):
@@ -459,11 +459,12 @@ class TestForensicsLineage:
         from repro.obs import FlightRecorder
 
         machine = servers_system.make_machine()
-        machine.attach_recorder(FlightRecorder(capacity=8))
-        machine.attach_lineage(LineageTracker())
-        machine.lineage.note_injection("START")
+        recorder, lineage = FlightRecorder(capacity=8), LineageTracker()
+        machine.attach(recorder)
+        machine.attach(lineage)
+        lineage.note_injection("START")
         machine.step(["START"])
-        bundle = machine.recorder.forensics_bundle({"kind": "test"})
+        bundle = recorder.forensics_bundle({"kind": "test"})
         assert bundle["version"] == 2
         assert bundle["lineage"], "v2 bundle missing the lineage tail"
         kinds = [hop["kind"] for hop in bundle["lineage"]]

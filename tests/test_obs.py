@@ -70,7 +70,7 @@ class TestTracerParity:
         chart = pingpong_chart()
         plain = build_machine(chart, PINGPONG_ROUTINES)
         traced = build_machine(chart, PINGPONG_ROUTINES)
-        traced.attach_tracer(Tracer())
+        traced.attach(Tracer())
 
         plain_steps = plain.run(STIMULUS)
         traced_steps = traced.run(STIMULUS)
@@ -87,9 +87,9 @@ class TestTracerParity:
         observed = build_machine(chart, PINGPONG_ROUTINES)
         tracer, recorder, lineage = Tracer(), FlightRecorder(), \
             LineageTracker()
-        observed.attach_tracer(tracer)
-        observed.attach_recorder(recorder)
-        observed.attach_lineage(lineage)
+        observed.attach(tracer)
+        observed.attach(recorder)
+        observed.attach(lineage)
 
         plain_steps = plain.run(STIMULUS)
         observed_steps = observed.run(STIMULUS)
@@ -106,17 +106,19 @@ class TestTracerParity:
     def test_detach_restores_disabled_path(self):
         machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
         tracer = Tracer()
-        machine.attach_tracer(tracer)
+        machine.attach(tracer)
         machine.step({"GO"})
         recorded = len(tracer)
         assert recorded > 0
-        machine.attach_tracer(None)
+        machine.detach(tracer)
+        assert machine.observers == ()
         machine.step({"BACK"})
         assert len(tracer) == recorded
 
     def test_disabled_by_default(self):
         machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
-        assert machine.tracer is None
+        assert machine.observers == ()
+        assert machine.observer(Tracer) is None
         machine.step({"GO"})  # must not touch any tracer
 
 
@@ -124,17 +126,17 @@ class TestMachineTracing:
     def trace(self):
         machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
         tracer = Tracer()
-        machine.attach_tracer(tracer)
-        machine.run(STIMULUS)
-        return machine, tracer
+        machine.attach(tracer)
+        steps = machine.run(STIMULUS)
+        return machine, tracer, steps
 
     def test_tracks_registered(self):
-        _machine, tracer = self.trace()
+        _machine, tracer, _steps = self.trace()
         assert {"machine", "SLA", "scheduler", "TEP 0",
                 "cond-cache bus"} <= set(tracer.track_names)
 
     def test_cycle_and_idle_spans_cover_machine_time(self):
-        machine, tracer = self.trace()
+        machine, tracer, _steps = self.trace()
         cycle_spans = [e for e in tracer.spans() if e[2] == "cycle"]
         idle_spans = [e for e in tracer.spans() if e[2] == "idle"]
         # quiescent cycles are coalesced into "idle" spans; together they
@@ -147,7 +149,7 @@ class TestMachineTracing:
                 + sum(span[4] for span in idle_spans) == machine.time)
 
     def test_tep_spans_carry_costs_and_instructions(self):
-        machine, tracer = self.trace()
+        _machine, tracer, _steps = self.trace()
         tep_spans = tracer.events_on("TEP 0")
         assert tep_spans, "fired transitions must appear on the TEP track"
         for _kind, _track, name, _ts, dur, args in tep_spans:
@@ -156,15 +158,14 @@ class TestMachineTracing:
             assert dur > args["cycles"]  # includes dispatch overhead
 
     def test_sampled_events_become_instants(self):
-        _machine, tracer = self.trace()
+        _machine, tracer, _steps = self.trace()
         instants = {e[2] for e in tracer.events if e[0] == "i"}
         assert {"GO", "BACK"} <= instants
 
     def test_cache_traffic_counted(self):
-        machine, tracer = self.trace()
+        machine, tracer, steps = self.trace()
         bridge = machine.cond_cache_bridge
-        assert bridge.transfers == sum(
-            len(s.fired) for s in machine.history)
+        assert bridge.transfers == sum(len(s.fired) for s in steps)
         assert bridge.words_copied_in == bridge.words_copied_back > 0
         counters = [e for e in tracer.events if e[0] == "C"]
         assert sum(e[4] for e in counters) == bridge.words_total
@@ -183,25 +184,11 @@ class TestTepTracing:
 
 class TestHistoryModes:
     def test_default_history_unbounded(self):
+        # the machine keeps no step history: run() returns every step
         machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
-        machine.run(STIMULUS)
-        assert len(machine.history) == len(STIMULUS)
-
-    def test_keep_history_false_records_nothing(self):
-        machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES,
-                                keep_history=False)
         steps = machine.run(STIMULUS)
-        assert len(steps) == len(STIMULUS)  # steps still returned
-        assert len(machine.history) == 0
-        assert machine.cycle_count == len(STIMULUS)
-
-    def test_history_limit_is_a_ring_buffer(self):
-        machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES,
-                                history_limit=2)
-        machine.run(STIMULUS)
-        assert len(machine.history) == 2
-        newest = machine.history[-1]
-        assert newest.end_time == machine.time
+        assert len(steps) == machine.cycle_count == len(STIMULUS)
+        assert steps[-1].end_time == machine.time
 
 
 class TestMetrics:

@@ -112,9 +112,8 @@ class TestMachineBasics:
 
     def test_time_accumulates(self):
         machine = build_machine(counter_chart(), COUNTER_SRC)
-        machine.step({"GO"})
-        machine.step({"STEP"})
-        assert machine.time == sum(s.cycle_length for s in machine.history)
+        steps = [machine.step({"GO"}), machine.step({"STEP"})]
+        assert machine.time == sum(s.cycle_length for s in steps)
 
     def test_events_last_single_cycle(self):
         machine = build_machine(counter_chart(), COUNTER_SRC)

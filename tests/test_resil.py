@@ -372,7 +372,7 @@ class TestFailTep:
     def test_run_flushes_coalesced_idle_spans(self):
         machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
         tracer = Tracer()
-        machine.attach_tracer(tracer)
+        machine.attach(tracer)
         machine.run([{"GO"}, set(), set(), set()])  # ends quiescent
         idle = [e for e in tracer.events if e[2] == "idle"]
         assert idle, "trailing idle span was dropped"
