@@ -98,6 +98,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 from repro.flow import (
     Improver,
     build_system,
+    improvement_profile_json,
     improvement_profile_report,
     select_initial_architecture,
     table2_report,
@@ -1367,18 +1368,16 @@ def run(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
         return 2
     chart = project.chart
 
-    improvement_profile = None
     if args.improve:
         result = project.built
         system = result.final
-        improvement_profile = result.profile
         if not args.json:
             print("improvement trajectory:", file=out)
             for step in result.steps:
                 print(f"  {step.rung:20s} area {step.area_clbs:5d} "
                       f"violations {step.n_violations}", file=out)
             print(file=out)
-            print(improvement_profile_report(improvement_profile), file=out)
+            print(improvement_profile_report(result), file=out)
     else:
         system = project.built
 
@@ -1396,8 +1395,8 @@ def run(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
                               for name, wcet in system.routine_wcets().items()
                               if not name.startswith("__")},
         }
-        if improvement_profile is not None:
-            summary["improvement_profile"] = improvement_profile.to_json()
+        if args.improve:
+            summary["improvement_profile"] = improvement_profile_json(result)
         json.dump(summary, out, indent=2)
         print(file=out)
     else:

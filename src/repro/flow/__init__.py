@@ -15,12 +15,14 @@ from repro.flow.improve import (
     Improver,
     ImprovementResult,
     LadderStep,
+    Rung,
     hot_globals,
 )
 from repro.flow.report import (
     architecture_figure,
     ascii_table,
     comparison_table,
+    improvement_profile_json,
     improvement_profile_report,
     table1_report,
     table2_report,
@@ -36,9 +38,10 @@ from repro.flow.timing import (
 
 __all__ = [
     "BuiltSystem", "EventCycle", "ImprovementResult", "Improver",
-    "LadderStep", "TimingValidator", "TimingViolation",
+    "LadderStep", "Rung", "TimingValidator", "TimingViolation",
     "architecture_figure", "ascii_table", "build_system",
-    "comparison_table", "hot_globals", "improvement_profile_report",
+    "comparison_table", "hot_globals", "improvement_profile_json",
+    "improvement_profile_report",
     "lpt_makespan",
     "select_initial_architecture", "table1_report", "table2_report",
     "table3_report", "table4_report", "transition_cost_map",

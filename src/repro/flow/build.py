@@ -15,7 +15,7 @@ This is the module a user calls first::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.action.check import CheckedProgram, Externals
 from repro.hw.area import AppStats, AreaEstimate, estimate_area

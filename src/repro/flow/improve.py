@@ -17,21 +17,24 @@ increasing order of difficulty to the transitions in question":
    design of the SLA …  Therefore, designers must indicate which transition
    routines should be mutually exclusive."
 
-Every rung is evaluated by rebuilding the system and re-running the timing
-validator; the resulting trajectory is exactly the kind of data Table 4
-reports (area vs. the two critical paths at each point).
+:meth:`Improver.rungs` is the only copy of the ladder: it builds every rung
+in order and never stops.  :meth:`Improver.run` evaluates the rungs (timing
+validator, area) and stops at the first that meets the constraints; the
+resulting trajectory is exactly the kind of data Table 4 reports (area vs.
+the two critical paths at each point).  The differential fuzz oracle walks
+the same rungs without evaluating them.
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.hw.library import custom_instruction_is_safe
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.isa import Mem, Reg
-from repro.obs.flowprof import FlowProfile
 from repro.isa.patterns import (
     find_comparator_sites,
     find_custom_candidates,
@@ -39,6 +42,22 @@ from repro.isa.patterns import (
 )
 from repro.flow.build import BuiltSystem, build_system, select_initial_architecture
 from repro.statechart.model import Chart
+
+#: registers the ``promote-register`` rung adds, and globals it promotes
+REGISTER_FILE_SIZE = 4
+#: expressions the ``custom-instructions`` rung fuses at most
+MAX_CUSTOM_INSTRUCTIONS = 2
+
+
+@dataclass
+class Rung:
+    """One built ladder point: its name, the knobs, and the built system."""
+
+    name: str
+    description: str
+    arch: ArchConfig
+    storage_map: Dict[str, StorageClass]
+    system: BuiltSystem
 
 
 @dataclass
@@ -52,6 +71,8 @@ class LadderStep:
     critical_paths: Dict[str, int]
     n_violations: int
     area_clbs: int
+    #: wall-clock cost of building and evaluating the rung
+    wall_seconds: float
 
     @property
     def meets_constraints(self) -> bool:
@@ -62,9 +83,6 @@ class LadderStep:
 class ImprovementResult:
     steps: List[LadderStep]
     final: BuiltSystem
-    #: per-rung wall-clock/area/timing deltas (the Table 4 trajectory as
-    #: structured data; see :mod:`repro.obs.flowprof`)
-    profile: Optional[FlowProfile] = None
 
     @property
     def success(self) -> bool:
@@ -113,8 +131,6 @@ class Improver:
         initial_arch: Optional[ArchConfig] = None,
         mutual_exclusions: FrozenSet[FrozenSet[str]] = frozenset(),
         max_teps: int = 2,
-        max_custom_instructions: int = 2,
-        register_file_size: int = 4,
         allow_pipelining: bool = False,
     ) -> None:
         self.chart = chart
@@ -123,151 +139,115 @@ class Improver:
                              else select_initial_architecture(chart, source))
         self.mutual_exclusions = mutual_exclusions
         self.max_teps = max_teps
-        self.max_custom_instructions = max_custom_instructions
-        self.register_file_size = register_file_size
         self.allow_pipelining = allow_pipelining
-        #: per-rung profile of the most recent :meth:`run`
-        self.profile = FlowProfile()
 
-    # ------------------------------------------------------------------
-    def _evaluate(self, rung: str, description: str, arch: ArchConfig,
-                  storage_map: Dict[str, StorageClass]
-                  ) -> Tuple[BuiltSystem, LadderStep]:
-        started = self.profile.begin()
-        system = build_system(self.chart, self.source, arch,
-                              storage_map=storage_map)
-        step = LadderStep(
-            rung=rung,
-            description=description,
-            arch=arch,
-            storage_map=dict(storage_map),
-            critical_paths=system.critical_paths(),
-            n_violations=len(system.violations()),
-            area_clbs=system.area().total_clbs,
-        )
-        self.profile.record(rung, description, started, step.area_clbs,
-                            step.n_violations, step.critical_paths)
-        return system, step
+    def rungs(self) -> Iterator[Rung]:
+        """Every rung of the ladder in order, each built when it is reached.
 
-    def _result(self, steps: List[LadderStep],
-                system: BuiltSystem) -> ImprovementResult:
-        return ImprovementResult(steps, system, profile=self.profile)
-
-    def run(self) -> ImprovementResult:
-        self.profile = FlowProfile()
-        steps: List[LadderStep] = []
+        Each rung keeps the previous rungs' knobs.  A rung with nothing to
+        apply (no pattern sites, no safe custom instruction, pipelining not
+        allowed, bus already wide, ``max_teps`` reached) is skipped.
+        """
         arch = self.initial_arch
         storage_map: Dict[str, StorageClass] = {}
 
-        system, step = self._evaluate(
-            "baseline", f"initial architecture {arch.describe()}",
-            arch, storage_map)
-        steps.append(step)
-        if step.meets_constraints:
-            return self._result(steps, system)
+        def build(name: str, description: str) -> Rung:
+            storage = dict(storage_map)
+            return Rung(name, description, arch, storage,
+                        build_system(self.chart, self.source, arch,
+                                     storage_map=storage))
+
+        rung = build("baseline", f"initial architecture {arch.describe()}")
+        yield rung
 
         # 1. microcode peephole
         arch = arch.with_(microcode_optimized=True)
-        system, step = self._evaluate(
-            "peephole", "remove redundant jumps from microprograms",
-            arch, storage_map)
-        steps.append(step)
-        if step.meets_constraints:
-            return self._result(steps, system)
+        rung = build("peephole", "remove redundant jumps from microprograms")
+        yield rung
 
         # 2a. storage promotion: externals -> internal RAM
-        promoted = hot_globals(system)
+        promoted = hot_globals(rung.system)
         storage_map = {name: StorageClass.INTERNAL for name in promoted}
-        system, step = self._evaluate(
-            "promote-internal",
-            f"promote {len(promoted)} globals from external to internal RAM",
-            arch, storage_map)
-        steps.append(step)
-        if step.meets_constraints:
-            return self._result(steps, system)
+        rung = build("promote-internal", f"promote {len(promoted)} globals "
+                     "from external to internal RAM")
+        yield rung
 
         # 2b. storage promotion: hottest variables -> registers
-        arch = arch.with_(register_file_size=self.register_file_size)
-        hottest = hot_globals(system)[: self.register_file_size]
+        arch = arch.with_(register_file_size=REGISTER_FILE_SIZE)
+        hottest = hot_globals(rung.system)[:REGISTER_FILE_SIZE]
         for name in hottest:
             storage_map[name] = StorageClass.REGISTER
-        system, step = self._evaluate(
-            "promote-register",
-            f"promote {len(hottest)} hottest globals to registers",
-            arch, storage_map)
-        steps.append(step)
-        if step.meets_constraints:
-            return self._result(steps, system)
+        rung = build("promote-register",
+                     f"promote {len(hottest)} hottest globals to registers")
+        yield rung
 
         # 3. pattern-matched hardware
         pattern_flags = {}
-        if find_comparator_sites(system.checked.program):
+        if find_comparator_sites(rung.system.checked.program):
             pattern_flags["has_comparator"] = True
-        if find_negation_sites(system.checked.program):
+        if find_negation_sites(rung.system.checked.program):
             pattern_flags["has_negator"] = True
         if pattern_flags:
             arch = arch.with_(**pattern_flags)
-            system, step = self._evaluate(
-                "patterns",
-                "insert " + " and ".join(sorted(pattern_flags)),
-                arch, storage_map)
-            steps.append(step)
-            if step.meets_constraints:
-                return self._result(steps, system)
+            rung = build("patterns",
+                         "insert " + " and ".join(sorted(pattern_flags)))
+            yield rung
 
         # 4. custom instructions
         candidates = find_custom_candidates(
-            system.checked.program,
+            rung.system.checked.program,
             max_operands=2 + arch.register_file_size)
         selected = []
         for candidate in candidates:
             custom = candidate.to_instruction(len(selected))
             if custom_instruction_is_safe(custom, arch):
                 selected.append(custom)
-            if len(selected) >= self.max_custom_instructions:
+            if len(selected) >= MAX_CUSTOM_INSTRUCTIONS:
                 break
         if selected:
             arch = arch.with_(custom_instructions=tuple(selected))
-            system, step = self._evaluate(
-                "custom-instructions",
-                f"fuse {len(selected)} expression(s) into single-cycle units",
-                arch, storage_map)
-            steps.append(step)
-            if step.meets_constraints:
-                return self._result(steps, system)
+            yield build("custom-instructions", f"fuse {len(selected)} "
+                        "expression(s) into single-cycle units")
 
         # 4b. pipelined TEP (the paper's "future work", opt-in)
         if self.allow_pipelining and not arch.pipelined:
             arch = arch.with_(pipelined=True)
-            system, step = self._evaluate(
-                "pipeline", "pipeline the TEP (fetch overlapped, flush on "
-                "control transfers)", arch, storage_map)
-            steps.append(step)
-            if step.meets_constraints:
-                return self._result(steps, system)
+            yield build("pipeline", "pipeline the TEP (fetch overlapped, "
+                        "flush on control transfers)")
 
         # 5. wider data bus
         if arch.data_width < 16:
             arch = arch.with_(data_width=16, internal_ram_words=max(
                 64, arch.internal_ram_words))
-            system, step = self._evaluate(
-                "widen-bus", "widen the data bus to 16 bits",
-                arch, storage_map)
-            steps.append(step)
-            if step.meets_constraints:
-                return self._result(steps, system)
+            yield build("widen-bus", "widen the data bus to 16 bits")
 
         # 6. more TEPs (the last resort)
         while arch.n_teps < self.max_teps:
             arch = arch.with_(n_teps=arch.n_teps + 1,
                               mutual_exclusions=self.mutual_exclusions)
-            system, step = self._evaluate(
-                "add-tep",
-                f"replicate to {arch.n_teps} TEPs "
-                f"({len(self.mutual_exclusions)} declared exclusions)",
-                arch, storage_map)
+            yield build("add-tep",
+                        f"replicate to {arch.n_teps} TEPs "
+                        f"({len(self.mutual_exclusions)} declared exclusions)")
+
+    def run(self) -> ImprovementResult:
+        """Evaluate :meth:`rungs` in order, stopping at the first rung that
+        meets the constraints (or after the last rung)."""
+        steps: List[LadderStep] = []
+        started = time.perf_counter()
+        for rung in self.rungs():
+            system = rung.system
+            step = LadderStep(
+                rung=rung.name,
+                description=rung.description,
+                arch=rung.arch,
+                storage_map=rung.storage_map,
+                critical_paths=system.critical_paths(),
+                n_violations=len(system.violations()),
+                area_clbs=system.area().total_clbs,
+                wall_seconds=time.perf_counter() - started,
+            )
             steps.append(step)
             if step.meets_constraints:
-                return self._result(steps, system)
-
-        return self._result(steps, system)
+                break
+            started = time.perf_counter()
+        return ImprovementResult(steps, system)

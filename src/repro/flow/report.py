@@ -7,7 +7,7 @@ paper prints, plus DOT for the graph figures.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 
 def ascii_table(headers: Sequence[str],
@@ -73,16 +73,50 @@ def table4_report(rows: Sequence[Tuple[str, int, int, int]]) -> str:
         rows, title="Table 4: Area and Timing Results")
 
 
-def improvement_profile_report(profile) -> str:
-    """The improvement ladder's per-rung profile
-    (:class:`repro.obs.FlowProfile`) as a table: area trajectory, deltas,
-    remaining violations and the wall-clock cost of each rebuild."""
+def _with_deltas(steps) -> Iterator[Tuple[Any, int, Dict[str, int]]]:
+    """Each ladder step with its area and critical-path deltas against the
+    previous step; the first step's deltas are zero, and so is the delta of
+    an event the previous step had no path for."""
+    for step, previous in zip(steps, steps[:1] + steps[:-1]):
+        yield step, step.area_clbs - previous.area_clbs, {
+            event: length - previous.critical_paths.get(event, length)
+            for event, length in step.critical_paths.items()}
+
+
+def improvement_profile_report(result) -> str:
+    """The improvement ladder's trajectory
+    (:class:`repro.flow.ImprovementResult`) as a table: area, area delta,
+    remaining violations and the wall-clock cost of each rung."""
+    rows = [(step.rung, step.area_clbs, f"{area_delta:+d}" if index else "",
+             step.n_violations, f"{step.wall_seconds * 1e3:.1f}")
+            for index, (step, area_delta, _) in enumerate(
+                _with_deltas(result.steps))]
     table = ascii_table(
-        ["Rung", "Area", "ΔArea", "Violations", "Wall ms"], profile.rows(),
+        ["Rung", "Area", "ΔArea", "Violations", "Wall ms"], rows,
         title="Improvement ladder profile")
+    total = sum(step.wall_seconds for step in result.steps)
     return (f"{table}\n"
-            f"total rebuild time {profile.total_wall_seconds * 1e3:.1f} ms "
-            f"over {len(profile.rungs)} rung(s)")
+            f"total rebuild time {total * 1e3:.1f} ms "
+            f"over {len(result.steps)} rung(s)")
+
+
+def improvement_profile_json(result) -> Dict[str, Any]:
+    """``--improve --json``'s ``improvement_profile``: every step of the
+    trajectory with its wall time (6 dp) and deltas."""
+    return {
+        "total_wall_seconds": round(
+            sum(step.wall_seconds for step in result.steps), 6),
+        "rungs": [{
+            "rung": step.rung,
+            "description": step.description,
+            "wall_seconds": round(step.wall_seconds, 6),
+            "area_clbs": step.area_clbs,
+            "n_violations": step.n_violations,
+            "critical_paths": dict(step.critical_paths),
+            "area_delta": area_delta,
+            "critical_path_deltas": path_deltas,
+        } for step, area_delta, path_deltas in _with_deltas(result.steps)],
+    }
 
 
 def comparison_table(title: str,

@@ -40,7 +40,6 @@ from repro.fuzz.oracle import (
     OracleResult,
     RoundTripError,
     apply_mutation,
-    ladder_rungs,
     plant_canary,
 )
 from repro.fuzz.shrink import shrink_spec, spec_size
@@ -77,7 +76,6 @@ __all__ = [
     "event_trace",
     "first_true",
     "generate_spec",
-    "ladder_rungs",
     "plant_canary",
     "render_chart",
     "render_label",

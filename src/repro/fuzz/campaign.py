@@ -245,8 +245,10 @@ class FuzzCampaign:
     def _predicate(self, original: Divergence,
                    mutation: Optional[CanaryMutation]):
         """"Still the same bug": diverges at the same stage on the same
-        field.  Build crashes surface as ``field="build"`` and are thereby
-        rejected unless the original divergence was itself a build crash."""
+        field.  A mutated stage's build crash surfaces as ``field="build"``
+        and is thereby rejected unless the original divergence was itself a
+        build crash; an unmutated rung's build crash raises from
+        ``stage_names()``, which the shrinker counts as a rejection."""
 
         def predicate(candidate: ChartSpec) -> bool:
             harness = OracleHarness(candidate, cycles=self.cycles,

@@ -10,9 +10,11 @@ implementations:
 2. the full :class:`~repro.pscp.machine.PscpMachine` at **every** rung of
    the improvement ladder (section 4) — baseline, peephole, storage
    promotion (internal then registers), pattern hardware, custom
-   instructions, wider bus, replicated TEPs — replicated here without
-   :class:`~repro.flow.improve.Improver`'s early exit so every rung is
-   exercised even when the baseline already meets timing,
+   instructions, wider bus, replicated TEPs — taken from
+   :meth:`~repro.flow.improve.Improver.rungs`, the generator
+   :meth:`~repro.flow.improve.Improver.run` evaluates, walked to the end
+   so every rung is exercised even when the baseline already meets
+   timing,
 3. a mid-run ``snapshot()``/``restore()`` continuation on the final rung,
 4. a delta-chain reconstruction (``diff_snapshots``/``apply_delta``) whose
    reconstructed snapshot must be fingerprint-identical and must continue
@@ -28,14 +30,11 @@ bisector consume downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from repro.flow.build import (
-    BuiltSystem,
-    build_system,
-    select_initial_architecture,
-)
-from repro.flow.improve import hot_globals
+from repro.flow.build import BuiltSystem, build_system
+from repro.flow.improve import Improver, Rung
 from repro.fuzz.generator import (
     ChartSpec,
     TransitionSpec,
@@ -46,13 +45,6 @@ from repro.fuzz.generator import (
     spec_to_json,
 )
 from repro.fuzz.reference import SpecEvaluator
-from repro.hw.library import custom_instruction_is_safe
-from repro.isa.arch import ArchConfig, StorageClass
-from repro.isa.patterns import (
-    find_comparator_sites,
-    find_custom_candidates,
-    find_negation_sites,
-)
 from repro.resil.delta import apply_delta, diff_snapshots, snapshot_fingerprint
 from repro.statechart.labels import Label
 from repro.statechart.model import Chart
@@ -165,109 +157,6 @@ def check_roundtrip(chart: Chart) -> None:
             raise RoundTripError(
                 f"round-trip mismatch in {section}: "
                 f"emitted {want[section]!r} but reparsed {got[section]!r}")
-
-
-# ---------------------------------------------------------------------------
-# the improvement ladder, replicated without the early exit
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Rung:
-    """One ladder point: its name, the knobs, and the built system."""
-
-    name: str
-    arch: ArchConfig
-    storage_map: Dict[str, StorageClass]
-    system: BuiltSystem
-
-
-def ladder_rungs(chart: Chart, source: str,
-                 initial_arch: Optional[ArchConfig] = None,
-                 max_rungs: Optional[int] = None) -> List[Rung]:
-    """Every rung :meth:`Improver.run` could visit, in ladder order.
-
-    Mirrors :mod:`repro.flow.improve` step by step (same knob mutations,
-    same ``hot_globals`` ranking, same custom-instruction selection) but
-    never stops when constraints are met — the oracle wants every point of
-    the trajectory, not the first satisfying one.  The opt-in ``pipeline``
-    rung (``allow_pipelining``) is excluded, matching the Improver default.
-    """
-    arch = (initial_arch if initial_arch is not None
-            else select_initial_architecture(chart, source))
-    storage_map: Dict[str, StorageClass] = {}
-    rungs: List[Rung] = []
-
-    def add(name: str) -> BuiltSystem:
-        system = build_system(chart, source, arch,
-                              storage_map=dict(storage_map))
-        rungs.append(Rung(name, arch, dict(storage_map), system))
-        return system
-
-    def full() -> bool:
-        return max_rungs is not None and len(rungs) >= max_rungs
-
-    system = add("baseline")
-    if full():
-        return rungs
-
-    arch = arch.with_(microcode_optimized=True)
-    system = add("peephole")
-    if full():
-        return rungs
-
-    promoted = hot_globals(system)
-    storage_map = {name: StorageClass.INTERNAL for name in promoted}
-    system = add("promote-internal")
-    if full():
-        return rungs
-
-    arch = arch.with_(register_file_size=4)
-    for name in hot_globals(system)[:4]:
-        storage_map[name] = StorageClass.REGISTER
-    system = add("promote-register")
-    if full():
-        return rungs
-
-    pattern_flags = {}
-    if find_comparator_sites(system.checked.program):
-        pattern_flags["has_comparator"] = True
-    if find_negation_sites(system.checked.program):
-        pattern_flags["has_negator"] = True
-    if pattern_flags:
-        arch = arch.with_(**pattern_flags)
-        system = add("patterns")
-        if full():
-            return rungs
-
-    candidates = find_custom_candidates(
-        system.checked.program, max_operands=2 + arch.register_file_size)
-    selected = []
-    for candidate in candidates:
-        custom = candidate.to_instruction(len(selected))
-        if custom_instruction_is_safe(custom, arch):
-            selected.append(custom)
-        if len(selected) >= 2:
-            break
-    if selected:
-        arch = arch.with_(custom_instructions=tuple(selected))
-        system = add("custom-instructions")
-        if full():
-            return rungs
-
-    if arch.data_width < 16:
-        arch = arch.with_(data_width=16,
-                          internal_ram_words=max(64, arch.internal_ram_words))
-        system = add("widen-bus")
-        if full():
-            return rungs
-
-    while arch.n_teps < 2:
-        arch = arch.with_(n_teps=arch.n_teps + 1)
-        system = add("add-tep")
-        if full():
-            return rungs
-
-    return rungs
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +294,7 @@ class OracleHarness:
     def __init__(self, spec: ChartSpec, cycles: int = 40,
                  trace_seed: Optional[int] = None,
                  max_rungs: Optional[int] = None,
-                 mutation: Optional[CanaryMutation] = None,
-                 initial_arch: Optional[ArchConfig] = None) -> None:
+                 mutation: Optional[CanaryMutation] = None) -> None:
         self.spec = spec
         self.cycles = cycles
         self.trace_seed = ((spec.seed or 0) * 7919 + 1
@@ -414,7 +302,6 @@ class OracleHarness:
         self.trace = event_trace(self.trace_seed, spec.events, cycles)
         self.mutation = mutation
         self.max_rungs = max_rungs
-        self.initial_arch = initial_arch
         self.source = render_source(spec)
         self.chart = render_chart(spec)
         self._rungs: Optional[List[Rung]] = None
@@ -424,10 +311,11 @@ class OracleHarness:
 
     # -- stage inventory ----------------------------------------------------
     def rungs(self) -> List[Rung]:
+        """The ladder's first ``max_rungs`` rungs (all of them by default),
+        built once; the opt-in pipeline rung is off."""
         if self._rungs is None:
-            self._rungs = ladder_rungs(self.chart, self.source,
-                                       initial_arch=self.initial_arch,
-                                       max_rungs=self.max_rungs)
+            self._rungs = list(islice(
+                Improver(self.chart, self.source).rungs(), self.max_rungs))
         return self._rungs
 
     def stage_names(self) -> List[str]:
@@ -531,16 +419,13 @@ class OracleHarness:
         machine = system.make_machine()
         first = max(1, self.cycles // 3)
         mid = max(first + 1, (2 * self.cycles) // 3)
-        base = None
-        reference = self.reference_states()
-        for cycle in range(mid):
-            step = machine.step(self.trace[cycle])
-            divergence = _compare(stage, cycle, reference[cycle],
-                                  self._capture(machine, system, step))
-            if divergence is not None:
-                return divergence
-            if cycle + 1 == first:
-                base = machine.snapshot()
+        divergence = self._run_machine(stage, system, machine, 0, first)
+        if divergence is not None:
+            return divergence
+        base = machine.snapshot()
+        divergence = self._run_machine(stage, system, machine, first, mid)
+        if divergence is not None:
+            return divergence
         target = machine.snapshot()
         delta = diff_snapshots(base, target)
         reconstructed = apply_delta(base, delta)
@@ -554,7 +439,9 @@ class OracleHarness:
 
     def run_stage(self, index: int) -> Optional[Divergence]:
         """Run stage *index* against the reference; first divergence or
-        ``None``.  Build failures are reported as ``field="build"``."""
+        ``None``.  A mutated stage's build failure is reported as
+        ``field="build"``; the unmutated rungs are built by
+        :meth:`stage_names`, so their build failures raise."""
         name = self.stage_names()[index]
         try:
             system = self._system_for(index)

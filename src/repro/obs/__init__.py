@@ -42,7 +42,6 @@ from repro.obs.flightrec import (
     render_forensics,
     write_forensics_bundle,
 )
-from repro.obs.flowprof import FlowProfile, RungProfile
 from repro.obs.lineage import LineageTracker
 from repro.obs.metrics import (
     DEFAULT_CYCLE_BUCKETS,
@@ -58,9 +57,9 @@ __all__ = [
     "COUNTER", "CausalDag", "Counter", "DAG_VERSION",
     "DEFAULT_CYCLE_BUCKETS", "FORENSICS_VERSION", "FarmLineage",
     "FarmSampler",
-    "ShardAggregator", "FlightRecorder", "FlowProfile", "Gauge",
+    "ShardAggregator", "FlightRecorder", "Gauge",
     "Histogram", "INSTANT", "LineageTracker", "MetricsRegistry",
-    "RungProfile", "SUPPORTED_FORENSICS_VERSIONS", "ScopedRegistry",
+    "SUPPORTED_FORENSICS_VERSIONS", "ScopedRegistry",
     "SPAN",
     "Tracer", "chrome_trace", "chrome_trace_events", "dag_flow_events",
     "load_dag",

@@ -159,6 +159,24 @@ class TestImprover:
         assert result.success
         assert len(result.steps) == 1
 
+    def test_baseline_meeting_constraints_builds_once(self, monkeypatch):
+        import repro.flow.improve as improve
+
+        builds = []
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build_system(*args, **kwargs)
+
+        monkeypatch.setattr(improve, "build_system", counting_build)
+        b = ChartBuilder("easy")
+        b.event("E", period=100000)
+        with b.or_state("T", default="S"):
+            b.basic("S").transition("S", label="E/Nop()")
+        result = Improver(b.build(), "void Nop() { }").run()
+        assert [step.rung for step in result.steps] == ["baseline"]
+        assert len(builds) == 1
+
     def test_peephole_rung_reduces_critical_path(self):
         improver = Improver(small_chart(), SMALL_SRC,
                             initial_arch=MD16_TEP)

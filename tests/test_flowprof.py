@@ -1,111 +1,78 @@
-"""Unit tests for :mod:`repro.obs.flowprof` — the per-rung improvement
-profile.
+"""Unit tests for the flow profile: the improvement ladder's per-rung table
+and ``improvement_profile`` JSON, both computed from
+:attr:`~repro.flow.ImprovementResult.steps`.
 
-``tests/test_obs.py`` only touches the FlowProfile export surface in
-passing; these tests pin down the accounting itself with an injected fake
-clock: wall attribution per rung, delta computation against the previous
-rung (including the first-rung zero conventions and events that appear
-mid-ladder), the JSON shape, and the table rows.
+``tests/test_obs.py`` runs the profile end to end once; these tests build
+the steps by hand and pin down the accounting itself: delta computation
+against the previous rung (including the first-rung zero conventions and
+events that appear mid-ladder), the JSON shape, and the table rows.
 """
 
-from repro.obs.flowprof import FlowProfile, RungProfile
+from repro.flow import (
+    ImprovementResult,
+    LadderStep,
+    improvement_profile_json,
+    improvement_profile_report,
+)
+from repro.isa import MD16_TEP
 
 
-class FakeClock:
-    """Deterministic ``perf_counter`` stand-in: returns scripted values."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def __call__(self):
-        return self.values.pop(0)
+def step(rung, area_clbs, n_violations, critical_paths, wall_seconds=0.0,
+         description=""):
+    return LadderStep(rung=rung, description=description, arch=MD16_TEP,
+                      storage_map={}, critical_paths=critical_paths,
+                      n_violations=n_violations, area_clbs=area_clbs,
+                      wall_seconds=wall_seconds)
 
 
-def make_profile(clock_values):
-    profile = FlowProfile()
-    profile._clock = FakeClock(clock_values)
-    return profile
+def result(*steps):
+    return ImprovementResult(list(steps), final=None)
+
+
+def profile_rungs(*steps):
+    return improvement_profile_json(result(*steps))["rungs"]
 
 
 class TestRungAccounting:
-    def test_wall_seconds_from_begin_to_record(self):
-        profile = make_profile([10.0, 10.25])
-        started = profile.begin()
-        rung = profile.record("baseline", "first build", started,
-                              area_clbs=100, n_violations=2,
-                              critical_paths={"GO": 7})
-        assert started == 10.0
-        assert rung.wall_seconds == 0.25
-
     def test_first_rung_deltas_are_zero(self):
-        profile = make_profile([0.0, 1.0])
-        rung = profile.record("baseline", "", profile.begin(),
-                              area_clbs=100, n_violations=1,
-                              critical_paths={"GO": 7, "BACK": 5})
-        assert rung.area_delta == 0
-        assert rung.critical_path_deltas == {"GO": 0, "BACK": 0}
+        (rung,) = profile_rungs(
+            step("baseline", 100, 1, {"GO": 7, "BACK": 5}))
+        assert rung["area_delta"] == 0
+        assert rung["critical_path_deltas"] == {"GO": 0, "BACK": 0}
 
     def test_deltas_against_previous_rung(self):
-        profile = make_profile([0.0, 1.0, 1.0, 3.5])
-        profile.record("baseline", "", profile.begin(),
-                       area_clbs=100, n_violations=2,
-                       critical_paths={"GO": 7, "BACK": 5})
-        rung = profile.record("split", "split the chart", profile.begin(),
-                              area_clbs=88, n_violations=0,
-                              critical_paths={"GO": 4, "BACK": 6})
-        assert rung.area_delta == -12
-        assert rung.critical_path_deltas == {"GO": -3, "BACK": +1}
-        assert rung.wall_seconds == 2.5
+        _, rung = profile_rungs(
+            step("baseline", 100, 2, {"GO": 7, "BACK": 5}),
+            step("split", 88, 0, {"GO": 4, "BACK": 6}))
+        assert rung["area_delta"] == -12
+        assert rung["critical_path_deltas"] == {"GO": -3, "BACK": +1}
 
     def test_event_new_at_this_rung_gets_zero_delta(self):
         # an event with no previous-path entry compares against itself
-        profile = make_profile([0.0, 1.0, 1.0, 2.0])
-        profile.record("baseline", "", profile.begin(),
-                       area_clbs=100, n_violations=0,
-                       critical_paths={"GO": 7})
-        rung = profile.record("retarget", "", profile.begin(),
-                              area_clbs=100, n_violations=0,
-                              critical_paths={"GO": 7, "NEW": 9})
-        assert rung.critical_path_deltas == {"GO": 0, "NEW": 0}
-
-    def test_record_copies_the_paths_mapping(self):
-        profile = make_profile([0.0, 1.0])
-        paths = {"GO": 7}
-        rung = profile.record("baseline", "", profile.begin(),
-                              area_clbs=100, n_violations=0,
-                              critical_paths=paths)
-        paths["GO"] = 99
-        assert rung.critical_paths == {"GO": 7}
-
-    def test_record_returns_and_appends_the_same_profile(self):
-        profile = make_profile([0.0, 1.0])
-        rung = profile.record("baseline", "", profile.begin(),
-                              area_clbs=1, n_violations=0,
-                              critical_paths={})
-        assert isinstance(rung, RungProfile)
-        assert profile.rungs == [rung]
+        _, rung = profile_rungs(
+            step("baseline", 100, 0, {"GO": 7}),
+            step("retarget", 100, 0, {"GO": 7, "NEW": 9}))
+        assert rung["critical_path_deltas"] == {"GO": 0, "NEW": 0}
 
 
 class TestReadback:
     def ladder(self):
-        profile = make_profile([0.0, 0.5, 0.5, 0.75])
-        profile.record("baseline", "first build", profile.begin(),
-                       area_clbs=100, n_violations=2,
-                       critical_paths={"GO": 7})
-        profile.record("split", "split the chart", profile.begin(),
-                       area_clbs=90, n_violations=0,
-                       critical_paths={"GO": 5})
-        return profile
+        return result(
+            step("baseline", 100, 2, {"GO": 7}, wall_seconds=0.5,
+                 description="first build"),
+            step("split", 90, 0, {"GO": 5}, wall_seconds=0.25,
+                 description="split the chart"))
 
     def test_total_wall_seconds_sums_rungs(self):
-        assert self.ladder().total_wall_seconds == 0.75
+        ladder = self.ladder()
+        assert improvement_profile_json(ladder)["total_wall_seconds"] == 0.75
+        assert improvement_profile_report(ladder).endswith(
+            "total rebuild time 750.0 ms over 2 rung(s)")
 
     def test_to_json_shape_and_rounding(self):
-        profile = make_profile([0.0, 0.1234567891])
-        profile.record("baseline", "first build", profile.begin(),
-                       area_clbs=100, n_violations=2,
-                       critical_paths={"GO": 7})
-        document = profile.to_json()
+        document = improvement_profile_json(result(
+            step("baseline", 100, 2, {"GO": 7}, wall_seconds=0.1234567891,
+                 description="first build")))
         assert document["total_wall_seconds"] == 0.123457  # 6 dp
         (rung,) = document["rungs"]
         assert rung == {
@@ -120,14 +87,12 @@ class TestReadback:
         }
 
     def test_rows_blank_delta_on_first_rung_only(self):
-        rows = self.ladder().rows()
-        assert rows == [
-            ("baseline", 100, "", 2, "500.0"),
-            ("split", 90, "-10", 0, "250.0"),
+        lines = improvement_profile_report(self.ladder()).splitlines()
+        assert lines[:6] == [
+            "Improvement ladder profile",
+            "+----------+------+-------+------------+---------+",
+            "| Rung     | Area | ΔArea | Violations | Wall ms |",
+            "+----------+------+-------+------------+---------+",
+            "| baseline | 100  |       | 2          | 500.0   |",
+            "| split    | 90   | -10   | 0          | 250.0   |",
         ]
-
-    def test_empty_profile(self):
-        profile = FlowProfile()
-        assert profile.total_wall_seconds == 0
-        assert profile.to_json() == {"total_wall_seconds": 0, "rungs": []}
-        assert profile.rows() == []

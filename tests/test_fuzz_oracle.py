@@ -7,13 +7,15 @@ from repro.fuzz import (
     OracleHarness,
     apply_mutation,
     generate_spec,
-    ladder_rungs,
     plant_canary,
     render_chart,
     render_source,
     spec_to_json,
 )
+from repro.flow import Improver
 from repro.fuzz.oracle import EXTRA_STAGES
+from repro.isa import MD16_TEP
+from repro.statechart import ChartBuilder
 
 
 def first_plantable(stage, seeds=range(7919, 7940), cycles=20):
@@ -28,14 +30,35 @@ def first_plantable(stage, seeds=range(7919, 7940), cycles=20):
 
 class TestLadder:
     def test_rung_names_mirror_improver(self):
+        """``run()`` evaluates a prefix of ``Improver.rungs()``, and the
+        oracle's stages are every rung of the same ladder."""
+        tight = ChartBuilder("tight")
+        tight.event("E", period=40)
+        with tight.or_state("T", default="S"):
+            tight.basic("S").transition("S", label="E/Work()")
+        work = "int:16 a;\nvoid Work() { a = a + 1; a = a + 2; a = a + 3; }"
         spec = generate_spec(1)
-        rungs = ladder_rungs(render_chart(spec), render_source(spec))
-        names = [r.name for r in rungs]
-        assert names[0] == "baseline"
-        assert "peephole" in names
-        assert "add-tep" in names
-        # ladder order is fixed: each rung builds on the previous arch
-        assert names.index("peephole") < names.index("add-tep")
+        walked = []
+        for improver in (
+                Improver(render_chart(spec), render_source(spec)),
+                Improver(tight.build(), work, initial_arch=MD16_TEP)):
+            rungs = list(improver.rungs())
+            steps = improver.run().steps
+            assert ([(s.rung, s.arch, s.storage_map) for s in steps]
+                    == [(r.name, r.arch, r.storage_map)
+                        for r in rungs[:len(steps)]])
+            walked.append(
+                (len(steps), len(rungs), steps[-1].meets_constraints))
+        # the generated chart meets timing at the baseline; the tight one
+        # meets it nowhere, so run() evaluates every rung
+        assert walked == [(1, 6, True), (5, 5, False)]
+
+        harness = OracleHarness(spec, cycles=10)
+        rungs = list(Improver(harness.chart, harness.source).rungs())
+        assert harness.stage_names() == (
+            [rung.name for rung in rungs] + list(EXTRA_STAGES))
+        assert ([(r.arch, r.storage_map) for r in harness.rungs()]
+                == [(r.arch, r.storage_map) for r in rungs])
 
     def test_stage_names_include_extra_stages(self):
         harness = OracleHarness(generate_spec(1), cycles=10)

@@ -293,9 +293,13 @@ class TestBlifMetrics:
         assert registry["pla.evaluations"].value == 2
 
 
-class TestFlowProfile:
+class TestImprovementProfile:
     def test_improver_records_profile(self):
-        from repro.flow import Improver, improvement_profile_report
+        from repro.flow import (
+            Improver,
+            improvement_profile_json,
+            improvement_profile_report,
+        )
 
         chart = pingpong_chart()
         source = """
@@ -306,15 +310,14 @@ void Work() {
 }
 """
         result = Improver(chart, source).run()
-        profile = result.profile
-        assert profile is not None
-        assert len(profile.rungs) == len(result.steps)
-        assert profile.rungs[0].rung == "baseline"
-        assert all(rung.wall_seconds >= 0 for rung in profile.rungs)
-        assert profile.rungs[0].area_delta == 0
-        document = json.dumps(profile.to_json())
+        profile = improvement_profile_json(result)
+        assert len(profile["rungs"]) == len(result.steps)
+        assert profile["rungs"][0]["rung"] == "baseline"
+        assert all(step.wall_seconds > 0 for step in result.steps)
+        assert profile["rungs"][0]["area_delta"] == 0
+        document = json.dumps(profile)
         assert "baseline" in document
-        report = improvement_profile_report(profile)
+        report = improvement_profile_report(result)
         assert "Improvement ladder profile" in report
 
 
