@@ -198,7 +198,7 @@ class MachineGuard:
             transition.index: int(
                 self.watchdog_margin
                 * stub_wcet(transition, machine.compiled,
-                            machine._param_names or None)
+                            machine._param_names)
             ) + self.watchdog_slack
             for transition in machine.chart.transitions
         }

@@ -15,7 +15,7 @@ This is the module a user calls first::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.action.check import CheckedProgram, Externals
 from repro.hw.area import AppStats, AreaEstimate, estimate_area
@@ -77,7 +77,7 @@ class BuiltSystem:
     def violations(self):
         return self.validator.validate()
 
-    def routine_wcets(self) -> Dict[str, int]:
+    def routine_wcets(self) -> Mapping[str, int]:
         return self.compiled.wcets()
 
 

@@ -24,7 +24,9 @@ Per cycle the oracle compares five observable fields — configuration,
 fired transition indices, the condition vector, port latches and global
 variable values — and attributes the *first* divergence as a
 ``(stage, cycle, field, expected, actual)`` tuple that the shrinker and
-bisector consume downstream.
+bisector consume downstream.  A sixth field, ``wcet``, is the timing leg:
+every machine the oracle steps carries a :class:`WcetWatch`, and a dispatch
+that runs longer than its transition's static cost is a divergence too.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from repro.fuzz.generator import (
     spec_to_json,
 )
 from repro.fuzz.reference import SpecEvaluator
+from repro.pscp.machine import MachineObserver
+from repro.pscp.scheduler import DISPATCH_OVERHEAD_CYCLES
 from repro.resil.delta import apply_delta, diff_snapshots, snapshot_fingerprint
 from repro.statechart.labels import Label
 from repro.statechart.model import Chart
@@ -116,6 +120,32 @@ def _compare(stage: str, cycle: int, expected: CycleState,
         if want != got:
             return Divergence(stage, cycle, field, want, got)
     return None
+
+
+class WcetWatch(MachineObserver):
+    """Checks every dispatch against its transition's static cost: the
+    stub-plus-routine WCET the timing validator sums (``transition_costs``
+    without the dispatch overhead).  Generated charts declare no ``wcet``
+    overrides, so every bound is derived from the emitted code."""
+
+    __slots__ = ("bounds", "breach")
+
+    def __init__(self, system: BuiltSystem) -> None:
+        self.bounds = {index: cost - DISPATCH_OVERHEAD_CYCLES
+                       for index, cost in system.transition_costs.items()}
+        #: ``(transition index, cost)`` of the first dispatch over its bound
+        self.breach: Optional[Tuple[int, int]] = None
+
+    def on_dispatch(self, cycle, index, completed, cost, raised,
+                    port_accesses) -> None:
+        if cost > self.bounds[index] and self.breach is None:
+            self.breach = (index, cost)
+
+    def divergence(self, stage: str, cycle: int) -> Divergence:
+        index, cost = self.breach
+        return Divergence(stage, cycle, "wcet",
+                          {"transition": index, "at_most": self.bounds[index]},
+                          {"transition": index, "cycles": cost})
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +414,24 @@ class OracleHarness:
                 for v in self.spec.variables if v.name in locations)),
         )
 
+    @staticmethod
+    def _machine(system: BuiltSystem):
+        """A fresh machine for *system* with its :class:`WcetWatch`."""
+        machine = system.make_machine()
+        machine.attach(WcetWatch(system))
+        return machine
+
     def _run_machine(self, stage: str, system: BuiltSystem,
                      machine, start: int, stop: int
                      ) -> Optional[Divergence]:
         reference = self.reference_states()
+        watch = machine.observer(WcetWatch)
         for cycle in range(start, stop):
             step = machine.step(self.trace[cycle])
             divergence = _compare(stage, cycle, reference[cycle],
                                   self._capture(machine, system, step))
+            if divergence is None and watch.breach is not None:
+                divergence = watch.divergence(stage, cycle)
             if divergence is not None:
                 return divergence
         return None
@@ -399,24 +439,24 @@ class OracleHarness:
     # -- stages -------------------------------------------------------------
     def _run_rung_stage(self, stage: str,
                         system: BuiltSystem) -> Optional[Divergence]:
-        return self._run_machine(stage, system, system.make_machine(),
+        return self._run_machine(stage, system, self._machine(system),
                                  0, self.cycles)
 
     def _run_snapshot_stage(self, stage: str,
                             system: BuiltSystem) -> Optional[Divergence]:
-        machine = system.make_machine()
+        machine = self._machine(system)
         mid = max(1, self.cycles // 2)
         divergence = self._run_machine(stage, system, machine, 0, mid)
         if divergence is not None:
             return divergence
         snapshot = machine.snapshot()
-        fresh = system.make_machine()
+        fresh = self._machine(system)
         fresh.restore(snapshot)
         return self._run_machine(stage, system, fresh, mid, self.cycles)
 
     def _run_delta_stage(self, stage: str,
                          system: BuiltSystem) -> Optional[Divergence]:
-        machine = system.make_machine()
+        machine = self._machine(system)
         first = max(1, self.cycles // 3)
         mid = max(first + 1, (2 * self.cycles) // 3)
         divergence = self._run_machine(stage, system, machine, 0, first)
@@ -433,7 +473,7 @@ class OracleHarness:
         got = snapshot_fingerprint(reconstructed)
         if want != got:
             return Divergence(stage, mid, "snapshot-fingerprint", want, got)
-        fresh = system.make_machine()
+        fresh = self._machine(system)
         fresh.restore(reconstructed)
         return self._run_machine(stage, system, fresh, mid, self.cycles)
 

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.action.ast import (
     ArrayType,
@@ -68,7 +69,16 @@ from repro.action.ast import (
 from repro.action.check import CheckedProgram
 from repro.action.stdlib import is_builtin
 from repro.isa.arch import ArchConfig, StorageClass
-from repro.isa.cost import Block, Branch, CallCost, CostNode, FixedCost, Loop, Seq
+from repro.isa.cost import (
+    Block,
+    Branch,
+    CallCost,
+    CostNode,
+    FixedCost,
+    Loop,
+    Seq,
+    routine_wcets,
+)
 from repro.isa.isa import (
     Imm,
     Instruction,
@@ -251,15 +261,22 @@ class CompiledProgram:
     call_order: List[str]
     #: enum member values (transition stubs resolve action arguments here)
     enum_values: Dict[str, int] = field(default_factory=dict)
+    #: per-routine worst-case cycles, evaluated once when the program is
+    #: compiled (the code and the architecture are fixed from then on)
+    _wcets: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
-    def wcets(self) -> Dict[str, int]:
-        """Per-routine worst-case cycles under this program's architecture."""
-        from repro.isa.cost import routine_wcets
+    def __post_init__(self) -> None:
         trees = {name: obj.cost for name, obj in self.objects.items()}
         overrides = {name: obj.wcet_override
                      for name, obj in self.objects.items()
                      if obj.wcet_override is not None}
-        return routine_wcets(trees, self.call_order, self.arch, overrides)
+        self._wcets = MappingProxyType(
+            routine_wcets(trees, self.call_order, self.arch, overrides))
+
+    def wcets(self) -> Mapping[str, int]:
+        """Per-routine worst-case cycles under this program's architecture
+        (read-only)."""
+        return self._wcets
 
     def flat_instructions(self) -> List[Instruction]:
         result: List[Instruction] = []

@@ -46,6 +46,7 @@ from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.isa import (
     ALU_OPS,
     BRANCH_FUSED_OPS,
+    CONTROL_TRANSFERS,
     Imm,
     Instruction,
     IsaError,
@@ -294,9 +295,33 @@ def _body(instruction: Instruction, arch: ArchConfig) -> List[MicroOp]:
 #: cycles lost re-filling the pipeline after a control transfer
 PIPELINE_FLUSH_CYCLES = 2
 
+#: the price table: an instruction's cycle count keyed by exactly what its
+#: microprogram depends on — op, operand class, ``Mem`` space, and the
+#: architecture's wait states, microcode optimization and pipelining.
+#: Each shape is priced from :func:`microprogram` once, on first use.
+_PRICES: Dict[Tuple, int] = {}
+
 
 def cycle_cost(instruction: Instruction, arch: ArchConfig) -> int:
     """Execution time of *instruction* in clock cycles on *arch*.
+
+    "Once a particular PSCP version has been fixed" (section 3.2) every
+    microprogram is fixed, so the price is looked up in the price table.
+    """
+    operand = instruction.operand
+    operand_class = type(operand)
+    key = (instruction.op, operand_class,
+           operand.space if operand_class is Mem else None,
+           arch.external_ram_wait_states, arch.microcode_optimized,
+           arch.pipelined)
+    price = _PRICES.get(key)
+    if price is None:
+        price = _PRICES[key] = _price(instruction, arch)
+    return price
+
+
+def _price(instruction: Instruction, arch: ArchConfig) -> int:
+    """The microprogram's length.
 
     On a pipelined TEP (section 6's future work, opt-in) the two fetch
     states overlap the previous instruction's execution, so they are hidden;
@@ -307,8 +332,6 @@ def cycle_cost(instruction: Instruction, arch: ArchConfig) -> int:
     length = len(microprogram(instruction, arch))
     if not arch.pipelined:
         return length
-    from repro.isa.isa import CONTROL_TRANSFERS
-
     hidden = len(FETCH_PROLOGUE)
     cost = max(1, length - hidden)
     if instruction.op in CONTROL_TRANSFERS:

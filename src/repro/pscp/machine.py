@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.isa.arch import ArchConfig
 from repro.isa.codegen import CompiledProgram
-from repro.isa.isa import Imm, Instruction, LabelRef, Op
+from repro.isa.isa import Imm, Instruction, LabelRef, Op, SignalRef
 from repro.isa.microcode import cycle_cost
 from repro.pscp.condcache import ConditionCacheBridge
 from repro.pscp.cr import ConfigurationRegister
@@ -72,8 +72,6 @@ def _resolve_argument(argument: str, compiled: CompiledProgram) -> int:
 def _builtin_stub_body(routine: str, transition, compiled: CompiledProgram):
     """Builtin actions in labels (``SetTrue(XFINISH)`` — Fig. 5) compile to
     a single CR/cache instruction in the stub, no routine call needed."""
-    from repro.isa.isa import SignalRef
-
     ops = {"SetTrue": Op.CSET, "SetFalse": Op.CCLR, "Raise": Op.EVSET}
     if routine not in ops:
         return None
@@ -90,6 +88,66 @@ def _builtin_stub_body(routine: str, transition, compiled: CompiledProgram):
             f"{'event' if routine == 'Raise' else 'condition'} {name!r}")
     return [Instruction(ops[routine], SignalRef(pool[name], name),
                         comment=transition.action)]
+
+
+def _call_stub_body(routine: str, transition: Transition,
+                    compiled: CompiledProgram,
+                    param_names: Optional[Dict[str, List[str]]]
+                    ) -> List[Instruction]:
+    if routine not in compiled.objects:
+        raise MachineError(
+            f"transition {transition.describe()}: routine "
+            f"{routine!r} was not compiled")
+    arguments = action_arguments(transition.action)
+    if param_names:
+        params = param_names.get(routine, [])
+    elif arguments:
+        raise MachineError(
+            f"transition {transition.describe()}: parameter names "
+            f"for {routine!r} are required to marshal arguments")
+    else:
+        params = []
+    if len(arguments) != len(params):
+        raise MachineError(
+            f"transition {transition.describe()}: {routine} takes "
+            f"{len(params)} argument(s), label passes "
+            f"{len(arguments)}")
+    arch = compiled.arch
+    mask = (1 << arch.data_width) - 1
+    body: List[Instruction] = []
+    for argument, param_name in zip(arguments, params):
+        value = _resolve_argument(argument, compiled)
+        loc = compiled.allocator.locations[f"{routine}.{param_name}"]
+        for word_index, operand in enumerate(loc.words):
+            word = (value >> (word_index * arch.data_width)) & mask
+            body.append(Instruction(Op.LDA, Imm(word)))
+            body.append(Instruction(Op.STA, operand))
+    body.append(Instruction(Op.CALL, LabelRef(routine),
+                            comment=transition.action))
+    return body
+
+
+def _transition_stub(
+    transition: Transition,
+    compiled: CompiledProgram,
+    param_names: Optional[Dict[str, List[str]]],
+) -> List[Instruction]:
+    """The unlabelled stub one transition dispatches to: a builtin's single
+    CR/cache instruction, or the routine's argument marshalling and call;
+    then ``TRET``.
+
+    ``param_names`` maps routine name to its parameter names in order.  The
+    compiled objects do not record them, so without it (``None`` or empty)
+    only parameterless routines can be called and a label that passes
+    arguments raises :class:`MachineError`.
+    """
+    body: List[Instruction] = []
+    if transition.action:
+        routine = action_routine_name(transition.action)
+        body = (_builtin_stub_body(routine, transition, compiled)
+                or _call_stub_body(routine, transition, compiled,
+                                   param_names))
+    return body + [Instruction(Op.TRET, comment=transition.describe())]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +226,7 @@ class PscpMachine:
         self._param_names = param_names or {}
 
         stub_instructions, entries = build_transition_stubs(
-            chart, compiled, self._param_names or None)
+            chart, compiled, self._param_names)
         program = compiled.flat_instructions() + stub_instructions
         for index, label in entries.items():
             self.tat.bind(index, label)
@@ -517,58 +575,14 @@ def build_transition_stubs(
     compiled: CompiledProgram,
     param_names: Optional[Dict[str, List[str]]],
 ) -> Tuple[List[Instruction], Dict[int, str]]:
-    """Stub generation with explicit per-routine parameter name lists.
-
-    ``param_names`` maps routine name to its parameter names in order; when
-    ``None`` it is recovered from the compiled objects' cost trees is not
-    possible, so the caller (the flow) should pass it — the fallback assumes
-    parameterless routines only and raises otherwise.
-    """
+    """Every transition's stub, each labelled ``__t<index>``, and the
+    transition-index -> label map the TAT binds."""
     instructions: List[Instruction] = []
     entries: Dict[int, str] = {}
-    arch = compiled.arch
     for transition in chart.transitions:
         label = f"__t{transition.index}"
         entries[transition.index] = label
-        body: List[Instruction] = []
-        if transition.action:
-            routine = action_routine_name(transition.action)
-            builtin = _builtin_stub_body(routine, transition, compiled)
-            if builtin is not None:
-                body.extend(builtin)
-                body.append(Instruction(Op.TRET, comment=transition.describe()))
-                body[0] = body[0].with_label(label)
-                instructions.extend(body)
-                continue
-            if routine not in compiled.objects:
-                raise MachineError(
-                    f"transition {transition.describe()}: routine "
-                    f"{routine!r} was not compiled")
-            arguments = action_arguments(transition.action)
-            if param_names is not None:
-                params = param_names.get(routine, [])
-            elif arguments:
-                raise MachineError(
-                    f"transition {transition.describe()}: parameter names "
-                    f"for {routine!r} are required to marshal arguments")
-            else:
-                params = []
-            if len(arguments) != len(params):
-                raise MachineError(
-                    f"transition {transition.describe()}: {routine} takes "
-                    f"{len(params)} argument(s), label passes "
-                    f"{len(arguments)}")
-            mask = (1 << arch.data_width) - 1
-            for argument, param_name in zip(arguments, params):
-                value = _resolve_argument(argument, compiled)
-                loc = compiled.allocator.locations[f"{routine}.{param_name}"]
-                for word_index, operand in enumerate(loc.words):
-                    word = (value >> (word_index * arch.data_width)) & mask
-                    body.append(Instruction(Op.LDA, Imm(word)))
-                    body.append(Instruction(Op.STA, operand))
-            body.append(Instruction(Op.CALL, LabelRef(routine),
-                                    comment=transition.action))
-        body.append(Instruction(Op.TRET, comment=transition.describe()))
+        body = _transition_stub(transition, compiled, param_names)
         body[0] = body[0].with_label(label)
         instructions.extend(body)
     return instructions, entries
@@ -576,34 +590,21 @@ def build_transition_stubs(
 
 def stub_wcet(transition: Transition, compiled: CompiledProgram,
               param_names: Optional[Dict[str, List[str]]] = None) -> int:
-    """Static worst-case cycles of one transition's stub + routine.
+    """Static worst-case cycles of one transition's stub + routine: the
+    declared ``wcet`` override if any, else the price of the stub the
+    machine emits plus the called routine's compiled WCET.
 
     This is the per-transition quantity the timing validator sums along
     event cycles (plus the scheduler's dispatch overhead).
     """
-    arch = compiled.arch
-    wcets = compiled.wcets()
     if transition.wcet_override is not None:
         # "otherwise explicit timing constraints must be specified"
         return transition.wcet_override
-    total = cycle_cost(Instruction(Op.TRET), arch)
-    if transition.action:
-        routine = action_routine_name(transition.action)
-        if routine in ("SetTrue", "SetFalse", "Raise"):
-            from repro.isa.isa import SignalRef
-            op = {"SetTrue": Op.CSET, "SetFalse": Op.CCLR,
-                  "Raise": Op.EVSET}[routine]
-            return total + cycle_cost(Instruction(op, SignalRef(0)), arch)
-        arguments = action_arguments(transition.action)
-        params = (param_names or {}).get(routine, [""] * len(arguments))
-        for argument, param_name in zip(arguments, params):
-            key = f"{routine}.{param_name}"
-            if key in compiled.allocator.locations:
-                loc = compiled.allocator.locations[key]
-                for word_index in range(loc.n_words):
-                    total += cycle_cost(Instruction(Op.LDA, Imm(0)), arch)
-                    total += cycle_cost(
-                        Instruction(Op.STA, loc.word(word_index)), arch)
-        total += cycle_cost(Instruction(Op.CALL, LabelRef(routine)), arch)
-        total += wcets[routine]
+    arch = compiled.arch
+    wcets = compiled.wcets()
+    total = 0
+    for instruction in _transition_stub(transition, compiled, param_names):
+        total += cycle_cost(instruction, arch)
+        if instruction.op is Op.CALL:
+            total += wcets[instruction.operand.name]
     return total

@@ -5,9 +5,10 @@ Executes assembler-level TEP programs (lists of
 accumulator, operand register, flags (Z/C/N), register file, internal and
 external RAM, data ports, the per-TEP condition cache, and the event lines
 into the Configuration Register.  Every executed instruction is charged the
-length of its microprogram (:func:`repro.isa.microcode.cycle_cost`), so the
-simulator's cycle counts are *exactly* the quantities the static WCET
-analysis bounds — the property the closed-loop benchmarks check.
+length of its microprogram (:func:`repro.isa.microcode.cycle_cost`, priced
+once per program slot when the TEP is built), so the simulator's cycle
+counts are *exactly* the quantities the static WCET analysis bounds — the
+property the closed-loop benchmarks check.
 
 Flag conventions (documented here once, relied on by the code generator):
 
@@ -97,6 +98,9 @@ class Tep:
                 if instruction.label in self.labels:
                     raise TepError(f"duplicate label {instruction.label!r}")
                 self.labels[instruction.label] = index
+        #: cycle price of each program slot, charged when it executes
+        self.prices = [cycle_cost(instruction, arch)
+                       for instruction in self.program]
         self.ports = ports if ports is not None else SimplePorts()
         self.mask = (1 << arch.data_width) - 1
         self.sign_bit = 1 << (arch.data_width - 1)
@@ -215,11 +219,12 @@ class Tep:
         start_cycles = self.cycles
         pc = self.labels[entry]
         depth = len(self.call_stack)
+        prices = self.prices
         while True:
             if pc < 0 or pc >= len(self.program):
                 raise TepError(f"PC out of range: {pc}")
             instruction = self.program[pc]
-            self.cycles += cycle_cost(instruction, self.arch)
+            self.cycles += prices[pc]
             self.instructions_executed += 1
             if self.cycles - start_cycles > max_cycles:
                 raise TepBudgetExceeded(

@@ -13,8 +13,9 @@ from repro.fuzz import (
     spec_to_json,
 )
 from repro.flow import Improver
-from repro.fuzz.oracle import EXTRA_STAGES
+from repro.fuzz.oracle import EXTRA_STAGES, Divergence, WcetWatch
 from repro.isa import MD16_TEP
+from repro.pscp import DISPATCH_OVERHEAD_CYCLES, MachineObserver
 from repro.statechart import ChartBuilder
 
 
@@ -81,6 +82,65 @@ class TestCleanOracle:
         result = harness.run_all(stop_at_first=True)
         assert result.clean, result.first_divergence.describe()
         assert result.stages == harness.stage_names()
+
+
+class DispatchLog(MachineObserver):
+    def __init__(self):
+        self.dispatches = []
+
+    def on_dispatch(self, cycle, index, completed, cost, raised,
+                    port_accesses):
+        self.dispatches.append((cycle, index, cost))
+
+
+def first_dispatches(harness, system):
+    """``(cycle, index, cost)`` of each transition's first dispatch when
+    *system* runs the harness trace, in dispatch order."""
+    log = DispatchLog()
+    machine = system.make_machine()
+    machine.attach(log)
+    machine.run(harness.trace)
+    seen = set()
+    firsts = []
+    for cycle, index, cost in log.dispatches:
+        if index not in seen:
+            seen.add(index)
+            firsts.append((cycle, index, cost))
+    return firsts
+
+
+class TestWcetLeg:
+    """Every machine the oracle steps checks each dispatch's cost against
+    its transition's static cost (``transition_costs`` minus the dispatch
+    overhead)."""
+
+    def test_lowered_bound_reported_at_first_dispatch(self):
+        harness = OracleHarness(generate_spec(7922), cycles=40)
+        rung = harness.rungs()[0]
+        cycle, index, cost = first_dispatches(harness, rung.system)[0]
+        bound = WcetWatch(rung.system).bounds[index]
+        assert cost == bound
+        rung.system.transition_costs[index] -= 1
+        assert harness.run_stage(0) == Divergence(
+            rung.name, cycle, "wcet",
+            {"transition": index, "at_most": bound - 1},
+            {"transition": index, "cycles": bound})
+
+    @pytest.mark.parametrize("stage,restored_at", [
+        ("snapshot-restore", 30), ("delta-chain", 40)])
+    def test_restored_machines_are_watched(self, stage, restored_at):
+        """A transition first dispatched by the restored machine, its
+        bound one cycle below that dispatch's cost."""
+        harness = OracleHarness(generate_spec(7928), cycles=60)
+        system = harness.rungs()[-1].system
+        cycle, index, cost = next(
+            first for first in first_dispatches(harness, system)
+            if first[0] >= restored_at)
+        system.transition_costs[index] = (
+            cost - 1 + DISPATCH_OVERHEAD_CYCLES)
+        divergence = harness.run_stage(harness.stage_names().index(stage))
+        assert (divergence.stage, divergence.cycle, divergence.field) == (
+            stage, cycle, "wcet")
 
 
 class TestCanary:

@@ -230,15 +230,21 @@ class TestDispatch:
             parallel.step({"T"}).cycle_length
 
 
+def compile_counter():
+    """The counter chart, its compiled routines and their parameter names."""
+    chart = counter_chart()
+    checked = prepare_program(COUNTER_SRC, MD16_TEP,
+                              Externals.from_chart(chart))
+    compiled = CodeGenerator(checked, MD16_TEP,
+                             maps=NameMaps.from_chart(chart)).compile()
+    params = {f.name: [p.name for p in f.params]
+              for f in checked.program.functions}
+    return chart, compiled, params
+
+
 class TestStubWcet:
     def test_stub_wcet_bounds_measured(self):
-        chart = counter_chart()
-        externals = Externals.from_chart(chart)
-        checked = prepare_program(COUNTER_SRC, MD16_TEP, externals)
-        compiled = CodeGenerator(checked, MD16_TEP,
-                                 maps=NameMaps.from_chart(chart)).compile()
-        params = {f.name: [p.name for p in f.params]
-                  for f in checked.program.functions}
+        chart, compiled, params = compile_counter()
         machine = PscpMachine(chart, compiled, param_names=params)
         machine.step({"GO"})
         step = machine.step({"STEP"})
@@ -249,14 +255,24 @@ class TestStubWcet:
         assert measured <= bound
 
     def test_wcet_override_wins(self):
-        chart = counter_chart()
-        externals = Externals.from_chart(chart)
-        checked = prepare_program(COUNTER_SRC, MD16_TEP, externals)
-        compiled = CodeGenerator(checked, MD16_TEP,
-                                 maps=NameMaps.from_chart(chart)).compile()
+        chart, compiled, _ = compile_counter()
         transition = chart.transitions[0]
         transition.wcet_override = 777
         assert stub_wcet(transition, compiled, {}) == 777
+
+    @pytest.mark.parametrize("param_names", [None, {}])
+    def test_missing_parameter_names_refused_like_the_machine(
+            self, param_names):
+        """Without parameter names the machine cannot marshal ``Work(3)``'s
+        argument; pricing its stub must not skip the marshalling instead."""
+        chart, compiled, params = compile_counter()
+        work = next(t for t in chart.transitions if t.action == "Work(3)")
+        assert stub_wcet(work, compiled, params) == 74
+        with pytest.raises(MachineError) as refused:
+            PscpMachine(chart, compiled, param_names=param_names)
+        with pytest.raises(MachineError) as priced:
+            stub_wcet(work, compiled, param_names)
+        assert str(priced.value) == str(refused.value)
 
 
 class TestPortBus:
