@@ -312,13 +312,8 @@ def _simulate(system, cycles: Optional[int], tracer, metrics):
     constraints).
     """
     if system.chart.name == "smd_pickup_head":
-        from repro.workloads import MoveCommand, MotorSpec, SmdClosedLoop
-        motors = {
-            "X": MotorSpec("X", 50_000.0, 0.025e-3, 1.25, 2000.0),
-            "Y": MotorSpec("Y", 50_000.0, 0.025e-3, 1.25, 2000.0),
-            "Phi": MotorSpec("Phi", 9_000.0, 0.1, 900.0, 0.0),
-        }
-        loop = SmdClosedLoop(system, motor_specs=motors, tracer=tracer,
+        from repro.workloads import FAST_MOTORS, MoveCommand, SmdClosedLoop
+        loop = SmdClosedLoop(system, motor_specs=FAST_MOTORS, tracer=tracer,
                              metrics=metrics)
         report = loop.run([MoveCommand(60, 45, 8)],
                           max_configuration_cycles=cycles or 20000)
@@ -961,17 +956,17 @@ def run_fuzz(argv: List[str], out=sys.stdout) -> int:
     """``repro fuzz``: seeded differential campaigns over generated charts.
 
     Exit status: 0 when every chart is clean (or, with ``--canary``, when
-    the planted mutation is caught and correctly bisected everywhere it
-    fits), 1 on any divergence / missed canary, 2 on bad inputs.
+    the planted mutation is caught first at its planted stage everywhere
+    it fits), 1 on any divergence / missed canary, 2 on bad inputs.
     """
     parser = argparse.ArgumentParser(
         prog="repro fuzz",
         description="generate seeded random charts and differentially "
                     "compare the reference interpreter against the machine "
                     "at every improvement-ladder rung, plus snapshot/"
-                    "restore and delta-chain continuations; divergences "
-                    "are shrunk and bisected to the guilty stage (see "
-                    "docs/FUZZING.md)")
+                    "restore and delta-chain continuations, in ladder "
+                    "order; the first diverging stage is the guilty one, "
+                    "and the chart is shrunk (see docs/FUZZING.md)")
     parser.add_argument("--seed", type=int, default=1,
                         help="campaign seed (default: 1)")
     parser.add_argument("--charts", type=_positive_int, default=50,
@@ -984,7 +979,7 @@ def run_fuzz(argv: List[str], out=sys.stdout) -> int:
     parser.add_argument("--canary", default=None, metavar="STAGE",
                         help="plant a retargeting mutation at STAGE in "
                              "every chart where one fits; the campaign "
-                             "must catch and bisect it back to STAGE")
+                             "must catch it first at STAGE")
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip shrinking diverging charts")
     parser.add_argument("--bmc", action="store_true",
@@ -1048,7 +1043,7 @@ def run_fuzz(argv: List[str], out=sys.stdout) -> int:
         print("canary: no chart could host the mutation", file=sys.stderr)
         return 1
     if wrong:
-        print(f"canary: {len(wrong)} chart(s) bisected to the wrong stage",
+        print(f"canary: {len(wrong)} chart(s) attributed to the wrong stage",
               file=sys.stderr)
         return 1
     unexpected = [o for o in report.outcomes

@@ -265,22 +265,13 @@ class FaultCampaign:
 
         return [MoveCommand(60, 45, 8)]
 
-    def _default_motor_specs(self):
-        # the fast motor profile the trace/stats CLI uses — keeps a full
-        # 15-class campaign inside a CI smoke budget
-        from repro.workloads import MotorSpec
-
-        return {
-            "X": MotorSpec("X", 50_000.0, 0.025e-3, 1.25, 2000.0),
-            "Y": MotorSpec("Y", 50_000.0, 0.025e-3, 1.25, 2000.0),
-            "Phi": MotorSpec("Phi", 9_000.0, 0.1, 900.0, 0.0),
-        }
-
     def _closed_loop(self, injector=None, guard=None, tracer=None):
-        from repro.workloads import SmdClosedLoop
+        # by default the fast motor profile the trace/stats CLI uses, which
+        # keeps a full 15-class campaign inside a CI smoke budget
+        from repro.workloads import FAST_MOTORS, SmdClosedLoop
 
         specs = (self.motor_specs if self.motor_specs is not None
-                 else self._default_motor_specs())
+                 else FAST_MOTORS)
         return SmdClosedLoop(self.system, motor_specs=specs, tracer=tracer,
                              injector=injector, guard=guard)
 

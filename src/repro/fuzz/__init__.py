@@ -1,13 +1,14 @@
 """Differential chart fuzzing: seeded generation, multi-rung oracle,
-delta-debugging shrinker and ladder bisection.
+ordered stage attribution and a delta-debugging shrinker.
 
 The fuzzer closes the loop the ROADMAP's "differential fuzzing" item asks
 for: random-but-well-formed hierarchical charts with *real* action routines
 are run through the reference :class:`~repro.statechart.semantics.Interpreter`
 and the full :class:`~repro.pscp.machine.PscpMachine` at every improvement-
 ladder rung (plus a snapshot/restore continuation and a delta-chain
-reconstruction), and any divergence is shrunk to a minimal reproducing chart
-and bisected to the guilty stage.
+reconstruction).  The stages run in ladder order up to the first divergence,
+whose stage is the guilty one, and the chart is shrunk to a minimal
+reproducer.
 
 Public API::
 
@@ -43,7 +44,6 @@ from repro.fuzz.oracle import (
     plant_canary,
 )
 from repro.fuzz.shrink import shrink_spec, spec_size
-from repro.fuzz.bisect import BisectVerdict, bisect_harness, first_true
 from repro.fuzz.campaign import (
     FUZZ_REPORT_VERSION,
     ChartOutcome,
@@ -53,7 +53,6 @@ from repro.fuzz.campaign import (
 )
 
 __all__ = [
-    "BisectVerdict",
     "CanaryMutation",
     "ChartOutcome",
     "ChartSpec",
@@ -72,9 +71,7 @@ __all__ = [
     "TransitionSpec",
     "VarSpec",
     "apply_mutation",
-    "bisect_harness",
     "event_trace",
-    "first_true",
     "generate_spec",
     "plant_canary",
     "render_chart",

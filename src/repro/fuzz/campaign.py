@@ -6,14 +6,15 @@ canonical JSON serialization is byte-identical across same-seed runs (the
 CI ``fuzz-smoke`` job runs the campaign twice and ``cmp``s the files).
 
 Per chart the campaign (1) generates a spec, (2) asserts it lints
-error-free — the generator's contract, (3) runs the full oracle stage
-stack, and on divergence (4) bisects the ladder to the guilty stage and
-(5) shrinks the spec to a single-removal-minimal reproducer, recorded in
-the Fig. 2a textual format for the regression corpus.
+error-free — the generator's contract, (3) sweeps the oracle's stages in
+ladder order up to the first divergence, whose stage is the guilty one,
+and on divergence (4) shrinks the spec to a single-removal-minimal
+reproducer, recorded in the Fig. 2a textual format for the regression
+corpus.
 
 ``--canary <stage>`` plants a deliberate retargeting mutation at the named
 stage in every chart where one fits; the CI canary job asserts at least
-one such mutation is detected, shrinks to ≤ 8 states and bisects to
+one such mutation is detected, shrinks to ≤ 8 states and is attributed to
 exactly the planted stage.
 """
 
@@ -22,10 +23,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.flow.build import select_initial_architecture
-from repro.fuzz.bisect import bisect_harness
 from repro.fuzz.generator import (
     ChartSpec,
     GeneratorConfig,
@@ -63,6 +63,9 @@ class ChartOutcome:
     lint_errors: List[str] = field(default_factory=list)
     bmc: Optional[dict] = None
     divergence: Optional[Divergence] = None
+    #: the divergence's stage; the report keys ``bisect_verified`` (true:
+    #: every earlier stage ran clean) and ``stages_checked`` (stages the
+    #: sweep ran) keep their names
     guilty_stage: Optional[str] = None
     bisect_verified: Optional[bool] = None
     stages_checked: Optional[int] = None
@@ -211,7 +214,7 @@ class FuzzCampaign:
                                 max_rungs=self.max_rungs,
                                 mutation=mutation)
         try:
-            result = harness.run_all(stop_at_first=True)
+            result = harness.run_all()
         except RoundTripError as exc:
             outcome.status = "roundtrip-error"
             outcome.lint_errors = [str(exc)]
@@ -226,12 +229,11 @@ class FuzzCampaign:
             return outcome
 
         outcome.status = "diverged"
-        outcome.divergence = result.first_divergence
-
-        verdict = bisect_harness(harness)
-        outcome.guilty_stage = verdict.guilty_stage
-        outcome.bisect_verified = verdict.verified
-        outcome.stages_checked = len(verdict.stages_checked)
+        outcome.divergence = result.divergence
+        outcome.guilty_stage = result.divergence.stage
+        # every stage before the guilty one ran clean in the same sweep
+        outcome.bisect_verified = True
+        outcome.stages_checked = result.stages_run
 
         if self.shrink:
             shrunk = shrink_spec(
@@ -390,8 +392,9 @@ def replay_corpus(directory: str,
          "mutation": {...} | null,
          "expect": {"clean": true} | {"stage": ..., "field": ...}}
 
-    A clean entry must stay divergence-free on every stage; a diverging
-    entry must still be caught and bisect to the recorded stage.
+    One ordered sweep per entry: a clean entry must stay divergence-free
+    on every stage; a diverging entry must still be caught first at the
+    recorded stage, on the recorded field when one is given.
     """
     results: List[ReplayResult] = []
     for filename in sorted(os.listdir(directory)):
@@ -408,34 +411,29 @@ def replay_corpus(directory: str,
         expect = doc.get("expect", {"clean": True})
         harness = OracleHarness(spec, cycles=cycles, mutation=mutation)
         try:
-            if expect.get("clean"):
-                result = harness.run_all(stop_at_first=True)
-                if result.clean:
-                    results.append(ReplayResult(name, True, "clean"))
-                else:
-                    results.append(ReplayResult(
-                        name, False, result.first_divergence.describe()))
-            else:
-                verdict = bisect_harness(harness)
-                if verdict.guilty_stage is None:
-                    results.append(ReplayResult(
-                        name, False, "expected divergence not reproduced"))
-                elif verdict.guilty_stage != expect.get("stage"):
-                    results.append(ReplayResult(
-                        name, False,
-                        f"bisected to {verdict.guilty_stage!r}, expected "
-                        f"{expect.get('stage')!r}"))
-                elif (expect.get("field") is not None
-                      and verdict.divergence.field != expect["field"]):
-                    results.append(ReplayResult(
-                        name, False,
-                        f"diverged on {verdict.divergence.field!r}, "
-                        f"expected {expect['field']!r}"))
-                else:
-                    results.append(ReplayResult(
-                        name, True,
-                        f"caught at {verdict.guilty_stage}"))
+            ok, detail = _check_expectation(harness.run_all().divergence,
+                                            expect)
         except Exception as exc:  # noqa: BLE001 — replay must not abort
-            results.append(ReplayResult(
-                name, False, f"{type(exc).__name__}: {exc}"))
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(ReplayResult(name, ok, detail))
     return results
+
+
+def _check_expectation(divergence: Optional[Divergence],
+                       expect: dict) -> Tuple[bool, str]:
+    """``(ok, detail)`` of one corpus entry's sweep against its
+    expectation."""
+    if expect.get("clean"):
+        if divergence is None:
+            return True, "clean"
+        return False, divergence.describe()
+    if divergence is None:
+        return False, "expected divergence not reproduced"
+    if divergence.stage != expect.get("stage"):
+        return False, (f"caught at {divergence.stage!r}, expected "
+                       f"{expect.get('stage')!r}")
+    if (expect.get("field") is not None
+            and divergence.field != expect["field"]):
+        return False, (f"diverged on {divergence.field!r}, expected "
+                       f"{expect['field']!r}")
+    return True, f"caught at {divergence.stage}"

@@ -22,9 +22,10 @@ implementations:
 
 Per cycle the oracle compares five observable fields — configuration,
 fired transition indices, the condition vector, port latches and global
-variable values — and attributes the *first* divergence as a
-``(stage, cycle, field, expected, actual)`` tuple that the shrinker and
-bisector consume downstream.  A sixth field, ``wcet``, is the timing leg:
+variable values — and reports the *first* divergence as a
+``(stage, cycle, field, expected, actual)`` tuple.  The stages run in
+ladder order and the sweep stops there, so that stage is the guilty one:
+every earlier stage ran clean.  A sixth field, ``wcet``, is the timing leg:
 every machine the oracle steps carries a :class:`WcetWatch`, and a dispatch
 that runs longer than its transition's static cost is a divergence too.
 """
@@ -190,7 +191,7 @@ def check_roundtrip(chart: Chart) -> None:
 
 
 # ---------------------------------------------------------------------------
-# canary mutations (for the bisector and the CI canary job)
+# canary mutations (for the attribution tests and the CI canary job)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -200,8 +201,7 @@ class CanaryMutation:
     The mutation retargets the transition identified by ``(source,
     trigger)`` — a key that survives shrinking, unlike a positional index —
     and applies to the named stage *and every later stage*, modelling a
-    rung bug whose effect persists down the ladder so the divergence is
-    monotone and the bisector's binary search is sound.
+    rung bug whose effect persists down the ladder.
     """
 
     stage: str
@@ -300,22 +300,22 @@ def plant_canary(spec: ChartSpec, stage: str, cycles: int = 40,
 
 @dataclass
 class OracleResult:
-    """Outcome of a full oracle run over every stage."""
+    """Outcome of one ordered sweep: the stage list and the first
+    divergence, ``None`` when every stage ran clean."""
 
     stages: List[str]
-    divergences: List[Divergence]
+    divergence: Optional[Divergence]
 
     @property
     def clean(self) -> bool:
-        return not self.divergences
+        return self.divergence is None
 
     @property
-    def first_divergence(self) -> Optional[Divergence]:
-        return self.divergences[0] if self.divergences else None
-
-    def to_json(self) -> dict:
-        return {"stages": list(self.stages),
-                "divergences": [d.to_json() for d in self.divergences]}
+    def stages_run(self) -> int:
+        """How many stages the sweep ran before it stopped."""
+        if self.divergence is None:
+            return len(self.stages)
+        return self.stages.index(self.divergence.stage) + 1
 
 
 class OracleHarness:
@@ -494,15 +494,14 @@ class OracleHarness:
             return self._run_delta_stage(name, system)
         return self._run_rung_stage(name, system)
 
-    def run_all(self, stop_at_first: bool = False) -> OracleResult:
-        """Round-trip assert, then every stage in ladder order."""
+    def run_all(self) -> OracleResult:
+        """Round-trip assert, then the stages in ladder order up to the
+        first divergence: its stage is the guilty one, because every
+        earlier stage ran clean in this sweep."""
         check_roundtrip(self.chart)
         names = self.stage_names()
-        divergences: List[Divergence] = []
         for index in range(len(names)):
             divergence = self.run_stage(index)
             if divergence is not None:
-                divergences.append(divergence)
-                if stop_at_first:
-                    break
-        return OracleResult(stages=names, divergences=divergences)
+                return OracleResult(stages=names, divergence=divergence)
+        return OracleResult(stages=names, divergence=None)

@@ -25,11 +25,6 @@ class Device:
     def clbs(self) -> int:
         return self.rows * self.cols
 
-    #: usable RAM bits if every CLB were memory (32 bits per CLB)
-    @property
-    def ram_bits(self) -> int:
-        return self.clbs * 32
-
     def fits(self, clbs: int) -> bool:
         return clbs <= self.clbs
 

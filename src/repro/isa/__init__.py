@@ -16,7 +16,6 @@ from repro.isa.arch import (
     MD16_TEP,
     MINIMAL_TEP,
     StorageClass,
-    storage_access_cycles,
 )
 from repro.isa.assembler import (
     AsmError,
@@ -65,7 +64,6 @@ from repro.isa.isa import (
     SIGNAL_OPS,
     SignalRef,
     check_legal,
-    check_program_legal,
     encode,
     encoded_length,
     program_size_words,
@@ -93,7 +91,6 @@ from repro.isa.patterns import (
 )
 from repro.isa.peephole import (
     count_redundant_jumps,
-    optimize_assembly,
     optimize_microprogram,
 )
 
@@ -107,12 +104,12 @@ __all__ = [
     "MULDIV_OPS", "Mem", "MicroOp", "NameMaps", "Op", "PatternSite",
     "PortRef", "Reg", "SHIFT_OPS", "SIGNAL_OPS", "Seq", "SignalRef",
     "StorageClass", "TABLE1_FORMAT", "VarLoc", "assemble", "check_legal",
-    "check_program_legal", "count_redundant_jumps", "cycle_cost",
-    "emit_text", "encode", "encoded_length", "evaluate_signature",
-    "expression_depth", "expression_signature", "find_comparator_sites",
+    "count_redundant_jumps", "cycle_cost", "emit_text", "encode",
+    "encoded_length", "evaluate_signature", "expression_depth",
+    "expression_signature", "find_comparator_sites",
     "find_custom_candidates", "find_negation_sites", "format_table1",
-    "is_fusable", "leaf_variables", "microprogram", "optimize_assembly",
+    "is_fusable", "leaf_variables", "microprogram",
     "optimize_microprogram", "parse_text", "prepare_program",
     "program_size_words", "required_helpers", "resolve_labels",
-    "routine_wcets", "storage_access_cycles",
+    "routine_wcets",
 ]

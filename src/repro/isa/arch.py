@@ -183,12 +183,3 @@ MD16_TEP = ArchConfig(
     has_muldiv=True,
     internal_ram_words=64,
 )
-
-
-def storage_access_cycles(storage: StorageClass, arch: ArchConfig) -> int:
-    """Extra cycles (beyond the base microprogram) to touch *storage*."""
-    if storage is StorageClass.REGISTER:
-        return 0
-    if storage is StorageClass.INTERNAL:
-        return 1
-    return 1 + arch.external_ram_wait_states

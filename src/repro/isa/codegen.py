@@ -224,16 +224,6 @@ class Allocator:
         self.locations[qualified] = loc
         return loc
 
-    def storage_of(self, qualified: str) -> Optional[StorageClass]:
-        loc = self.locations.get(qualified)
-        if loc is None:
-            return None
-        head = loc.words[0]
-        if isinstance(head, Reg):
-            return StorageClass.REGISTER
-        assert isinstance(head, Mem)
-        return head.space
-
 
 # ---------------------------------------------------------------------------
 # compiled artifacts
@@ -1501,18 +1491,17 @@ def required_helpers(program, arch: ArchConfig) -> List[str]:
     return needed
 
 
-def prepare_program(source: str, arch: ArchConfig, externals=None,
-                    with_preamble: bool = True) -> CheckedProgram:
+def prepare_program(source: str, arch: ArchConfig,
+                    externals=None) -> CheckedProgram:
     """Parse, splice in required runtime helpers, and check.
 
     This is the front half of the flow: feed it the application's
     intermediate-C source; hand the result to :class:`CodeGenerator`.
     """
     from repro.action.check import Externals, check_program
-    from repro.action.parser import parse_program, parse_with_preamble
+    from repro.action.parser import parse_with_preamble
 
-    parse = parse_with_preamble if with_preamble else parse_program
-    program = parse(source)
+    program = parse_with_preamble(source)
     # type information is needed to find helper widths: check once without
     # helpers (helper calls are emitted by codegen, not present in source)
     checked = check_program(program, externals)
@@ -1523,6 +1512,6 @@ def prepare_program(source: str, arch: ArchConfig, externals=None,
         helper_source = "\n".join(_runtime_source(name, int(name[5:]))
                                   for name in helper_names)
         full = (helper_source + "\n" + source)
-        program = parse(full)
+        program = parse_with_preamble(full)
         checked = check_program(program, externals)
     return checked

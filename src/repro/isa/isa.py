@@ -240,11 +240,6 @@ def check_legal(instruction: Instruction, arch: ArchConfig) -> None:
                 f"{arch.internal_ram_words} words")
 
 
-def check_program_legal(instructions: List[Instruction], arch: ArchConfig) -> None:
-    for instruction in instructions:
-        check_legal(instruction, arch)
-
-
 # ---------------------------------------------------------------------------
 # binary encoding (16-bit instruction format, section 3.2)
 # ---------------------------------------------------------------------------

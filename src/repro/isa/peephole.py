@@ -5,11 +5,10 @@ microprogram sequences."  Unoptimized microprograms end with an explicit
 jump microinstruction returning control to the fetch sequence;
 :func:`optimize_microprogram` folds that jump into the preceding
 microinstruction's next-address field — one clock cycle saved on *every*
-instruction executed.
-
-A small assembler-level cleanup (:func:`optimize_assembly`) accompanies it:
-jumps to the immediately following instruction and dead store/load pairs are
-artifacts of template-based code generation and disappear for free.
+instruction executed.  The ladder's peephole rung only sets
+``microcode_optimized``: :func:`~repro.isa.microcode.microprogram` then
+leaves the jump out, and the tests check it against
+:func:`optimize_microprogram`.
 """
 
 from __future__ import annotations
@@ -17,15 +16,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List
 
-from repro.isa.isa import (
-    CONTROL_TRANSFERS,
-    Instruction,
-    JUMP_OPS,
-    LabelRef,
-    Mem,
-    Op,
-    Reg,
-)
 from repro.isa.microcode import RETURN_TO_FETCH, MicroOp
 
 
@@ -54,72 +44,3 @@ def _is_return_jump(op: MicroOp) -> bool:
 def count_redundant_jumps(programs: List[List[MicroOp]]) -> int:
     """How many microinstructions the peephole would remove."""
     return sum(1 for ops in programs if ops and _is_return_jump(ops[-1]))
-
-
-# ---------------------------------------------------------------------------
-# assembler-level cleanup
-# ---------------------------------------------------------------------------
-
-def optimize_assembly(instructions: List[Instruction]) -> List[Instruction]:
-    """Apply simple assembler-level peepholes until a fixed point:
-
-    * ``JMP L`` where ``L`` labels the next instruction → removed;
-    * ``STA x`` immediately followed by ``LDA x`` → the load is removed
-      (the accumulator already holds the value);
-    * ``LDA x`` immediately following ``STA x`` inside a basic block only —
-      a label between the two defeats the rewrite.
-    """
-    current = list(instructions)
-    while True:
-        rewritten = _remove_jump_to_next(current)
-        rewritten = _remove_store_load(rewritten)
-        if rewritten == current:
-            return rewritten
-        current = rewritten
-
-
-def _remove_jump_to_next(instructions: List[Instruction]) -> List[Instruction]:
-    result: List[Instruction] = []
-    for index, instruction in enumerate(instructions):
-        if (instruction.op is Op.JMP
-                and isinstance(instruction.operand, LabelRef)
-                and index + 1 < len(instructions)
-                and instructions[index + 1].label == instruction.operand.name):
-            # the jump lands on the very next instruction — drop it, but keep
-            # its own label (if any) by migrating it forward
-            if instruction.label is not None:
-                successor = instructions[index + 1]
-                # cannot merge two labels onto one instruction; keep the jump
-                if successor.label is not None and successor.label != instruction.label:
-                    result.append(instruction)
-                    continue
-                instructions[index + 1] = successor.with_label(instruction.label)
-            continue
-        result.append(instruction)
-    return result
-
-
-def _remove_store_load(instructions: List[Instruction]) -> List[Instruction]:
-    result: List[Instruction] = []
-    skip = False
-    for index, instruction in enumerate(instructions):
-        if skip:
-            skip = False
-            continue
-        result.append(instruction)
-        if index + 1 >= len(instructions):
-            continue
-        successor = instructions[index + 1]
-        if (instruction.op is Op.STA and successor.op is Op.LDA
-                and successor.label is None
-                and _same_location(instruction.operand, successor.operand)):
-            skip = True
-    return result
-
-
-def _same_location(a, b) -> bool:
-    if isinstance(a, Mem) and isinstance(b, Mem):
-        return a.address == b.address and a.space == b.space
-    if isinstance(a, Reg) and isinstance(b, Reg):
-        return a.index == b.index
-    return False

@@ -14,8 +14,7 @@ The tracer is a :class:`~repro.pscp.machine.MachineObserver`, and a
 machine with no observer calls no hook.  Bound to a machine, the tracer
 registers its tracks and span names once, so the traced path is a tuple
 append per event.  The fault injector and the guard (handed the machine's
-tracer) and a stand-alone :class:`~repro.pscp.tep.Tep` guard each hook
-with ``if tracer is not None:``.
+tracer) guard each hook with ``if tracer is not None:``.
 
 Timestamps are reference-clock cycles.  The exporter maps one cycle to one
 microsecond of trace time, so Perfetto's time axis reads directly in cycles.

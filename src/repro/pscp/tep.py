@@ -118,9 +118,6 @@ class Tep:
         self.call_stack: List[int] = []
         self.cycles = 0
         self.instructions_executed = 0
-        #: observability: ``None`` keeps run() on the zero-overhead path
-        self.tracer = None
-        self._trace_track: Optional[int] = None
 
     # -- state access -----------------------------------------------------
     def load_memory(self, values) -> None:
@@ -193,27 +190,7 @@ class Tep:
     # -- execution ---------------------------------------------------------------
     def run(self, entry: str, max_cycles: int = 1_000_000) -> int:
         """Execute from *entry* until the matching RET/TRET; returns cycles
-        consumed by this run.
-
-        With a tracer attached (:attr:`tracer`), each run is recorded as one
-        span on this TEP's track — entry label, cycles consumed, and the
-        instruction retire count — timestamped in the TEP's own cumulative
-        cycle time.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return self._run(entry, max_cycles)
-        start_cycles = self.cycles
-        start_retired = self.instructions_executed
-        consumed = self._run(entry, max_cycles)
-        if self._trace_track is None:
-            self._trace_track = tracer.track(self.name)
-        tracer.span(
-            self._trace_track, entry, start_cycles, consumed,
-            {"instructions": self.instructions_executed - start_retired})
-        return consumed
-
-    def _run(self, entry: str, max_cycles: int) -> int:
+        consumed by this run."""
         if entry not in self.labels:
             raise TepError(f"unknown entry label {entry!r}")
         start_cycles = self.cycles

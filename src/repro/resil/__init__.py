@@ -12,7 +12,7 @@
     restart-from-snapshot and conservation-checked accounting.
 ``transport``
     Length-prefixed JSON frames between farm processes: per-request
-    timeouts, seeded-backoff retries, heartbeat probes.
+    timeouts, oversized-frame rejection, attributed close.
 ``delta``
     Delta-encoded incremental snapshots against the last full
     :class:`MachineSnapshot`, with compaction and byte-identical
@@ -52,13 +52,11 @@ from repro.resil.supervisor import (
 from repro.resil.transport import (
     Channel,
     FrameTooLarge,
-    RetryPolicy,
     TransportClosed,
     TransportError,
     TransportTimeout,
     channel_pair,
     encode_frame,
-    probe,
 )
 from repro.resil.delta import (
     DELTA_VERSION,
@@ -95,14 +93,12 @@ __all__ = [
     "Supervisor",
     "generate_event_stream",
     "Channel",
-    "RetryPolicy",
     "TransportError",
     "TransportClosed",
     "TransportTimeout",
     "FrameTooLarge",
     "channel_pair",
     "encode_frame",
-    "probe",
     "DELTA_VERSION",
     "DeltaSnapshot",
     "DeltaChain",

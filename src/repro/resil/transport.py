@@ -15,11 +15,12 @@ frames** over a ``socket.socketpair()`` (or any stream socket), with
   stops talking raises :class:`TransportTimeout`, never a hang;
 * **attributed close** — a peer that dies mid-frame (the SIGKILL chaos
   case) raises :class:`TransportClosed` naming how many bytes of which
-  frame arrived, so the supervisor's report says *what* was lost;
-* **heartbeat probes** — :func:`probe` sends a ``ping`` and awaits the
-  ``pong``, retrying under a bounded exponential backoff with
-  deterministic seeded jitter (:class:`RetryPolicy`), the liveness test
-  behind the shard supervisor's missed-heartbeat accounting.
+  frame arrived, so the supervisor's report says *what* was lost.
+
+Liveness lives in the shard supervisor's tick loop, not here: each tick
+a running shard gets a dispatch or, with nothing to do, a ``ping``, and a
+reply that misses the per-request timeout (:class:`TransportTimeout`)
+counts as a missed heartbeat.
 
 Framing is deliberately the same canonical JSON the snapshot layer uses:
 a :class:`~repro.resil.snapshot.MachineSnapshot` document or a
@@ -32,9 +33,7 @@ import json
 import socket
 import struct
 import time
-import zlib
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 #: 4-byte big-endian unsigned frame-length header
 _HEADER = struct.Struct(">I")
@@ -70,36 +69,6 @@ def encode_frame(message: Any, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
             f"frame of {len(payload)} bytes exceeds the "
             f"{max_frame}-byte ceiling")
     return _HEADER.pack(len(payload)) + payload
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with deterministic seeded jitter.
-
-    ``delays(key)`` yields the sleep before each retry: ``base * 2^n``
-    capped at ``cap``, plus a jitter fraction drawn from a generator
-    seeded by ``(seed, key, attempt)`` — derived through :func:`zlib.crc32`
-    rather than :func:`hash`, so two runs with the same seed produce the
-    same jitter regardless of ``PYTHONHASHSEED``.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    cap_delay: float = 1.0
-    jitter: float = 0.5
-    seed: int = 0
-
-    def delays(self, key: str = "") -> Iterator[float]:
-        import random
-
-        for attempt in range(self.max_attempts):
-            delay = min(self.base_delay * (1 << attempt), self.cap_delay)
-            if self.jitter:
-                token = f"{key}:{attempt}".encode("utf-8")
-                rng = random.Random(self.seed * 1000003
-                                    + zlib.crc32(token))
-                delay += delay * self.jitter * rng.random()
-            yield delay
 
 
 class Channel:
@@ -222,29 +191,3 @@ def channel_pair(max_frame: int = DEFAULT_MAX_FRAME,
     """
     parent_sock, child_sock = socket.socketpair()
     return Channel(parent_sock, max_frame, name=names[1]), child_sock
-
-
-def probe(channel: Channel, timeout: float,
-          retry: Optional[RetryPolicy] = None,
-          token: int = 0) -> bool:
-    """One heartbeat: ping the peer, await the echoing pong.
-
-    Retries under *retry*'s backoff schedule (sleeping between attempts);
-    returns ``False`` when every attempt timed out — the caller counts a
-    missed heartbeat.  A closed channel propagates
-    :class:`TransportClosed`: death is not a missed heartbeat, it is a
-    detected kill.
-    """
-    retry = retry if retry is not None else RetryPolicy(max_attempts=1)
-    delays = list(retry.delays(channel.name))
-    for attempt in range(retry.max_attempts):
-        if attempt:
-            time.sleep(delays[attempt - 1])
-        try:
-            reply = channel.request({"op": "ping", "token": token}, timeout)
-        except TransportTimeout:
-            continue
-        if (isinstance(reply, dict) and reply.get("op") == "pong"
-                and reply.get("token") == token):
-            return True
-    return False

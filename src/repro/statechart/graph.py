@@ -60,12 +60,6 @@ class TransitionGraph:
                     seen.add(transition.index)
                     yield transition.target, transition
 
-    def entry_states(self, name: str) -> List[str]:
-        """States whose outgoing transitions become relevant after entering
-        *name* by default completion (the basic states that become active)."""
-        entered = self.chart.default_completion(name)
-        return entered
-
     def consuming_states(self, signal: str) -> List[str]:
         """All states with an outgoing transition sensitive to *signal*.
 

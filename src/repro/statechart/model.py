@@ -189,10 +189,6 @@ class State:
     #: Source line in the textual chart, when parsed from one.
     line: Optional[int] = None
 
-    @property
-    def is_composite(self) -> bool:
-        return self.kind in (StateKind.OR, StateKind.AND)
-
 
 @dataclass(frozen=True)
 class PropertyDecl:
@@ -364,10 +360,6 @@ class Chart:
 
     def leaves(self) -> List[str]:
         return [s.name for s in self.states.values() if not s.children]
-
-    def basic_states(self) -> List[str]:
-        return [s.name for s in self.states.values()
-                if s.kind in (StateKind.BASIC, StateKind.REF) and not s.children]
 
     def preorder(self) -> Iterator[State]:
         """All states in preorder starting at the root."""

@@ -18,6 +18,7 @@ from repro.workloads.generators import (
 )
 from repro.workloads.motors import (
     DATA_VALID_PERIOD_CYCLES,
+    FAST_MOTORS,
     Motor,
     MotorSpec,
     PHI_DEADLINE_CYCLES,
@@ -44,8 +45,8 @@ from repro.workloads.smd import (
 )
 
 __all__ = [
-    "ClosedLoopReport", "DATA_VALID_PERIOD_CYCLES", "MotorSpec",
-    "Motor", "MoveCommand", "PHI_DEADLINE_CYCLES", "PHI_MOTOR",
+    "ClosedLoopReport", "DATA_VALID_PERIOD_CYCLES", "FAST_MOTORS",
+    "MotorSpec", "Motor", "MoveCommand", "PHI_DEADLINE_CYCLES", "PHI_MOTOR",
     "ProfileError", "REFERENCE_CLOCK_HZ", "SMD_MOTORS",
     "SMD_MUTUAL_EXCLUSIONS", "SMD_PROPERTIES", "SMD_ROUTINES",
     "SmdClosedLoop",

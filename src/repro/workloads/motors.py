@@ -55,6 +55,15 @@ PHI_MOTOR = MotorSpec("Phi", 9_000.0, 0.1, 900.0, 0.0)
 
 SMD_MOTORS = {m.name: m for m in (X_MOTOR, Y_MOTOR, Z_MOTOR, PHI_MOTOR)}
 
+#: the fast profile ``repro trace``/``stats`` and the fault campaign run the
+#: SMD closed loop with: X and Y ramp at 2000 units/s^2 instead of 10, so a
+#: move and its pulse deadlines fit a short run
+FAST_MOTORS = {
+    "X": MotorSpec("X", 50_000.0, 0.025e-3, 1.25, 2000.0),
+    "Y": MotorSpec("Y", 50_000.0, 0.025e-3, 1.25, 2000.0),
+    "Phi": PHI_MOTOR,
+}
+
 
 class ProfileError(Exception):
     """Raised for physically impossible move requests."""
@@ -153,10 +162,6 @@ class Motor:
     def has_work(self) -> bool:
         """True once a move has been commanded (finished or not)."""
         return bool(self._pulses)
-
-    @property
-    def steps_remaining(self) -> int:
-        return len(self._pulses) - self._pulse_cursor
 
     def command_move(self, steps: int, start_cycle: int) -> None:
         """Start a move of *steps* (sign = direction) at *start_cycle*."""

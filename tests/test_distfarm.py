@@ -39,7 +39,6 @@ from repro.resil import (
     FrameTooLarge,
     MachineSnapshot,
     RestartPolicy,
-    RetryPolicy,
     ShardConfig,
     ShardSupervisor,
     SnapshotError,
@@ -143,17 +142,6 @@ class TestTransport:
             channel.recv(1.0)
         assert "3 of" in str(err.value)
         channel.close()
-
-    def test_retry_policy_jitter_is_seeded(self):
-        policy = RetryPolicy(max_attempts=4, seed=9)
-        first = list(policy.delays("shard1"))
-        again = list(policy.delays("shard1"))
-        other = list(policy.delays("shard2"))
-        assert first == again
-        assert first != other
-        base = RetryPolicy(max_attempts=4, seed=9, jitter=0.0)
-        for lower, jittered in zip(base.delays(""), first):
-            assert jittered >= lower
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ class TestBmcStage:
 class TestCanaryCampaign:
     def test_canary_caught_bisected_and_shrunk(self):
         """End-to-end acceptance shape: planted mutations are detected,
-        bisected to the planted stage (verified) and shrunk small."""
+        attributed to the planted stage (verified) and shrunk small."""
         report = FuzzCampaign(seed=1, charts=4, cycles=20,
                               canary_stage="promote-internal").run()
         caught = [o for o in report.outcomes if o.status == "diverged"]

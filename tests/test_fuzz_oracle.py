@@ -79,8 +79,8 @@ class TestCleanOracle:
         """Zero divergence across all rungs, snapshot/restore and the
         delta-chain reconstruction — the fuzzer's core invariant."""
         harness = OracleHarness(generate_spec(seed), cycles=25)
-        result = harness.run_all(stop_at_first=True)
-        assert result.clean, result.first_divergence.describe()
+        result = harness.run_all()
+        assert result.clean, result.divergence.describe()
         assert result.stages == harness.stage_names()
 
 
@@ -174,8 +174,8 @@ class TestCanary:
         assert divergence.stage == "promote-internal"
 
     def test_canary_divergence_is_monotone(self):
-        """Every stage at or after the mutation point diverges — the
-        property the ladder bisection relies on."""
+        """Every stage at or after the mutation point diverges: the canary
+        models a rung bug that persists down the ladder."""
         spec, mutation = first_plantable("promote-internal")
         harness = OracleHarness(spec, cycles=20, mutation=mutation)
         names = harness.stage_names()

@@ -25,7 +25,7 @@ def canary_case(stage="promote-internal", seeds=range(7919, 7940), cycles=20):
 
 def _first_divergence(spec, mutation, cycles):
     harness = OracleHarness(spec, cycles=cycles, mutation=mutation)
-    return harness.run_all(stop_at_first=True).first_divergence
+    return harness.run_all().divergence
 
 
 def same_bug_predicate(original, mutation, cycles):

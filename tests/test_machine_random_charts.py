@@ -31,8 +31,8 @@ class TestMachineMatchesInterpreterOnRandomCharts:
         field, with real action routines executing on both sides."""
         spec = generate_spec(seed)
         harness = OracleHarness(spec, cycles=cycles, max_rungs=1)
-        result = harness.run_all(stop_at_first=True)
-        assert result.clean, result.first_divergence.describe()
+        result = harness.run_all()
+        assert result.clean, result.divergence.describe()
 
     @settings(max_examples=15, deadline=None)
     @given(seeds, st.integers(5, 20))
@@ -41,8 +41,8 @@ class TestMachineMatchesInterpreterOnRandomCharts:
         configuration/firing agreement."""
         spec = generate_spec(seed, SHAPE_CONFIG)
         harness = OracleHarness(spec, cycles=cycles, max_rungs=1)
-        result = harness.run_all(stop_at_first=True)
-        assert result.clean, result.first_divergence.describe()
+        result = harness.run_all()
+        assert result.clean, result.divergence.describe()
 
     @settings(max_examples=15, deadline=None)
     @given(seeds)

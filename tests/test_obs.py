@@ -171,17 +171,6 @@ class TestMachineTracing:
         assert sum(e[4] for e in counters) == bridge.words_total
 
 
-class TestTepTracing:
-    def test_standalone_tep_run_traced(self):
-        machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
-        tracer = Tracer()
-        machine.executor.tracer = tracer
-        machine.step({"GO"})
-        spans = tracer.spans()
-        assert spans and spans[0][2].startswith("__t")
-        assert spans[0][5]["instructions"] > 0
-
-
 class TestHistoryModes:
     def test_default_history_unbounded(self):
         # the machine keeps no step history: run() returns every step

@@ -1,4 +1,4 @@
-"""Tests for pattern detection and the peephole optimizers (section 4)."""
+"""Tests for pattern detection and the microcode peephole (section 4)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.action import parse_program
 from repro.isa import (
     Imm,
     Instruction,
-    LabelRef,
     Mem,
     MINIMAL_TEP,
     Op,
@@ -20,7 +19,6 @@ from repro.isa import (
     is_fusable,
     leaf_variables,
     microprogram,
-    optimize_assembly,
     optimize_microprogram,
 )
 from repro.isa.microcode import RETURN_TO_FETCH
@@ -165,56 +163,3 @@ class TestMicrocodePeephole:
             manual = optimize_microprogram(microprogram(instr, MINIMAL_TEP))
             auto = microprogram(instr, arch_opt)
             assert len(manual) == len(auto)
-
-
-class TestAssemblyPeephole:
-    def test_jump_to_next_removed(self):
-        program = [
-            Instruction(Op.LDA, Imm(1)),
-            Instruction(Op.JMP, LabelRef("next")),
-            Instruction(Op.STA, Mem(0), label="next"),
-        ]
-        optimized = optimize_assembly(program)
-        assert len(optimized) == 2
-        assert optimized[1].label == "next"
-
-    def test_jump_elsewhere_kept(self):
-        program = [
-            Instruction(Op.JMP, LabelRef("far")),
-            Instruction(Op.NOP, label="near"),
-            Instruction(Op.RET, label="far"),
-        ]
-        assert len(optimize_assembly(program)) == 3
-
-    def test_store_load_pair_collapsed(self):
-        program = [
-            Instruction(Op.STA, Mem(4)),
-            Instruction(Op.LDA, Mem(4)),
-            Instruction(Op.ADD, Imm(1)),
-        ]
-        optimized = optimize_assembly(program)
-        assert [i.op for i in optimized] == [Op.STA, Op.ADD]
-
-    def test_store_load_with_label_kept(self):
-        program = [
-            Instruction(Op.STA, Mem(4)),
-            Instruction(Op.LDA, Mem(4), label="entry"),
-        ]
-        assert len(optimize_assembly(program)) == 2
-
-    def test_store_load_different_address_kept(self):
-        program = [
-            Instruction(Op.STA, Mem(4)),
-            Instruction(Op.LDA, Mem(5)),
-        ]
-        assert len(optimize_assembly(program)) == 2
-
-    def test_fixed_point_chains(self):
-        program = [
-            Instruction(Op.STA, Mem(1)),
-            Instruction(Op.LDA, Mem(1)),
-            Instruction(Op.JMP, LabelRef("n")),
-            Instruction(Op.RET, label="n"),
-        ]
-        optimized = optimize_assembly(program)
-        assert [i.op for i in optimized] == [Op.STA, Op.RET]
