@@ -7,6 +7,7 @@ Public API::
 
 from repro.flow.build import (
     BuiltSystem,
+    Frontend,
     build_system,
     select_initial_architecture,
     transition_cost_map,
@@ -37,7 +38,7 @@ from repro.flow.timing import (
 )
 
 __all__ = [
-    "BuiltSystem", "EventCycle", "ImprovementResult", "Improver",
+    "BuiltSystem", "EventCycle", "Frontend", "ImprovementResult", "Improver",
     "LadderStep", "Rung", "TimingValidator", "TimingViolation",
     "architecture_figure", "ascii_table", "build_system",
     "comparison_table", "hot_globals", "improvement_profile_json",

@@ -10,23 +10,32 @@ This is the module a user calls first::
     system = build_system(chart, routines_source, arch)
     system.validator.validate()      # static timing
     machine = system.make_machine()  # executable model
+
+Several architecture points of one chart share a :class:`Frontend`: it
+parses, checks and synthesizes once, and each :meth:`Frontend.build` only
+compiles and prices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.action.check import CheckedProgram, Externals
+from repro.action.check import CheckedProgram, Externals, check_program
 from repro.hw.area import AppStats, AreaEstimate, estimate_area
 from repro.isa.arch import ArchConfig, StorageClass
-from repro.isa.codegen import CodeGenerator, CompiledProgram, NameMaps, prepare_program
+from repro.isa.codegen import (
+    CodeGenerator,
+    CompiledProgram,
+    NameMaps,
+    RoutineFrontend,
+)
 from repro.isa.microcode import DecoderRom
 from repro.pscp.machine import PscpMachine, stub_wcet
 from repro.pscp.ports import PortBus
 from repro.pscp.scheduler import DISPATCH_OVERHEAD_CYCLES
 from repro.sla.synth import Pla, synthesize
-from repro.statechart.model import Chart, Transition
+from repro.statechart.model import Chart
 from repro.flow.timing import TimingValidator
 
 
@@ -117,12 +126,14 @@ def specialize_routines(chart: Chart, checked: CheckedProgram,
     """
     import copy as _copy
 
-    from repro.action.check import check_program
     from repro.action.transform import TransformError, specialize_call
     from repro.statechart.labels import action_arguments, action_routine_name
 
     chart = _copy.deepcopy(chart)
-    program = checked.program
+    # the clones extend a copy of the function list: *checked* may be
+    # shared by other builds (see :class:`Frontend`)
+    program = replace(checked.program,
+                      functions=list(checked.program.functions))
     enum_values = _enum_value_map(program)
     existing = {f.name for f in program.functions}
     made: Dict[Tuple[str, Tuple[int, ...]], str] = {}
@@ -168,6 +179,109 @@ def specialize_routines(chart: Chart, checked: CheckedProgram,
     return chart, checked
 
 
+class Frontend(RoutineFrontend):
+    """What the flow computes once per (chart, routine source).
+
+    The section 4 ladder changes only the architecture, so a chart's
+    routines are parsed and checked once (and once more per distinct
+    runtime-helper set, :meth:`checked`) and its SLA is synthesized once
+    (:attr:`pla`, on first use).  :meth:`build` is the back end, run once
+    per architecture point: code generation, pricing and the timing
+    validator.  Nothing here writes to the shared ASTs or ``Pla``; a
+    specialized build rewrites copies.
+    """
+
+    def __init__(self, chart: Chart, source: str) -> None:
+        super().__init__(source, Externals.from_chart(chart))
+        self.chart = chart
+        self._pla: Optional[Pla] = None
+
+    @property
+    def pla(self) -> Pla:
+        if self._pla is None:
+            self._pla = synthesize(self.chart)
+        return self._pla
+
+    def build(self, arch: ArchConfig,
+              storage_map: Optional[Dict[str, StorageClass]] = None,
+              specialize: bool = False) -> BuiltSystem:
+        """The system for one architecture point.  A specialized build
+        rewrites a copy of the chart and synthesizes that copy's SLA."""
+        chart, checked = self.chart, self.checked(arch)
+        if specialize:
+            chart, checked = specialize_routines(chart, checked,
+                                                 self.externals)
+        maps = NameMaps.from_chart(chart)
+        compiled = CodeGenerator(checked, arch, maps=maps,
+                                 storage_map=storage_map).compile()
+        param_names = {f.name: [p.name for p in f.params]
+                       for f in checked.program.functions}
+        pla = synthesize(chart) if specialize else self.pla
+        costs = transition_cost_map(chart, compiled, param_names)
+        validator = TimingValidator(
+            chart, lambda t: costs[t.index], arch=arch)
+        return BuiltSystem(
+            chart=chart,
+            source=self.source,
+            arch=arch,
+            checked=checked,
+            compiled=compiled,
+            pla=pla,
+            param_names=param_names,
+            transition_costs=costs,
+            validator=validator,
+            storage_map=dict(storage_map or {}),
+        )
+
+    def initial_architecture(self, name: str = "selected") -> ArchConfig:
+        """Derive the starting architecture from the application's
+        data-path requirements (section 1: "The assembler-level instruction
+        set is mostly used to analyze the data-path requirements of an
+        application").
+
+        * the data-bus width is the widest scalar the routines manipulate
+          (rounded to 8/16/32);
+        * an M/D calculation unit is selected iff the routines multiply or
+          divide.
+        """
+        from repro.action.ast import (
+            ArrayType,
+            Binary,
+            BinOp,
+            StructType,
+            type_width,
+            walk_expr,
+            walk_stmts,
+        )
+
+        max_width = 8
+        needs_muldiv = False
+        for function in self.typed.program.functions:
+            for stmt in walk_stmts(function.body):
+                for attr in ("value", "init", "cond", "expr", "target"):
+                    root = getattr(stmt, attr, None)
+                    if root is None or not hasattr(root, "typ"):
+                        continue
+                    for node in walk_expr(root):
+                        if (node.typ is not None and not isinstance(
+                                node.typ, (ArrayType, StructType))):
+                            try:
+                                max_width = max(max_width,
+                                                type_width(node.typ))
+                            except TypeError:
+                                pass
+                        if isinstance(node, Binary) and node.op in (
+                                BinOp.MUL, BinOp.DIV, BinOp.MOD):
+                            needs_muldiv = True
+        width = 8 if max_width <= 8 else (16 if max_width <= 16 else 32)
+        return ArchConfig(
+            name=name,
+            data_width=width,
+            has_muldiv=needs_muldiv,
+            internal_ram_words=64 if width >= 16 else 32,
+        )
+
+
 def build_system(
     chart: Chart,
     source: str,
@@ -176,76 +290,12 @@ def build_system(
     specialize: bool = False,
 ) -> BuiltSystem:
     """Run the flow front-to-back for one architecture point."""
-    externals = Externals.from_chart(chart)
-    checked = prepare_program(source, arch, externals)
-    if specialize:
-        chart, checked = specialize_routines(chart, checked, externals)
-    maps = NameMaps.from_chart(chart)
-    compiled = CodeGenerator(checked, arch, maps=maps,
-                             storage_map=storage_map).compile()
-    param_names = {f.name: [p.name for p in f.params]
-                   for f in checked.program.functions}
-    pla = synthesize(chart)
-    costs = transition_cost_map(chart, compiled, param_names)
-    validator = TimingValidator(
-        chart, lambda t: costs[t.index], arch=arch)
-    return BuiltSystem(
-        chart=chart,
-        source=source,
-        arch=arch,
-        checked=checked,
-        compiled=compiled,
-        pla=pla,
-        param_names=param_names,
-        transition_costs=costs,
-        validator=validator,
-        storage_map=dict(storage_map or {}),
-    )
+    return Frontend(chart, source).build(arch, storage_map=storage_map,
+                                         specialize=specialize)
 
 
 def select_initial_architecture(chart: Chart, source: str,
                                 name: str = "selected") -> ArchConfig:
-    """Derive the starting architecture from the application's data-path
-    requirements (section 1: "The assembler-level instruction set is mostly
-    used to analyze the data-path requirements of an application").
-
-    * the data-bus width is the widest scalar the routines manipulate
-      (rounded to 8/16/32);
-    * an M/D calculation unit is selected iff the routines multiply or
-      divide.
-    """
-    from repro.action.ast import Binary, BinOp, type_width, walk_expr, walk_stmts
-    from repro.action.parser import parse_with_preamble
-    from repro.action.check import check_program
-
-    externals = Externals.from_chart(chart)
-    program = parse_with_preamble(source)
-    check_program(program, externals)
-
-    max_width = 8
-    needs_muldiv = False
-    for function in program.functions:
-        for stmt in walk_stmts(function.body):
-            for attr in ("value", "init", "cond", "expr", "target"):
-                root = getattr(stmt, attr, None)
-                if root is None or not hasattr(root, "typ"):
-                    continue
-                for node in walk_expr(root):
-                    if node.typ is not None:
-                        from repro.action.ast import ArrayType, StructType
-                        if not isinstance(node.typ, (ArrayType, StructType)):
-                            try:
-                                max_width = max(max_width,
-                                                type_width(node.typ))
-                            except TypeError:
-                                pass
-                    if isinstance(node, Binary) and node.op in (
-                            BinOp.MUL, BinOp.DIV, BinOp.MOD):
-                        needs_muldiv = True
-    width = 8 if max_width <= 8 else (16 if max_width <= 16 else 32)
-    return ArchConfig(
-        name=name,
-        data_width=width,
-        has_muldiv=needs_muldiv,
-        internal_ram_words=64 if width >= 16 else 32,
-    )
+    """The starting architecture :meth:`Frontend.initial_architecture`
+    derives from the routines' data-path requirements."""
+    return Frontend(chart, source).initial_architecture(name)

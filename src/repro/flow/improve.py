@@ -22,7 +22,9 @@ in order and never stops.  :meth:`Improver.run` evaluates the rungs (timing
 validator, area) and stops at the first that meets the constraints; the
 resulting trajectory is exactly the kind of data Table 4 reports (area vs.
 the two critical paths at each point).  The differential fuzz oracle walks
-the same rungs without evaluating them.
+the same rungs without evaluating them.  The rungs change only the
+architecture, so they share one :class:`~repro.flow.build.Frontend`: the
+chart is parsed, checked and synthesized once.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.isa.patterns import (
     find_custom_candidates,
     find_negation_sites,
 )
-from repro.flow.build import BuiltSystem, build_system, select_initial_architecture
+from repro.flow.build import BuiltSystem, Frontend
 from repro.statechart.model import Chart
 
 #: registers the ``promote-register`` rung adds, and globals it promotes
@@ -133,10 +135,10 @@ class Improver:
         max_teps: int = 2,
         allow_pipelining: bool = False,
     ) -> None:
-        self.chart = chart
-        self.source = source
+        #: parsed, checked and synthesized once; every rung only compiles
+        self.frontend = Frontend(chart, source)
         self.initial_arch = (initial_arch if initial_arch is not None
-                             else select_initial_architecture(chart, source))
+                             else self.frontend.initial_architecture())
         self.mutual_exclusions = mutual_exclusions
         self.max_teps = max_teps
         self.allow_pipelining = allow_pipelining
@@ -154,8 +156,7 @@ class Improver:
         def build(name: str, description: str) -> Rung:
             storage = dict(storage_map)
             return Rung(name, description, arch, storage,
-                        build_system(self.chart, self.source, arch,
-                                     storage_map=storage))
+                        self.frontend.build(arch, storage_map=storage))
 
         rung = build("baseline", f"initial architecture {arch.describe()}")
         yield rung

@@ -25,13 +25,11 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.flow.build import select_initial_architecture
 from repro.fuzz.generator import (
     ChartSpec,
     GeneratorConfig,
     generate_spec,
     render_chart,
-    render_source,
     spec_from_json,
     spec_to_json,
 )
@@ -194,9 +192,9 @@ class FuzzCampaign:
             states=len(spec.states()), transitions=len(spec.transitions),
             status="clean")
 
-        chart = render_chart(spec)
-        source = render_source(spec)
-        lint = _lint(chart, source)
+        harness = OracleHarness(spec, cycles=self.cycles,
+                                max_rungs=self.max_rungs)
+        lint = _lint(harness)
         if lint:
             outcome.status = "lint-error"
             outcome.lint_errors = lint
@@ -209,10 +207,8 @@ class FuzzCampaign:
             if mutation is None:
                 outcome.status = "canary-unplantable"
                 return outcome
+            harness.mutation = mutation
 
-        harness = OracleHarness(spec, cycles=self.cycles,
-                                max_rungs=self.max_rungs,
-                                mutation=mutation)
         try:
             result = harness.run_all()
         except RoundTripError as exc:
@@ -222,8 +218,7 @@ class FuzzCampaign:
         outcome.stages = result.stages
         if result.clean:
             if self.bmc:
-                outcome.bmc, ok = self._bmc_cross_check(chart, source,
-                                                        harness)
+                outcome.bmc, ok = self._bmc_cross_check(harness)
                 if not ok:
                     outcome.status = "bmc-mismatch"
             return outcome
@@ -269,7 +264,7 @@ class FuzzCampaign:
     # ------------------------------------------------------------------
     _BMC_MAX_IMPLIED = 12
 
-    def _bmc_cross_check(self, chart, source, harness) -> tuple:
+    def _bmc_cross_check(self, harness: OracleHarness) -> tuple:
         """Model-check the chart against what we already know is true.
 
         Three independent probes of the checker (see docs/CHECKING.md):
@@ -287,6 +282,7 @@ class FuzzCampaign:
                          "agreement_misses": [], "canary": None,
                          "complete": None, "nodes": 0}
         ok = True
+        chart = harness.chart
 
         names = sorted(chart.states)
         implied = []
@@ -316,7 +312,7 @@ class FuzzCampaign:
 
         system = harness.rungs()[0].system
         result = check_system(
-            chart, source, system,
+            chart, harness.source, system,
             properties_text="\n".join(lines) + "\n",
             depth=self.cycles, max_states=4000,
             include_declared_deadlines=False,
@@ -358,12 +354,17 @@ class FuzzCampaign:
         return summary, ok
 
 
-def _lint(chart, source) -> List[str]:
-    """Error-severity diagnostics for one rendered chart, as strings."""
+def _lint(harness: OracleHarness) -> List[str]:
+    """Error-severity diagnostics for the harness's chart, as strings.
+
+    Lint checks the ladder's baseline rung: the system it would build
+    itself (the initial architecture, no storage map, no specialization).
+    """
     from repro.analysis import lint_system
 
-    arch = select_initial_architecture(chart, source)
-    result = lint_system(chart, source, arch)
+    baseline = harness.rungs()[0]
+    result = lint_system(harness.chart, harness.source, baseline.arch,
+                         system=baseline.system)
     return [diag.format() for diag in result.diagnostics
             if diag.severity.value == "error"]
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from repro.flow.build import BuiltSystem, build_system
+from repro.flow.build import BuiltSystem, Frontend
 from repro.flow.improve import Improver, Rung
 from repro.fuzz.generator import (
     ChartSpec,
@@ -330,6 +330,7 @@ class OracleHarness:
         self.trace_seed = ((spec.seed or 0) * 7919 + 1
                            if trace_seed is None else trace_seed)
         self.trace = event_trace(self.trace_seed, spec.events, cycles)
+        #: the canary; may be set until the first mutated stage is built
         self.mutation = mutation
         self.max_rungs = max_rungs
         self.source = render_source(spec)
@@ -337,7 +338,8 @@ class OracleHarness:
         self._rungs: Optional[List[Rung]] = None
         self._reference: Optional[List[CycleState]] = None
         self._mutated_systems: Dict[int, BuiltSystem] = {}
-        self._mutated_chart: Optional[Chart] = None
+        #: the mutated chart's front end, made on the first mutated stage
+        self._mutated: Optional[Frontend] = None
 
     # -- stage inventory ----------------------------------------------------
     def rungs(self) -> List[Rung]:
@@ -367,15 +369,15 @@ class OracleHarness:
             return rung.system
         rung_index = min(index, len(rungs) - 1)
         if rung_index not in self._mutated_systems:
-            if self._mutated_chart is None:
+            if self._mutated is None:
                 mutated_spec = apply_mutation(self.spec, self.mutation)
                 if mutated_spec is None:
                     raise ValueError(
                         f"mutation {self.mutation} no longer applies")
-                self._mutated_chart = render_chart(mutated_spec)
-            self._mutated_systems[rung_index] = build_system(
-                self._mutated_chart, self.source, rung.arch,
-                storage_map=dict(rung.storage_map))
+                self._mutated = Frontend(render_chart(mutated_spec),
+                                         self.source)
+            self._mutated_systems[rung_index] = self._mutated.build(
+                rung.arch, storage_map=dict(rung.storage_map))
         return self._mutated_systems[rung_index]
 
     # -- reference run ------------------------------------------------------

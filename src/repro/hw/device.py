@@ -10,7 +10,7 @@ the area model prices on-chip memories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 
 @dataclass(frozen=True)

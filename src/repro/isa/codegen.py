@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.action.ast import (
     ArrayType,
@@ -42,7 +42,6 @@ from repro.action.ast import (
     Binary,
     BinOp,
     BoolLiteral,
-    BoolType,
     Call,
     COMPARISONS,
     EnumType,
@@ -66,7 +65,8 @@ from repro.action.ast import (
     While,
     type_width,
 )
-from repro.action.check import CheckedProgram
+from repro.action.check import CheckedProgram, check_program
+from repro.action.parser import parse_with_preamble
 from repro.action.stdlib import is_builtin
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.cost import (
@@ -74,7 +74,6 @@ from repro.isa.cost import (
     Branch,
     CallCost,
     CostNode,
-    FixedCost,
     Loop,
     Seq,
     routine_wcets,
@@ -82,7 +81,6 @@ from repro.isa.cost import (
 from repro.isa.isa import (
     Imm,
     Instruction,
-    IsaError,
     LabelRef,
     Mem,
     Op,
@@ -93,7 +91,6 @@ from repro.isa.isa import (
 )
 from repro.isa.patterns import (
     expression_signature,
-    is_simple,
     leaf_variables,
 )
 
@@ -1491,6 +1488,38 @@ def required_helpers(program, arch: ArchConfig) -> List[str]:
     return needed
 
 
+class RoutineFrontend:
+    """The routines of one source, parsed and checked once per helper set.
+
+    The helper-free program is checked on construction: its types tell
+    :func:`required_helpers` which runtime helpers an architecture needs.
+    :meth:`checked` parses and checks the helper-spliced source once per
+    distinct helper tuple; the empty tuple is the helper-free program.
+    """
+
+    def __init__(self, source: str, externals=None) -> None:
+        self.source = source
+        self.externals = externals
+        #: the typed program without runtime helpers
+        self.typed = check_program(parse_with_preamble(source), externals)
+        self._by_helpers: Dict[Tuple[str, ...], CheckedProgram] = {
+            (): self.typed}
+
+    def checked(self, arch: ArchConfig) -> CheckedProgram:
+        """The checked program with the runtime helpers *arch* needs.
+
+        Helpers may need other helpers (division uses shifts by 1 only, so
+        the closure is a single pass)."""
+        helpers = tuple(required_helpers(self.typed.program, arch))
+        if helpers not in self._by_helpers:
+            spliced = "\n".join(
+                [_runtime_source(name, int(name[5:])) for name in helpers]
+                + [self.source])
+            self._by_helpers[helpers] = check_program(
+                parse_with_preamble(spliced), self.externals)
+        return self._by_helpers[helpers]
+
+
 def prepare_program(source: str, arch: ArchConfig,
                     externals=None) -> CheckedProgram:
     """Parse, splice in required runtime helpers, and check.
@@ -1498,20 +1527,4 @@ def prepare_program(source: str, arch: ArchConfig,
     This is the front half of the flow: feed it the application's
     intermediate-C source; hand the result to :class:`CodeGenerator`.
     """
-    from repro.action.check import Externals, check_program
-    from repro.action.parser import parse_with_preamble
-
-    program = parse_with_preamble(source)
-    # type information is needed to find helper widths: check once without
-    # helpers (helper calls are emitted by codegen, not present in source)
-    checked = check_program(program, externals)
-    helper_names = required_helpers(program, arch)
-    # helpers may need other helpers (division uses shifts by 1 only, so the
-    # closure is a single pass)
-    if helper_names:
-        helper_source = "\n".join(_runtime_source(name, int(name[5:]))
-                                  for name in helper_names)
-        full = (helper_source + "\n" + source)
-        program = parse_with_preamble(full)
-        checked = check_program(program, externals)
-    return checked
+    return RoutineFrontend(source, externals).checked(arch)

@@ -21,14 +21,13 @@ Flag conventions (documented here once, relied on by the code generator):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.isa import (
     Imm,
     Instruction,
-    IsaError,
     LabelRef,
     Mem,
     Op,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 #: the reference clock of the example (section 5)
 REFERENCE_CLOCK_HZ = 15_000_000

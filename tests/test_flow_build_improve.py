@@ -1,14 +1,12 @@
 """Tests for the end-to-end flow and the iterative improvement ladder."""
 
-import pytest
-
 from repro.flow import (
+    Frontend,
     Improver,
     build_system,
     select_initial_architecture,
 )
-from repro.flow.build import specialize_routines
-from repro.isa import MD16_TEP, MINIMAL_TEP, StorageClass
+from repro.isa import MD16_TEP, MINIMAL_TEP
 from repro.statechart import ChartBuilder
 
 
@@ -160,15 +158,14 @@ class TestImprover:
         assert len(result.steps) == 1
 
     def test_baseline_meeting_constraints_builds_once(self, monkeypatch):
-        import repro.flow.improve as improve
-
         builds = []
+        build = Frontend.build
 
-        def counting_build(*args, **kwargs):
+        def counting_build(self, *args, **kwargs):
             builds.append(args)
-            return build_system(*args, **kwargs)
+            return build(self, *args, **kwargs)
 
-        monkeypatch.setattr(improve, "build_system", counting_build)
+        monkeypatch.setattr(Frontend, "build", counting_build)
         b = ChartBuilder("easy")
         b.event("E", period=100000)
         with b.or_state("T", default="S"):
