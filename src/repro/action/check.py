@@ -29,7 +29,6 @@ from repro.action.ast import (
     ArrayType,
     Assign,
     Binary,
-    BinOp,
     BoolLiteral,
     BoolType,
     Call,
@@ -286,15 +285,14 @@ class _FunctionChecker:
 
 
 class Checker:
-    def __init__(self, program: Program, externals: Optional[Externals] = None,
-                 source_path: Optional[str] = None) -> None:
+    def __init__(self, program: Program,
+                 externals: Optional[Externals] = None) -> None:
         self.program = program
         self.externals = externals or Externals()
         self.problems: List[str] = []
         #: structured form of ``problems``: same messages plus stable codes
         #: and source locations (line numbers threaded from the parser)
         self.diagnostics: List[Diagnostic] = []
-        self.source_path = source_path
         self.global_types: Dict[str, Type] = {}
 
     def error(self, message: str, *, line: Optional[int] = None,
@@ -302,8 +300,7 @@ class Checker:
         self.problems.append(message)
         self.diagnostics.append(Diagnostic(
             code=code, severity=Severity.ERROR, message=message,
-            location=SourceLocation(file=self.source_path, line=line,
-                                    obj=obj)))
+            location=SourceLocation(line=line, obj=obj)))
 
     def analyze(self) -> CheckedProgram:
         """Check everything, collecting problems instead of raising.
@@ -313,17 +310,6 @@ class Checker:
         of them together.  The returned program is only trustworthy when
         no problems were found.
         """
-        return self._run_checks()
-
-    def run(self) -> CheckedProgram:
-        checked = self._run_checks()
-        if self.problems:
-            raise CheckError(
-                "action program is not well-formed:\n  " +
-                "\n  ".join(self.problems))
-        return checked
-
-    def _run_checks(self) -> CheckedProgram:
         # enum members are global constants
         for enum_type in self.program.enums + [
                 t for _, t in self.program.typedefs if isinstance(t, EnumType)]:
@@ -353,6 +339,15 @@ class Checker:
 
         return CheckedProgram(self.program, self.externals,
                               self.global_types, call_order)
+
+    def run(self) -> CheckedProgram:
+        """:meth:`analyze`, raising :class:`CheckError` on any problem."""
+        checked = self.analyze()
+        if self.problems:
+            raise CheckError(
+                "action program is not well-formed:\n  " +
+                "\n  ".join(self.problems))
+        return checked
 
     def _check_recursion(self) -> List[str]:
         """Reject call cycles; return callees-first topological order."""

@@ -47,11 +47,14 @@ from repro.action.ast import (
     While,
 )
 from repro.action.lexer import Token, tokenize
+from repro.action.stdlib import PREAMBLE
 
 
 class ActionParseError(Exception):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
+        #: the message without its line, to re-make the error at another line
+        self.message = message
         self.line = line
 
 
@@ -460,13 +463,16 @@ def parse_program(text: str) -> Program:
     return Parser(tokenize(text)).parse_program()
 
 
+#: lines :func:`parse_with_preamble` puts in front of line 1 of its text
+PREAMBLE_LINES = PREAMBLE.count("\n") + 1
+
+
 def parse_with_preamble(text: str) -> Program:
     """Parse *text* with the standard preamble of Fig. 2b prepended.
 
     The preamble defines the ``ECD``/``Encoding``/``PortDir`` enums and the
     ``Port``/``EventCondition`` structs that "are always part of the
-    generated C code".
+    generated C code".  Line *n* of *text* is line ``PREAMBLE_LINES + n``
+    of what is parsed.
     """
-    from repro.action.stdlib import PREAMBLE
-
     return parse_program(PREAMBLE + "\n" + text)

@@ -15,7 +15,7 @@ transition's action text to call the clone.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.action.ast import (
     Assign,

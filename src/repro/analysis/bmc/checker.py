@@ -344,12 +344,16 @@ def check_system(chart: Chart, source: str, system, *,
                  enable: Sequence[str] = ()) -> CheckResult:
     """Model-check one built system against its declared properties.
 
-    *system* is the :class:`~repro.flow.build.BuiltSystem` whose machine
-    replays witnesses and whose validator supplies the heuristic event
-    cycles that deadline properties prove or refute.
+    *system* is the :class:`~repro.flow.build.BuiltSystem` built from
+    *chart* and *source*: its front end's typed program gives the
+    routines' abstract effects, its machine replays witnesses and its
+    validator supplies the heuristic event cycles that deadline properties
+    prove or refute.  Raises :class:`ValueError` when *source* is not the
+    routine source *system* was built from.
     """
-    from repro.action.check import Checker, Externals
-    from repro.action.parser import parse_with_preamble
+    if source != system.frontend.source:
+        raise ValueError("source is not the routine source the system was "
+                         "built from")
 
     out = Collector()
     parsed: ParsedProperties = parse_properties(
@@ -374,9 +378,7 @@ def check_system(chart: Chart, source: str, system, *,
             verdicts=(), nodes=0, complete=False,
             truncation="property errors")
 
-    program = parse_with_preamble(source)
-    checked = Checker(program, Externals.from_chart(chart)).analyze()
-    actions = abstract_actions(chart, checked)
+    actions = abstract_actions(chart, system.frontend.typed)
 
     explorer = Explorer(system.pla, actions, depth=depth,
                         max_states=max_states)

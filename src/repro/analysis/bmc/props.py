@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.diag import Collector, Diagnostic, SourceLocation
 from repro.statechart.expr import Expr, ExprError, parse_expr

@@ -23,7 +23,7 @@ that holds on every execution path the analysis can see:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.action.ast import (
     Assign,
@@ -31,7 +31,6 @@ from repro.action.ast import (
     BinOp,
     BoolLiteral,
     BoolType,
-    Call,
     EnumType,
     Expr,
     ExprStmt,

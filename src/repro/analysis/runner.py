@@ -5,11 +5,12 @@ Pass pipeline (each stage only runs when its prerequisites hold):
 1. chart well-formedness + design smells — structural errors stop here
    (later passes assume a well-formed chart);
 2. determinism (shadowed transitions / priority overlaps);
-3. action parse + semantic check (diagnostics, never exceptions) —
+3. the front end's action parse + semantic check diagnostics (it parsed
+   and checked the routines once, recording instead of raising) —
    semantic errors stop here (dataflow and effects need typed ASTs);
 4. action dataflow (use-before-init, dead stores, constants, truncation);
 5. effect analysis -> AND-region races + quiescence;
-6. full system build -> WCET/budget + SLA/TAT checks.
+6. full system build from the front end -> WCET/budget + SLA/TAT checks.
 
 Races run on the *original* chart (before routine specialization) so
 constant-argument context sensitivity applies; the budget pass runs on the
@@ -18,17 +19,15 @@ constant-argument context sensitivity applies; the budget pass runs on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Tuple
 
 from repro.analysis.diag import (
     Diagnostic,
     Severity,
-    SourceLocation,
     count_by_severity,
     finalize,
 )
-from repro.statechart.model import Chart
 
 
 @dataclass(frozen=True)
@@ -50,42 +49,26 @@ class LintResult:
         return self.errors > 0
 
 
-def _preamble_offset() -> int:
-    from repro.action.stdlib import PREAMBLE
-
-    return PREAMBLE.count("\n") + 1
-
-
-def _shift(diagnostic: Diagnostic, offset: int) -> Diagnostic:
-    location = diagnostic.location
-    if location.line is None or location.line <= offset:
-        return diagnostic
-    import dataclasses
-
-    return dataclasses.replace(
-        diagnostic,
-        location=dataclasses.replace(location, line=location.line - offset))
-
-
-def lint_system(chart: Chart,
-                source: str,
+def lint_system(frontend,
                 arch,
                 *,
                 specialize: bool = False,
-                storage_map: Optional[Dict] = None,
                 system=None,
                 chart_path: Optional[str] = None,
                 source_path: Optional[str] = None,
                 suppress: Iterable[str] = (),
                 enable: Iterable[str] = ()) -> LintResult:
-    """Run every applicable pass over one (chart, routines, arch) triple.
+    """Run every applicable pass over one chart and its routines at *arch*.
 
-    *system* may pass in an already-built :class:`BuiltSystem` to avoid
-    rebuilding; otherwise the runner builds one itself once the frontend
-    passes are clean.
+    *frontend* is the :class:`~repro.flow.build.Frontend` of the chart and
+    routines: the routine passes read its diagnostics and typed program.
+    *system* may pass in a system already built from *frontend* to avoid
+    rebuilding; otherwise the runner builds one from *frontend* once the
+    routine passes are clean.
     """
-    from repro.action.check import Checker, Externals
-    from repro.action.parser import ActionParseError, parse_with_preamble
+    if system is not None and system.frontend is not frontend:
+        raise ValueError("system was not built from this front end")
+
     from repro.analysis.chart_lint import (
         design_smells,
         determinism,
@@ -97,6 +80,7 @@ def lint_system(chart: Chart,
         return LintResult(finalize(diagnostics, suppress=suppress,
                                    enable=enable))
 
+    chart = frontend.chart
     diagnostics = list(wellformedness(chart, chart_path))
     diagnostics += design_smells(chart, chart_path)
     if any(d.severity is Severity.ERROR for d in diagnostics):
@@ -104,29 +88,20 @@ def lint_system(chart: Chart,
 
     diagnostics += determinism(chart, chart_path)
 
-    offset = _preamble_offset()
-    try:
-        program = parse_with_preamble(source)
-    except ActionParseError as exc:
-        line = exc.line - offset if exc.line > offset else exc.line
-        diagnostics.append(Diagnostic(
-            code="PSC301", severity=Severity.ERROR,
-            message=f"action program does not parse: {exc}",
-            location=SourceLocation(file=source_path, line=line)))
-        return done(diagnostics)
+    if frontend.diagnostics:
+        # untyped ASTs: dataflow would misfire
+        return done(diagnostics + [
+            replace(d, location=replace(d.location, file=source_path))
+            for d in frontend.diagnostics])
 
-    checker = Checker(program, Externals.from_chart(chart),
-                      source_path=source_path)
-    checked = checker.analyze()
-    diagnostics += [_shift(d, offset) for d in checker.diagnostics]
-    if checker.problems:
-        return done(diagnostics)  # untyped ASTs: dataflow would misfire
-
+    from repro.action.parser import PREAMBLE_LINES
     from repro.analysis.dataflow import action_dataflow
     from repro.analysis.effects import transition_effects
     from repro.analysis.races import and_region_races
 
-    diagnostics += action_dataflow(checked, source_path, line_offset=offset)
+    checked = frontend.typed
+    diagnostics += action_dataflow(checked, source_path,
+                                   line_offset=PREAMBLE_LINES)
 
     effects = transition_effects(chart, checked)
     mutual_exclusions = getattr(arch, "mutual_exclusions", frozenset())
@@ -137,11 +112,7 @@ def lint_system(chart: Chart,
     diagnostics += quiescence(chart, raised_by, chart_path)
 
     if system is None:
-        from repro.flow.build import build_system
-
-        system = build_system(chart, source, arch,
-                              storage_map=storage_map,
-                              specialize=specialize)
+        system = frontend.build(arch, specialize=specialize)
 
     from repro.analysis.budget import budget_lint
     from repro.analysis.sla_lint import sla_lint

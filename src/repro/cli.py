@@ -96,11 +96,10 @@ import sys
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.flow import (
+    Frontend,
     Improver,
-    build_system,
     improvement_profile_json,
     improvement_profile_report,
-    select_initial_architecture,
     table2_report,
     table3_report,
 )
@@ -146,22 +145,33 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _sim_argument_parser(prog: str, description: str
-                         ) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=prog, description=description)
-    parser.add_argument("project",
+def _add_project_arguments(parser: argparse.ArgumentParser,
+                           required: bool = True) -> None:
+    parser.add_argument("project", nargs=None if required else "?",
+                        default=None,
                         help="project directory (one *.sc + one *.c) or a "
                              "chart file followed by a routine file")
     parser.add_argument("routines", nargs="?", default=None,
                         help="routine file (when PROJECT is a chart file)")
-    parser.add_argument("--cycles", type=_positive_int, default=None,
-                        help="configuration cycles to simulate")
+
+
+def _add_arch_arguments(parser: argparse.ArgumentParser) -> None:
+    """The options :func:`_arch_for_chart` reads."""
     parser.add_argument("--arch", choices=sorted(_ARCHS),
                         help="architecture (default: auto-select)")
     parser.add_argument("--teps", type=_positive_int, default=None,
                         help="number of TEPs (default: 2 for the SMD chart)")
     parser.add_argument("--optimize", action="store_true",
                         help="peephole + constant-argument specialization")
+
+
+def _sim_argument_parser(prog: str, description: str
+                         ) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    _add_project_arguments(parser)
+    parser.add_argument("--cycles", type=_positive_int, default=None,
+                        help="configuration cycles to simulate")
+    _add_arch_arguments(parser)
     return parser
 
 
@@ -186,20 +196,22 @@ def _resolve_paths(project: str, routines: Optional[str]
 
 
 def _arch_for_chart(chart, routine_text: str, args):
-    """Shared architecture defaulting for simulation and lint runs.
+    """The command's one front end, and the shared architecture defaulting
+    for simulation and lint runs.
 
     The SMD chart defaults to the paper's final architecture (two 16-bit
     M/D TEPs, optimized code, declared mutual exclusions); other charts
-    default to the auto-selected architecture with one TEP.  Returns
-    (arch, specialize-routines?).
+    default to the auto-selected architecture with one TEP, which reads
+    the routines.  Returns (front end, arch, specialize-routines?).
     """
+    frontend = Frontend(chart, routine_text)
     is_smd = chart.name == "smd_pickup_head"
     if args.arch is not None:
         arch = _ARCHS[args.arch]
     elif is_smd:
         arch = MD16_TEP
     else:
-        arch = select_initial_architecture(chart, routine_text)
+        arch = frontend.initial_architecture()
     teps = args.teps if args.teps is not None else (2 if is_smd else 1)
     exclusions = frozenset()
     if is_smd and teps > 1:
@@ -208,29 +220,13 @@ def _arch_for_chart(chart, routine_text: str, args):
     optimize = args.optimize or is_smd
     arch = arch.with_(n_teps=teps, mutual_exclusions=exclusions,
                       microcode_optimized=optimize)
-    return arch, optimize
-
-
-def _routine_error(exc, source_path):
-    """A routine parse/check failure as a PSC301 diagnostic, its line
-    shifted back past the internal type preamble into the user's file."""
-    from repro.action.stdlib import PREAMBLE
-    from repro.analysis import Diagnostic, Severity, SourceLocation
-
-    offset = PREAMBLE.count("\n") + 1
-    line = getattr(exc, "line", None)
-    if line is not None and line > offset:
-        line -= offset
-    return Diagnostic(
-        code="PSC301", severity=Severity.ERROR,
-        message=f"routines do not parse: {exc}",
-        location=SourceLocation(file=source_path, line=line))
+    return frontend, arch, optimize
 
 
 def _build_for_simulation(chart, routine_text: str, args):
     """Build the system a trace/stats/faults/serve/check run uses."""
-    arch, optimize = _arch_for_chart(chart, routine_text, args)
-    return build_system(chart, routine_text, arch, specialize=optimize)
+    frontend, arch, optimize = _arch_for_chart(chart, routine_text, args)
+    return frontend.build(arch, specialize=optimize)
 
 
 class _Project(NamedTuple):
@@ -239,7 +235,6 @@ class _Project(NamedTuple):
     chart_path: str
     source_path: str
     chart: Chart
-    routine_text: str
     built: object
 
 
@@ -249,13 +244,14 @@ def _load_project(project: str, routines: Optional[str], args, out,
     """Read, parse and build one project: the one loader of every command
     that takes a PROJECT (or the flow's CHART ROUTINES pair).
 
-    *build* ``(chart, routine_text, args)`` makes what the command runs; by
-    default the built system.  On bad input this prints why and returns
-    None, and the command exits 2: an unreadable project as ``error:`` on
-    stderr, anything else as diagnostics on *out* — PSC100 when the chart
-    does not parse, PSC111 per unresolved ref state (the flow does not
-    inline chart references), PSC301 when the routines do not parse or
-    check.
+    *build* ``(chart, routine_text, args)`` makes the command's one front
+    end and what the command runs from it; by default the built system.
+    On bad input this prints why and returns None, and the command exits
+    2: an unreadable project as ``error:`` on stderr, anything else as
+    diagnostics on *out* — PSC100 when the chart does not parse, PSC111
+    per unresolved ref state (the flow does not inline chart references),
+    PSC301 when *build* needs routines that do not parse or check (the
+    front end already gives the line in the routine file).
     """
     from repro.action.check import CheckError
     from repro.action.parser import ActionParseError
@@ -295,10 +291,14 @@ def _load_project(project: str, routines: Optional[str], args, out,
             for state in chart.preorder() if state.kind is StateKind.REF]
         if not problems:
             try:
-                return _Project(chart_path, source_path, chart, routine_text,
+                return _Project(chart_path, source_path, chart,
                                 build(chart, routine_text, args))
             except (ActionParseError, CheckError) as exc:
-                problems = [_routine_error(exc, source_path)]
+                problems = [Diagnostic(
+                    code="PSC301", severity=Severity.ERROR,
+                    message=f"routines do not parse: {exc}",
+                    location=SourceLocation(
+                        file=source_path, line=getattr(exc, "line", None)))]
     print(render_text(problems, header=chart_path), file=out, end="")
     return None
 
@@ -1062,8 +1062,8 @@ def _parse_code_list(text: Optional[str]) -> Tuple[str, ...]:
 
 
 def _lint_workload(name: str):
-    """(chart, routine text, arch, specialize, storage_map, system, label)
-    for a shipped workload under its blessed architecture."""
+    """(built system, label) of a shipped workload under its blessed
+    architecture."""
     if name == "smd":
         from repro.workloads import (
             SMD_MUTUAL_EXCLUSIONS,
@@ -1074,7 +1074,9 @@ def _lint_workload(name: str):
         arch = MD16_TEP.with_(n_teps=2,
                               mutual_exclusions=SMD_MUTUAL_EXCLUSIONS,
                               microcode_optimized=True)
-        return smd_chart(), SMD_ROUTINES, arch, True, None, None, "smd"
+        return (Frontend(smd_chart(), SMD_ROUTINES).build(arch,
+                                                          specialize=True),
+                "smd")
     from repro.workloads.elevator import (
         ELEVATOR_MUTUAL_EXCLUSIONS,
         ELEVATOR_ROUTINES,
@@ -1085,9 +1087,70 @@ def _lint_workload(name: str):
                         initial_arch=MD16_TEP,
                         mutual_exclusions=ELEVATOR_MUTUAL_EXCLUSIONS,
                         max_teps=3).run()
-    system = improved.final
-    return (elevator_chart(), ELEVATOR_ROUTINES, system.arch, True,
-            system.storage_map, system, "elevator")
+    return improved.final, "elevator"
+
+
+def _report_command(argv: List[str], out, run: Callable, *, prog: str,
+                    description: str, workload_help: str, enable_help: str,
+                    inputs=(), outputs=()) -> int:
+    """What ``repro lint`` and ``repro check`` share: their common
+    arguments, the diagnostic-code check and the report writer.
+
+    *inputs* and *outputs* are the command's own arguments as ``(flags,
+    keywords)`` pairs, listed after ``--workload`` and after ``--out``.
+    ``run(parser, args, out)`` does the command's work, with
+    ``args.suppress`` and ``args.enable`` as code tuples.  It returns None
+    when its inputs cannot be loaded (exit 2), else ``(diagnostics, chart
+    path, summary for --out, exit status)``.
+    """
+    from repro.analysis import known_code, render_json, render_sarif, \
+        render_text
+
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    _add_project_arguments(parser, required=False)
+    parser.add_argument("--workload", choices=["smd", "elevator"],
+                        help=workload_help)
+    for flags, keywords in inputs:
+        parser.add_argument(*flags, **keywords)
+    _add_arch_arguments(parser)
+    parser.add_argument("--format", choices=["text", "json", "sarif"],
+                        default="text", help="output format (default: text)")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="write the report to PATH instead of stdout")
+    for flags, keywords in outputs:
+        parser.add_argument(*flags, **keywords)
+    parser.add_argument("--suppress", default=None, metavar="CODES",
+                        help="comma-separated diagnostic codes to drop")
+    parser.add_argument("--enable", default=None, metavar="CODES",
+                        help=enable_help)
+    args = parser.parse_args(argv)
+
+    args.suppress = _parse_code_list(args.suppress)
+    args.enable = _parse_code_list(args.enable)
+    for code in args.suppress + args.enable:
+        if not known_code(code):
+            print(f"error: unknown diagnostic code {code!r}", file=out)
+            return 2
+
+    outcome = run(parser, args, out)
+    if outcome is None:
+        return 2
+    diagnostics, chart_path, summary, status = outcome
+    renderer = {"text": lambda d: render_text(d, header=chart_path),
+                "json": render_json,
+                "sarif": render_sarif}[args.format]
+    report = renderer(diagnostics)
+    if args.out is not None:
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(report)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(f"wrote {args.out}: {summary}", file=out)
+    else:
+        print(report, file=out, end="" if report.endswith("\n") else "\n")
+    return status
 
 
 def run_lint(argv: List[str], out=sys.stdout) -> int:
@@ -1097,91 +1160,45 @@ def run_lint(argv: List[str], out=sys.stdout) -> int:
     diagnostic survives, 2 when the inputs cannot be loaded or the chart
     does not parse.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
+    return _report_command(
+        argv, out, _lint, prog="repro lint",
         description="statically analyze a chart + routines: determinism "
                     "conflicts, AND-region races, action dataflow, WCET "
-                    "budgets and SLA/TAT invariants (see docs/ANALYSIS.md)")
-    parser.add_argument("project", nargs="?", default=None,
-                        help="project directory (one *.sc + one *.c) or a "
-                             "chart file followed by a routine file")
-    parser.add_argument("routines", nargs="?", default=None,
-                        help="routine file (when PROJECT is a chart file)")
-    parser.add_argument("--workload", choices=["smd", "elevator"],
-                        help="lint a shipped workload under its blessed "
-                             "architecture instead of reading files")
-    parser.add_argument("--arch", choices=sorted(_ARCHS),
-                        help="architecture (default: auto-select)")
-    parser.add_argument("--teps", type=_positive_int, default=None,
-                        help="number of TEPs (default: 2 for the SMD chart)")
-    parser.add_argument("--optimize", action="store_true",
-                        help="peephole + constant-argument specialization")
-    parser.add_argument("--format", choices=["text", "json", "sarif"],
-                        default="text", help="output format (default: text)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the report to PATH instead of stdout")
-    parser.add_argument("--suppress", default=None, metavar="CODES",
-                        help="comma-separated diagnostic codes to drop")
-    parser.add_argument("--enable", default=None, metavar="CODES",
-                        help="comma-separated default-suppressed codes to "
-                             "re-enable (e.g. PSC202)")
-    args = parser.parse_args(argv)
+                    "budgets and SLA/TAT invariants (see docs/ANALYSIS.md)",
+        workload_help="lint a shipped workload under its blessed "
+                      "architecture instead of reading files",
+        enable_help="comma-separated default-suppressed codes to "
+                    "re-enable (e.g. PSC202)")
 
-    from repro.analysis import (
-        known_code,
-        lint_system,
-        render_json,
-        render_sarif,
-        render_text,
-    )
 
-    for code in (_parse_code_list(args.suppress)
-                 + _parse_code_list(args.enable)):
-        if not known_code(code):
-            print(f"error: unknown diagnostic code {code!r}", file=out)
-            return 2
+def _lint(parser, args, out):
+    from repro.analysis import lint_system
 
-    storage_map = system = None
+    system, specialize = None, False
     if args.workload is not None:
-        (chart, routine_text, arch, specialize, storage_map, system,
-         label) = _lint_workload(args.workload)
+        system, label = _lint_workload(args.workload)
+        frontend, arch = system.frontend, system.arch
         chart_path, source_path = f"{label}.sc", f"{label}.c"
     else:
         if args.project is None:
             parser.error("PROJECT or --workload is required")
-        # lint_system builds the system itself, after its own routine
-        # passes; the loader only selects the architecture, which already
-        # parses the routines
+        # lint_system builds the system itself, after its routine passes;
+        # the loader makes the front end and selects the architecture
         project = _load_project(args.project, args.routines, args, out,
                                 build=_arch_for_chart)
         if project is None:
-            return 2
-        chart_path, source_path, chart, routine_text, built = project
-        arch, specialize = built
+            return None
+        chart_path, source_path = project.chart_path, project.source_path
+        frontend, arch, specialize = project.built
 
     result = lint_system(
-        chart, routine_text, arch,
-        specialize=specialize, storage_map=storage_map, system=system,
+        frontend, arch, specialize=specialize, system=system,
         chart_path=chart_path, source_path=source_path,
-        suppress=_parse_code_list(args.suppress),
-        enable=_parse_code_list(args.enable))
-
-    renderer = {"text": lambda d: render_text(d, header=chart_path),
-                "json": render_json,
-                "sarif": render_sarif}[args.format]
-    report = renderer(result.diagnostics)
-    if args.out is not None:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(report)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.out}: {len(result.diagnostics)} diagnostic(s), "
-              f"{result.errors} error(s)", file=out)
-    else:
-        print(report, file=out, end="" if report.endswith("\n") else "\n")
-    return 1 if result.has_errors else 0
+        suppress=args.suppress, enable=args.enable)
+    return (result.diagnostics, chart_path,
+            f"{len(result.diagnostics)} diagnostic(s), "
+            f"{result.errors} error(s)",
+            1 if result.has_errors else 0)
 
 
 def run_check(argv: List[str], out=sys.stdout) -> int:
@@ -1196,63 +1213,40 @@ def run_check(argv: List[str], out=sys.stdout) -> int:
     violated (with a replaying witness), 2 when the inputs or properties
     cannot be loaded, 3 when the bound was exhausted before a verdict.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro check",
+    return _report_command(
+        argv, out, _check, prog="repro check",
         description="bounded model checker: proves `never`/`always reach`/"
                     "`deadline` properties over every reachable "
                     "configuration, or produces a machine-replayable "
-                    "counterexample (see docs/CHECKING.md)")
-    parser.add_argument("project", nargs="?", default=None,
-                        help="project directory (one *.sc + one *.c) or a "
-                             "chart file followed by a routine file")
-    parser.add_argument("routines", nargs="?", default=None,
-                        help="routine file (when PROJECT is a chart file)")
-    parser.add_argument("--workload", choices=["smd", "elevator"],
-                        help="check a shipped workload (with its shipped "
-                             "properties) instead of reading files")
-    parser.add_argument("--properties", default=None, metavar="FILE",
-                        help="sidecar property file (one property per "
-                             "line); chart-embedded `property` declarations "
-                             "are always checked too")
-    parser.add_argument("--depth", type=_positive_int, default=40,
-                        help="exploration depth bound in configuration "
-                             "cycles (default: 40)")
-    parser.add_argument("--max-states", type=_positive_int, default=20000,
-                        help="state budget for the exploration "
-                             "(default: 20000)")
-    parser.add_argument("--arch", choices=sorted(_ARCHS),
-                        help="architecture (default: auto-select)")
-    parser.add_argument("--teps", type=_positive_int, default=None,
-                        help="number of TEPs (default: 2 for the SMD chart)")
-    parser.add_argument("--optimize", action="store_true",
-                        help="peephole + constant-argument specialization")
-    parser.add_argument("--format", choices=["text", "json", "sarif"],
-                        default="text", help="output format (default: text)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the report to PATH instead of stdout")
-    parser.add_argument("--witness-dir", default=None, metavar="DIR",
-                        help="write <label>.pN.witness.json + forensics "
-                             "bundles for every confirmed violation")
-    parser.add_argument("--suppress", default=None, metavar="CODES",
-                        help="comma-separated diagnostic codes to drop")
-    parser.add_argument("--enable", default=None, metavar="CODES",
-                        help="comma-separated default-suppressed codes to "
-                             "re-enable")
-    args = parser.parse_args(argv)
+                    "counterexample (see docs/CHECKING.md)",
+        workload_help="check a shipped workload (with its shipped "
+                      "properties) instead of reading files",
+        enable_help="comma-separated default-suppressed codes to "
+                    "re-enable",
+        inputs=[
+            (("--properties",), dict(
+                default=None, metavar="FILE",
+                help="sidecar property file (one property per line); "
+                     "chart-embedded `property` declarations are always "
+                     "checked too")),
+            (("--depth",), dict(
+                type=_positive_int, default=40,
+                help="exploration depth bound in configuration cycles "
+                     "(default: 40)")),
+            (("--max-states",), dict(
+                type=_positive_int, default=20000,
+                help="state budget for the exploration (default: 20000)")),
+        ],
+        outputs=[
+            (("--witness-dir",), dict(
+                default=None, metavar="DIR",
+                help="write <label>.pN.witness.json + forensics bundles "
+                     "for every confirmed violation")),
+        ])
 
-    from repro.analysis import (
-        known_code,
-        render_json,
-        render_sarif,
-        render_text,
-    )
+
+def _check(parser, args, out):
     from repro.analysis.bmc import check_system
-
-    for code in (_parse_code_list(args.suppress)
-                 + _parse_code_list(args.enable)):
-        if not known_code(code):
-            print(f"error: unknown diagnostic code {code!r}", file=out)
-            return 2
 
     properties_text = properties_path = None
     if args.properties is not None:
@@ -1261,16 +1255,12 @@ def run_check(argv: List[str], out=sys.stdout) -> int:
                 properties_text = handle.read()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return None
         properties_path = args.properties
 
     if args.workload is not None:
-        (chart, routine_text, arch, specialize, _storage_map, system,
-         label) = _lint_workload(args.workload)
+        system, label = _lint_workload(args.workload)
         chart_path = f"{label}.sc"
-        if system is None:
-            system = build_system(chart, routine_text, arch,
-                                  specialize=specialize)
         if properties_text is None:
             if args.workload == "smd":
                 from repro.workloads import SMD_PROPERTIES
@@ -1283,57 +1273,47 @@ def run_check(argv: List[str], out=sys.stdout) -> int:
             parser.error("PROJECT or --workload is required")
         project = _load_project(args.project, args.routines, args, out)
         if project is None:
-            return 2
-        chart_path, _, chart, routine_text, system = project
+            return None
+        chart_path, system = project.chart_path, project.built
         label = os.path.splitext(os.path.basename(chart_path))[0]
 
     result = check_system(
-        chart, routine_text, system,
+        system.frontend.chart, system.frontend.source, system,
         properties_text=properties_text, properties_path=properties_path,
         depth=args.depth, max_states=args.max_states,
         chart_path=chart_path, witness_dir=args.witness_dir, label=label,
-        suppress=_parse_code_list(args.suppress),
-        enable=_parse_code_list(args.enable))
-
-    renderer = {"text": lambda d: render_text(d, header=chart_path),
-                "json": render_json,
-                "sarif": render_sarif}[args.format]
-    report = renderer(result.diagnostics)
-    if args.out is not None:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(report)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.out}: {len(result.verdicts)} propert"
-              f"{'y' if len(result.verdicts) == 1 else 'ies'}, "
-              f"{result.errors} error(s)", file=out)
-    else:
-        print(report, file=out, end="" if report.endswith("\n") else "\n")
+        suppress=args.suppress, enable=args.enable)
     if result.truncation == "property errors":
-        return 2
-    if result.violated:
-        return 1
-    if result.undecided:
-        return 3
-    return 0
+        status = 2
+    elif result.violated:
+        status = 1
+    elif result.undecided:
+        status = 3
+    else:
+        status = 0
+    return (result.diagnostics, chart_path,
+            f"{len(result.verdicts)} propert"
+            f"{'y' if len(result.verdicts) == 1 else 'ies'}, "
+            f"{result.errors} error(s)",
+            status)
 
 
 def _build_for_flow(chart, routine_text: str, args):
     """The flow command's build: the improvement ladder's result under
-    ``--improve``, otherwise one system on the selected architecture."""
+    ``--improve``, otherwise one system on the selected architecture; each
+    from the command's one front end."""
     if args.improve:
         return Improver(chart, routine_text).run()
+    frontend = Frontend(chart, routine_text)
     if args.arch is not None:
         arch = _ARCHS[args.arch]
     else:
-        arch = select_initial_architecture(chart, routine_text)
+        arch = frontend.initial_architecture()
     if args.teps is not None:
         arch = arch.with_(n_teps=args.teps)
     if args.optimize:
         arch = arch.with_(microcode_optimized=True)
-    return build_system(chart, routine_text, arch, specialize=args.optimize)
+    return frontend.build(arch, specialize=args.optimize)
 
 
 def run(argv: Optional[List[str]] = None, out=sys.stdout) -> int:

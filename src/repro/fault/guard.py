@@ -30,8 +30,8 @@ tolerate re-execution; the condition/event effects are transactional
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.pscp.machine import MachineError
 

@@ -44,7 +44,8 @@ class BuiltSystem:
     """Everything the flow produces for one (chart, source, arch) triple."""
 
     chart: Chart
-    source: str
+    #: the parsed and checked routines this system was built from
+    frontend: Frontend
     arch: ArchConfig
     checked: CheckedProgram
     compiled: CompiledProgram
@@ -187,8 +188,9 @@ class Frontend(RoutineFrontend):
     runtime-helper set, :meth:`checked`) and its SLA is synthesized once
     (:attr:`pla`, on first use).  :meth:`build` is the back end, run once
     per architecture point: code generation, pricing and the timing
-    validator.  Nothing here writes to the shared ASTs or ``Pla``; a
-    specialized build rewrites copies.
+    validator; every built system records its front end.  Nothing here
+    writes to the shared ASTs or ``Pla``; a specialized build rewrites
+    copies.
     """
 
     def __init__(self, chart: Chart, source: str) -> None:
@@ -222,7 +224,7 @@ class Frontend(RoutineFrontend):
             chart, lambda t: costs[t.index], arch=arch)
         return BuiltSystem(
             chart=chart,
-            source=self.source,
+            frontend=self,
             arch=arch,
             checked=checked,
             compiled=compiled,

@@ -25,8 +25,8 @@ bound of the sibling".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.arch import ArchConfig
 from repro.statechart.graph import TransitionGraph

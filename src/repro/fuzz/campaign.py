@@ -363,7 +363,7 @@ def _lint(harness: OracleHarness) -> List[str]:
     from repro.analysis import lint_system
 
     baseline = harness.rungs()[0]
-    result = lint_system(harness.chart, harness.source, baseline.arch,
+    result = lint_system(baseline.system.frontend, baseline.arch,
                          system=baseline.system)
     return [diag.format() for diag in result.diagnostics
             if diag.severity.value == "error"]

@@ -20,7 +20,7 @@ architecture                           CLBs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.hw.device import Device, XC4025, smallest_fitting

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.hw.area import AreaEstimate
 from repro.hw.device import Device, XC4025

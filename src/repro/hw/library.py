@@ -22,7 +22,7 @@ expression's delay must stay below the base clock period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.isa.arch import ArchConfig, CustomInstruction

@@ -27,7 +27,7 @@ order of hardware cost.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import FrozenSet, Optional, Tuple
 
 

@@ -26,11 +26,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.isa.arch import StorageClass
 from repro.isa.isa import (
     BRANCH_FUSED_OPS,
-    CONTROL_TRANSFERS,
     Imm,
     Instruction,
-    IsaError,
-    JUMP_OPS,
     LabelRef,
     Mem,
     Op,

@@ -32,7 +32,7 @@ the structural WCET tree of :mod:`repro.isa.cost`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -65,9 +65,19 @@ from repro.action.ast import (
     While,
     type_width,
 )
-from repro.action.check import CheckedProgram, check_program
-from repro.action.parser import parse_with_preamble
+from repro.action.check import (
+    CheckedProgram,
+    CheckError,
+    Checker,
+    check_program,
+)
+from repro.action.parser import (
+    PREAMBLE_LINES,
+    ActionParseError,
+    parse_with_preamble,
+)
 from repro.action.stdlib import is_builtin
+from repro.analysis.diag import Diagnostic, Severity, SourceLocation
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.cost import (
     Block,
@@ -1491,19 +1501,51 @@ def required_helpers(program, arch: ArchConfig) -> List[str]:
 class RoutineFrontend:
     """The routines of one source, parsed and checked once per helper set.
 
-    The helper-free program is checked on construction: its types tell
-    :func:`required_helpers` which runtime helpers an architecture needs.
-    :meth:`checked` parses and checks the helper-spliced source once per
-    distinct helper tuple; the empty tuple is the helper-free program.
+    The helper-free program is parsed and checked on construction, which
+    never raises: when the routines do not parse or check,
+    :attr:`diagnostics` says why (PSC301 for the parse error, PSC302/PSC303
+    per semantic problem, at lines of *source*) and :attr:`typed` raises.
+    Its types tell :func:`required_helpers` which runtime helpers an
+    architecture needs.  :meth:`checked` parses and checks the
+    helper-spliced source once per distinct helper tuple; the empty tuple
+    is the helper-free program.
     """
 
     def __init__(self, source: str, externals=None) -> None:
         self.source = source
         self.externals = externals
-        #: the typed program without runtime helpers
-        self.typed = check_program(parse_with_preamble(source), externals)
-        self._by_helpers: Dict[Tuple[str, ...], CheckedProgram] = {
-            (): self.typed}
+        #: why the routines do not parse or check; empty when they do
+        self.diagnostics: List[Diagnostic] = []
+        self._error: Optional[Exception] = None
+        self._by_helpers: Dict[Tuple[str, ...], CheckedProgram] = {}
+        try:
+            program = parse_with_preamble(source)
+        except ActionParseError as exc:
+            self._error = ActionParseError(exc.message, _user_line(exc.line))
+            self.diagnostics = [Diagnostic(
+                code="PSC301", severity=Severity.ERROR,
+                message=f"action program does not parse: {self._error}",
+                location=SourceLocation(line=self._error.line))]
+            return
+        checker = Checker(program, externals)
+        try:
+            self._by_helpers[()] = checker.run()
+        except CheckError as exc:
+            self._error = exc
+            self.diagnostics = [
+                replace(d, location=replace(
+                    d.location, line=_user_line(d.location.line)))
+                for d in checker.diagnostics]
+
+    @property
+    def typed(self) -> CheckedProgram:
+        """The typed program without runtime helpers.  Raises the
+        :class:`~repro.action.parser.ActionParseError` or
+        :class:`~repro.action.check.CheckError` of routines that do not
+        parse or check."""
+        if self._error is not None:
+            raise self._error
+        return self._by_helpers[()]
 
     def checked(self, arch: ArchConfig) -> CheckedProgram:
         """The checked program with the runtime helpers *arch* needs.
@@ -1518,6 +1560,14 @@ class RoutineFrontend:
             self._by_helpers[helpers] = check_program(
                 parse_with_preamble(spliced), self.externals)
         return self._by_helpers[helpers]
+
+
+def _user_line(line: Optional[int]) -> Optional[int]:
+    """A line of :func:`parse_with_preamble`'s input as a line of the
+    user's text; lines inside the preamble stay as they are."""
+    if line is not None and line > PREAMBLE_LINES:
+        return line - PREAMBLE_LINES
+    return line
 
 
 def prepare_program(source: str, arch: ArchConfig,

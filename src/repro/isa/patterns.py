@@ -24,21 +24,16 @@ selected :class:`~repro.isa.arch.CustomInstruction` signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.action.ast import (
     Assign,
     Binary,
     BinOp,
-    BoolType,
-    Call,
-    COMPARISONS,
     Expr,
     Function,
     If,
     IntLiteral,
-    IntType,
-    LOGICALS,
     NameRef,
     Program,
     Unary,

@@ -26,7 +26,7 @@ events* (``ph: "s"``/``"f"`` pairs — arrows in Perfetto) that
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 #: bump when the DAG JSON layout changes
 DAG_VERSION = 1

@@ -13,7 +13,7 @@ Instruments are plain mutable objects with ``__slots__``; reading them back
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: default histogram bucket upper bounds, in cycles (powers of two so the
 #: buckets line up across architectures; the last bucket is open-ended)

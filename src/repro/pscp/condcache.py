@@ -16,7 +16,7 @@ condition-index map.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.pscp.cr import ConfigurationRegister
 

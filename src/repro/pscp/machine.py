@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.isa.arch import ArchConfig
 from repro.isa.codegen import CompiledProgram
 from repro.isa.isa import Imm, Instruction, LabelRef, Op, SignalRef
 from repro.isa.microcode import cycle_cost

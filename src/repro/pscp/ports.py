@@ -12,8 +12,7 @@ upward when unspecified, echoing Fig. 2b's 0700/0712/0717).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 ReadHandler = Callable[[], int]
 WriteHandler = Callable[[int], None]

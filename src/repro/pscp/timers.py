@@ -15,7 +15,7 @@ opt-in:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set, Tuple
 
 

@@ -22,8 +22,8 @@ Miss accounting is explicit, decided at the moment the outcome is known:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.pscp.machine import MachineStep
 from repro.statechart.model import Chart

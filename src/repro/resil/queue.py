@@ -22,7 +22,7 @@ exactly; no event is ever double-counted or silently lost.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 #: rejection reasons (backpressure — the producer keeps the item)

@@ -38,7 +38,7 @@ discipline as the tracer and injector hooks).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.obs.flightrec import FlightRecorder

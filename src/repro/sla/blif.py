@@ -14,7 +14,7 @@ and evaluate halves let tests check that emission is faithful to the PLA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 from repro.sla.synth import Pla
 

@@ -24,8 +24,8 @@ bit position(s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.statechart.model import Chart, StateKind
 

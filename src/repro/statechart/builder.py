@@ -21,7 +21,6 @@ from typing import Iterator, List, Optional
 from repro.statechart.labels import parse_label
 from repro.statechart.model import (
     Chart,
-    ChartError,
     PortDirection,
     PortKind,
     StateKind,

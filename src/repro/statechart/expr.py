@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 
 class ExprError(Exception):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.statechart.model import Chart, State, StateKind, Transition
+from repro.statechart.model import Chart, StateKind, Transition
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ and the full PSCP machine are both tested for equivalence against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.statechart.model import Chart, StateKind, Transition
 

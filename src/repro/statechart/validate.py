@@ -55,7 +55,7 @@ def resolve_references(chart: Chart, library: dict) -> Chart:
     are fresh copies of the referenced chart's top-level states.  Name clashes
     are disambiguated by prefixing with the REF state's name.
     """
-    from repro.statechart.model import State, Transition
+    from repro.statechart.model import State
 
     refs = [s for s in chart.states.values() if s.kind is StateKind.REF]
     for ref_state in refs:

@@ -25,7 +25,7 @@ Protocol (reconstructed; the paper gives only the constraints):
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.flow.build import BuiltSystem

@@ -228,6 +228,11 @@ void Decide() {
 # ---------------------------------------------------------------------------
 
 class TestCheckSystem:
+    def test_rejects_a_source_the_system_was_not_built_from(self):
+        chart, source, system = build_fixture("safe")
+        with pytest.raises(ValueError, match="routine source"):
+            check_system(chart, source + "int:16 spare;\n", system)
+
     def test_violating_chart_produces_replaying_witnesses(self, tmp_path):
         chart, source, system = build_fixture("violating")
         result = check_system(chart, source, system,

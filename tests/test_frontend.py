@@ -14,9 +14,10 @@ work really happens once:
 * each of those rungs equals a fresh ``build_system`` at its architecture
   point, and after the whole ladder the front end's programs still equal a
   fresh parse and check;
-* call counts of ``parse_with_preamble``, ``check_program`` and
-  ``synthesize`` over the ``check`` workload's ladder and a 6-chart fuzz
-  campaign.
+* call counts of ``parse_with_preamble``, ``check_program``,
+  ``Checker.analyze`` and ``synthesize`` over the ``check`` workload's
+  ladder, a 6-chart fuzz campaign and each CLI command: a command makes
+  one front end, and lint and the model checker read its typed program.
 
 Regenerate the golden (only when a change to the emitted code is
 intended)::
@@ -25,6 +26,7 @@ intended)::
 """
 
 import hashlib
+import io
 import json
 import pathlib
 import sys
@@ -35,6 +37,7 @@ import pytest
 
 from repro.action.check import Externals, check_program
 from repro.action.parser import parse_with_preamble
+from repro.cli import run as run_cli
 from repro.flow import Frontend, Improver, build_system
 from repro.flow.build import specialize_routines
 from repro.fuzz import FuzzCampaign, generate_spec, render_chart, render_source
@@ -168,26 +171,35 @@ def test_specialize_routines_copies_the_function_list():
 
 COUNTED = (("repro.action.parser", "parse_with_preamble"),
            ("repro.action.check", "check_program"),
+           ("repro.action.check", "Checker.analyze"),
            ("repro.sla.synth", "synthesize"))
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls through every module binding of :data:`COUNTED`."""
+    """Counts calls through every module binding of :data:`COUNTED`, and
+    through the class of a method."""
     counts = Counter()
     for module_name, name in COUNTED:
-        raw = getattr(sys.modules[module_name], name)
+        owner = sys.modules[module_name]
+        *classes, attribute = name.split(".")
+        for class_name in classes:
+            owner = getattr(owner, class_name)
+        raw = vars(owner)[attribute]
 
         def counting(*args, _raw=raw, _name=name, **kwargs):
             counts[_name] += 1
             return _raw(*args, **kwargs)
 
+        if classes:
+            monkeypatch.setattr(owner, attribute, counting)
+            continue
         for module_key, module in list(sys.modules.items()):
             if not module_key.startswith("repro") or module is None:
                 continue
-            for attribute, value in list(vars(module).items()):
+            for binding, value in list(vars(module).items()):
                 if value is raw:
-                    monkeypatch.setattr(module, attribute, counting)
+                    monkeypatch.setattr(module, binding, counting)
     return counts
 
 
@@ -198,20 +210,52 @@ def test_check_ladder_parses_once_per_helper_set(calls):
         tuple(required_helpers(improver.frontend.typed.program, rung.arch))
         for rung in rungs}
     assert len(rungs) == 7
-    assert calls == {"parse_with_preamble": len(helper_sets),
-                     "check_program": len(helper_sets),
-                     "synthesize": 1}
+    # one parse and one check per helper set: the front end checks the
+    # helper-free program itself and check_program each helper-spliced
+    # one, both through Checker.analyze
+    assert calls["parse_with_preamble"] == len(helper_sets)
+    assert calls["Checker.analyze"] == len(helper_sets)
+    assert calls["check_program"] == len(helper_sets) - 1
+    assert calls["synthesize"] == 1
     assert len(helper_sets) == 1
 
 
-def test_fuzz_campaign_parses_each_chart_once_plus_lint(calls):
-    report = FuzzCampaign(seed=1, charts=6).run()
+@pytest.mark.parametrize("bmc", [False, True], ids=["plain", "bmc"])
+def test_fuzz_campaign_parses_each_chart_once(calls, bmc):
+    report = FuzzCampaign(seed=1, charts=6, bmc=bmc).run()
     assert report.counts() == {"clean": 6}
     # per chart: the ladder's front end (none of these six charts needs a
-    # runtime helper) and lint's own diagnostic parse, which it checks
-    # through Checker.analyze, not check_program
-    assert calls == {"parse_with_preamble": 12, "check_program": 6,
+    # runtime helper); lint and the model checker read its typed program
+    assert calls == {"parse_with_preamble": 6, "Checker.analyze": 6,
                      "synthesize": 6}
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SAFE = ROOT / "tests" / "fixtures" / "bmc" / "safe"
+SMD = str(ROOT / "examples" / "smd")
+
+#: commands that read routines; before lint and the model checker read the
+#: command's one front end, each parsed them two or three times (``serve``
+#: once)
+COMMANDS = {
+    "lint-workload-smd": ["lint", "--workload", "smd"],
+    "lint-workload-elevator": ["lint", "--workload", "elevator"],
+    "check-workload-smd": ["check", "--workload", "smd"],
+    "check-workload-elevator": ["check", "--workload", "elevator"],
+    "lint-smd": ["lint", SMD],
+    "check-smd": ["check", SMD],
+    "lint-safe": ["lint", str(SAFE)],
+    "check-safe": ["check", str(SAFE)],
+    "stats-safe": ["stats", str(SAFE)],
+    "flow-safe": [str(SAFE / "chart.sc"), str(SAFE / "routines.c")],
+    "serve-smd": ["serve", SMD, "--items", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMANDS.values()), ids=list(COMMANDS))
+def test_each_command_parses_once(calls, argv):
+    assert run_cli(argv, out=io.StringIO()) == 0
+    assert calls["parse_with_preamble"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.fuzz import (
     spec_to_json,
 )
 from repro.fuzz.oracle import check_roundtrip
-from repro.flow.build import select_initial_architecture
+from repro.flow.build import Frontend
 
 SEEDS = list(range(1, 13))
 
@@ -50,10 +50,8 @@ class TestWellFormed:
         from repro.analysis import lint_system
 
         spec = generate_spec(seed)
-        chart = render_chart(spec)
-        source = render_source(spec)
-        arch = select_initial_architecture(chart, source)
-        result = lint_system(chart, source, arch)
+        frontend = Frontend(render_chart(spec), render_source(spec))
+        result = lint_system(frontend, frontend.initial_architecture())
         errors = [d for d in result.diagnostics
                   if d.severity.value == "error"]
         assert not errors, [d.format() for d in errors]

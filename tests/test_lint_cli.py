@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import pathlib
 
 import pytest
@@ -10,6 +11,7 @@ from repro.cli import run
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SAFE = pathlib.Path(__file__).parent / "fixtures" / "bmc" / "safe"
 
 
 def invoke(argv):
@@ -122,3 +124,113 @@ class TestErrors:
     def test_missing_arguments_error(self):
         with pytest.raises(SystemExit):
             invoke(["lint"])
+
+
+#: the ``safe`` model-checking fixture's routines, broken on line 4
+UNPARSEABLE = """int:16 jobs;
+
+void Begin() {
+  jobs = ;
+  SetTrue(BUSY);
+}
+"""
+
+#: the same routines with a recursion (line 8) and two unknown names
+#: (lines 9 and 10)
+ILL_TYPED = """int:16 jobs;
+
+void Begin() {
+  jobs = jobs + 1;
+  SetTrue(BUSY);
+}
+
+void Finish() {
+  SetFalse(GHOST);
+  total = 3;
+  Finish();
+}
+"""
+
+
+class TestBadRoutines:
+    """Routines that do not parse or check.  Where the architecture is read
+    off the routines, the loader reports PSC301 and exits 2; with --arch,
+    lint reports located PSC301/PSC302/PSC303 and exits 1.  Every message
+    names lines of the routine file, not of the preamble-prefixed text."""
+
+    @pytest.fixture
+    def project(self, tmp_path):
+        (tmp_path / "chart.sc").write_text((SAFE / "chart.sc").read_text())
+
+        def write(routines):
+            (tmp_path / "routines.c").write_text(routines)
+            return str(tmp_path), os.path.join(str(tmp_path), "routines.c")
+
+        return write
+
+    def test_loader_parse_error_names_the_user_line(self, project):
+        path, source = project(UNPARSEABLE)
+        status, text = invoke(["check", path])
+        assert status == 2
+        assert (f"{source}:4: error PSC301: routines do not parse: line 4: "
+                "unexpected token ';'\n") in text
+
+    def test_lint_parse_error_names_the_user_line(self, project):
+        path, source = project(UNPARSEABLE)
+        status, text = invoke(["lint", path, "--arch", "minimal"])
+        assert status == 1
+        assert (f"{source}:4: error PSC301: action program does not parse: "
+                "line 4: unexpected token ';'\n") in text
+
+    def test_lint_with_arch_locates_each_semantic_error(self, project):
+        path, source = project(ILL_TYPED)
+        status, text = invoke(["lint", path, "--arch", "minimal"])
+        assert status == 1
+        assert [line for line in text.splitlines()
+                if line.startswith(source)] == [
+            f"{source}:8: error PSC303: recursion is not permitted: "
+            "Finish -> Finish",
+            f"{source}:9: error PSC302: Finish: SetFalse: 'GHOST' is not a "
+            "declared condition",
+            f"{source}:10: error PSC302: Finish: unknown name 'total'"]
+
+    def test_lint_without_arch_reports_psc301_and_exits_2(self, project):
+        path, source = project(ILL_TYPED)
+        status, text = invoke(["lint", path])
+        assert status == 2
+        assert (f"{source}: error PSC301: routines do not parse: action "
+                "program is not well-formed:\n") in text
+        assert "PSC302" not in text
+
+
+class TestLintSystem:
+    def frontend(self, source):
+        from repro.flow import Frontend
+        from repro.statechart import parse_chart
+
+        return Frontend(parse_chart((SAFE / "chart.sc").read_text()), source)
+
+    def test_semantic_errors_are_located_in_the_routine_file(self):
+        from repro.analysis import lint_system
+        from repro.isa import MINIMAL_TEP
+
+        result = lint_system(self.frontend(ILL_TYPED), MINIMAL_TEP,
+                             chart_path="chart.sc", source_path="routines.c")
+        assert [(d.code, d.location.file, d.location.line, d.location.obj,
+                 d.message) for d in result.diagnostics
+                if d.code.startswith("PSC30")] == [
+            ("PSC303", "routines.c", 8, "function 'Finish'",
+             "recursion is not permitted: Finish -> Finish"),
+            ("PSC302", "routines.c", 9, "function 'Finish'",
+             "Finish: SetFalse: 'GHOST' is not a declared condition"),
+            ("PSC302", "routines.c", 10, "function 'Finish'",
+             "Finish: unknown name 'total'")]
+
+    def test_rejects_a_system_built_from_another_front_end(self):
+        from repro.analysis import lint_system
+        from repro.isa import MINIMAL_TEP
+
+        source = (SAFE / "routines.c").read_text()
+        system = self.frontend(source).build(MINIMAL_TEP)
+        with pytest.raises(ValueError, match="front end"):
+            lint_system(self.frontend(source), MINIMAL_TEP, system=system)
