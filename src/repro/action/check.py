@@ -342,7 +342,27 @@ class Checker:
 
     def run(self) -> CheckedProgram:
         """:meth:`analyze`, raising :class:`CheckError` on any problem."""
-        checked = self.analyze()
+        return self._raise_problems(self.analyze())
+
+    def extend(self, base: CheckedProgram) -> CheckedProgram:
+        """:meth:`run` for a :attr:`program` whose functions are *base*'s
+        followed by new ones, over the same globals: only the new functions
+        are checked, and the call order is recomputed.  The result equals
+        :meth:`run`'s (the same functions, ``global_types`` and
+        ``call_order``) without re-checking *base*."""
+        self.global_types = dict(base.global_types)
+        known = len(base.program.functions)
+        names = {f.name for f in self.program.functions[:known]}
+        for function in self.program.functions[known:]:
+            if function.name in names:
+                self.error(f"duplicate function {function.name!r}")
+            names.add(function.name)
+            _FunctionChecker(self, function).check_body(function.body)
+        return self._raise_problems(CheckedProgram(
+            self.program, self.externals, self.global_types,
+            self._check_recursion()))
+
+    def _raise_problems(self, checked: CheckedProgram) -> CheckedProgram:
         if self.problems:
             raise CheckError(
                 "action program is not well-formed:\n  " +

@@ -16,6 +16,7 @@ from typing import List
 class LexError(Exception):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
 
 

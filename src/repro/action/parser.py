@@ -46,7 +46,7 @@ from repro.action.ast import (
     VoidType,
     While,
 )
-from repro.action.lexer import Token, tokenize
+from repro.action.lexer import LexError, Token, tokenize
 from repro.action.stdlib import PREAMBLE
 
 
@@ -459,8 +459,13 @@ class Parser:
 
 
 def parse_program(text: str) -> Program:
-    """Parse an intermediate-C translation unit."""
-    return Parser(tokenize(text)).parse_program()
+    """Parse an intermediate-C translation unit.  A character the lexer
+    rejects is a parse error at its line, like any other."""
+    try:
+        tokens = tokenize(text)
+    except LexError as exc:
+        raise ActionParseError(exc.message, exc.line) from None
+    return Parser(tokens).parse_program()
 
 
 #: lines :func:`parse_with_preamble` puts in front of line 1 of its text

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.action.check import CheckedProgram, Externals, check_program
+from repro.action.check import CheckedProgram, Checker, Externals
 from repro.hw.area import AppStats, AreaEstimate, estimate_area
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.codegen import (
@@ -123,7 +123,8 @@ def specialize_routines(chart: Chart, checked: CheckedProgram,
     ``DeltaT(MX)`` becomes a call to the parameterless ``DeltaT_0`` whose
     body indexes the motor arrays statically — the code-generation
     refinement the flow applies when violations persist.  Returns a copied
-    chart with rewritten action texts and the re-checked extended program.
+    chart with rewritten action texts and the extended program, in which
+    only the clones are checked (:meth:`Checker.extend`).
     """
     import copy as _copy
 
@@ -176,7 +177,7 @@ def specialize_routines(chart: Chart, checked: CheckedProgram,
         transition.action = f"{made[key]}()"
         changed = True
     if changed:
-        checked = check_program(program, externals)
+        checked = Checker(program, externals).extend(checked)
     return chart, checked
 
 

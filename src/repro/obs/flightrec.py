@@ -14,9 +14,11 @@ Near-zero overhead
 
 The hot path appends one tuple per configuration cycle, referencing the
 :class:`~repro.pscp.machine.MachineStep` the machine built anyway — no
-digesting, no string formatting, no dict allocation.  Digesting into
-JSON-ready form happens only when a bundle is dumped or the ring is
-captured into a snapshot.  ``scripts/check_overhead.py`` enforces the
+digesting, no string formatting, no dict allocation — and one run-length
+tuple per run of repeated cycles (:meth:`PscpMachine.repeat
+<repro.pscp.machine.PscpMachine.repeat>`).  Digesting into JSON-ready
+form, one entry per cycle, happens only when a bundle is dumped or the
+ring is captured into a snapshot.  ``scripts/check_overhead.py`` enforces the
 budget: a recorder-attached, tracing-off run must stay within the same
 wall-clock envelope as an uninstrumented one.
 
@@ -31,10 +33,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Deque, Dict, IO, List, Optional, Union
+from typing import (Any, Deque, Dict, FrozenSet, IO, List, NamedTuple,
+                    Optional, Union)
 
 from repro.obs.lineage import LineageTracker
 from repro.pscp.machine import MachineObserver
+from repro.pscp.scheduler import SLA_OVERHEAD_CYCLES
 
 #: bump when the bundle layout changes; the pretty-printer refuses others.
 #: v1 (PR 4) had no ``lineage`` key; v2 adds the escalating machine's
@@ -49,15 +53,29 @@ CHECKPOINT = "checkpoint"
 ESCALATION = "escalation"
 
 
+class _Run(NamedTuple):
+    """A ring entry for *n* repeated cycles from *cycle* on, the first
+    starting at *start*: each fires nothing and lasts
+    ``SLA_OVERHEAD_CYCLES``."""
+
+    cycle: int
+    n: int
+    start: int
+    sampled: FrozenSet[str]
+
+
 class FlightRecorder(MachineObserver):
     """A bounded ring of configuration-cycle digests.
 
-    Attached with :meth:`PscpMachine.attach`, the machine calls its one
-    hook, :meth:`record_step`, once per cycle.  Checkpoint and escalation marks
+    Attached with :meth:`PscpMachine.attach`, the machine calls
+    :meth:`record_step` once per stepped cycle and :meth:`on_repeat` once
+    per run of repeated cycles.  Checkpoint and escalation marks
     arrive from the supervision layer (:meth:`note_checkpoint`,
     :meth:`note_escalation`).  ``capacity`` bounds memory: the ring keeps
     the last *capacity* entries, and the bundle reports how many older
-    entries were dropped.
+    entries were dropped.  A run entry stands for several cycles, so the
+    deque's last *capacity* raw entries always hold the last *capacity*
+    cycle entries.
     """
 
     __slots__ = ("capacity", "_ring", "recorded", "last_checkpoint",
@@ -86,6 +104,11 @@ class FlightRecorder(MachineObserver):
         self._ring.append((cycle, step))
         self.recorded += 1
 
+    def on_repeat(self, cycle: int, n: int, sampled) -> None:
+        """Append one run-length entry for *n* repeated cycles."""
+        self._ring.append(_Run(cycle, n, self.machine.time, sampled))
+        self.recorded += n
+
     # -- marks -------------------------------------------------------------
     def note_checkpoint(self, cycle: int, ref: str) -> None:
         """A checkpoint was taken at *cycle*; *ref* names it."""
@@ -105,7 +128,7 @@ class FlightRecorder(MachineObserver):
 
     # -- reading back ------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ring)
+        return min(self.capacity, sum(_size(entry) for entry in self._ring))
 
     @property
     def dropped(self) -> int:
@@ -114,7 +137,14 @@ class FlightRecorder(MachineObserver):
 
     def entries(self) -> List[Dict[str, Any]]:
         """The ring contents, oldest first, as JSON-ready digests."""
-        return [_digest(entry) for entry in self._ring]
+        newest_first: List[Dict[str, Any]] = []
+        for entry in reversed(self._ring):
+            wanted = self.capacity - len(newest_first)
+            if wanted <= 0:
+                break
+            newest_first.extend(reversed(_digests(entry, wanted)))
+        newest_first.reverse()
+        return newest_first
 
     # -- checkpoint/restore ------------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
@@ -184,26 +214,47 @@ class FlightRecorder(MachineObserver):
 # digesting
 # ---------------------------------------------------------------------------
 
-def _digest(entry) -> Dict[str, Any]:
-    """Normalize one ring entry to its canonical JSON-ready form.
+def _size(entry) -> int:
+    """How many cycle entries one ring entry stands for."""
+    return entry.n if isinstance(entry, _Run) else 1
 
-    Hot-path step entries are ``(cycle, MachineStep)`` tuples; marks and
-    restored entries are already dicts and pass through unchanged (so a
-    snapshot round trip re-digests to identical JSON).
+
+def _digests(entry, last: int) -> List[Dict[str, Any]]:
+    """The last *last* canonical JSON-ready entries *entry* stands for.
+
+    Hot-path step entries are ``(cycle, MachineStep)`` tuples and runs
+    :class:`_Run` tuples, one digest per cycle; marks and restored entries
+    are already dicts and pass through unchanged (so a snapshot round trip
+    re-digests to identical JSON).
     """
     if isinstance(entry, dict):
-        return entry
+        return [entry]
+    if isinstance(entry, _Run):
+        return [_step_digest(entry.cycle + k,
+                             entry.start + k * SLA_OVERHEAD_CYCLES,
+                             SLA_OVERHEAD_CYCLES, [], entry.sampled, (),
+                             [], [])
+                for k in range(max(0, entry.n - last), entry.n)]
     cycle, step = entry
+    return [_step_digest(cycle, step.start_time, step.cycle_length,
+                         [t.index for t in step.fired], step.events_sampled,
+                         step.events_raised,
+                         [f.describe() for f in step.faults],
+                         [r.describe() for r in step.recoveries])]
+
+
+def _step_digest(cycle, start, length, fired, sampled, raised, faults,
+                 recoveries) -> Dict[str, Any]:
     return {
         "kind": STEP,
         "cycle": cycle,
-        "start": step.start_time,
-        "length": step.cycle_length,
-        "fired": [t.index for t in step.fired],
-        "sampled": sorted(step.events_sampled),
-        "raised": sorted(step.events_raised),
-        "faults": [f.describe() for f in step.faults],
-        "recoveries": [r.describe() for r in step.recoveries],
+        "start": start,
+        "length": length,
+        "fired": fired,
+        "sampled": sorted(sampled),
+        "raised": sorted(raised),
+        "faults": faults,
+        "recoveries": recoveries,
     }
 
 

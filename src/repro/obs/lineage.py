@@ -15,7 +15,8 @@ Zero overhead when detached
 ---------------------------
 
 The tracker is a :class:`~repro.pscp.machine.MachineObserver`.  Attached,
-it costs one list append per cycle plus one per dispatched transition —
+it costs one list append per stepped cycle, per run of repeated cycles
+and per dispatched transition —
 enforced by the ``lineage`` leg of ``scripts/check_overhead.py`` under the
 same hard <5% paired budget as the recorder leg.
 
@@ -49,6 +50,7 @@ from repro.pscp.machine import MachineObserver
 INJECT = "inject"
 DISPATCH = "dispatch"
 STEP = "step"
+REPEAT = "repeat"
 
 #: how many digested hops :meth:`LineageTracker.tail` keeps for forensics
 DEFAULT_TAIL = 64
@@ -57,8 +59,8 @@ DEFAULT_TAIL = 64
 class LineageTracker(MachineObserver):
     """One machine's append-only causal hop log.
 
-    Attached with :meth:`PscpMachine.attach`, its dispatch and step hooks
-    append compact tuples; :meth:`dag` digests them into a
+    Attached with :meth:`PscpMachine.attach`, its dispatch, step and
+    repeat hooks append compact tuples; :meth:`dag` digests them into a
     :class:`~repro.obs.causal.CausalDag`, :meth:`drain` ships the digest
     incrementally (the shard-farm worker does this per reply), and
     :meth:`tail` keeps the last few digested hops for forensics bundles.
@@ -123,6 +125,11 @@ class LineageTracker(MachineObserver):
                               step.events_raised, step.fired))
         else:
             self.hops.append(cycle)
+
+    def on_repeat(self, cycle: int, n: int, sampled) -> None:
+        """*n* cycles from *cycle* on sampled *sampled* and fired nothing:
+        one hop, which the digester expands cycle by cycle."""
+        self.hops.append((REPEAT, cycle, n, sampled))
 
     # -- digestion ---------------------------------------------------------
     def _ingest(self) -> None:
@@ -197,6 +204,10 @@ class _Digester:
                 self._cycle_dispatches.append(hop)
             elif tag == STEP:
                 self._feed_step(*hop[1:])
+            elif tag == REPEAT:
+                _, cycle, n, sampled = hop
+                for offset in range(n):
+                    self._feed_step(cycle + offset, sampled, (), ())
             else:  # INJECT
                 _, event_id, name = hop
                 self.dag.add_node(event_id, "inject", event=name)

@@ -114,15 +114,18 @@ class Tracer(MachineObserver):
         self._idle_start = None
         self._idle_cycles = 0
 
+    def _idle(self, cycles: int) -> None:
+        """Coalesce *cycles* quiescent cycles into the pending "idle" span
+        instead of paying for per-cycle event emission."""
+        if self._idle_start is None:
+            self._idle_start = self.machine.time
+        self._idle_cycles += cycles
+        self._dispatched = None
+
     def on_sla(self, cycle, sampled, enabled, retries) -> None:
         machine = self.machine
         if not enabled and not sampled and not retries:
-            # quiescent cycle: coalesce into one pending "idle" span
-            # instead of paying for per-cycle event emission
-            if self._idle_start is None:
-                self._idle_start = machine.time
-            self._idle_cycles += 1
-            self._dispatched = None
+            self._idle(1)
             return
         self.flush()
         self.span(self._sla_track, "SLA eval", machine.time,
@@ -132,6 +135,26 @@ class Tracer(MachineObserver):
         self._words = machine.cond_cache_bridge.words_total
         self._executed = machine.executor.instructions_executed
         self._dispatched = {}
+
+    def on_repeat(self, cycle, n, sampled) -> None:
+        """A run of *n* cycles that fire nothing: an empty input joins
+        the idle span; otherwise each cycle gets the spans and instants
+        :meth:`on_sla` and :meth:`record_step` give a fireless cycle."""
+        if not sampled:
+            self._idle(n)
+            return
+        self.flush()
+        names = sorted(sampled)
+        start = self.machine.time
+        for offset in range(n):
+            ts = start + offset * SLA_OVERHEAD_CYCLES
+            self.span(self._sla_track, "SLA eval", ts, SLA_OVERHEAD_CYCLES,
+                      {"enabled": 0})
+            for name in names:
+                self.instant(self._machine_track, name, ts)
+            self.span(self._machine_track, "cycle", ts, SLA_OVERHEAD_CYCLES,
+                      {"cycle": cycle + offset, "fired": 0})
+        self._dispatched = None
 
     def on_dispatch(self, cycle, index, completed, cost, raised,
                     port_accesses) -> None:

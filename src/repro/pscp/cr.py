@@ -111,6 +111,11 @@ class ConfigurationRegister:
     @property
     def bits(self) -> int:
         """The packed CR word (see the module docstring for the caching)."""
+        return self.word(self.events)
+
+    def word(self, events: Iterable[str]) -> int:
+        """The packed word with *events* as the event part: what
+        :attr:`bits` reads after :meth:`sample_events` of *events* alone."""
         configuration = self.configuration
         if configuration is not self._encoded:
             layout = self.layout
@@ -119,7 +124,7 @@ class ConfigurationRegister:
             self._encoded = configuration
         word = self._state_word
         masks = self._signal_masks
-        for name in self.events:
+        for name in events:
             word |= masks[name]
         for name in self.conditions:
             word |= masks[name]

@@ -178,9 +178,14 @@ class MachineStep:
 
 class MachineObserver:
     """Watches a :class:`PscpMachine`'s configuration cycles, never changes
-    them.  :meth:`PscpMachine.attach` calls :meth:`bind`; each cycle then
-    calls the three hooks in order.  They are no-ops here, so an observer
-    implements only the hooks it needs."""
+    them.  :meth:`PscpMachine.attach` calls :meth:`bind`; each stepped
+    cycle then calls the first three hooks in order, and each run of
+    repeated cycles (:meth:`PscpMachine.repeat`) calls :meth:`on_repeat`
+    once.  They are no-ops here, so an observer implements only the hooks
+    it needs.  An observer whose class overrides :meth:`on_sla` or
+    :meth:`record_step` but not :meth:`on_repeat` makes the machine step
+    every cycle of a run instead, so it sees exactly what stepping
+    shows."""
 
     __slots__ = ()
 
@@ -202,6 +207,12 @@ class MachineObserver:
 
     def record_step(self, cycle: int, step: MachineStep) -> None:
         """The cycle is done; *step* is what it did."""
+
+    def on_repeat(self, cycle: int, n: int, sampled: FrozenSet[str]) -> None:
+        """Cycles *cycle* .. *cycle* + *n* - 1 repeat the last one: each
+        samples *sampled*, enables and dispatches nothing and lasts
+        ``SLA_OVERHEAD_CYCLES``.  Called before the clock moves, so the
+        machine's ``time`` is the first one's start."""
 
 
 class PscpMachine:
@@ -241,11 +252,17 @@ class PscpMachine:
         self._pending_internal_events: Set[str] = set()
         self.time = 0
         self.cycle_count = 0
+        #: the CR word the last cycle's SLA evaluated if that cycle
+        #: dispatched nothing, else ``None``: what :meth:`repeat` repeats
+        self._idle_word: Optional[int] = None
         #: attached observers, in attach order; a cycle calls each hook
         #: only on the observers whose class overrides it
         self.observers: Tuple[MachineObserver, ...] = ()
         self._sla_observers = self._dispatch_observers = self.observers
-        self._step_observers = self.observers
+        self._step_observers = self._repeat_observers = self.observers
+        #: True when an attached observer watches cycles without taking
+        #: runs: :meth:`repeat` then steps each cycle
+        self._repeat_by_stepping = False
         #: fault injection / recovery: ``None`` keeps every hook a no-op
         self.injector = None
         self.guard = None
@@ -270,10 +287,14 @@ class PscpMachine:
     def _set_observers(self, observers) -> None:
         """Index *observers* by the hooks their class overrides."""
         self.observers = observers
-        self._sla_observers, self._dispatch_observers, self._step_observers = (
+        (self._sla_observers, self._dispatch_observers, self._step_observers,
+         self._repeat_observers) = (
             tuple(o for o in observers if getattr(type(o), hook)
                   is not getattr(MachineObserver, hook))
-            for hook in ("on_sla", "on_dispatch", "record_step"))
+            for hook in ("on_sla", "on_dispatch", "record_step", "on_repeat"))
+        self._repeat_by_stepping = any(
+            o not in self._repeat_observers
+            for o in self._sla_observers + self._step_observers)
         self._share_tracer()
 
     def observer(self, cls):
@@ -386,7 +407,8 @@ class PscpMachine:
                         self.cycle_count, problems)
         sampled = frozenset(self.cr.events)
 
-        enabled = self.pla.enabled(self.cr.bits)
+        word = self.cr.bits
+        enabled = self.pla.enabled(word)
         if injector is not None:
             # stuck-at faults on the SLA product-term outputs
             enabled = injector.filter_enabled(self.cycle_count, enabled)
@@ -406,6 +428,7 @@ class PscpMachine:
 
         transitions = [self.chart.transitions[i] for i in enabled]
         dispatch = enabled + retries
+        self._idle_word = None if dispatch else word
         plan = round_robin_dispatch(
             dispatch, self._routine_of, self.arch,
             self._available_teps) if dispatch else None
@@ -546,6 +569,52 @@ class PscpMachine:
         for observer in self.observers:
             observer.flush()
         return steps
+
+    def repeat_refusal(self, external_events: Iterable[str] = ()
+                       ) -> Optional[str]:
+        """Why :meth:`repeat` with *external_events* is illegal now, or
+        ``None`` when it is legal: the last cycle dispatched nothing, no
+        injector or guard is attached, no internal event is pending and
+        *external_events* give the CR word the last cycle's SLA
+        evaluated."""
+        if self.injector is not None or self.guard is not None:
+            return "an injector or a guard is attached"
+        if self._idle_word is None:
+            return "the last cycle dispatched transitions"
+        if self._pending_internal_events:
+            return "internal events are pending"
+        external = set(external_events)
+        unknown = external - self._event_names
+        if unknown:
+            return f"unknown external events {sorted(unknown)!r}"
+        if self.cr.word(external) != self._idle_word:
+            return "the CR word differs from the last cycle's"
+        return None
+
+    def repeat(self, n: int, external_events: Iterable[str] = ()) -> None:
+        """Advance *n* configuration cycles that each repeat the last one
+        exactly: it dispatched nothing, so the same CR word enables nothing
+        again, and each cycle only adds ``SLA_OVERHEAD_CYCLES`` to
+        :attr:`time`.  Raises :class:`MachineError`, changing nothing, when
+        :meth:`repeat_refusal` names a reason.
+
+        Observers that override :meth:`MachineObserver.on_repeat` get the
+        run in one call; when an attached observer overrides ``on_sla`` or
+        ``record_step`` but not ``on_repeat``, each cycle is stepped."""
+        external = frozenset(external_events)
+        refusal = self.repeat_refusal(external)
+        if refusal is not None:
+            raise MachineError(f"cannot repeat the last cycle: {refusal}")
+        if n < 1:
+            raise MachineError(f"cannot repeat {n} cycles")
+        if self._repeat_by_stepping:
+            for _ in range(n):
+                self.step(external)
+            return
+        for observer in self._repeat_observers:
+            observer.on_repeat(self.cycle_count, n, external)
+        self.time += n * SLA_OVERHEAD_CYCLES
+        self.cycle_count += n
 
     def _routine_of(self, transition_index: int) -> Optional[str]:
         transition = self.chart.transitions[transition_index]

@@ -141,6 +141,12 @@ class DeadlineMonitor:
                 record.resolved_at = step.end_time
             del self._open[event]
 
+    def advance(self, now: int) -> None:
+        """The machine repeated cycles (:meth:`PscpMachine.repeat
+        <repro.pscp.machine.PscpMachine.repeat>`) up to *now*: no arrival
+        was open for their input, so only the clock moves."""
+        self._now = now
+
     def _note_anomalies(self, step: MachineStep) -> None:
         """Classify a recovery-bearing cycle for latency attribution."""
         kinds = {r.kind for r in step.recoveries}

@@ -20,6 +20,11 @@ Protocol (reconstructed; the paper gives only the constraints):
 * when a motor's steps are exhausted the environment raises ``X_STEPS`` &c.;
   when all three FINISH conditions hold it raises ``END_MOVE``;
 * ``BUF_EMPTY`` tells the controller no commands remain.
+
+Between these events the machine mostly waits: a cycle whose input enables
+nothing is followed by identical cycles until an event falls due or a motor
+pulses.  The loop advances each such run in one
+:meth:`~repro.pscp.machine.PscpMachine.repeat` call instead of stepping it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.flow.build import BuiltSystem
 from repro.pscp.machine import PscpMachine
 from repro.pscp.ports import PortBus
+from repro.pscp.scheduler import SLA_OVERHEAD_CYCLES
 from repro.pscp.trace import DeadlineMonitor, DeadlineReport
 from repro.workloads import motors as motor_models
 from repro.workloads.motors import Motor, MotorSpec, PHI_MOTOR, X_MOTOR, Y_MOTOR
@@ -123,6 +129,40 @@ class SmdClosedLoop:
             self.monitor.arrival(event, when)
             due.add(event)
         return due
+
+    def _steps_events(self) -> Set[str]:
+        """``X_STEPS`` &c. of every motor whose move is done but whose
+        FINISH condition the controller has not set yet."""
+        return {self._steps_event[name]
+                for name, motor in self.motors.items()
+                if motor.has_work and not motor.moving
+                and not self.machine.condition(self._finish_condition[name])}
+
+    def _move_finished(self) -> bool:
+        """A started move's motors all reported finished: ``END_MOVE``."""
+        return self._move_started and all(
+            self.machine.condition(c)
+            for c in self._finish_condition.values())
+
+    def _repeatable_cycles(self, events: Set[str], limit: int) -> int:
+        """How many of the next configuration cycles, at most *limit*,
+        the machine may repeat with *events*: each would be offered
+        *events* again and change nothing in the loop, so none may start
+        once an event falls due or a motor pulses."""
+        machine = self.machine
+        if (machine.repeat_refusal(events) is not None
+                or self._move_finished() or events != self._steps_events()):
+            return 0
+        due = [motor.next_pulse for motor in self.motors.values()
+               if motor.moving]
+        if self._queue:
+            due.append(self._queue[0][0])
+        if due:
+            # repeated cycles start SLA_OVERHEAD_CYCLES apart; count those
+            # starting before the earliest due time (ceiling division)
+            limit = min(limit, -(-(min(due) - machine.time)
+                                 // SLA_OVERHEAD_CYCLES))
+        return max(0, limit)
 
     # -- command transfer -----------------------------------------------------
     def _issue_command(self, command: MoveCommand, start_time: int) -> int:
@@ -222,7 +262,9 @@ class SmdClosedLoop:
             checkpoint = self._loop_checkpoint(pending, completed,
                                                previous_time)
 
-        for _ in range(max_configuration_cycles):
+        remaining = max_configuration_cycles
+        while remaining > 0:
+            remaining -= 1
             now = machine.time
             events = self._due_events(now)
             # motor pulses since the previous configuration cycle
@@ -230,14 +272,9 @@ class SmdClosedLoop:
                 for when in motor.pulses_between(previous_time, now):
                     events.add(self._pulse_event[name])
                     self.monitor.arrival(self._pulse_event[name], when)
-                if (motor.has_work and not motor.moving
-                        and not machine.condition(
-                            self._finish_condition[name])):
-                    events.add(self._steps_event[name])
+            events |= self._steps_events()
             # END_MOVE once every motor reported finished
-            if (self._move_started
-                    and all(machine.condition(c)
-                            for c in self._finish_condition.values())):
+            if self._move_finished():
                 events.add("END_MOVE")
                 self._move_started = False
                 # under fault injection a spurious completion can arrive
@@ -287,6 +324,17 @@ class SmdClosedLoop:
                 if all(not motor.moving for motor in self.motors.values()):
                     ran_to_completion = True
                     break
+
+            # a run of identical input advances in one machine call; with
+            # checkpointing on, every cycle is stepped (only a guard
+            # escalates, and a guard forbids repeating anyway)
+            if not restore_from_checkpoint:
+                repeats = self._repeatable_cycles(events, remaining)
+                if repeats:
+                    machine.repeat(repeats, events)
+                    self.monitor.advance(machine.time)
+                    previous_time = machine.time - SLA_OVERHEAD_CYCLES
+                    remaining -= repeats
 
         for observer in machine.observers:
             observer.flush()

@@ -159,6 +159,14 @@ class Motor:
         return self._pulse_cursor < len(self._pulses)
 
     @property
+    def next_pulse(self) -> Optional[int]:
+        """The absolute cycle time of the next pulse, ``None`` when the
+        motor is not moving."""
+        if not self.moving:
+            return None
+        return self._start_cycle + self._pulses[self._pulse_cursor]
+
+    @property
     def has_work(self) -> bool:
         """True once a move has been commanded (finished or not)."""
         return bool(self._pulses)

@@ -165,6 +165,45 @@ def test_specialize_routines_copies_the_function_list():
         "StartMotor_2_2", "DeltaT_2"]
 
 
+def smd_source():
+    from repro.workloads import SMD_ROUTINES, smd_chart
+
+    return smd_chart(), SMD_ROUTINES, MD16_TEP
+
+
+def elevator_source():
+    from repro.workloads.elevator import ELEVATOR_ROUTINES, elevator_chart
+
+    return elevator_chart(), ELEVATOR_ROUTINES, MD16_TEP
+
+
+def campaign_source(seed):
+    spec = generate_spec(seed)
+    chart, source = render_chart(spec), render_source(spec)
+    return chart, source, Frontend(chart, source).initial_architecture()
+
+
+SOURCES = ([pytest.param(smd_source, id="smd"),
+            pytest.param(elevator_source, id="elevator")]
+           + [pytest.param(lambda seed=seed: campaign_source(seed),
+                           id=str(seed)) for seed in CHART_SEEDS])
+
+
+@pytest.mark.parametrize("make_source", SOURCES)
+def test_specialized_program_equals_a_full_check(make_source):
+    import copy
+
+    chart, source, arch = make_source()
+    frontend = Frontend(chart, source)
+    _, specialized = specialize_routines(chart, frontend.checked(arch),
+                                         frontend.externals)
+    full = check_program(copy.deepcopy(specialized.program),
+                         frontend.externals)
+    assert specialized.program == full.program
+    assert specialized.global_types == full.global_types
+    assert specialized.call_order == full.call_order
+
+
 # ---------------------------------------------------------------------------
 # the work happens once
 # ---------------------------------------------------------------------------
@@ -256,6 +295,8 @@ COMMANDS = {
 def test_each_command_parses_once(calls, argv):
     assert run_cli(argv, out=io.StringIO()) == 0
     assert calls["parse_with_preamble"] == 1
+    # a specialized build checks only its clones (Checker.extend)
+    assert calls["Checker.analyze"] == 1
 
 
 # ---------------------------------------------------------------------------

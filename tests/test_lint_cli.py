@@ -182,6 +182,20 @@ class TestBadRoutines:
         assert (f"{source}:4: error PSC301: action program does not parse: "
                 "line 4: unexpected token ';'\n") in text
 
+    @pytest.mark.parametrize("argv, status, what", [
+        (["check"], 2, "routines do not parse"),
+        (["lint", "--arch", "minimal"], 1, "action program does not parse"),
+    ], ids=["check", "lint-arch"])
+    def test_lex_error_is_a_located_parse_error(self, project, argv, status,
+                                                what):
+        lines = (SAFE / "routines.c").read_text().splitlines(keepends=True)
+        lines[3] = "  jobs = jobs $ 1;\n"
+        path, source = project("".join(lines))
+        code, text = invoke(argv[:1] + [path] + argv[1:])
+        assert code == status
+        assert (f"{source}:4: error PSC301: {what}: line 4: unexpected "
+                "character '$'\n") in text
+
     def test_lint_with_arch_locates_each_semantic_error(self, project):
         path, source = project(ILL_TYPED)
         status, text = invoke(["lint", path, "--arch", "minimal"])

@@ -18,7 +18,9 @@ output file below, byte for byte:
 * ``serve_lineage`` -- the lineage DAG of ``repro serve --processes 2
   --chaos --kills 1 --items 80 --seed 7 --lineage``;
 * ``lineage_smd`` -- a :class:`~repro.obs.LineageTracker`'s DAG over one
-  move of the SMD closed loop.
+  move of the SMD closed loop;
+* ``stats_smd`` -- ``repro stats examples/smd --json``: the closed loop's
+  deadline, cycle and cache-traffic report.
 
 Regenerate (only when a change to an observer's output is intended)::
 
@@ -146,8 +148,12 @@ def lineage_smd(directory):
     return {"dag.json": _sha256(lineage.dag().dumps())}
 
 
+def stats_smd(directory):
+    return {"stats.json": _sha256(_cli(["stats", SMD_PROJECT, "--json"]))}
+
+
 OUTPUTS = (trace_smd, tracer_elevator, serve_chaos, check_forensics,
-           serve_lineage, lineage_smd)
+           serve_lineage, lineage_smd, stats_smd)
 
 
 @pytest.mark.parametrize("output", OUTPUTS, ids=lambda f: f.__name__)

@@ -1,10 +1,11 @@
 """The machine-observer protocol.
 
 A machine keeps one tuple of :class:`~repro.pscp.machine.MachineObserver`
-instances and calls three hooks on each: ``on_sla`` once per configuration
-cycle before the TAT drains, ``on_dispatch`` once per TAT dispatch, and
-``record_step`` once per cycle with the :class:`MachineStep` it returns.
-A new observer is one subclass and no machine edit.
+instances and calls three hooks on each stepped cycle: ``on_sla`` before
+the TAT drains, ``on_dispatch`` once per TAT dispatch, and ``record_step``
+with the :class:`MachineStep` it returns.  A run of repeated cycles calls
+``on_repeat`` once (``tests/test_repeat.py``).  A new observer is one
+subclass and no machine edit.
 """
 
 import random
