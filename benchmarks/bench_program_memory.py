@@ -9,7 +9,6 @@ that bound the memories a real PSCP version would need.
 
 from repro.flow import ascii_table, build_system
 from repro.isa import MD16_TEP, MINIMAL_TEP, assemble, program_size_words
-from repro.pscp.machine import build_transition_stubs
 from repro.workloads import SMD_ROUTINES, smd_chart
 
 
@@ -23,13 +22,10 @@ def test_program_memory_footprints(smd, benchmark):
                  MD16_TEP.with_(microcode_optimized=True), True)]:
             system = build_system(smd, SMD_ROUTINES, arch,
                                   specialize=specialize)
-            code = system.compiled.flat_instructions()
-            stubs, _ = build_transition_stubs(
-                system.chart, system.compiled, system.param_names)
-            assembled = assemble(code + stubs)
+            program = list(system.image.program.instructions)
             rows.append((name,
-                         len(code) + len(stubs),
-                         assembled.size_words,
+                         len(program),
+                         assemble(program).size_words,
                          system.decoder_rom().size_words))
         return rows
 

@@ -3,7 +3,10 @@
 
 Runs the bench_closed_loop workload (the paper's final architecture against
 the fast-motor physics) in four legs, timed after one untimed warmup and
-then interleaved round by round:
+then interleaved round by round.  One closed-loop run lasts only tens of
+milliseconds, so each timed sample is *k* back-to-back runs, with *k* fixed
+once, before the first round, so that a disabled sample lasts at least
+``MIN_SAMPLE_S``:
 
 * **disabled** — no instrumentation at all;
 * **recorder** — flight recorder attached, tracing off (the always-on
@@ -16,8 +19,8 @@ then interleaved round by round:
 Checks, against ``scripts/overhead_baseline.json``:
 
 * **determinism**: total reference-clock cycles, configuration cycles and
-  final motor positions must match across all four legs and the baseline
-  exactly — observability must not perturb the simulation;
+  final motor positions of every run must match across all four legs and
+  the baseline exactly — observability must not perturb the simulation;
 * **leg overhead**: the recorder and lineage legs must stay within
   ``--threshold`` (default 5%) of the disabled leg — a *hard* failure.
   Overhead is the median of per-round ratios (:func:`paired_overhead`):
@@ -40,6 +43,7 @@ Refresh the baseline after an intended simulator change::
 import argparse
 import gc
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -73,6 +77,10 @@ COMMANDS = [MoveCommand(60, 45, 8), MoveCommand(25, 30, 4)]
 #: run under --lineage; the full tracer's budget is advisory
 HARD_LEGS = ("recorder", "lineage")
 MEASURED_LEGS = HARD_LEGS + ("enabled",)
+
+#: shortest disabled sample: scheduler noise of a few milliseconds stays
+#: well under the budgets' share of it
+MIN_SAMPLE_S = 0.2
 
 
 def median(values):
@@ -177,19 +185,45 @@ def determinism_record(report):
     }
 
 
-def measure(system, rounds):
-    """One full interleaved measurement of the four legs."""
+def runs_per_sample(system):
+    """How many back-to-back closed-loop runs make a disabled sample last
+    at least :data:`MIN_SAMPLE_S`: after one untimed run, the fastest of
+    the disabled runs that fill :data:`MIN_SAMPLE_S` sets it."""
+    run_once(system)
+    times = []
+    while sum(times) < MIN_SAMPLE_S:
+        started = time.perf_counter()
+        run_once(system)
+        times.append(time.perf_counter() - started)
+    return math.ceil(MIN_SAMPLE_S / min(times))
+
+
+def measure(system, rounds, runs):
+    """One full interleaved measurement of the four legs, *runs*
+    closed-loop runs per sample; a leg's payload is each run's determinism
+    record (kept instead of the report, so no run's observers outlive
+    it)."""
     print(f"timing disabled/recorder/lineage/enabled interleaved "
-          f"({rounds} rounds each) ...")
+          f"({rounds} rounds each, {runs} runs per sample) ...")
+
+    def leg(**observers):
+        """One sample: *runs* closed-loop runs, each with fresh
+        *observers* (keyword -> class)."""
+        def sample():
+            return [determinism_record(run_once(system, **{
+                name: make() for name, make in observers.items()}))
+                for _ in range(runs)]
+        return sample
+
     legs = measure_interleaved({
-        "disabled": lambda: run_once(system),
-        "recorder": lambda: run_once(system, recorder=FlightRecorder()),
-        "lineage": lambda: run_once(system, lineage=LineageTracker()),
-        "enabled": lambda: run_once(system, Tracer()),
+        "disabled": leg(),
+        "recorder": leg(recorder=FlightRecorder),
+        "lineage": leg(lineage=LineageTracker),
+        "enabled": leg(tracer=Tracer),
     }, rounds)
     disabled = legs["disabled"]
     print(f"  disabled median {disabled.median_ns / 1e6:.1f} ms, "
-          f"{disabled.payload.total_cycles} cycles")
+          f"{disabled.payload[0]['total_cycles']} cycles per run")
     overheads = {}
     for name in MEASURED_LEGS:
         overheads[name] = paired_overhead(legs[name], disabled)
@@ -229,17 +263,18 @@ def main(argv=None):
 
     print("building the final SMD architecture ...")
     system = build_final_system()
+    runs = runs_per_sample(system)
 
     # a busted hard budget extends the measurement rather than failing:
     # the pooled median converges on the true overhead, so a noise burst
     # washes out while a real regression only firms up
-    legs, overheads = measure(system, args.rounds)
+    legs, overheads = measure(system, args.rounds, runs)
     for _ in range(args.retries):
         if all(overheads[name] <= args.threshold for name in HARD_LEGS):
             break
         print("hard-budget overshoot; extending the measurement to "
               "wash out machine-load bursts ...")
-        fresh, _ = measure(system, args.rounds)
+        fresh, _ = measure(system, args.rounds, runs)
         for name, timing in fresh.items():
             legs[name].times_ns.extend(timing.times_ns)
             legs[name].payload = timing.payload
@@ -249,9 +284,9 @@ def main(argv=None):
             f"{name} {overheads[name] * 100:+.1f}%"
             for name in MEASURED_LEGS))
 
-    record = determinism_record(legs["disabled"].payload)
-    for name in MEASURED_LEGS:
-        if determinism_record(legs[name].payload) != record:
+    record = legs["disabled"].payload[0]
+    for name in ("disabled",) + MEASURED_LEGS:
+        if any(other != record for other in legs[name].payload):
             print(f"FAIL: {name} run diverged from disabled run")
             return 1
     for name in HARD_LEGS:

@@ -93,6 +93,12 @@ class CheckedProgram:
     def function(self, name: str) -> Function:
         return self.program.function(name)
 
+    def enum_values(self) -> Dict[str, int]:
+        """Each enum member's value (enum members are global constants)."""
+        return {name: typ.value_of(name)
+                for name, typ in self.global_types.items()
+                if isinstance(typ, EnumType) and name in typ.members}
+
 
 class _FunctionChecker:
     def __init__(self, checker: "Checker", function: Function) -> None:

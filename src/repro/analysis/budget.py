@@ -2,8 +2,8 @@
 
 Relates the three timing artifacts the flow already computes:
 
-* the per-transition static cost from the ISA cost model
-  (:func:`repro.pscp.machine.stub_wcet` + scheduler dispatch overhead),
+* the per-transition static cost from the ISA cost model (the linked
+  image's :attr:`~repro.pscp.machine.MachineImage.costs`),
 * explicit ``wcet N`` overrides on transitions — the paper's "explicit
   timing constraints" escape hatch for un-analyzable routines, and
 * event arrival periods, which the timing validator turns into cycle
@@ -20,12 +20,10 @@ reactive system.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Optional
 
 from repro.analysis.diag import Collector, Diagnostic, SourceLocation
 from repro.flow.build import BuiltSystem
-from repro.pscp.machine import stub_wcet
 from repro.statechart.model import Chart
 
 
@@ -45,9 +43,7 @@ def budget_lint(system: BuiltSystem,
     for transition in chart.transitions:
         if transition.wcet_override is None:
             continue
-        derived = stub_wcet(
-            dataclasses.replace(transition, wcet_override=None),
-            system.compiled, system.param_names)
+        derived = system.image.costs[transition.index]
         if transition.wcet_override < derived:
             line = None
             if transition.index < len(lines.transitions):

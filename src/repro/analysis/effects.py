@@ -30,7 +30,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.action.ast import (
     Assign,
     Call,
-    EnumType,
     Expr,
     ExprStmt,
     FieldAccess,
@@ -47,7 +46,11 @@ from repro.action.ast import (
 )
 from repro.action.check import CheckedProgram
 from repro.action.stdlib import is_builtin
-from repro.statechart.labels import action_arguments, action_routine_name
+from repro.statechart.labels import (
+    action_arguments,
+    action_routine_name,
+    constant_argument,
+)
 from repro.statechart.model import Chart
 
 #: value a parameter is bound to at a call site: a known int or unknown
@@ -116,10 +119,7 @@ class EffectAnalyzer:
         self.checked = checked
         self.program = checked.program
         self.globals = set(checked.global_types)
-        self.enum_values: Dict[str, int] = {}
-        for name, typ in checked.global_types.items():
-            if isinstance(typ, EnumType) and name in typ.members:
-                self.enum_values[name] = typ.value_of(name)
+        self.enum_values = checked.enum_values()
         self._memo: Dict[Tuple[str, Tuple[Tuple[str, Optional[int]], ...]],
                          Effects] = {}
 
@@ -136,7 +136,8 @@ class EffectAnalyzer:
             return Effects()
         binding: Binding = {}
         for param, argument in zip(function.params, arguments):
-            binding[param.name] = self._constant_text(argument)
+            binding[param.name] = constant_argument(argument,
+                                                    self.enum_values)
         return self.function_effects(function, binding)
 
     def function_effects(self, function: Function,
@@ -156,15 +157,6 @@ class EffectAnalyzer:
         return effects
 
     # -- helpers -----------------------------------------------------------
-    def _constant_text(self, text: str) -> Optional[int]:
-        text = text.strip()
-        if text in self.enum_values:
-            return self.enum_values[text]
-        try:
-            return int(text, 0)
-        except ValueError:
-            return None
-
     def constant_of(self, expr: Expr, binding: Binding) -> Optional[int]:
         if isinstance(expr, IntLiteral):
             return expr.value

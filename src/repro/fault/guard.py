@@ -6,11 +6,12 @@ The dynamic counterpart of the static timing/verification work: a
 inside the machine's configuration cycle:
 
 * **configuration-cycle watchdog** — every transition dispatch gets a cycle
-  budget derived from its static ``stub_wcet`` bound (``margin *`` WCET
-  ``+ slack``).  A routine exceeding it is aborted at the budget: its
-  condition-cache copy-back is suppressed, its raised events dropped, and a
-  bounded-retry policy re-posts the routine to the Transition Address Table
-  after an exponential backoff;
+  budget derived from its static bound in the machine's image
+  (:meth:`~repro.pscp.machine.MachineImage.wcet`; ``WATCHDOG_MARGIN *``
+  WCET ``+ WATCHDOG_SLACK``).  A routine exceeding it is aborted at the
+  budget: its condition-cache copy-back is suppressed, its raised events
+  dropped, and a bounded-retry policy re-posts the routine to the
+  Transition Address Table after an exponential backoff;
 * **exclusivity-set checker** — the Drusinsky encoding leaves unused code
   points in OR-selector fields, so many corrupted CR state parts decode to
   configurations that violate the chart's exclusivity sets (an active
@@ -41,6 +42,15 @@ ILLEGAL_CONFIGURATION = "illegal-configuration"
 TEP_FAILOVER = "tep-failover"
 RETRY_EXHAUSTED = "retry-exhausted"
 ALL_TEPS_FAILED = "all-teps-failed"
+
+#: a dispatch's watchdog budget: ``int(WATCHDOG_MARGIN * wcet)
+#: + WATCHDOG_SLACK`` cycles
+WATCHDOG_MARGIN = 4.0
+WATCHDOG_SLACK = 64
+#: configuration cycles before the first retry; each further one doubles
+BACKOFF_BASE = 1
+#: consecutive failed exclusivity recoveries before escalating
+MAX_CONSECUTIVE_ILLEGAL = 3
 
 
 class MachineEscalation(MachineError):
@@ -135,25 +145,14 @@ class MachineGuard:
 
     def __init__(
         self,
-        watchdog_margin: float = 4.0,
-        watchdog_slack: int = 64,
         max_retries: int = 3,
-        backoff_base: int = 1,
         safe_state: Optional[Iterable[str]] = None,
         escalate_unrecoverable: bool = False,
-        max_consecutive_illegal: int = 3,
     ) -> None:
-        if watchdog_margin < 1.0:
-            raise ValueError("watchdog margin must be >= 1 (the WCET bound)")
-        self.watchdog_margin = watchdog_margin
-        self.watchdog_slack = watchdog_slack
         self.max_retries = max_retries
-        self.backoff_base = max(1, backoff_base)
         #: raise :class:`MachineEscalation` out of the cycle when in-cycle
         #: recovery is exhausted, instead of limping on (farm mode)
         self.escalate_unrecoverable = escalate_unrecoverable
-        #: consecutive failed exclusivity recoveries before escalating
-        self.max_consecutive_illegal = max(1, max_consecutive_illegal)
         self._consecutive_illegal = 0
         self.escalation_count = 0
         self._safe_state_override = (frozenset(safe_state)
@@ -183,10 +182,9 @@ class MachineGuard:
 
     # -- wiring ------------------------------------------------------------
     def bind(self, machine) -> None:
-        """Called by :meth:`PscpMachine.attach_guard`: pre-compute the
-        per-transition watchdog budgets and resolve the safe state."""
-        from repro.pscp.machine import stub_wcet
-
+        """Called by :meth:`PscpMachine.attach_guard`: read the
+        per-transition watchdog budgets off the machine's image and resolve
+        the safe state."""
         self.machine = machine
         self.safe_state = (self._safe_state_override
                            if self._safe_state_override is not None
@@ -194,14 +192,10 @@ class MachineGuard:
         problems = configuration_problems(machine.chart, self.safe_state)
         if problems:
             raise ValueError(f"declared safe state is illegal: {problems}")
+        image = machine.image
         self.budgets = {
-            transition.index: int(
-                self.watchdog_margin
-                * stub_wcet(transition, machine.compiled,
-                            machine._param_names)
-            ) + self.watchdog_slack
-            for transition in machine.chart.transitions
-        }
+            index: int(WATCHDOG_MARGIN * image.wcet(index)) + WATCHDOG_SLACK
+            for index in image.costs}
 
     def attach_tracer(self, tracer) -> None:
         self.tracer = tracer
@@ -261,7 +255,7 @@ class MachineGuard:
                     RETRY_EXHAUSTED, cycle, transition_index, detail)
             return
         # exponential backoff in configuration cycles: 1, 2, 4, ...
-        backoff = self.backoff_base * (1 << (attempts - 1))
+        backoff = BACKOFF_BASE * (1 << (attempts - 1))
         heapq.heappush(self._retry_heap,
                        (cycle + backoff, self._retry_seq, transition_index))
         self._retry_seq += 1
@@ -312,7 +306,7 @@ class MachineGuard:
         self.illegal_configurations += 1
         self._consecutive_illegal += 1
         if (self.escalate_unrecoverable
-                and self._consecutive_illegal >= self.max_consecutive_illegal):
+                and self._consecutive_illegal >= MAX_CONSECUTIVE_ILLEGAL):
             detail = (f"safe-state recovery failed "
                       f"{self._consecutive_illegal} consecutive times: "
                       + "; ".join(problems))

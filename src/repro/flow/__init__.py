@@ -10,7 +10,6 @@ from repro.flow.build import (
     Frontend,
     build_system,
     select_initial_architecture,
-    transition_cost_map,
 )
 from repro.flow.improve import (
     Improver,
@@ -45,5 +44,5 @@ __all__ = [
     "improvement_profile_report",
     "lpt_makespan",
     "select_initial_architecture", "table1_report", "table2_report",
-    "table3_report", "table4_report", "transition_cost_map",
+    "table3_report", "table4_report",
 ]

@@ -1,9 +1,10 @@
 """The end-to-end codesign flow.
 
 Ties the front end (textual statechart + intermediate-C routines) to every
-backend artifact: checked program, compiled routines, synthesized SLA,
-transition costs, the timing validator, the area estimate, and — on demand —
-an executable :class:`~repro.pscp.machine.PscpMachine`.
+backend artifact: checked program, compiled routines, synthesized SLA, the
+linked machine image with its transition costs, the timing validator, the
+area estimate, and — on demand — executable machines
+(:class:`~repro.pscp.machine.PscpMachine`) that share the image.
 
 This is the module a user calls first::
 
@@ -13,7 +14,7 @@ This is the module a user calls first::
 
 Several architecture points of one chart share a :class:`Frontend`: it
 parses, checks and synthesizes once, and each :meth:`Frontend.build` only
-compiles and prices.
+compiles and links.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.isa.codegen import (
     RoutineFrontend,
 )
 from repro.isa.microcode import DecoderRom
-from repro.pscp.machine import PscpMachine, stub_wcet
+from repro.pscp.machine import MachineImage, PscpMachine
 from repro.pscp.ports import PortBus
 from repro.pscp.scheduler import DISPATCH_OVERHEAD_CYCLES
 from repro.sla.synth import Pla, synthesize
@@ -51,14 +52,16 @@ class BuiltSystem:
     compiled: CompiledProgram
     pla: Pla
     param_names: Dict[str, List[str]]
+    #: the linked program memory every machine of this system shares
+    image: MachineImage
+    #: per transition: the image's static cost plus the dispatch overhead
     transition_costs: Dict[int, int]
     validator: TimingValidator
     storage_map: Dict[str, StorageClass] = field(default_factory=dict)
 
     # -- derived artifacts -------------------------------------------------
     def make_machine(self, port_bus: Optional[PortBus] = None) -> PscpMachine:
-        return PscpMachine(self.chart, self.compiled, pla=self.pla,
-                           port_bus=port_bus, param_names=self.param_names)
+        return PscpMachine(self.image, pla=self.pla, port_bus=port_bus)
 
     def app_stats(self) -> AppStats:
         return AppStats(
@@ -91,31 +94,6 @@ class BuiltSystem:
         return self.compiled.wcets()
 
 
-def transition_cost_map(chart: Chart, compiled: CompiledProgram,
-                        param_names: Dict[str, List[str]]) -> Dict[int, int]:
-    """Static per-transition cost: stub + routine + dispatch overhead."""
-    return {
-        transition.index:
-            stub_wcet(transition, compiled, param_names)
-            + DISPATCH_OVERHEAD_CYCLES
-        for transition in chart.transitions
-    }
-
-
-def _enum_value_map(program) -> Dict[str, int]:
-    from repro.action.ast import EnumType
-
-    values: Dict[str, int] = {}
-    for enum_type in program.enums:
-        for member in enum_type.members:
-            values[member] = enum_type.value_of(member)
-    for _, typ in program.typedefs:
-        if isinstance(typ, EnumType):
-            for member in typ.members:
-                values.setdefault(member, typ.value_of(member))
-    return values
-
-
 def specialize_routines(chart: Chart, checked: CheckedProgram,
                         externals: Externals) -> Tuple[Chart, CheckedProgram]:
     """Clone constant-argument routines per call site and fold the constants.
@@ -129,26 +107,20 @@ def specialize_routines(chart: Chart, checked: CheckedProgram,
     import copy as _copy
 
     from repro.action.transform import TransformError, specialize_call
-    from repro.statechart.labels import action_arguments, action_routine_name
+    from repro.statechart.labels import (
+        action_arguments,
+        action_routine_name,
+        constant_argument,
+    )
 
     chart = _copy.deepcopy(chart)
     # the clones extend a copy of the function list: *checked* may be
     # shared by other builds (see :class:`Frontend`)
     program = replace(checked.program,
                       functions=list(checked.program.functions))
-    enum_values = _enum_value_map(program)
+    enum_values = checked.enum_values()
     existing = {f.name for f in program.functions}
     made: Dict[Tuple[str, Tuple[int, ...]], str] = {}
-
-    def resolve(argument: str) -> Optional[int]:
-        argument = argument.strip()
-        if argument in enum_values:
-            return enum_values[argument]
-        try:
-            return int(argument)
-        except ValueError:
-            return None
-
     changed = False
     for transition in chart.transitions:
         if not transition.action:
@@ -159,7 +131,7 @@ def specialize_routines(chart: Chart, checked: CheckedProgram,
         arguments = action_arguments(transition.action)
         if not arguments:
             continue
-        values = [resolve(a) for a in arguments]
+        values = [constant_argument(a, enum_values) for a in arguments]
         if any(v is None for v in values):
             continue
         key = (routine, tuple(values))
@@ -188,7 +160,7 @@ class Frontend(RoutineFrontend):
     routines are parsed and checked once (and once more per distinct
     runtime-helper set, :meth:`checked`) and its SLA is synthesized once
     (:attr:`pla`, on first use).  :meth:`build` is the back end, run once
-    per architecture point: code generation, pricing and the timing
+    per architecture point: code generation, linking and the timing
     validator; every built system records its front end.  Nothing here
     writes to the shared ASTs or ``Pla``; a specialized build rewrites
     copies.
@@ -208,8 +180,9 @@ class Frontend(RoutineFrontend):
     def build(self, arch: ArchConfig,
               storage_map: Optional[Dict[str, StorageClass]] = None,
               specialize: bool = False) -> BuiltSystem:
-        """The system for one architecture point.  A specialized build
-        rewrites a copy of the chart and synthesizes that copy's SLA."""
+        """The system for one architecture point, linked once
+        (:meth:`MachineImage.link`).  A specialized build rewrites a copy
+        of the chart and synthesizes that copy's SLA."""
         chart, checked = self.chart, self.checked(arch)
         if specialize:
             chart, checked = specialize_routines(chart, checked,
@@ -220,7 +193,10 @@ class Frontend(RoutineFrontend):
         param_names = {f.name: [p.name for p in f.params]
                        for f in checked.program.functions}
         pla = synthesize(chart) if specialize else self.pla
-        costs = transition_cost_map(chart, compiled, param_names)
+        image = MachineImage.link(chart, compiled, param_names)
+        costs = {transition.index:
+                 image.wcet(transition.index) + DISPATCH_OVERHEAD_CYCLES
+                 for transition in chart.transitions}
         validator = TimingValidator(
             chart, lambda t: costs[t.index], arch=arch)
         return BuiltSystem(
@@ -231,6 +207,7 @@ class Frontend(RoutineFrontend):
             compiled=compiled,
             pla=pla,
             param_names=param_names,
+            image=image,
             transition_costs=costs,
             validator=validator,
             storage_map=dict(storage_map or {}),

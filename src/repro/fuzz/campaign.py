@@ -395,25 +395,29 @@ def replay_corpus(directory: str,
 
     One ordered sweep per entry: a clean entry must stay divergence-free
     on every stage; a diverging entry must still be caught first at the
-    recorded stage, on the recorded field when one is given.
+    recorded stage, on the recorded field when one is given.  An entry that
+    is not such an object fails under its file name.
     """
     results: List[ReplayResult] = []
     for filename in sorted(os.listdir(directory)):
         if not filename.endswith(".json"):
             continue
-        path = os.path.join(directory, filename)
-        with open(path) as handle:
-            doc = json.load(handle)
-        name = doc.get("name", filename)
-        spec = spec_from_json(doc["spec"])
-        cycles = doc.get("cycles", cycles_default)
-        mutation = (CanaryMutation.from_json(doc["mutation"])
-                    if doc.get("mutation") else None)
-        expect = doc.get("expect", {"clean": True})
-        harness = OracleHarness(spec, cycles=cycles, mutation=mutation)
+        name = filename
         try:
-            ok, detail = _check_expectation(harness.run_all().divergence,
-                                            expect)
+            with open(os.path.join(directory, filename)) as handle:
+                doc = json.load(handle)
+            if not isinstance(doc, dict) or "spec" not in doc:
+                raise ValueError('not a corpus entry: no "spec"')
+            spec = spec_from_json(doc["spec"])
+            name = doc.get("name", filename)
+            mutation = (CanaryMutation.from_json(doc["mutation"])
+                        if doc.get("mutation") else None)
+            harness = OracleHarness(
+                spec, cycles=doc.get("cycles", cycles_default),
+                mutation=mutation)
+            ok, detail = _check_expectation(
+                harness.run_all().divergence,
+                doc.get("expect", {"clean": True}))
         except Exception as exc:  # noqa: BLE001 — replay must not abort
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(ReplayResult(name, ok, detail))

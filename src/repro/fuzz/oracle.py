@@ -49,7 +49,6 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.reference import SpecEvaluator
 from repro.pscp.machine import MachineObserver
-from repro.pscp.scheduler import DISPATCH_OVERHEAD_CYCLES
 from repro.resil.delta import apply_delta, diff_snapshots, snapshot_fingerprint
 from repro.statechart.labels import Label
 from repro.statechart.model import Chart
@@ -125,15 +124,16 @@ def _compare(stage: str, cycle: int, expected: CycleState,
 
 class WcetWatch(MachineObserver):
     """Checks every dispatch against its transition's static cost: the
-    stub-plus-routine WCET the timing validator sums (``transition_costs``
-    without the dispatch overhead).  Generated charts declare no ``wcet``
-    overrides, so every bound is derived from the emitted code."""
+    stub-plus-routine WCET the timing validator sums
+    (:meth:`~repro.pscp.machine.MachineImage.wcet`).  Generated charts
+    declare no ``wcet`` overrides, so every bound is derived from the
+    emitted code."""
 
     __slots__ = ("bounds", "breach")
 
     def __init__(self, system: BuiltSystem) -> None:
-        self.bounds = {index: cost - DISPATCH_OVERHEAD_CYCLES
-                       for index, cost in system.transition_costs.items()}
+        self.bounds = {index: system.image.wcet(index)
+                       for index in system.image.costs}
         #: ``(transition index, cost)`` of the first dispatch over its bound
         self.breach: Optional[Tuple[int, int]] = None
 

@@ -9,11 +9,10 @@ from repro.pscp.condcache import ConditionCacheBridge
 from repro.pscp.cr import ConfigurationRegister
 from repro.pscp.machine import (
     MachineError,
+    MachineImage,
     MachineObserver,
     MachineStep,
     PscpMachine,
-    build_transition_stubs,
-    stub_wcet,
 )
 from repro.pscp.ports import PortBus, PortError
 from repro.pscp.scheduler import (
@@ -22,7 +21,7 @@ from repro.pscp.scheduler import (
     DispatchPlan,
     round_robin_dispatch,
 )
-from repro.pscp.tep import SimplePorts, Tep, TepError, TepState
+from repro.pscp.tep import ProgramImage, SimplePorts, Tep, TepError, TepState
 from repro.pscp.timers import InterruptController, Timer, TimerBank
 from repro.pscp.trace import DeadlineMonitor, DeadlineReport, EventRecord
 
@@ -30,9 +29,8 @@ __all__ = [
     "ConditionCacheBridge", "ConfigurationRegister",
     "DISPATCH_OVERHEAD_CYCLES", "DeadlineMonitor",
     "DeadlineReport", "DispatchPlan", "EventRecord", "InterruptController",
-    "MachineError", "MachineObserver", "MachineStep", "PortBus",
-    "PortError", "PscpMachine",
+    "MachineError", "MachineImage", "MachineObserver", "MachineStep",
+    "PortBus", "PortError", "ProgramImage", "PscpMachine",
     "SLA_OVERHEAD_CYCLES", "SimplePorts", "Tep", "TepError", "TepState",
-    "Timer", "TimerBank", "build_transition_stubs", "round_robin_dispatch",
-    "stub_wcet",
+    "Timer", "TimerBank", "round_robin_dispatch",
 ]

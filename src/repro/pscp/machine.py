@@ -24,11 +24,12 @@ parallelism across TEPs is a timing model — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
 from repro.isa.codegen import CompiledProgram
 from repro.isa.isa import Imm, Instruction, LabelRef, Op, SignalRef
-from repro.isa.microcode import cycle_cost
 from repro.pscp.condcache import ConditionCacheBridge
 from repro.pscp.cr import ConfigurationRegister
 from repro.pscp.ports import PortBus
@@ -37,10 +38,14 @@ from repro.pscp.scheduler import (
     DispatchPlan,
     round_robin_dispatch,
 )
-from repro.pscp.tep import Tep
+from repro.pscp.tep import ProgramImage, Tep
 from repro.sla.synth import Pla, synthesize
 from repro.sla.table import TransitionAddressTable
-from repro.statechart.labels import action_arguments, action_routine_name
+from repro.statechart.labels import (
+    action_arguments,
+    action_routine_name,
+    constant_argument,
+)
 from repro.statechart.model import Chart, Transition
 
 
@@ -51,22 +56,6 @@ class MachineError(Exception):
 # ---------------------------------------------------------------------------
 # transition stubs
 # ---------------------------------------------------------------------------
-
-def _resolve_argument(argument: str, compiled: CompiledProgram) -> int:
-    argument = argument.strip()
-    if argument in compiled.enum_values:
-        return compiled.enum_values[argument]
-    try:
-        if argument.lower().startswith("0x"):
-            return int(argument, 16)
-        if argument.lower().startswith("b:"):
-            return int(argument[2:], 2)
-        return int(argument)
-    except ValueError:
-        raise MachineError(
-            f"cannot resolve action argument {argument!r}: transition label "
-            "arguments must be integers or enum members") from None
-
 
 def _builtin_stub_body(routine: str, transition, compiled: CompiledProgram):
     """Builtin actions in labels (``SetTrue(XFINISH)`` — Fig. 5) compile to
@@ -115,7 +104,11 @@ def _call_stub_body(routine: str, transition: Transition,
     mask = (1 << arch.data_width) - 1
     body: List[Instruction] = []
     for argument, param_name in zip(arguments, params):
-        value = _resolve_argument(argument, compiled)
+        value = constant_argument(argument, compiled.enum_values)
+        if value is None:
+            raise MachineError(
+                f"cannot resolve action argument {argument!r}: transition "
+                "label arguments must be integers or enum members")
         loc = compiled.allocator.locations[f"{routine}.{param_name}"]
         for word_index, operand in enumerate(loc.words):
             word = (value >> (word_index * arch.data_width)) & mask
@@ -147,6 +140,58 @@ def _transition_stub(
                 or _call_stub_body(routine, transition, compiled,
                                    param_names))
     return body + [Instruction(Op.TRET, comment=transition.describe())]
+
+
+@dataclass(frozen=True)
+class MachineImage:
+    """One PSCP version's program memory (section 3.2): the compiled
+    routines plus every transition's stub, linked once per build and shared,
+    read-only, by every machine of that build.  A run changes only a
+    machine's CR, TAT queue, caches and RAM.  Build one with :meth:`link`."""
+
+    chart: Chart
+    compiled: CompiledProgram
+    #: routines then stubs, each label resolved and each slot priced once
+    program: ProgramImage
+    #: the Transition Address Table's static side: transition index ->
+    #: the label of its stub
+    entries: Mapping[int, str]
+    #: transition index -> the priced slots of its stub plus the called
+    #: routine's compiled WCET (declared ``wcet`` overrides not applied)
+    costs: Mapping[int, int]
+
+    @classmethod
+    def link(cls, chart: Chart, compiled: CompiledProgram,
+             param_names: Optional[Dict[str, List[str]]]) -> "MachineImage":
+        """Emit each transition's stub once, labelled ``__t<index>``, after
+        *compiled*'s routines, link and price the whole program once, and
+        derive each transition's cost from its stub's prices.
+        *param_names* is as for :func:`_transition_stub`."""
+        program = compiled.flat_instructions()
+        entries: Dict[int, str] = {}
+        stubs: Dict[int, range] = {}
+        for transition in chart.transitions:
+            body = _transition_stub(transition, compiled, param_names)
+            entries[transition.index] = label = f"__t{transition.index}"
+            stubs[transition.index] = range(len(program),
+                                            len(program) + len(body))
+            program += [body[0].with_label(label)] + body[1:]
+        linked = ProgramImage.link(compiled.arch, program)
+        wcets = compiled.wcets()
+        costs = {index: sum(linked.prices[slot] for slot in slots)
+                 + sum(wcets[program[slot].operand.name] for slot in slots
+                       if program[slot].op is Op.CALL)
+                 for index, slots in stubs.items()}
+        return cls(chart, compiled, linked, MappingProxyType(entries),
+                   MappingProxyType(costs))
+
+    def wcet(self, index: int) -> int:
+        """Static worst-case cycles of transition *index*'s stub and
+        routine, the quantity the timing validator sums along event cycles:
+        its declared ``wcet`` override ("otherwise explicit timing
+        constraints must be specified") or else :attr:`costs`."""
+        override = self.chart.transitions[index].wcet_override
+        return self.costs[index] if override is None else override
 
 
 # ---------------------------------------------------------------------------
@@ -216,39 +261,29 @@ class MachineObserver:
 
 
 class PscpMachine:
-    """SLA + CR + scheduler + TAT + TEP(s) + compiled routines."""
+    """SLA + CR + scheduler + TAT + TEP(s) over one build's shared
+    :class:`MachineImage`."""
 
-    def __init__(
-        self,
-        chart: Chart,
-        compiled: CompiledProgram,
-        pla: Optional[Pla] = None,
-        port_bus: Optional[PortBus] = None,
-        param_names: Optional[Dict[str, List[str]]] = None,
-    ) -> None:
-        self.chart = chart
-        self.compiled = compiled
-        self.arch = compiled.arch
-        self.pla = pla if pla is not None else synthesize(chart)
+    def __init__(self, image: MachineImage, pla: Optional[Pla] = None,
+                 port_bus: Optional[PortBus] = None) -> None:
+        #: the build's program memory, shared with its other machines
+        self.image = image
+        self.chart = image.chart
+        self.compiled = image.compiled
+        self.arch = self.compiled.arch
+        self.pla = pla if pla is not None else synthesize(self.chart)
         self.cr = ConfigurationRegister(self.pla.layout)
         self.ports = port_bus if port_bus is not None else PortBus()
-        self.tat = TransitionAddressTable()
-        self._param_names = param_names or {}
-
-        stub_instructions, entries = build_transition_stubs(
-            chart, compiled, self._param_names)
-        program = compiled.flat_instructions() + stub_instructions
-        for index, label in entries.items():
-            self.tat.bind(index, label)
+        self.tat = TransitionAddressTable(image.entries)
         #: single executor with shared memory; see scheduler docstring
-        self.executor = Tep(self.arch, program, ports=self.ports,
+        self.executor = Tep(image.program, ports=self.ports,
                             name="tep-shared")
-        self.executor.load_memory(compiled.allocator.initial_values)
+        self.executor.load_memory(self.compiled.allocator.initial_values)
         self.cond_cache_bridge = ConditionCacheBridge(
             self.compiled.maps.conditions)
         self._event_index_to_name = {index: name for name, index
                                      in self.compiled.maps.events.items()}
-        self._event_names = frozenset(chart.events)
+        self._event_names = frozenset(self.chart.events)
         self._pending_internal_events: Set[str] = set()
         self.time = 0
         self.cycle_count = 0
@@ -636,43 +671,3 @@ class PscpMachine:
     def write_global(self, name: str, value: int) -> None:
         loc = self.compiled.allocator.locations[name]
         self.executor.write_variable(loc, value)
-
-
-def build_transition_stubs(
-    chart: Chart,
-    compiled: CompiledProgram,
-    param_names: Optional[Dict[str, List[str]]],
-) -> Tuple[List[Instruction], Dict[int, str]]:
-    """Every transition's stub, each labelled ``__t<index>``, and the
-    transition-index -> label map the TAT binds."""
-    instructions: List[Instruction] = []
-    entries: Dict[int, str] = {}
-    for transition in chart.transitions:
-        label = f"__t{transition.index}"
-        entries[transition.index] = label
-        body = _transition_stub(transition, compiled, param_names)
-        body[0] = body[0].with_label(label)
-        instructions.extend(body)
-    return instructions, entries
-
-
-def stub_wcet(transition: Transition, compiled: CompiledProgram,
-              param_names: Optional[Dict[str, List[str]]] = None) -> int:
-    """Static worst-case cycles of one transition's stub + routine: the
-    declared ``wcet`` override if any, else the price of the stub the
-    machine emits plus the called routine's compiled WCET.
-
-    This is the per-transition quantity the timing validator sums along
-    event cycles (plus the scheduler's dispatch overhead).
-    """
-    if transition.wcet_override is not None:
-        # "otherwise explicit timing constraints must be specified"
-        return transition.wcet_override
-    arch = compiled.arch
-    wcets = compiled.wcets()
-    total = 0
-    for instruction in _transition_stub(transition, compiled, param_names):
-        total += cycle_cost(instruction, arch)
-        if instruction.op is Op.CALL:
-            total += wcets[instruction.operand.name]
-    return total

@@ -6,7 +6,7 @@ accumulator, operand register, flags (Z/C/N), register file, internal and
 external RAM, data ports, the per-TEP condition cache, and the event lines
 into the Configuration Register.  Every executed instruction is charged the
 length of its microprogram (:func:`repro.isa.microcode.cycle_cost`, priced
-once per program slot when the TEP is built), so the simulator's cycle
+once per program slot when the program is linked), so the simulator's cycle
 counts are *exactly* the quantities the static WCET analysis bounds — the
 property the closed-loop benchmarks check.
 
@@ -22,7 +22,8 @@ Flag conventions (documented here once, relied on by the code generator):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.isa import (
@@ -66,6 +67,34 @@ class SimplePorts:
         self.writes.append((address, value))
 
 
+@dataclass(frozen=True)
+class ProgramImage:
+    """A linked TEP program memory: read-only, shared by every TEP that
+    runs it.  Build one with :meth:`link`."""
+
+    arch: ArchConfig
+    instructions: Tuple[Instruction, ...]
+    #: label -> program slot
+    labels: Mapping[str, int]
+    #: cycle price of each program slot, charged when it executes
+    prices: Tuple[int, ...]
+
+    @classmethod
+    def link(cls, arch: ArchConfig,
+             program: Iterable[Instruction]) -> "ProgramImage":
+        """Resolve *program*'s labels and price each slot once."""
+        program = tuple(program)
+        labels: Dict[str, int] = {}
+        for index, instruction in enumerate(program):
+            if instruction.label is not None:
+                if instruction.label in labels:
+                    raise TepError(f"duplicate label {instruction.label!r}")
+                labels[instruction.label] = index
+        return cls(arch, program, MappingProxyType(labels),
+                   tuple(cycle_cost(instruction, arch)
+                         for instruction in program))
+
+
 @dataclass
 class TepState:
     """Architectural state snapshot (for assertions in tests)."""
@@ -79,27 +108,16 @@ class TepState:
 
 
 class Tep:
-    """One Transition Execution Processor."""
+    """One Transition Execution Processor running a linked
+    :class:`ProgramImage`; it allocates only its run state."""
 
-    def __init__(
-        self,
-        arch: ArchConfig,
-        program: List[Instruction],
-        ports=None,
-        name: str = "tep0",
-    ) -> None:
-        self.arch = arch
+    def __init__(self, image: ProgramImage, ports=None,
+                 name: str = "tep0") -> None:
+        arch = self.arch = image.arch
         self.name = name
-        self.program = list(program)
-        self.labels: Dict[str, int] = {}
-        for index, instruction in enumerate(self.program):
-            if instruction.label is not None:
-                if instruction.label in self.labels:
-                    raise TepError(f"duplicate label {instruction.label!r}")
-                self.labels[instruction.label] = index
-        #: cycle price of each program slot, charged when it executes
-        self.prices = [cycle_cost(instruction, arch)
-                       for instruction in self.program]
+        self.program = image.instructions
+        self.labels = image.labels
+        self.prices = image.prices
         self.ports = ports if ports is not None else SimplePorts()
         self.mask = (1 << arch.data_width) - 1
         self.sign_bit = 1 << (arch.data_width - 1)

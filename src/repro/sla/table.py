@@ -5,15 +5,16 @@ to the statechart description. […] Transitions are scheduled until the
 Transition Address Table is empty."
 
 Statically the TAT maps each transition index to the program-memory address
-of its *transition stub* (a CALL into the action routine followed by TRET).
-At run time it acts as the queue the scheduler drains into the TEPs.
+of its *transition stub* (a CALL into the action routine followed by TRET),
+fixed when a build is linked.  At run time it acts as the queue the
+scheduler drains into the TEPs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Iterable, List, Mapping, Optional
 
 
 class TatError(Exception):
@@ -24,26 +25,18 @@ class TatError(Exception):
 class TransitionAddressTable:
     """Static address map + runtime FIFO of pending transitions."""
 
-    #: transition index -> program entry label
-    entries: Dict[int, str] = field(default_factory=dict)
+    #: transition index -> program entry label; a machine's table holds its
+    #: image's read-only :attr:`~repro.pscp.machine.MachineImage.entries`
+    entries: Mapping[int, str]
     _pending: Deque[int] = field(default_factory=deque)
 
     # -- static side ------------------------------------------------------
-    def bind(self, transition_index: int, entry_label: str) -> None:
-        if transition_index in self.entries:
-            raise TatError(f"transition {transition_index} already bound")
-        self.entries[transition_index] = entry_label
-
     def entry(self, transition_index: int) -> str:
         try:
             return self.entries[transition_index]
         except KeyError:
             raise TatError(
                 f"transition {transition_index} has no bound address") from None
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
     # -- runtime side ---------------------------------------------------------
     def post(self, transition_indices: Iterable[int]) -> None:

@@ -22,7 +22,7 @@ dialect by the code-generation flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.statechart.expr import Expr, ExprError, parse_expr
 
@@ -141,3 +141,23 @@ def action_arguments(action: str) -> Tuple[str, ...]:
             current.append(ch)
     args.append("".join(current).strip())
     return tuple(args)
+
+
+def constant_argument(argument: str,
+                      enum_values: Mapping[str, int]) -> Optional[int]:
+    """The integer a constant label argument denotes, or ``None``.
+
+    An argument is an enum member of *enum_values*, a decimal, a ``0x``
+    hexadecimal or a ``B:`` binary literal (``MX``, ``3``, ``0x3``,
+    ``B:11``)."""
+    argument = argument.strip()
+    if argument in enum_values:
+        return enum_values[argument]
+    try:
+        if argument.lower().startswith("0x"):
+            return int(argument, 16)
+        if argument.lower().startswith("b:"):
+            return int(argument[2:], 2)
+        return int(argument)
+    except ValueError:
+        return None

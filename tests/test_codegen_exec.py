@@ -19,7 +19,7 @@ from repro.isa import (
     StorageClass,
     prepare_program,
 )
-from repro.pscp.tep import SimplePorts, Tep, TepError
+from repro.pscp.tep import ProgramImage, SimplePorts, Tep, TepError
 
 ARCHS = [
     MINIMAL_TEP,
@@ -42,7 +42,8 @@ def run_function(source, function, args=(), arch=MD16_TEP, externals=None,
     maps = (NameMaps.from_externals(externals) if externals is not None
             else None)
     compiled = CodeGenerator(checked, arch, maps=maps).compile()
-    tep = Tep(arch, compiled.flat_instructions(), ports=ports)
+    tep = Tep(ProgramImage.link(arch, compiled.flat_instructions()),
+              ports=ports)
     tep.load_memory(compiled.allocator.initial_values)
     fn = checked.program.function(function)
     for param, value in zip(fn.params, args):
@@ -344,7 +345,8 @@ class TestBuiltinsAndPorts:
         checked = prepare_program(src, MD16_TEP, externals)
         compiled = CodeGenerator(checked, MD16_TEP,
                                  maps=NameMaps.from_externals(externals)).compile()
-        tep = Tep(MD16_TEP, compiled.flat_instructions())
+        tep = Tep(ProgramImage.link(MD16_TEP,
+                                    compiled.flat_instructions()))
         tep.condition_cache[compiled.maps.conditions["READY"]] = True
         tep.run("f")
         assert tep.read_variable(compiled.allocator.locations["f.__ret"]) == 5

@@ -30,7 +30,7 @@ from repro.fault import (
 )
 from repro.flow import build_system
 from repro.isa import CodeGenerator, MD16_TEP, NameMaps, prepare_program
-from repro.pscp import PscpMachine, round_robin_dispatch
+from repro.pscp import MachineImage, PscpMachine, round_robin_dispatch
 from repro.pscp.machine import MachineError
 from repro.statechart import ChartBuilder
 from repro.workloads import (
@@ -50,7 +50,8 @@ def build_machine(chart, source, arch=MD16_TEP, **kwargs):
     compiled = CodeGenerator(checked, arch, maps=maps).compile()
     params = {f.name: [p.name for p in f.params]
               for f in checked.program.functions}
-    return PscpMachine(chart, compiled, param_names=params, **kwargs)
+    return PscpMachine(MachineImage.link(chart, compiled, params),
+                       **kwargs)
 
 
 def pingpong_chart():

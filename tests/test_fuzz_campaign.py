@@ -1,10 +1,13 @@
 """Campaign determinism, canary end-to-end, and corpus replay (tier-1)."""
 
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
+from repro.cli import run_fuzz
 from repro.fuzz import (
     FUZZ_REPORT_VERSION,
     FuzzCampaign,
@@ -124,6 +127,30 @@ class TestCorpusReplay:
         assert results, "regression corpus is empty"
         failed = [r for r in results if not r.ok]
         assert not failed, [(r.name, r.detail) for r in failed]
+
+    def test_bad_entries_fail_by_file_name(self, tmp_path, capsys):
+        """An entry that is not JSON or has no ``spec`` is a FAIL line
+        naming its file, in text and JSON; the good entry still runs."""
+        good = "canary_promote_internal_min.json"
+        shutil.copy(os.path.join(CORPUS, good), tmp_path / good)
+        (tmp_path / "broken.json").write_text("{not json")
+        (tmp_path / "nospec.json").write_text('{"version": 1}')
+        text, listing = io.StringIO(), io.StringIO()
+        assert run_fuzz(["--replay", str(tmp_path)], out=text) == 1
+        assert run_fuzz(["--replay", str(tmp_path), "--json"],
+                        out=listing) == 1
+        assert capsys.readouterr().err == ""
+        fails = [line for line in text.getvalue().splitlines()
+                 if line.lstrip().startswith("FAIL")]
+        assert fails == [
+            "  FAIL broken.json: JSONDecodeError: Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1)",
+            '  FAIL nospec.json: ValueError: not a corpus entry: no "spec"']
+        results = json.loads(listing.getvalue())
+        assert [(r["name"], r["ok"]) for r in results] == [
+            ("broken.json", False),
+            ("minimized canary at promote-internal", True),
+            ("nospec.json", False)]
 
     def test_corpus_entries_are_versioned(self):
         for filename in sorted(os.listdir(CORPUS)):

@@ -15,7 +15,7 @@ from repro.fuzz import (
 from repro.flow import Improver
 from repro.fuzz.oracle import EXTRA_STAGES, Divergence, WcetWatch
 from repro.isa import MD16_TEP
-from repro.pscp import DISPATCH_OVERHEAD_CYCLES, MachineObserver
+from repro.pscp import MachineObserver
 from repro.statechart import ChartBuilder
 
 
@@ -111,8 +111,8 @@ def first_dispatches(harness, system):
 
 class TestWcetLeg:
     """Every machine the oracle steps checks each dispatch's cost against
-    its transition's static cost (``transition_costs`` minus the dispatch
-    overhead)."""
+    its transition's static cost (the machine image's ``wcet``); a declared
+    ``wcet`` override below the emitted code's cost lowers the bound."""
 
     def test_lowered_bound_reported_at_first_dispatch(self):
         harness = OracleHarness(generate_spec(7922), cycles=40)
@@ -120,7 +120,7 @@ class TestWcetLeg:
         cycle, index, cost = first_dispatches(harness, rung.system)[0]
         bound = WcetWatch(rung.system).bounds[index]
         assert cost == bound
-        rung.system.transition_costs[index] -= 1
+        rung.system.chart.transitions[index].wcet_override = bound - 1
         assert harness.run_stage(0) == Divergence(
             rung.name, cycle, "wcet",
             {"transition": index, "at_most": bound - 1},
@@ -136,8 +136,7 @@ class TestWcetLeg:
         cycle, index, cost = next(
             first for first in first_dispatches(harness, system)
             if first[0] >= restored_at)
-        system.transition_costs[index] = (
-            cost - 1 + DISPATCH_OVERHEAD_CYCLES)
+        system.chart.transitions[index].wcet_override = cost - 1
         divergence = harness.run_stage(harness.stage_names().index(stage))
         assert (divergence.stage, divergence.cycle, divergence.field) == (
             stage, cycle, "wcet")

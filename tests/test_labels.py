@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro.analysis.effects import transition_effects
+from repro.analysis.races import and_region_races
+from repro.flow import Frontend
+from repro.isa import MD16_TEP, Imm
+from repro.statechart import parse_chart
 from repro.statechart.expr import Name, Not, Or
 from repro.statechart.labels import (
     LabelError,
     action_arguments,
     action_routine_name,
+    constant_argument,
     parse_label,
 )
 
@@ -112,3 +118,43 @@ class TestActionHelpers:
     def test_bad_call_rejected(self):
         with pytest.raises(LabelError):
             action_arguments("F(a")
+
+
+FORMS_CHART = """
+chart forms;
+event GO;
+andstate Par { contains Left, Right; }
+orstate Left { contains L0; default L0; }
+basicstate L0 { transition { target L0; label "GO/Work(1)"; } }
+orstate Right { contains R0; default R0; }
+basicstate R0 { transition { target R0; label "GO/Work(%s)"; } }
+"""
+
+FORMS_ROUTINES = """
+enum Slot {S0, S1, S2, S3};
+int:16 a[4];
+void Work(int:16 i) { a[i] = 1; }
+"""
+
+
+class TestConstantArguments:
+    """The machine's stub, the specializer and the effect analysis read a
+    label's constant argument the same way, in each form."""
+
+    @pytest.mark.parametrize("form", ["3", "0x3", "B:11", "S3"])
+    def test_every_reader_takes_every_form(self, form):
+        assert constant_argument(form, {"S3": 3}) == 3
+        chart = parse_chart(FORMS_CHART % form)
+        frontend = Frontend(chart, FORMS_ROUTINES)
+        image = frontend.build(MD16_TEP).image
+        stub = image.program.labels[image.entries[1]]
+        assert image.program.instructions[stub].operand == Imm(3)
+        specialized = frontend.build(MD16_TEP, specialize=True).chart
+        assert specialized.transitions[1].action == "Work_3()"
+        effects = transition_effects(chart, frontend.typed)
+        assert effects[1].writes == frozenset({"a[3]"})
+        assert and_region_races(chart, effects) == []
+
+    def test_non_constant_is_none(self):
+        assert constant_argument("someVariable", {"S3": 3}) is None
+        assert constant_argument("B:12", {}) is None

@@ -4,9 +4,9 @@ import pytest
 
 from repro.action.check import Externals
 from repro.isa import CodeGenerator, MD16_TEP, NameMaps, prepare_program
-from repro.pscp import MachineError, PscpMachine, build_transition_stubs
-from repro.pscp.machine import _resolve_argument
+from repro.pscp import MachineError, MachineImage, PscpMachine
 from repro.statechart import ChartBuilder
+from repro.statechart.labels import constant_argument
 
 
 def compile_for(chart, src, arch=MD16_TEP):
@@ -28,7 +28,7 @@ class TestStubGeneration:
         chart = b.build()
         compiled, params = compile_for(chart, "void Other() { }")
         with pytest.raises(MachineError, match="Ghost"):
-            build_transition_stubs(chart, compiled, params)
+            MachineImage.link(chart, compiled, params)
 
     def test_argument_count_mismatch_rejected(self):
         b = ChartBuilder("bad2")
@@ -38,7 +38,7 @@ class TestStubGeneration:
         chart = b.build()
         compiled, params = compile_for(chart, "void F(int:16 a) { }")
         with pytest.raises(MachineError, match="argument"):
-            build_transition_stubs(chart, compiled, params)
+            MachineImage.link(chart, compiled, params)
 
     def test_non_constant_argument_rejected(self):
         b = ChartBuilder("bad3")
@@ -48,7 +48,7 @@ class TestStubGeneration:
         chart = b.build()
         compiled, params = compile_for(chart, "void F(int:16 a) { }")
         with pytest.raises(MachineError, match="cannot resolve"):
-            build_transition_stubs(chart, compiled, params)
+            MachineImage.link(chart, compiled, params)
 
     def test_builtin_settrue_stub_needs_declared_condition(self):
         b = ChartBuilder("bad4")
@@ -58,18 +58,16 @@ class TestStubGeneration:
         chart = b.build()
         compiled, params = compile_for(chart, "void Unused() { }")
         with pytest.raises(MachineError, match="NOPE"):
-            build_transition_stubs(chart, compiled, params)
+            MachineImage.link(chart, compiled, params)
 
     def test_resolve_argument_forms(self):
-        class FakeCompiled:
-            enum_values = {"MX": 0, "MPHI": 2}
-        assert _resolve_argument("MX", FakeCompiled) == 0
-        assert _resolve_argument(" MPHI ", FakeCompiled) == 2
-        assert _resolve_argument("42", FakeCompiled) == 42
-        assert _resolve_argument("0x10", FakeCompiled) == 16
-        assert _resolve_argument("B:101", FakeCompiled) == 5
-        with pytest.raises(MachineError):
-            _resolve_argument("notAnEnum", FakeCompiled)
+        enum_values = {"MX": 0, "MPHI": 2}
+        assert constant_argument("MX", enum_values) == 0
+        assert constant_argument(" MPHI ", enum_values) == 2
+        assert constant_argument("42", enum_values) == 42
+        assert constant_argument("0x10", enum_values) == 16
+        assert constant_argument("B:101", enum_values) == 5
+        assert constant_argument("notAnEnum", enum_values) is None
 
     def test_transition_without_action_gets_bare_tret(self):
         b = ChartBuilder("bare")
@@ -78,10 +76,11 @@ class TestStubGeneration:
             b.basic("S").transition("S", label="E")
         chart = b.build()
         compiled, params = compile_for(chart, "void Unused() { }")
-        instructions, entries = build_transition_stubs(chart, compiled, params)
+        image = MachineImage.link(chart, compiled, params)
         from repro.isa import Op
-        assert [i.op for i in instructions] == [Op.TRET]
-        assert entries == {0: "__t0"}
+        stubs = image.program.instructions[len(compiled.flat_instructions()):]
+        assert [i.op for i in stubs] == [Op.TRET]
+        assert image.entries == {0: "__t0"}
 
 
 class TestMachineEdgeCases:
@@ -93,7 +92,7 @@ class TestMachineEdgeCases:
         chart = b.build()
         compiled, params = compile_for(
             chart, "int:16 n; void Bump() { n = n + 1; }")
-        return chart, PscpMachine(chart, compiled, param_names=params)
+        return chart, PscpMachine(MachineImage.link(chart, compiled, params))
 
     def test_guarded_self_loop(self):
         chart, machine = self.make_machine()

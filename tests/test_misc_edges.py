@@ -5,7 +5,7 @@ import pytest
 from repro.action.check import Externals
 from repro.flow.timing import TimingValidator
 from repro.isa import CodeGenerator, MD16_TEP, NameMaps, prepare_program
-from repro.pscp import PscpMachine
+from repro.pscp import MachineImage, PscpMachine
 from repro.sla import synthesize
 from repro.statechart import ChartBuilder, Interpreter
 
@@ -25,12 +25,9 @@ class TestOneHotMachine:
                                  maps=NameMaps.from_chart(chart)).compile()
         params = {f.name: [] for f in checked.program.functions}
 
-        binary = PscpMachine(chart, compiled,
-                             pla=synthesize(chart, onehot=False),
-                             param_names=params)
-        onehot = PscpMachine(chart, compiled,
-                             pla=synthesize(chart, onehot=True),
-                             param_names=params)
+        image = MachineImage.link(chart, compiled, params)
+        binary = PscpMachine(image, pla=synthesize(chart, onehot=False))
+        onehot = PscpMachine(image, pla=synthesize(chart, onehot=True))
         for events in [{"GO"}, set(), {"BACK"}, {"GO"}, {"GO", "BACK"}]:
             binary.step(events)
             onehot.step(events)

@@ -26,7 +26,7 @@ from repro.obs import (
     trace_summary,
     write_chrome_trace,
 )
-from repro.pscp import PscpMachine
+from repro.pscp import MachineImage, PscpMachine
 from repro.sla.blif import emit_blif, parse_blif
 from repro.statechart import ChartBuilder
 
@@ -38,7 +38,8 @@ def build_machine(chart, source, arch=MD16_TEP, **kwargs):
     compiled = CodeGenerator(checked, arch, maps=maps).compile()
     params = {f.name: [p.name for p in f.params]
               for f in checked.program.functions}
-    return PscpMachine(chart, compiled, param_names=params, **kwargs)
+    return PscpMachine(MachineImage.link(chart, compiled, params),
+                       **kwargs)
 
 
 def pingpong_chart():

@@ -16,7 +16,7 @@ from repro.isa import (
     CodeGenerator,
 )
 from repro.isa.microcode import PIPELINE_FLUSH_CYCLES
-from repro.pscp.tep import Tep
+from repro.pscp.tep import ProgramImage, Tep
 from repro.statechart import ChartBuilder
 
 PIPELINED = MD16_TEP.with_(pipelined=True, name="md16-pipe")
@@ -94,7 +94,7 @@ class TestCompiledCode:
         arch = PIPELINED
         checked = prepare_program(self.SRC, arch)
         compiled = CodeGenerator(checked, arch).compile()
-        tep = Tep(arch, compiled.flat_instructions())
+        tep = Tep(ProgramImage.link(arch, compiled.flat_instructions()))
         tep.load_memory(compiled.allocator.initial_values)
         cycles = tep.run("straight")
         assert cycles <= compiled.wcets()["straight"]

@@ -5,8 +5,8 @@ operand class, ``Mem`` space and the architecture's wait states, microcode
 optimization and pipelining.  Here every instruction a built machine can
 execute — each routine instruction and each transition stub — is priced
 again from a fresh ``microprogram`` and compared with the table and with
-the TEP's per-slot price.  Each stub's ``stub_wcet`` must be its slots'
-prices plus the called routine's WCET.  The systems are every ladder rung
+the TEP's per-slot price.  Each stub's cost in the machine image must be
+its slots' prices plus the called routine's WCET.  The systems are every ladder rung
 of SMD, the elevator and the first 12 charts of fuzz campaign seed 1, and
 SMD and the elevator on ``MINIMAL_TEP``, on the pipelined TEP of
 ``test_pipelined_tep`` and with more external-RAM wait states.
@@ -19,7 +19,7 @@ from repro.fuzz import generate_spec, render_chart, render_source
 from repro.isa import MD16_TEP, MINIMAL_TEP, Op, cycle_cost, microprogram
 from repro.isa.isa import CONTROL_TRANSFERS
 from repro.isa.microcode import FETCH_PROLOGUE, PIPELINE_FLUSH_CYCLES
-from repro.pscp import DISPATCH_OVERHEAD_CYCLES, stub_wcet
+from repro.pscp import DISPATCH_OVERHEAD_CYCLES
 from repro.workloads import SMD_MUTUAL_EXCLUSIONS, SMD_ROUTINES, smd_chart
 from repro.workloads.elevator import (
     ELEVATOR_MUTUAL_EXCLUSIONS,
@@ -69,8 +69,8 @@ def fixed_arch_systems(arch):
 
 def price_problems(system):
     """Every slot of *system*'s TEP program whose table or per-slot price
-    differs from its microprogram, and every stub whose ``stub_wcet`` is
-    not its slots' prices plus the callee's WCET."""
+    differs from its microprogram, and every stub whose image cost is not
+    its slots' prices plus the callee's WCET."""
     arch = system.arch
     machine = system.make_machine()
     program = machine.executor.program
@@ -93,7 +93,7 @@ def price_problems(system):
             if instruction.op is Op.TRET:
                 break
             slot += 1
-        static = (stub_wcet(transition, system.compiled, system.param_names),
+        static = (system.image.costs[transition.index],
                   system.transition_costs[transition.index]
                   - DISPATCH_OVERHEAD_CYCLES)
         if static != (stub, stub):

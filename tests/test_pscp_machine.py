@@ -11,6 +11,7 @@ from repro.pscp import (
     DeadlineMonitor,
     InterruptController,
     MachineError,
+    MachineImage,
     PortBus,
     PortError,
     PscpMachine,
@@ -18,7 +19,6 @@ from repro.pscp import (
     Timer,
     TimerBank,
     round_robin_dispatch,
-    stub_wcet,
 )
 from repro.statechart import ChartBuilder, Interpreter
 
@@ -30,8 +30,8 @@ def build_machine(chart, source, arch=MD16_TEP, port_bus=None):
     compiled = CodeGenerator(checked, arch, maps=maps).compile()
     params = {f.name: [p.name for p in f.params]
               for f in checked.program.functions}
-    return PscpMachine(chart, compiled, port_bus=port_bus,
-                       param_names=params)
+    return PscpMachine(MachineImage.link(chart, compiled, params),
+                       port_bus=port_bus)
 
 
 def counter_chart():
@@ -245,34 +245,35 @@ def compile_counter():
 class TestStubWcet:
     def test_stub_wcet_bounds_measured(self):
         chart, compiled, params = compile_counter()
-        machine = PscpMachine(chart, compiled, param_names=params)
+        machine = PscpMachine(MachineImage.link(chart, compiled, params))
         machine.step({"GO"})
         step = machine.step({"STEP"})
         work_transition = step.fired[0]
-        bound = stub_wcet(work_transition, compiled, params)
+        bound = machine.image.wcet(work_transition.index)
         measured = step.cycle_length - SLA_OVERHEAD_CYCLES - \
             DISPATCH_OVERHEAD_CYCLES
         assert measured <= bound
 
     def test_wcet_override_wins(self):
-        chart, compiled, _ = compile_counter()
-        transition = chart.transitions[0]
-        transition.wcet_override = 777
-        assert stub_wcet(transition, compiled, {}) == 777
+        chart, compiled, params = compile_counter()
+        chart.transitions[0].wcet_override = 777
+        image = MachineImage.link(chart, compiled, params)
+        assert image.wcet(0) == 777
+        assert image.costs[0] != 777
 
     @pytest.mark.parametrize("param_names", [None, {}])
     def test_missing_parameter_names_refused_like_the_machine(
             self, param_names):
-        """Without parameter names the machine cannot marshal ``Work(3)``'s
-        argument; pricing its stub must not skip the marshalling instead."""
+        """Without parameter names the linker cannot marshal ``Work(3)``'s
+        argument; it must refuse, not price the stub without the
+        marshalling."""
         chart, compiled, params = compile_counter()
         work = next(t for t in chart.transitions if t.action == "Work(3)")
-        assert stub_wcet(work, compiled, params) == 74
-        with pytest.raises(MachineError) as refused:
-            PscpMachine(chart, compiled, param_names=param_names)
-        with pytest.raises(MachineError) as priced:
-            stub_wcet(work, compiled, param_names)
-        assert str(priced.value) == str(refused.value)
+        assert MachineImage.link(chart, compiled, params).costs[
+            work.index] == 74
+        with pytest.raises(MachineError, match="parameter names for 'Work' "
+                                               "are required"):
+            MachineImage.link(chart, compiled, param_names)
 
 
 class TestPortBus:

@@ -28,7 +28,7 @@ from repro.fault.model import Fault, CR_STATE_FLIP, TEP_FAIL, TEP_RUNAWAY, \
 from repro.flow import build_system, select_initial_architecture
 from repro.isa import CodeGenerator, MD16_TEP, NameMaps, prepare_program
 from repro.obs import MetricsRegistry, Tracer
-from repro.pscp import PscpMachine
+from repro.pscp import MachineImage, PscpMachine
 from repro.pscp.machine import MachineError
 from repro.pscp.timers import Timer, TimerBank
 from repro.resil import (
@@ -67,7 +67,8 @@ def build_machine(chart, source, arch=MD16_TEP, **kwargs):
     compiled = CodeGenerator(checked, arch, maps=maps).compile()
     params = {f.name: [p.name for p in f.params]
               for f in checked.program.functions}
-    return PscpMachine(chart, compiled, param_names=params, **kwargs)
+    return PscpMachine(MachineImage.link(chart, compiled, params),
+                       **kwargs)
 
 
 def pingpong_chart():

@@ -368,32 +368,22 @@ class TestBlif:
 
 
 class TestTransitionAddressTable:
-    def test_bind_and_lookup(self):
-        tat = TransitionAddressTable()
-        tat.bind(0, "stub0")
+    def test_entry_lookup(self):
+        tat = TransitionAddressTable({0: "stub0"})
         assert tat.entry(0) == "stub0"
-        assert tat.size == 1
-
-    def test_double_bind_rejected(self):
-        tat = TransitionAddressTable()
-        tat.bind(0, "stub0")
-        with pytest.raises(TatError):
-            tat.bind(0, "other")
 
     def test_unbound_lookup_rejected(self):
         with pytest.raises(TatError):
-            TransitionAddressTable().entry(3)
+            TransitionAddressTable({}).entry(3)
 
     def test_fifo_order(self):
-        tat = TransitionAddressTable()
-        for index in range(3):
-            tat.bind(index, f"s{index}")
+        tat = TransitionAddressTable({index: f"s{index}" for index in range(3)})
         tat.post([2, 0, 1])
         assert [tat.pop(), tat.pop(), tat.pop()] == [2, 0, 1]
         assert tat.pop() is None
         assert tat.empty
 
     def test_post_unbound_rejected(self):
-        tat = TransitionAddressTable()
+        tat = TransitionAddressTable({})
         with pytest.raises(TatError, match="unbound"):
             tat.post([7])

@@ -17,7 +17,7 @@ from repro.isa import (
     StorageClass,
     cycle_cost,
 )
-from repro.pscp.tep import SimplePorts, Tep, TepError
+from repro.pscp.tep import ProgramImage, SimplePorts, Tep, TepError
 
 
 def run_program(instructions, arch=MINIMAL_TEP, entry="main", ports=None,
@@ -25,7 +25,7 @@ def run_program(instructions, arch=MINIMAL_TEP, entry="main", ports=None,
     program = [instructions[0].with_label(entry)] + list(instructions[1:])
     if program[-1].op not in (Op.RET, Op.TRET):
         program.append(Instruction(Op.RET))
-    tep = Tep(arch, program, ports=ports)
+    tep = Tep(ProgramImage.link(arch, program), ports=ports)
     if setup:
         setup(tep)
     tep.run(entry)
@@ -165,30 +165,31 @@ class TestFaults:
 
     def test_runaway_detected(self):
         program = [Instruction(Op.JMP, LabelRef("main"), label="main")]
-        tep = Tep(MINIMAL_TEP, program)
+        tep = Tep(ProgramImage.link(MINIMAL_TEP, program))
         with pytest.raises(TepError, match="runaway"):
             tep.run("main", max_cycles=500)
 
     def test_undefined_label(self):
-        tep = Tep(MINIMAL_TEP, [Instruction(Op.NOP, label="main")])
+        tep = Tep(ProgramImage.link(MINIMAL_TEP,
+                                    [Instruction(Op.NOP, label="main")]))
         with pytest.raises(TepError, match="unknown entry"):
             tep.run("nowhere")
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(TepError, match="duplicate"):
-            Tep(MINIMAL_TEP, [Instruction(Op.NOP, label="x"),
-                              Instruction(Op.NOP, label="x")])
+            ProgramImage.link(MINIMAL_TEP, [Instruction(Op.NOP, label="x"),
+                                            Instruction(Op.NOP, label="x")])
 
     def test_unbalanced_return(self):
         # RET with an empty call stack below the entry depth
         program = [Instruction(Op.RET, label="main")]
-        tep = Tep(MINIMAL_TEP, program)
+        tep = Tep(ProgramImage.link(MINIMAL_TEP, program))
         # a bare RET at entry depth just ends the run
         assert tep.run("main") > 0
 
     def test_call_stack_overflow_guard(self):
         program = [Instruction(Op.CALL, LabelRef("main"), label="main")]
-        tep = Tep(MINIMAL_TEP, program)
+        tep = Tep(ProgramImage.link(MINIMAL_TEP, program))
         with pytest.raises(TepError, match="stack"):
             tep.run("main")
 
@@ -236,14 +237,14 @@ class TestCycleAccounting:
         program = [Instruction(Op.LDA, Imm(1), label="main"),
                    Instruction(Op.ADD, Mem(0)),
                    Instruction(Op.RET)]
-        tep = Tep(MINIMAL_TEP, program)
+        tep = Tep(ProgramImage.link(MINIMAL_TEP, program))
         cycles = tep.run("main")
         expected = sum(cycle_cost(i, MINIMAL_TEP) for i in program)
         assert cycles == expected
 
     def test_multiple_runs_accumulate(self):
         program = [Instruction(Op.NOP, label="main"), Instruction(Op.RET)]
-        tep = Tep(MINIMAL_TEP, program)
+        tep = Tep(ProgramImage.link(MINIMAL_TEP, program))
         first = tep.run("main")
         tep.run("main")
         assert tep.cycles == 2 * first
