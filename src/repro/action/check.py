@@ -316,16 +316,16 @@ class Checker:
         of them together.  The returned program is only trustworthy when
         no problems were found.
         """
-        # enum members are global constants
-        for enum_type in self.program.enums + [
-                t for _, t in self.program.typedefs if isinstance(t, EnumType)]:
+        # enum members are global constants, and C forbids declaring one
+        # in two enums.  Every enum is declared in ``program.enums`` (the
+        # preamble's too); typedefs and struct fields only name them.
+        for enum_type in self.program.enums:
             for member in enum_type.members:
-                self.global_types[member] = enum_type
-        for struct in self.program.structs:
-            for member_enum in (f for _, f in struct.fields
-                                if isinstance(f, EnumType)):
-                for member in member_enum.members:
-                    self.global_types.setdefault(member, member_enum)
+                first = self.global_types.setdefault(member, enum_type)
+                if first is not enum_type:
+                    self.error(f"enum member {member!r} is declared in "
+                               f"enum {first.name} and again in enum "
+                               f"{enum_type.name}")
         for gvar in self.program.globals:
             if gvar.name in self.global_types:
                 self.error(f"duplicate global {gvar.name!r}")

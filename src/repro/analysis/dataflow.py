@@ -70,10 +70,7 @@ class _ConstFolder:
     """Best-effort constant folding over checked expressions."""
 
     def __init__(self, checked: CheckedProgram) -> None:
-        self.enum_values: Dict[str, int] = {}
-        for name, typ in checked.global_types.items():
-            if isinstance(typ, EnumType) and name in typ.members:
-                self.enum_values[name] = typ.value_of(name)
+        self.enum_values = checked.enum_values()
 
     def fold(self, expr: Expr) -> Optional[int]:
         """Fold to an int (bools as 0/1), or None when not constant."""

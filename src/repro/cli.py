@@ -527,15 +527,32 @@ def run_faults(argv: List[str], out=sys.stdout) -> int:
     return 0
 
 
+#: ``repro serve`` flags that only one farm mode reads
+_IN_PROCESS_FLAGS = ("--workers", "--chaos-faults", "--recorder-capacity",
+                     "--no-recorder", "--dashboard", "--forensics-dir")
+_DISTRIBUTED_FLAGS = ("--standby", "--kills", "--lineage")
+
+
+def _foreign_serve_flags(args) -> List[str]:
+    """The given ``serve`` flags that the chosen farm mode never reads."""
+    distributed = args.processes is not None
+    return [flag for flag in (_IN_PROCESS_FLAGS if distributed
+                              else _DISTRIBUTED_FLAGS)
+            if getattr(args, flag[2:].replace("-", "_")) not in (None, False)]
+
+
 def run_serve(argv: List[str], out=sys.stdout) -> int:
     """``repro serve``: a supervised machine farm over an event stream."""
+    from repro.resil import FarmConfig
+
     parser = _sim_argument_parser(
         "repro serve",
         "run a supervised farm of PSCP machine instances over a seeded "
         "event stream, with bounded queues, load shedding, circuit "
         "breakers and restart-from-snapshot")
-    parser.add_argument("--workers", type=_positive_int, default=2,
-                        help="machine instances in the farm (default: 2)")
+    parser.add_argument("--workers", type=_positive_int, default=None,
+                        help="in-process mode: machine instances in the "
+                             "farm (default: 2)")
     parser.add_argument("--processes", type=_positive_int, default=None,
                         metavar="N",
                         help="distributed mode: shard the farm across N "
@@ -548,23 +565,29 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
                              "hot standby that replays one checkpoint "
                              "behind, so a killed primary is promoted "
                              "over, not respawned")
-    parser.add_argument("--kills", type=_positive_int, default=2,
-                        help="process kills in the seeded chaos plan "
-                             "under --processes --chaos (default: 2)")
+    parser.add_argument("--kills", type=_positive_int, default=None,
+                        help="distributed mode: process kills in the "
+                             "seeded chaos plan under --chaos (default: 2)")
     parser.add_argument("--items", type=_positive_int, default=200,
                         help="work items in the stream (default: 200)")
     parser.add_argument("--seed", type=int, default=1,
                         help="stream and chaos seed (default: 1)")
-    parser.add_argument("--queue-capacity", type=_positive_int, default=8,
-                        help="per-worker admission queue depth (default: 8)")
-    parser.add_argument("--arrivals-per-tick", type=_positive_int, default=4,
-                        help="items offered per supervisor tick (default: 4)")
-    parser.add_argument("--batch", type=_positive_int, default=2,
+    parser.add_argument("--queue-capacity", type=_positive_int,
+                        default=FarmConfig.queue_capacity,
+                        help="per-worker admission queue depth "
+                             "(default: %(default)s)")
+    parser.add_argument("--arrivals-per-tick", type=_positive_int,
+                        default=FarmConfig.arrivals_per_tick,
+                        help="items offered per supervisor tick "
+                             "(default: %(default)s)")
+    parser.add_argument("--batch", type=_positive_int,
+                        default=FarmConfig.batch,
                         help="items each worker processes per tick "
-                             "(default: 2)")
-    parser.add_argument("--checkpoint-every", type=_positive_int, default=16,
+                             "(default: %(default)s)")
+    parser.add_argument("--checkpoint-every", type=_positive_int,
+                        default=FarmConfig.checkpoint_every,
                         help="processed items between worker checkpoints "
-                             "(default: 16)")
+                             "(default: %(default)s)")
     parser.add_argument("--max-restarts", type=_positive_int, default=5,
                         help="restarts before a worker fails permanently "
                              "(default: 5)")
@@ -574,9 +597,9 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
     parser.add_argument("--chaos", action="store_true",
                         help="inject a seeded per-worker fault plan and "
                              "exercise restart-from-snapshot")
-    parser.add_argument("--chaos-faults", type=_positive_int, default=6,
-                        help="faults per worker plan under --chaos "
-                             "(default: 6)")
+    parser.add_argument("--chaos-faults", type=_positive_int, default=None,
+                        help="in-process mode: faults per worker plan "
+                             "under --chaos (default: 6)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable farm report")
     parser.add_argument("--trace", default=None, metavar="PATH",
@@ -584,31 +607,43 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
                              "one process per worker plus the supervisor "
                              "track (shed/restart/escalation instants)")
     parser.add_argument("--forensics-dir", default=None, metavar="DIR",
-                        help="write each escalation's forensics bundle "
-                             "into DIR (created if missing)")
+                        help="in-process mode: write each escalation's "
+                             "forensics bundle into DIR (created if "
+                             "missing)")
     parser.add_argument("--lineage", default=None, metavar="PATH",
                         help="distributed mode: trace causal lineage "
                              "end to end and write the stitched DAG as "
                              "canonical JSON (query it with `repro why`)")
     parser.add_argument("--recorder-capacity", type=_positive_int,
-                        default=64,
-                        help="flight-recorder ring entries per worker "
-                             "(default: 64)")
+                        default=None,
+                        help="in-process mode: flight-recorder ring "
+                             "entries per worker (default: 64)")
     parser.add_argument("--no-recorder", action="store_true",
-                        help="do not attach per-worker flight recorders")
-    parser.add_argument("--sample-every", type=_positive_int, default=5,
+                        help="in-process mode: do not attach per-worker "
+                             "flight recorders")
+    parser.add_argument("--sample-every", type=_positive_int,
+                        default=FarmConfig.sample_every,
                         help="supervisor ticks between farm samples "
-                             "(default: 5)")
+                             "(default: %(default)s)")
     parser.add_argument("--samples", default=None, metavar="PATH",
                         help="write the sampler time series (CSV when PATH "
                              "ends in .csv, JSON otherwise)")
     parser.add_argument("--dashboard", action="store_true",
-                        help="render the farm dashboard (sampler "
-                             "sparklines + worker states)")
+                        help="in-process mode: render the farm dashboard "
+                             "(sampler sparklines + worker states)")
     args = parser.parse_args(argv)
+    foreign = _foreign_serve_flags(args)
+    for flag in foreign:
+        if args.processes is None:
+            print(f"error: {flag} requires --processes (distributed mode)",
+                  file=sys.stderr)
+        else:
+            print(f"error: {flag} is an in-process farm option, not read "
+                  f"under --processes (distributed mode)", file=sys.stderr)
+    if foreign:
+        return 2
 
-    from repro.fault import FaultInjector, FaultPlan, FaultSurface, \
-        MachineGuard
+    from repro.fault import FaultInjector, FaultPlan, FaultSurface
     from repro.fault.model import TEP_FAIL, TEP_RUNAWAY
     from repro.obs import FarmSampler, FlightRecorder, MetricsRegistry, \
         Tracer, metrics_summary, render_dashboard, write_forensics_bundle, \
@@ -632,59 +667,53 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     chart, system = project.chart, project.built
+    config = FarmConfig(queue_capacity=args.queue_capacity,
+                        shed_enabled=not args.no_shed, batch=args.batch,
+                        arrivals_per_tick=args.arrivals_per_tick,
+                        checkpoint_every=args.checkpoint_every,
+                        sample_every=args.sample_every)
 
     if args.processes is not None:
-        return _run_serve_distributed(args, chart, system, out)
-    if args.lineage is not None:
-        print("error: --lineage requires --processes (cross-process farm "
-              "lineage)", file=sys.stderr)
-        return 2
+        return _run_serve_distributed(args, chart, system, config, out)
 
+    workers = 2 if args.workers is None else args.workers
     injector_factory = None
     if args.chaos:
         import random
 
         surface = FaultSurface.from_system(system)
-        horizon = max(10, args.items // args.workers)
+        horizon = max(10, args.items // workers)
+        n_faults = 6 if args.chaos_faults is None else args.chaos_faults
 
         def injector_factory(worker_index: int):
             rng = random.Random(args.seed * 6271 + worker_index)
             plan = FaultPlan.generate(
                 rng, surface, [TEP_RUNAWAY, TEP_FAIL],
-                n_faults=args.chaos_faults, horizon=horizon)
+                n_faults=n_faults, horizon=horizon)
             return FaultInjector(plan)
 
-    def guard_factory():
-        # a tight retry budget keeps the chaos soak short: two consecutive
-        # runaway bites already escalate to the supervisor
-        return MachineGuard(max_retries=1, escalate_unrecoverable=True)
+    capacity = 64 if args.recorder_capacity is None else \
+        args.recorder_capacity
 
     def observer_factory(worker_index: int):
         observers = []
         if not args.no_recorder:
-            observers.append(FlightRecorder(capacity=args.recorder_capacity))
+            observers.append(FlightRecorder(capacity=capacity))
         if args.trace is not None:
             observers.append(Tracer())
         return observers
 
-    sampler = FarmSampler(every=args.sample_every)
+    sampler = FarmSampler(every=config.sample_every)
     metrics = MetricsRegistry()
     supervisor = Supervisor.for_system(
-        system,
-        n_workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        policy=RestartPolicy(max_restarts=args.max_restarts,
-                             checkpoint_every=args.checkpoint_every),
-        shed_enabled=not args.no_shed,
-        guard_factory=guard_factory,
+        system, n_workers=workers, config=config,
+        policy=RestartPolicy(max_restarts=args.max_restarts),
         injector_factory=injector_factory,
         observer_factory=observer_factory,
         metrics=metrics, sampler=sampler)
     stream = generate_event_stream(system.chart.events, args.items,
                                    seed=args.seed)
-    report = supervisor.run(stream,
-                            arrivals_per_tick=args.arrivals_per_tick,
-                            batch_per_worker=args.batch)
+    report = supervisor.run(stream)
     violations = report.conservation()
     violations += sampler.conservation()
 
@@ -717,7 +746,7 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
         print(file=out)
         return 1 if violations else 0
     print(f"chart {chart.name!r} on {system.arch.describe()}: "
-          f"{args.workers} worker(s), {args.items} item(s), "
+          f"{workers} worker(s), {args.items} item(s), "
           f"seed {args.seed}"
           + (", chaos on" if args.chaos else ""), file=out)
     print(file=out)
@@ -742,7 +771,7 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
     return 1 if violations else 0
 
 
-def _run_serve_distributed(args, chart, system, out) -> int:
+def _run_serve_distributed(args, chart, system, config, out) -> int:
     """``repro serve --processes N``: the multi-process sharded farm.
 
     Output is deliberately deterministic for a fixed seed (canonical key
@@ -754,8 +783,7 @@ def _run_serve_distributed(args, chart, system, out) -> int:
         write_merged_chrome_trace
     from repro.obs.export import FIRST_MACHINE_PID
     from repro.resil import RestartPolicy, generate_event_stream
-    from repro.resil.shardfarm import ShardConfig, ShardFarmError, \
-        ShardSupervisor
+    from repro.resil.shardfarm import ShardFarmError, ShardSupervisor
 
     lineage = FarmLineage() if args.lineage is not None else None
     kill_plan = []
@@ -763,20 +791,13 @@ def _run_serve_distributed(args, chart, system, out) -> int:
         # land the kills while the stream is still flowing
         active_ticks = max(4, args.items // max(1, args.arrivals_per_tick))
         kill_plan = generate_kill_plan(
-            args.processes, args.kills, seed=args.seed,
+            args.processes, 2 if args.kills is None else args.kills,
+            seed=args.seed,
             max_tick=max(4, active_ticks // 2),
             standby_fraction=0.25 if args.standby else 0.0)
     aggregator = ShardAggregator()
-    config = ShardConfig(
-        queue_capacity=args.queue_capacity,
-        shed_enabled=not args.no_shed,
-        batch=args.batch,
-        checkpoint_every=args.checkpoint_every,
-        sample_every=args.sample_every,
-        lineage=lineage is not None)
     policy = RestartPolicy(
         max_restarts=args.max_restarts,
-        checkpoint_every=args.checkpoint_every,
         # seeded jitter desynchronizes simultaneous respawns without
         # costing two-run determinism
         jitter_ticks=2, jitter_seed=args.seed)
@@ -787,8 +808,7 @@ def _run_serve_distributed(args, chart, system, out) -> int:
     stream = generate_event_stream(system.chart.events, args.items,
                                    seed=args.seed)
     try:
-        report = supervisor.run(stream,
-                                arrivals_per_tick=args.arrivals_per_tick)
+        report = supervisor.run(stream)
     except ShardFarmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1420,7 +1440,17 @@ def run(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
 
 
 def main() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point stdout at devnull so
+        # the interpreter's final flush stays quiet, and exit 1 as Python
+        # does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -44,7 +44,6 @@ from repro.action.ast import (
     BoolLiteral,
     Call,
     COMPARISONS,
-    EnumType,
     Expr,
     ExprStmt,
     FieldAccess,
@@ -378,10 +377,7 @@ class CodeGenerator:
         self.maps = maps or NameMaps.from_externals(checked.externals)
         self.allocator = Allocator(arch, storage_map)
         self._labels = itertools.count()
-        self._enum_values: Dict[str, int] = {}
-        for enum_type in self._all_enums():
-            for member in enum_type.members:
-                self._enum_values.setdefault(member, enum_type.value_of(member))
+        self._enum_values = checked.enum_values()
         self._globals_allocated = False
         self._current: Optional[Function] = None
         self._emitter: Optional[_Emitter] = None
@@ -389,15 +385,6 @@ class CodeGenerator:
         self._temp_count = 0
 
     # ------------------------------------------------------------------
-    def _all_enums(self):
-        seen = []
-        for enum_type in self.program.enums:
-            seen.append(enum_type)
-        for _, typ in self.program.typedefs:
-            if isinstance(typ, EnumType):
-                seen.append(typ)
-        return seen
-
     def new_label(self, hint: str) -> str:
         return f".{hint}{next(self._labels)}"
 

@@ -23,6 +23,14 @@ from typing import Any, Dict, IO, List, Optional, Sequence, Union
 _SPARK = "▁▂▃▄▅▆▇█"
 
 
+def _sample_violations(samples: List[Dict[str, Any]]) -> List[str]:
+    """The farm ledger's identities, checked on every sample in turn."""
+    from repro.resil.supervisor import ledger_violations  # deferred: cycle
+
+    return [problem for sample in samples
+            for problem in ledger_violations(sample, tick=sample["tick"])]
+
+
 class FarmSampler:
     """Per-tick farm time series with bounded memory.
 
@@ -100,21 +108,7 @@ class FarmSampler:
     def conservation(self) -> List[str]:
         """Ledger-identity violations across **every** sample; empty when
         the farm never lost an item silently at any sampled tick."""
-        problems: List[str] = []
-        for sample in self.samples:
-            if sample["submitted"] != (sample["accepted"]
-                                       + sample["rejected"]):
-                problems.append(
-                    f"tick {sample['tick']}: submitted "
-                    f"{sample['submitted']} != accepted "
-                    f"{sample['accepted']} + rejected {sample['rejected']}")
-            if sample["accepted"] != (sample["processed"] + sample["shed"]
-                                      + sample["in_flight"]):
-                problems.append(
-                    f"tick {sample['tick']}: accepted {sample['accepted']} "
-                    f"!= processed {sample['processed']} + shed "
-                    f"{sample['shed']} + in-flight {sample['in_flight']}")
-        return problems
+        return _sample_violations(self.samples)
 
     # -- export ------------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
@@ -208,24 +202,7 @@ class ShardAggregator:
 
     def conservation(self) -> List[str]:
         """Distributed ledger-identity violations across every sample."""
-        problems: List[str] = []
-        for sample in self.samples:
-            if sample["submitted"] != (sample["accepted"]
-                                       + sample["rejected"]
-                                       + sample["in_dispatch"]):
-                problems.append(
-                    f"tick {sample['tick']}: submitted "
-                    f"{sample['submitted']} != accepted "
-                    f"{sample['accepted']} + rejected "
-                    f"{sample['rejected']} + in-dispatch "
-                    f"{sample['in_dispatch']}")
-            if sample["accepted"] != (sample["processed"] + sample["shed"]
-                                      + sample["queued"]):
-                problems.append(
-                    f"tick {sample['tick']}: accepted {sample['accepted']} "
-                    f"!= processed {sample['processed']} + shed "
-                    f"{sample['shed']} + queued {sample['queued']}")
-        return problems
+        return _sample_violations(self.samples)
 
     def to_json(self) -> Dict[str, Any]:
         return {"dropped": self.dropped, "samples": self.samples}

@@ -9,7 +9,9 @@
     and per-worker circuit breakers.
 ``supervisor``
     A farm of N supervised machines over a shared event stream with
-    restart-from-snapshot and conservation-checked accounting.
+    restart-from-snapshot and conservation-checked accounting, plus what
+    both farm engines share: the :class:`FarmConfig` settings, the farm
+    machine and the ledger identities.
 ``transport``
     Length-prefixed JSON frames between farm processes: per-request
     timeouts, oversized-frame rejection, attributed close.
@@ -42,6 +44,7 @@ from repro.resil.queue import (
     WorkItem,
 )
 from repro.resil.supervisor import (
+    FarmConfig,
     FarmLedger,
     FarmReport,
     MachineWorker,
@@ -68,7 +71,6 @@ from repro.resil.delta import (
 )
 from repro.resil.standby import StandbyLog, StandbyReplica
 from repro.resil.shardfarm import (
-    ShardConfig,
     ShardFarmError,
     ShardFarmReport,
     ShardSupervisor,
@@ -86,6 +88,7 @@ __all__ = [
     "Admission",
     "BoundedQueue",
     "CircuitBreaker",
+    "FarmConfig",
     "RestartPolicy",
     "FarmLedger",
     "FarmReport",
@@ -107,7 +110,6 @@ __all__ = [
     "snapshot_fingerprint",
     "StandbyLog",
     "StandbyReplica",
-    "ShardConfig",
     "ShardFarmError",
     "ShardFarmReport",
     "ShardSupervisor",

@@ -21,7 +21,7 @@ Topology and failure story
   with a reason — degraded, attributed, never hung;
 * the supervisor detects a dead worker by the **EOF** its kill leaves on
   the channel and a hung worker by **missed heartbeats** (bounded
-  per-request timeouts; ``miss_threshold`` misses and the process is
+  per-request timeouts; ``MISS_THRESHOLD`` misses and the process is
   SIGKILLed and handled as dead);
 * recovery is **promotion** when the shard has a hot standby
   (:mod:`repro.resil.standby`): the standby drains its delta log and
@@ -50,7 +50,8 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.resil.delta import (
     DeltaChain,
@@ -67,7 +68,15 @@ from repro.resil.queue import (
 )
 from repro.resil.snapshot import MachineSnapshot, snapshot_machine, \
     restore_machine
-from repro.resil.supervisor import FarmLedger, RestartPolicy
+from repro.resil.supervisor import (
+    MAX_TICKS,
+    FarmConfig,
+    FarmLedger,
+    RestartPolicy,
+    farm_machine,
+    ledger_violations,
+    render_verdict,
+)
 from repro.resil.transport import (
     Channel,
     DEFAULT_MAX_FRAME,
@@ -89,29 +98,23 @@ SHED_RESPAWN_OVERFLOW = "respawn-overflow"
 SHED_MACHINE_ESCALATION = "machine-escalation"
 
 
+#: a worker's delta chain emits a full snapshot once a delta's encoded
+#: size reaches this share of the last full one, or after this many
+#: consecutive deltas
+COMPACT_RATIO = 0.5
+MAX_DELTAS = 16
+#: the byte ceiling of every frame between the supervisor and a worker
+MAX_FRAME = DEFAULT_MAX_FRAME
+#: seconds the supervisor waits for a forked worker's ``ready`` frame, and
+#: for every other reply
+START_TIMEOUT = 60.0
+REQUEST_TIMEOUT = 30.0
+#: missed heartbeats after which a silent worker is killed as hung
+MISS_THRESHOLD = 3
+
+
 class ShardFarmError(Exception):
     """Raised for unusable farm configurations."""
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """Knobs shared by the supervisor and every worker process."""
-
-    queue_capacity: int = 16
-    shed_enabled: bool = True
-    batch: int = 2
-    checkpoint_every: int = 8
-    compact_ratio: float = 0.5
-    max_deltas: int = 16
-    max_frame: int = DEFAULT_MAX_FRAME
-    request_timeout: float = 30.0
-    start_timeout: float = 60.0
-    miss_threshold: int = 3
-    guard_retries: int = 1
-    sample_every: int = 5
-    #: attach a per-worker LineageTracker and ship causal-hop digests in
-    #: every result frame (the supervisor stitches them into one DAG)
-    lineage: bool = False
 
 
 def encode_item(item: WorkItem) -> Dict[str, Any]:
@@ -129,40 +132,47 @@ def decode_item(doc: Dict[str, Any]) -> WorkItem:
 # ---------------------------------------------------------------------------
 
 class WorkerCore:
-    """One shard's machine, queue and checkpoint chain (process side)."""
+    """One shard's machine, queue and checkpoint chain (process side): the
+    primary's op handlers under :func:`serve_worker`.
 
-    def __init__(self, system, config: ShardConfig, machine=None,
-                 snapshot_doc: Optional[Dict[str, Any]] = None,
+    With *lineage* a :class:`~repro.obs.lineage.LineageTracker` rides the
+    machine and every result frame ships its causal-hop digests (the
+    supervisor stitches them into one DAG).
+    """
+
+    #: a primary keeps its role for the life of its process
+    successor = None
+
+    def __init__(self, config: FarmConfig, machine, lineage: bool = False,
                  processed: int = 0) -> None:
-        from repro.fault.guard import MachineGuard
-
-        self.system = system
         self.config = config
-        if machine is not None:
-            self.machine = machine
-        else:
-            self.machine = system.make_machine()
-            self.machine.attach_guard(MachineGuard(
-                max_retries=config.guard_retries,
-                escalate_unrecoverable=True))
-            if snapshot_doc is not None:
-                restore_machine(self.machine,
-                                MachineSnapshot.from_json(snapshot_doc),
-                                restore_attachments=False)
+        self.machine = machine
         self.lineage = None
-        if config.lineage:
+        if lineage:
             from repro.obs.lineage import LineageTracker
 
             self.lineage = LineageTracker(origin="worker")
             self.machine.attach(self.lineage)
         self.queue = BoundedQueue(config.queue_capacity,
                                   shed_enabled=config.shed_enabled)
-        self.chain = DeltaChain(compact_ratio=config.compact_ratio,
-                                max_deltas=config.max_deltas)
+        self.chain = DeltaChain(compact_ratio=COMPACT_RATIO,
+                                max_deltas=MAX_DELTAS)
         self.processed = processed
         self.restarts = 0
         self.escalations: List[str] = []
         self._since_checkpoint = 0
+
+    @classmethod
+    def spawn(cls, system, config: FarmConfig, lineage: bool,
+              snapshot_doc: Optional[Dict[str, Any]] = None
+              ) -> "WorkerCore":
+        """A forked primary's core: a fresh farm machine, restored from
+        *snapshot_doc* when the shard is respawned."""
+        machine = farm_machine(system)
+        if snapshot_doc is not None:
+            restore_machine(machine, MachineSnapshot.from_json(snapshot_doc),
+                            restore_attachments=False)
+        return cls(config, machine, lineage=lineage)
 
     # -- checkpointing -----------------------------------------------------
     def _checkpoint(self) -> Dict[str, Any]:
@@ -173,9 +183,24 @@ class WorkerCore:
         return {"kind": kind, "doc": doc, "processed": self.processed,
                 "cycle": snapshot.cycle_count}
 
-    def initial_checkpoint(self) -> Dict[str, Any]:
-        """The anchor checkpoint shipped in the ``ready`` handshake."""
-        return self._checkpoint()
+    # -- the op table ------------------------------------------------------
+    def ready(self) -> Dict[str, Any]:
+        """The ``ready`` handshake, shipping the anchor checkpoint."""
+        return {"op": "ready", "role": "primary",
+                "checkpoint": self._checkpoint()}
+
+    def ops(self) -> Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]]:
+        return {"dispatch": self.on_dispatch, "hang": self.on_hang}
+
+    def farewell(self) -> Dict[str, Any]:
+        """What the ``bye`` reply to ``stop`` carries besides transport."""
+        return {"chain": self.chain.describe(), "restarts": self.restarts,
+                "escalations": self.escalations}
+
+    def on_hang(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        # test hook: a worker that stops answering without dying
+        time.sleep(message.get("seconds", 60.0))
+        return {"op": "hung-done"}
 
     # -- dispatch ----------------------------------------------------------
     def on_dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -257,17 +282,28 @@ class WorkerCore:
             result["lineage"] = self.lineage.drain()
         return result
 
-    def full_snapshot_doc(self) -> Dict[str, Any]:
-        return snapshot_machine(self.machine,
-                                include_attachments=False).to_json()
 
+def serve_worker(child_sock, make_role: Callable[[], Any],
+                 close_socks: Tuple = ()) -> None:
+    """Entry point and op loop of every forked farm worker process.
 
-def serve_primary(channel: Channel, core: WorkerCore,
-                  announce_ready: bool = True) -> None:
-    """The primary worker's serve loop (runs inside the forked process)."""
-    if announce_ready:
-        channel.send({"op": "ready", "role": "primary",
-                      "checkpoint": core.initial_checkpoint()})
+    *make_role* builds the process's role once forked: a
+    :class:`WorkerCore` (a shard primary) or a
+    :class:`~repro.resil.standby.StandbyReplica`, whose ``ops()`` table
+    answers its own ops.  ``ping``, ``die``, ``stop``, unknown ops,
+    supervisor EOF and crashes are handled here, once.  A handler that
+    leaves a ``successor`` hands it the socket: a promoted standby serves
+    on as its shard's primary.
+    """
+    for sock in close_socks:
+        try:
+            sock.close()
+        except OSError:
+            pass
+    channel = Channel(child_sock, max_frame=MAX_FRAME, name="supervisor")
+    role = make_role()
+    channel.send(role.ready())
+    ops = role.ops()
     try:
         while True:
             try:
@@ -275,53 +311,30 @@ def serve_primary(channel: Channel, core: WorkerCore,
             except TransportClosed:
                 os._exit(0)
             op = message.get("op")
-            if op == "dispatch":
-                channel.send(core.on_dispatch(message))
-            elif op == "ping":
-                channel.send({"op": "pong",
-                              "token": message.get("token")})
-            elif op == "snapshot":
-                channel.send({"op": "snapshot",
-                              "doc": core.full_snapshot_doc()})
-            elif op == "hang":
-                # test hook: a worker that stops answering without dying
-                time.sleep(message.get("seconds", 60.0))
-                channel.send({"op": "hung-done"})
+            if op == "ping":
+                channel.send({"op": "pong", "token": message.get("token")})
             elif op == "die":
+                # chaos: an uncatchable, cleanup-free death
                 os.kill(os.getpid(), signal.SIGKILL)
             elif op == "stop":
-                channel.send({"op": "bye",
-                              "transport": channel.describe(),
-                              "chain": core.chain.describe(),
-                              "restarts": core.restarts,
-                              "escalations": core.escalations})
+                channel.send(dict(role.farewell(), op="bye",
+                                  transport=channel.describe()))
                 os._exit(0)
+            elif op in ops:
+                channel.send(ops[op](message))
+                if role.successor is not None:
+                    role = role.successor
+                    ops = role.ops()
             else:
                 channel.send({"op": "error",
                               "detail": f"unknown op {op!r}"})
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # report, then die visibly
         try:
             channel.send({"op": "error",
                           "detail": f"{type(exc).__name__}: {exc}"})
         except Exception:
             pass
         os._exit(1)
-
-
-def worker_main(child_sock, system, config: ShardConfig,
-                snapshot_doc: Optional[Dict[str, Any]] = None,
-                close_socks: Tuple = ()) -> None:
-    """Entry point of a primary worker process (forked)."""
-    for sock in close_socks:
-        try:
-            sock.close()
-        except OSError:
-            pass
-    channel = Channel(child_sock, max_frame=config.max_frame,
-                      name="supervisor")
-    core = WorkerCore(system, config, snapshot_doc=snapshot_doc)
-    serve_primary(channel, core)
-    os._exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +461,12 @@ class ShardFarmReport:
 
     def conservation(self) -> List[str]:
         """Global no-silent-loss identities; empty when sound."""
-        problems: List[str] = []
-        rejected = sum(self.rejected.values())
-        shed = sum(self.shed.values())
-        if self.submitted != self.accepted + rejected + self.in_dispatch:
-            problems.append(
-                f"submitted {self.submitted} != accepted {self.accepted} "
-                f"+ rejected {rejected} + in-dispatch {self.in_dispatch}")
-        if self.accepted != self.processed + shed + self.queued:
-            problems.append(
-                f"accepted {self.accepted} != processed {self.processed} "
-                f"+ shed {shed} + queued {self.queued}")
-        return problems
+        return ledger_violations({
+            "submitted": self.submitted, "accepted": self.accepted,
+            "processed": self.processed,
+            "rejected": sum(self.rejected.values()),
+            "shed": sum(self.shed.values()), "queued": self.queued,
+            "in_dispatch": self.in_dispatch})
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -505,39 +512,34 @@ class ShardFarmReport:
                    f"{sum(self.rejected.values())} rejected, "
                    f"{self.kills_fired} kill(s), "
                    f"{self.promotions} promotion(s)"))
-        problems = self.conservation()
-        verdict = ("conservation OK" if not problems
-                   else "CONSERVATION VIOLATED: " + "; ".join(problems))
-        if self.timeline_dropped:
-            verdict += (f"\ntimeline truncated: {self.timeline_dropped} "
-                        f"oldest event(s) aged out of the ring")
-        return table + "\n" + verdict
+        return table + "\n" + render_verdict(self.conservation(),
+                                             self.timeline_dropped)
 
 
 class ShardSupervisor:
     """Routes a work stream over N worker processes, with failover."""
 
     def __init__(self, system, n_shards: int = 2,
-                 config: Optional[ShardConfig] = None,
+                 config: Optional[FarmConfig] = None,
                  policy: Optional[RestartPolicy] = None,
                  standby: bool = False,
                  kill_plan: Optional[Iterable] = None,
                  aggregator=None,
-                 timeline_limit: Optional[int] = 4096,
                  lineage=None) -> None:
         if n_shards < 1:
             raise ShardFarmError("a distributed farm needs >= 1 shard")
         self.system = system
-        self.config = config if config is not None else ShardConfig()
+        self.config = config if config is not None else FarmConfig()
         self.policy = policy if policy is not None else RestartPolicy()
         self.standby = standby
         self.kill_plan = sorted(kill_plan or (),
                                 key=lambda k: (k.tick, k.shard))
         self.aggregator = aggregator
         #: optional :class:`repro.obs.causal.FarmLineage` — item-level
-        #: provenance stitched with the workers' machine-level digests
+        #: provenance stitched with the workers' machine-level digests,
+        #: which every worker then traces
         self.lineage = lineage
-        self.ledger = FarmLedger(timeline_limit=timeline_limit)
+        self.ledger = FarmLedger()
         self.shards = [ShardHandle(i, f"shard{i}")
                        for i in range(n_shards)]
         self.tick = 0
@@ -562,44 +564,44 @@ class ShardSupervisor:
                 self._spawn_standby(shard)
         self._started = True
 
-    def _fork(self, target, child_sock, extra_args) -> Any:
+    def _fork(self, peer: str, make_role: Callable[[], Any]
+              ) -> Tuple[Channel, Any]:
+        """Fork one worker process serving the role *make_role* builds;
+        returns the supervisor's channel to it and the process."""
+        channel, child_sock = channel_pair(MAX_FRAME,
+                                           names=("supervisor", peer))
+        self._parent_socks.append(channel.sock)
         process = self._ctx.Process(
-            target=target,
-            args=(child_sock, self.system, self.config) + extra_args
-            + (tuple(self._parent_socks),),
+            target=serve_worker,
+            args=(child_sock, make_role, tuple(self._parent_socks)),
             daemon=True)
         process.start()
         child_sock.close()
-        return process
+        return channel, process
+
+    def _await_ready(self, channel: Channel, what: str) -> Dict[str, Any]:
+        ready = channel.recv(START_TIMEOUT)
+        if ready.get("op") != "ready":
+            raise ShardFarmError(f"{what} sent {ready!r} instead of ready")
+        return ready
 
     def _spawn_primary(self, shard: ShardHandle,
                        snapshot_doc: Optional[Dict[str, Any]] = None
                        ) -> None:
-        channel, child_sock = channel_pair(
-            self.config.max_frame, names=("supervisor", shard.name))
-        self._parent_socks.append(channel.sock)
-        shard.channel = channel
-        shard.process = self._fork(worker_main, child_sock,
-                                   (snapshot_doc,))
-        ready = channel.recv(self.config.start_timeout)
-        if ready.get("op") != "ready":
-            raise ShardFarmError(
-                f"{shard.name} primary sent {ready!r} instead of ready")
+        shard.channel, shard.process = self._fork(
+            shard.name, partial(WorkerCore.spawn, self.system, self.config,
+                                self.lineage is not None, snapshot_doc))
+        ready = self._await_ready(shard.channel, f"{shard.name} primary")
         self._apply_checkpoint(shard, ready["checkpoint"])
 
     def _spawn_standby(self, shard: ShardHandle) -> None:
-        from repro.resil.standby import standby_main
+        from repro.resil.standby import StandbyReplica
 
-        channel, child_sock = channel_pair(
-            self.config.max_frame,
-            names=("supervisor", f"{shard.name}-standby"))
-        self._parent_socks.append(channel.sock)
-        shard.standby_channel = channel
-        shard.standby_process = self._fork(standby_main, child_sock, ())
-        ready = channel.recv(self.config.start_timeout)
-        if ready.get("op") != "ready":
-            raise ShardFarmError(
-                f"{shard.name} standby sent {ready!r} instead of ready")
+        shard.standby_channel, shard.standby_process = self._fork(
+            f"{shard.name}-standby",
+            partial(StandbyReplica, self.system, self.config,
+                    self.lineage is not None))
+        self._await_ready(shard.standby_channel, f"{shard.name} standby")
 
     def _close_channel(self, channel: Optional[Channel]) -> None:
         if channel is None:
@@ -616,8 +618,7 @@ class ShardSupervisor:
                 if channel is None:
                     continue
                 try:
-                    bye = channel.request({"op": "stop"},
-                                          self.config.request_timeout)
+                    bye = channel.request({"op": "stop"}, REQUEST_TIMEOUT)
                     if which == "primary":
                         shard.transport = bye.get("transport")
                         shard.chain_stats = bye.get("chain")
@@ -651,8 +652,7 @@ class ShardSupervisor:
         return None
 
     # -- the drive loop ----------------------------------------------------
-    def run(self, stream: Iterable[WorkItem], arrivals_per_tick: int = 4,
-            max_ticks: int = 100000) -> ShardFarmReport:
+    def run(self, stream: Iterable[WorkItem]) -> ShardFarmReport:
         """Drive the farm until the stream drains; returns the report.
 
         Starts and shuts the worker processes down itself when the farm
@@ -663,14 +663,15 @@ class ShardSupervisor:
             self.start()
         try:
             items = [encode_item(item) for item in stream]
+            arrivals = self.config.arrivals_per_tick
             cursor = 0
             ticks = 0
-            while ticks < max_ticks:
+            while ticks < MAX_TICKS:
                 ticks += 1
                 self.tick = ticks
                 self._fire_kills(ticks)
                 self._respawn_due(ticks)
-                burst = items[cursor:cursor + arrivals_per_tick]
+                burst = items[cursor:cursor + arrivals]
                 cursor += len(burst)
                 self._tick_once(burst, ticks)
                 if self.aggregator is not None \
@@ -756,7 +757,7 @@ class ShardSupervisor:
             if shard.channel is None or shard.state != RUNNING:
                 continue
             try:
-                reply = shard.channel.recv(self.config.request_timeout)
+                reply = shard.channel.recv(REQUEST_TIMEOUT)
             except TransportClosed as exc:
                 self._on_death(shard, tick, str(exc))
             except TransportTimeout:
@@ -852,8 +853,8 @@ class ShardSupervisor:
         if shard.standby_channel is None or not docs:
             return
         try:
-            shard.standby_channel.request(
-                {"op": "tee", "items": docs}, self.config.request_timeout)
+            shard.standby_channel.request({"op": "tee", "items": docs},
+                                          REQUEST_TIMEOUT)
         except TransportError as exc:
             self._lose_standby(shard, tick, str(exc))
 
@@ -865,8 +866,7 @@ class ShardSupervisor:
         try:
             reply = shard.standby_channel.request(
                 {"op": "advance", "through": payload["processed"],
-                 "fingerprint": fingerprint},
-                self.config.request_timeout)
+                 "fingerprint": fingerprint}, REQUEST_TIMEOUT)
         except TransportError as exc:
             self._lose_standby(shard, tick, str(exc))
             return
@@ -893,8 +893,8 @@ class ShardSupervisor:
         shard.awaiting_reply = True
         self.ledger.note(tick, "missed-heartbeat", shard.name,
                          f"{shard.missed_heartbeats} of "
-                         f"{self.config.miss_threshold}")
-        if shard.missed_heartbeats >= self.config.miss_threshold:
+                         f"{MISS_THRESHOLD}")
+        if shard.missed_heartbeats >= MISS_THRESHOLD:
             # hung, not dead: put it down and handle the death uniformly
             if shard.process is not None and shard.process.is_alive():
                 os.kill(shard.process.pid, signal.SIGKILL)
@@ -937,7 +937,7 @@ class ShardSupervisor:
         try:
             reply = shard.standby_channel.request(
                 {"op": "promote", "retry": retry, "fresh": fresh},
-                self.config.request_timeout)
+                REQUEST_TIMEOUT)
         except TransportError as exc:
             # double kill: the standby died too — fall back to respawn
             # or permanent failure, with both losses attributed

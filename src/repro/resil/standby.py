@@ -5,7 +5,7 @@ replay*: respawn a process, restore the last checkpoint, re-run the
 in-flight items — a recovery whose latency grows with checkpoint spacing.
 A :class:`~repro.resil.shardfarm.ShardSupervisor` started with
 ``standby=True`` instead pairs every primary with a **hot standby
-process** running this module's loop:
+process** serving this module's op handlers:
 
 * the supervisor **tees** every item the primary *processed* (in
   processed order) to the standby, where it lands in the replay buffer —
@@ -30,12 +30,11 @@ one place and the replicas stay sequential and isolated.
 
 from __future__ import annotations
 
-import os
-import signal
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.resil.shardfarm import SHED_MACHINE_ESCALATION, WorkerCore
 from repro.resil.snapshot import snapshot_machine
-from repro.resil.transport import Channel, TransportClosed
+from repro.resil.supervisor import FarmConfig, farm_machine
 
 
 class StandbyLog:
@@ -72,20 +71,24 @@ class StandbyLog:
 
 
 class StandbyReplica:
-    """Process-side state of one hot standby."""
+    """Process-side state of one hot standby: its op handlers under
+    :func:`~repro.resil.shardfarm.serve_worker`.
 
-    def __init__(self, system, config) -> None:
-        from repro.fault.guard import MachineGuard
+    It replays on a :func:`~repro.resil.supervisor.farm_machine` of
+    *system*; *config* and *lineage* are handed to the :class:`WorkerCore`
+    that takes over as the shard's primary on promotion.
+    """
 
-        self.system = system
+    def __init__(self, system, config: FarmConfig,
+                 lineage: bool = False) -> None:
+        self.machine = farm_machine(system)
         self.config = config
-        self.machine = system.make_machine()
-        self.machine.attach_guard(MachineGuard(
-            max_retries=config.guard_retries,
-            escalate_unrecoverable=True))
+        self.lineage = lineage
         self.log = StandbyLog()
         self.verified = 0
         self.divergences = 0
+        #: the primary this standby becomes once promoted
+        self.successor: Optional[WorkerCore] = None
 
     # -- replay ------------------------------------------------------------
     def _replay(self, items: List[Dict[str, Any]]) -> None:
@@ -97,6 +100,18 @@ class StandbyReplica:
 
         return snapshot_fingerprint(
             snapshot_machine(self.machine, include_attachments=False))
+
+    # -- the op table ------------------------------------------------------
+    def ready(self) -> Dict[str, Any]:
+        return {"op": "ready", "role": "standby"}
+
+    def ops(self) -> Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]]:
+        return {"tee": self.on_tee, "advance": self.on_advance,
+                "promote": self.on_promote}
+
+    def farewell(self) -> Dict[str, Any]:
+        """What the ``bye`` reply to ``stop`` carries besides transport."""
+        return {"verified": self.verified, "divergences": self.divergences}
 
     # -- operations --------------------------------------------------------
     def on_tee(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -123,7 +138,8 @@ class StandbyReplica:
         ``retry`` items were accepted by the dead primary but never
         processed; ``fresh`` items were dispatched but never acknowledged.
         Both are (re)played here — the supervisor sorts out the ledger
-        (retry items keep their acceptance, fresh ones gain it).
+        (retry items keep their acceptance, fresh ones gain it).  The
+        replica's machine then serves on as the shard's primary.
         """
         from repro.fault.guard import MachineEscalation
         from repro.pscp.machine import MachineError
@@ -136,17 +152,21 @@ class StandbyReplica:
             list(message.get("fresh", ()))
         for item in pending:
             if escalation is not None:
-                dropped.append([item["seq"], "machine-escalation"])
+                dropped.append([item["seq"], SHED_MACHINE_ESCALATION])
                 continue
             try:
                 self.machine.step(tuple(item["events"]))
             except (MachineEscalation, MachineError) as exc:
                 escalation = str(exc)
-                dropped.append([item["seq"], "machine-escalation"])
+                dropped.append([item["seq"], SHED_MACHINE_ESCALATION])
                 continue
             processed.append(item["seq"])
         snapshot = snapshot_machine(self.machine,
                                     include_attachments=False)
+        watermark = self.log.replayed + len(processed)
+        self.successor = WorkerCore(self.config, self.machine,
+                                    lineage=self.lineage,
+                                    processed=watermark)
         return {
             "op": "promoted",
             "replayed": self.log.replayed,
@@ -154,68 +174,6 @@ class StandbyReplica:
             "dropped": dropped,
             "escalation": escalation,
             "checkpoint": {"kind": "full", "doc": snapshot.to_json(),
-                           "processed": self.log.replayed + len(processed),
+                           "processed": watermark,
                            "cycle": snapshot.cycle_count},
         }
-
-
-def standby_main(child_sock, system, config, close_socks=()) -> None:
-    """Entry point of a standby process (forked by the supervisor).
-
-    Serves ``tee``/``advance``/``ping`` until either a ``promote`` —
-    after which it switches into the primary serve loop and handles
-    ``dispatch`` traffic — or a ``stop``/``die``/supervisor-EOF exit.
-    """
-    for sock in close_socks:
-        try:
-            sock.close()
-        except OSError:
-            pass
-    channel = Channel(child_sock, max_frame=config.max_frame,
-                      name="supervisor")
-    replica = StandbyReplica(system, config)
-    channel.send({"op": "ready", "role": "standby"})
-    try:
-        while True:
-            try:
-                message = channel.recv()
-            except TransportClosed:
-                os._exit(0)
-            op = message.get("op")
-            if op == "tee":
-                channel.send(replica.on_tee(message))
-            elif op == "advance":
-                channel.send(replica.on_advance(message))
-            elif op == "ping":
-                channel.send({"op": "pong",
-                              "token": message.get("token")})
-            elif op == "promote":
-                reply = replica.on_promote(message)
-                channel.send(reply)
-                # take over as the shard's primary on the same socket
-                from repro.resil.shardfarm import WorkerCore, serve_primary
-
-                core = WorkerCore(replica.system, replica.config,
-                                  machine=replica.machine,
-                                  processed=reply["checkpoint"]["processed"])
-                serve_primary(channel, core, announce_ready=False)
-                os._exit(0)
-            elif op == "die":
-                # chaos: an uncatchable, cleanup-free death, mid-standby
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif op == "stop":
-                channel.send({"op": "bye",
-                              "transport": channel.describe(),
-                              "verified": replica.verified,
-                              "divergences": replica.divergences})
-                os._exit(0)
-            else:
-                channel.send({"op": "error",
-                              "detail": f"unknown op {op!r}"})
-    except Exception as exc:  # report, then die visibly
-        try:
-            channel.send({"op": "error", "detail": f"{type(exc).__name__}: "
-                                                   f"{exc}"})
-        except Exception:
-            pass
-        os._exit(1)

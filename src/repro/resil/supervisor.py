@@ -14,7 +14,7 @@ the supervision layer between the two: a :class:`Supervisor` runs N
   diverting traffic away during the cooldown, with a half-open probe before
   it closes again;
 * **restart-from-snapshot** — each worker checkpoints its machine every
-  ``checkpoint_every`` processed items
+  :attr:`FarmConfig.checkpoint_every` processed items
   (:func:`~repro.resil.snapshot.snapshot_machine`); when an unrecoverable
   fault escalates out of the machine
   (:class:`~repro.fault.guard.MachineEscalation`), the worker restores its
@@ -36,7 +36,8 @@ seeded chaos soak is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, \
+    Sequence
 
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import Histogram
@@ -59,15 +60,45 @@ RUNNING = "running"
 BACKOFF = "backoff"
 FAILED = "failed"
 
+#: restart backoff: ``BACKOFF_BASE_TICKS * 2^restarts`` ticks, capped
+BACKOFF_BASE_TICKS = 2
+BACKOFF_CAP_TICKS = 32
+#: both farm engines stop driving after this many ticks
+MAX_TICKS = 100000
+#: recoverable-fault retries of every farm machine's guard: a tight budget
+#: keeps a chaos soak short, two consecutive runaway bites already
+#: escalate to the supervisor
+GUARD_RETRIES = 1
+
+
+@dataclass(frozen=True)
+class FarmConfig:
+    """What ``repro serve`` sets for both farm engines, in one place.
+
+    :class:`Supervisor`, :class:`~repro.resil.shardfarm.ShardSupervisor`,
+    the shard worker processes and the hot standbys all read this one
+    object; the defaults are ``repro serve``'s.
+    """
+
+    #: per-worker (per-shard) admission queue depth
+    queue_capacity: int = 8
+    #: evict the lowest-priority pending item to admit a higher one
+    shed_enabled: bool = True
+    #: items each worker processes per tick
+    batch: int = 2
+    #: stream items offered per tick
+    arrivals_per_tick: int = 4
+    #: processed items between a worker's checkpoints
+    checkpoint_every: int = 16
+    #: ticks between farm samples
+    sample_every: int = 5
+
 
 @dataclass(frozen=True)
 class RestartPolicy:
     """How a worker restarts after an escalated (unrecoverable) fault."""
 
     max_restarts: int = 3
-    backoff_base_ticks: int = 2
-    backoff_cap_ticks: int = 32
-    checkpoint_every: int = 16
     #: maximum extra ticks of seeded jitter added to each backoff, so
     #: simultaneous escalations across workers/shards do not produce a
     #: synchronized restart stampede; 0 (the default) keeps the historical
@@ -87,13 +118,66 @@ class RestartPolicy:
         import random
         import zlib
 
-        base = min(self.backoff_base_ticks * (1 << restarts_used),
-                   self.backoff_cap_ticks)
+        base = min(BACKOFF_BASE_TICKS * (1 << restarts_used),
+                   BACKOFF_CAP_TICKS)
         if not self.jitter_ticks:
             return base
         token = f"{key}:{restarts_used}".encode("utf-8")
         rng = random.Random(self.jitter_seed * 1000003 + zlib.crc32(token))
         return base + rng.randrange(self.jitter_ticks + 1)
+
+
+def farm_machine(system):
+    """A farm worker's machine: the built system's machine behind a guard
+    that escalates unrecoverable faults to the supervisor.  In-process
+    workers, shard primaries and hot standbys all start from one."""
+    from repro.fault.guard import MachineGuard
+
+    machine = system.make_machine()
+    machine.attach_guard(MachineGuard(max_retries=GUARD_RETRIES,
+                                      escalate_unrecoverable=True))
+    return machine
+
+
+def ledger_violations(counts: Mapping[str, int],
+                      tick: Optional[int] = None) -> List[str]:
+    """Violations of the farm ledger's two identities; empty when sound.
+
+    Every submitted item is accepted or rejected, and every accepted item
+    is processed, shed or still held: ``in_flight`` in-process, ``queued``
+    in the distributed farm, whose ``in_dispatch`` items (not acknowledged
+    yet) count against submission.  *tick* prefixes each message.
+    """
+    prefix = "" if tick is None else f"tick {tick}: "
+    problems: List[str] = []
+    submitted, accepted = counts["submitted"], counts["accepted"]
+    rejected, shed = counts["rejected"], counts["shed"]
+    outcomes = accepted + rejected
+    terms = f"accepted {accepted} + rejected {rejected}"
+    if "in_dispatch" in counts:
+        outcomes += counts["in_dispatch"]
+        terms += f" + in-dispatch {counts['in_dispatch']}"
+        held, held_name = counts["queued"], "queued"
+    else:
+        held, held_name = counts["in_flight"], "in-flight"
+    if submitted != outcomes:
+        problems.append(f"{prefix}submitted {submitted} != {terms}")
+    if accepted != counts["processed"] + shed + held:
+        problems.append(
+            f"{prefix}accepted {accepted} != processed "
+            f"{counts['processed']} + shed {shed} + {held_name} {held}")
+    return problems
+
+
+def render_verdict(problems: List[str], timeline_dropped: int) -> str:
+    """A farm report's closing lines: the conservation verdict, then a note
+    when the supervisor timeline's ring aged events out."""
+    verdict = ("conservation OK" if not problems
+               else "CONSERVATION VIOLATED: " + "; ".join(problems))
+    if timeline_dropped:
+        verdict += (f"\ntimeline truncated: {timeline_dropped} "
+                    f"oldest event(s) aged out of the ring")
+    return verdict
 
 
 @dataclass
@@ -156,16 +240,16 @@ class FarmLedger:
 class MachineWorker:
     """One supervised machine instance with its queue and checkpoint."""
 
-    def __init__(self, name: str, machine_factory: Callable[[], Any],
-                 ledger: FarmLedger, policy: RestartPolicy,
-                 queue_capacity: int = 32, shed_enabled: bool = True,
-                 breaker: Optional[CircuitBreaker] = None) -> None:
+    def __init__(self, name: str, machine, ledger: FarmLedger,
+                 config: FarmConfig, policy: RestartPolicy) -> None:
         self.name = name
         self.ledger = ledger
+        self.config = config
         self.policy = policy
-        self.queue = BoundedQueue(queue_capacity, shed_enabled=shed_enabled)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.machine = machine_factory()
+        self.queue = BoundedQueue(config.queue_capacity,
+                                  shed_enabled=config.shed_enabled)
+        self.breaker = CircuitBreaker()
+        self.machine = machine
         self.state = RUNNING
         self.processed = 0
         self.restarts_used = 0
@@ -252,7 +336,7 @@ class MachineWorker:
         return True
 
     # -- the work loop -----------------------------------------------------
-    def advance(self, tick: int, batch: int) -> None:
+    def advance(self, tick: int) -> None:
         """Run this worker for one supervisor tick."""
         if self.state == BACKOFF:
             if tick >= (self._resume_at or 0):
@@ -261,7 +345,7 @@ class MachineWorker:
                 return
         if self.state != RUNNING:
             return
-        for _ in range(batch):
+        for _ in range(self.config.batch):
             item = self.queue.pop()
             if item is None:
                 return
@@ -286,7 +370,7 @@ class MachineWorker:
         self.latency.observe(tick - self._enqueued_at.pop(item.seq, tick))
         self.breaker.record_success()
         self._since_checkpoint += 1
-        if self._since_checkpoint >= self.policy.checkpoint_every:
+        if self._since_checkpoint >= self.config.checkpoint_every:
             self.checkpoint = self._take_checkpoint()
         return True
 
@@ -390,18 +474,11 @@ class FarmReport:
         Every submitted item is accepted or rejected; every accepted item
         is processed, shed (with a reason) or still in flight.
         """
-        problems: List[str] = []
-        rejected = sum(self.rejected.values())
-        shed = sum(self.shed.values())
-        if self.submitted != self.accepted + rejected:
-            problems.append(
-                f"submitted {self.submitted} != accepted {self.accepted} "
-                f"+ rejected {rejected}")
-        if self.accepted != self.processed + shed + self.in_flight:
-            problems.append(
-                f"accepted {self.accepted} != processed {self.processed} "
-                f"+ shed {shed} + in-flight {self.in_flight}")
-        return problems
+        return ledger_violations({
+            "submitted": self.submitted, "accepted": self.accepted,
+            "processed": self.processed,
+            "rejected": sum(self.rejected.values()),
+            "shed": sum(self.shed.values()), "in_flight": self.in_flight})
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -439,24 +516,21 @@ class FarmReport:
                    f"{sum(self.shed.values())} shed, "
                    f"{sum(self.rejected.values())} rejected, "
                    f"{self.restarts} restart(s)"))
-        problems = self.conservation()
-        verdict = ("conservation OK" if not problems
-                   else "CONSERVATION VIOLATED: " + "; ".join(problems))
-        if self.timeline_dropped:
-            verdict += (f"\ntimeline truncated: {self.timeline_dropped} "
-                        f"oldest event(s) aged out of the ring")
-        return table + "\n" + verdict
+        return table + "\n" + render_verdict(self.conservation(),
+                                             self.timeline_dropped)
 
 
 class Supervisor:
     """Routes a work stream over N supervised machine workers."""
 
     def __init__(self, workers: Sequence[MachineWorker],
-                 ledger: FarmLedger, metrics=None, sampler=None) -> None:
+                 ledger: FarmLedger, config: FarmConfig, metrics=None,
+                 sampler=None) -> None:
         if not workers:
             raise ValueError("a farm needs at least one worker")
         self.workers = list(workers)
         self.ledger = ledger
+        self.config = config
         self.metrics = metrics
         #: a :class:`~repro.obs.FarmSampler` fed at the end of every tick
         self.sampler = sampler
@@ -464,55 +538,36 @@ class Supervisor:
 
     @classmethod
     def for_system(cls, system, n_workers: int = 2,
-                   queue_capacity: int = 32,
+                   config: Optional[FarmConfig] = None,
                    policy: Optional[RestartPolicy] = None,
-                   shed_enabled: bool = True,
-                   guard_factory: Optional[Callable[[], Any]] = None,
                    injector_factory: Optional[
                        Callable[[int], Any]] = None,
-                   breaker_factory: Optional[
-                       Callable[[], CircuitBreaker]] = None,
                    observer_factory: Optional[
                        Callable[[int], Iterable[Any]]] = None,
-                   metrics=None, sampler=None,
-                   timeline_limit: Optional[int] = 4096) -> "Supervisor":
-        """Build a farm of fresh machines over one built system.
+                   metrics=None, sampler=None) -> "Supervisor":
+        """Build a farm of :func:`farm_machine`\\ s over one built system.
 
-        ``guard_factory`` returns a fresh
-        :class:`~repro.fault.guard.MachineGuard` per worker (defaults to one
-        with escalation enabled); ``injector_factory(worker_index)`` returns
-        a per-worker :class:`~repro.fault.injector.FaultInjector` — the
-        chaos hook — or ``None``.  ``observer_factory(worker_index)``
-        returns the observers to attach to that worker's machine, such as a
+        ``injector_factory(worker_index)`` returns a per-worker
+        :class:`~repro.fault.injector.FaultInjector` — the chaos hook — or
+        ``None``.  ``observer_factory(worker_index)`` returns the observers
+        to attach to that worker's machine, such as a
         :class:`~repro.obs.FlightRecorder` (bounded forensics ring) and a
         :class:`~repro.obs.Tracer` (for the merged Perfetto export).
         """
-        from repro.fault.guard import MachineGuard
-
+        config = config if config is not None else FarmConfig()
         policy = policy if policy is not None else RestartPolicy()
-        ledger = FarmLedger(timeline_limit=timeline_limit)
+        ledger = FarmLedger()
         workers = []
         for index in range(n_workers):
-            def factory(index=index):
-                machine = system.make_machine()
-                if injector_factory is not None:
-                    injector = injector_factory(index)
-                    if injector is not None:
-                        machine.attach_injector(injector)
-                guard = (guard_factory() if guard_factory is not None
-                         else MachineGuard(escalate_unrecoverable=True))
-                machine.attach_guard(guard)
-                if observer_factory is not None:
-                    for observer in observer_factory(index):
-                        machine.attach(observer)
-                return machine
-            breaker = (breaker_factory() if breaker_factory is not None
-                       else CircuitBreaker())
-            workers.append(MachineWorker(
-                f"worker{index}", factory, ledger, policy,
-                queue_capacity=queue_capacity, shed_enabled=shed_enabled,
-                breaker=breaker))
-        return cls(workers, ledger, metrics=metrics, sampler=sampler)
+            machine = farm_machine(system)
+            if injector_factory is not None:
+                machine.attach_injector(injector_factory(index))
+            if observer_factory is not None:
+                for observer in observer_factory(index):
+                    machine.attach(observer)
+            workers.append(MachineWorker(f"worker{index}", machine, ledger,
+                                         config, policy))
+        return cls(workers, ledger, config, metrics=metrics, sampler=sampler)
 
     # -- admission ---------------------------------------------------------
     def submit(self, item: WorkItem) -> bool:
@@ -531,22 +586,21 @@ class Supervisor:
         return False
 
     # -- the drive loop ----------------------------------------------------
-    def run(self, stream: Iterable[WorkItem], arrivals_per_tick: int = 4,
-            batch_per_worker: int = 2, max_ticks: int = 100000
-            ) -> FarmReport:
+    def run(self, stream: Iterable[WorkItem]) -> FarmReport:
         """Drive the farm until the stream drains and the queues empty."""
         pending = list(stream)
+        arrivals = self.config.arrivals_per_tick
         cursor = 0
         ticks = 0
-        while ticks < max_ticks:
+        while ticks < MAX_TICKS:
             ticks += 1
             self.tick = ticks
-            burst = pending[cursor:cursor + arrivals_per_tick]
+            burst = pending[cursor:cursor + arrivals]
             cursor += len(burst)
             for item in burst:
                 self.submit(item)
             for worker in self.workers:
-                worker.advance(ticks, batch_per_worker)
+                worker.advance(ticks)
             if self.sampler is not None:
                 self.sampler.on_tick(self, ticks)
             if cursor >= len(pending) and self._drained():
@@ -610,21 +664,7 @@ class Supervisor:
     def publish(self, metrics, report: Optional[FarmReport] = None) -> None:
         """Publish supervisor counters into a metrics registry."""
         if report is None:
-            report = FarmReport(
-                ticks=self.tick,
-                workers=[worker.describe() for worker in self.workers],
-                submitted=self.ledger.submitted,
-                accepted=self.ledger.accepted,
-                processed=self.ledger.processed,
-                rejected=dict(self.ledger.rejected),
-                shed=dict(self.ledger.shed),
-                in_flight=sum(len(w.queue) for w in self.workers),
-                escalations=self.ledger.escalations,
-                restarts=self.ledger.restarts,
-                permanent_failures=self.ledger.permanent_failures,
-                checkpoints=self.ledger.checkpoints,
-                time_to_recover=list(self.ledger.time_to_recover),
-            )
+            report = self.report()
         metrics.counter("farm.submitted",
                         "work items offered to the farm").value = \
             report.submitted

@@ -172,3 +172,71 @@ class TestRestrictions:
         assert ext.events == {"E"}
         assert ext.conditions == {"C"}
         assert ext.ports == {"P"}
+
+
+class TestEnumMembers:
+    """An enum member is one global constant with one value: C forbids
+    declaring it in two enums, so the checker does too."""
+
+    @staticmethod
+    def diagnostics(src):
+        from repro.action.check import Checker
+
+        checker = Checker(parse_with_preamble(src))
+        checker.analyze()
+        return [(d.code, d.message) for d in checker.diagnostics]
+
+    def test_member_of_two_enums_is_rejected_naming_both(self):
+        assert self.diagnostics("enum A {X, Y}; enum B {Y2, X2, X};") == [
+            ("PSC302",
+             "enum member 'X' is declared in enum A and again in enum B")]
+
+    def test_preamble_member_counts_as_a_declaration(self):
+        assert self.diagnostics("enum Mode {Run, Input};") == [
+            ("PSC302", "enum member 'Input' is declared in enum PortDir "
+                       "and again in enum Mode")]
+
+    def test_typedef_and_struct_field_reuse_the_declaration(self):
+        # the preamble's structs already name ECD and PortDir as fields
+        assert self.diagnostics("""
+        enum A {X, Y};
+        typedef A Alias;
+        typedef enum A Again;
+        struct holder { A first; Alias second; };
+        Again g;
+        void f() { g = Y; }
+        """) == []
+
+    def test_every_reader_takes_the_checked_values(self):
+        from repro.isa import CodeGenerator, MD16_TEP
+
+        checked = check_program(parse_with_preamble(
+            "enum A {X, Y}; typedef A T; int:8 g; void f() { g = Y; }"))
+        values = checked.enum_values()
+        assert values["Y"] == 1 and values["Binary"] == 1
+        compiled = CodeGenerator(checked, MD16_TEP).compile()
+        assert compiled.enum_values == values
+
+    def test_plain_and_specialized_builds_refuse_the_ambiguous_argument(
+            self):
+        from repro.flow import build_system
+        from repro.isa import MD16_TEP
+        from repro.statechart import ChartBuilder
+
+        b = ChartBuilder("ambiguous")
+        b.event("GO", period=1000)
+        with b.or_state("Top", default="S"):
+            b.basic("S").transition("S", label="GO/Work(X)")
+        chart = b.build()
+        routines = """
+        enum A {X, Y};
+        enum B {Y2, X2, X};
+        int:16 last;
+        void Work(int:16 i) { last = i; }
+        """
+        # X would be 0 to the plain build's stubs and 2 to the specializer
+        for specialize in (False, True):
+            with pytest.raises(CheckError, match="enum member 'X' is "
+                               "declared in enum A and again in enum B"):
+                build_system(chart, routines, MD16_TEP,
+                             specialize=specialize)

@@ -176,3 +176,72 @@ class TestFaultCampaignTooShort:
         error = capsys.readouterr().err
         assert error.startswith("error: --cycles 3000 is too short: ")
         assert error.count("\n") == 1
+
+
+# the flags `repro serve` reads in one farm mode only, with a value each
+IN_PROCESS_SERVE_FLAGS = {
+    "--workers": ["3"], "--chaos-faults": ["2"],
+    "--recorder-capacity": ["8"], "--no-recorder": [], "--dashboard": [],
+    "--forensics-dir": ["fdir"],
+}
+DISTRIBUTED_SERVE_FLAGS = {"--standby": [], "--kills": ["1"],
+                           "--lineage": ["dag.json"]}
+
+
+class TestServeModeFlags:
+    """A flag of the other farm mode is a usage error, reported before
+    anything is built, forked or created."""
+
+    @pytest.fixture(autouse=True)
+    def no_build(self, monkeypatch, tmp_path):
+        import repro.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve built the project")
+
+        monkeypatch.setattr(repro.cli, "_load_project", refuse)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("flag", sorted(IN_PROCESS_SERVE_FLAGS))
+    def test_in_process_flag_under_processes(self, flag, tmp_path, capsys):
+        status, text = invoke(["serve", SMD_PROJECT, "--items", "4",
+                               "--processes", "2", flag,
+                               *IN_PROCESS_SERVE_FLAGS[flag]])
+        assert status == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: {flag} is an in-process farm option, not read under "
+            f"--processes (distributed mode)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", sorted(DISTRIBUTED_SERVE_FLAGS))
+    def test_distributed_flag_without_processes(self, flag, tmp_path,
+                                                capsys):
+        status, text = invoke(["serve", SMD_PROJECT, "--items", "4", flag,
+                               *DISTRIBUTED_SERVE_FLAGS[flag]])
+        assert status == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: {flag} requires --processes (distributed mode)\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    import os
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    # about 140 kB of JSON: far more than the pipe buffers once the reader
+    # has gone, so the writer meets EPIPE
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", SMD_PROJECT, "--items",
+         "2000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in stderr, stderr

@@ -35,11 +35,11 @@ from repro.obs import (
 from repro.resil import (
     Channel,
     DeltaChain,
+    FarmConfig,
     FarmLedger,
     FrameTooLarge,
     MachineSnapshot,
     RestartPolicy,
-    ShardConfig,
     ShardSupervisor,
     SnapshotError,
     TransportClosed,
@@ -53,6 +53,7 @@ from repro.resil import (
     snapshot_machine,
     write_snapshot,
 )
+from repro.resil import shardfarm
 from repro.resil.standby import StandbyLog
 from repro.statechart import ChartBuilder
 
@@ -284,10 +285,11 @@ def _run_farm(system, *, n_shards=3, standby=False, kill_plan=(),
               aggregator=None):
     supervisor = ShardSupervisor(
         system, n_shards=n_shards, standby=standby,
-        config=config or ShardConfig(checkpoint_every=4, batch=2),
+        config=config or FarmConfig(queue_capacity=16, checkpoint_every=4,
+                                    batch=2, arrivals_per_tick=5),
         policy=policy, kill_plan=list(kill_plan), aggregator=aggregator)
     stream = generate_event_stream(system.chart.events, items, seed=seed)
-    return supervisor.run(stream, arrivals_per_tick=5)
+    return supervisor.run(stream)
 
 
 class TestShardFarm:
@@ -349,11 +351,14 @@ class TestShardFarm:
         assert "standby-lost" in kinds
         assert "permanent-failure" in kinds
 
-    def test_hung_worker_is_detected_and_promoted(self, system):
+    def test_hung_worker_is_detected_and_promoted(self, system,
+                                                  monkeypatch):
+        monkeypatch.setattr(shardfarm, "REQUEST_TIMEOUT", 0.3)
+        monkeypatch.setattr(shardfarm, "MISS_THRESHOLD", 2)
         supervisor = ShardSupervisor(
             system, n_shards=2, standby=True,
-            config=ShardConfig(checkpoint_every=4, batch=2,
-                               request_timeout=0.3, miss_threshold=2))
+            config=FarmConfig(queue_capacity=16, checkpoint_every=4,
+                              batch=2, arrivals_per_tick=5))
         supervisor.start()
         try:
             # wedge shard0's primary: alive but silent
@@ -361,7 +366,7 @@ class TestShardFarm:
                                                "seconds": 30.0})
             stream = generate_event_stream(system.chart.events, 30,
                                            seed=3)
-            report = supervisor.run(stream, arrivals_per_tick=5)
+            report = supervisor.run(stream)
         finally:
             supervisor.shutdown()
         assert report.promotions == 1

@@ -25,7 +25,6 @@ from repro.fault import (
     FaultInjector,
     FaultPlan,
     FaultSurface,
-    MachineGuard,
 )
 from repro.fault.model import TEP_FAIL, TEP_RUNAWAY
 from repro.flow import build_system, select_initial_architecture
@@ -49,9 +48,9 @@ from repro.obs import (
 from repro.obs.export import FIRST_MACHINE_PID, TRACE_PID
 from repro.fault.model import ProcessKill
 from repro.resil import (
+    FarmConfig,
     MachineSnapshot,
     RestartPolicy,
-    ShardConfig,
     ShardSupervisor,
     SnapshotError,
     Supervisor,
@@ -412,10 +411,9 @@ def chaos_factory(system, seed):
 def chaos_run(system):
     sampler = FarmSampler(every=2)
     supervisor = Supervisor.for_system(
-        system, n_workers=2, queue_capacity=4,
-        policy=RestartPolicy(checkpoint_every=8),
-        guard_factory=lambda: MachineGuard(
-            max_retries=1, escalate_unrecoverable=True),
+        system, n_workers=2,
+        config=FarmConfig(queue_capacity=4, checkpoint_every=8),
+        policy=RestartPolicy(),
         injector_factory=chaos_factory(system, seed=3),
         observer_factory=lambda index: [FlightRecorder(capacity=32),
                                         Tracer()],
@@ -470,8 +468,9 @@ class TestFarmSampler:
 
     def test_limit_bounds_memory(self, system):
         sampler = FarmSampler(every=1, limit=3)
-        supervisor = Supervisor.for_system(system, n_workers=1,
-                                           sampler=sampler)
+        supervisor = Supervisor.for_system(
+            system, n_workers=1, config=FarmConfig(queue_capacity=32),
+            sampler=sampler)
         stream = generate_event_stream(system.chart.events, 30, seed=1)
         supervisor.run(stream)
         assert len(sampler) == 3
@@ -560,11 +559,12 @@ def run_distributed_lineage(system, seed=7):
     lineage = FarmLineage()
     supervisor = ShardSupervisor(
         system, n_shards=2, standby=True,
-        config=ShardConfig(checkpoint_every=4, batch=2, lineage=True),
+        config=FarmConfig(queue_capacity=16, checkpoint_every=4, batch=2,
+                          arrivals_per_tick=5),
         kill_plan=[ProcessKill(tick=4, shard=0, after_items=1)],
         lineage=lineage)
     stream = generate_event_stream(system.chart.events, 40, seed=seed)
-    report = supervisor.run(stream, arrivals_per_tick=5)
+    report = supervisor.run(stream)
     pids = {shard.name: FIRST_MACHINE_PID + index
             for index, shard in enumerate(supervisor.shards)}
     return lineage, report, pids

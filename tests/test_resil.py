@@ -34,6 +34,7 @@ from repro.pscp.timers import Timer, TimerBank
 from repro.resil import (
     BoundedQueue,
     CircuitBreaker,
+    FarmConfig,
     MachineSnapshot,
     RestartPolicy,
     SNAPSHOT_VERSION,
@@ -462,10 +463,9 @@ class TestSupervisor:
 
     def _run(self, system, seed=3, items=80, **kwargs):
         supervisor = Supervisor.for_system(
-            system, n_workers=2, queue_capacity=4,
-            policy=kwargs.pop("policy", RestartPolicy(checkpoint_every=8)),
-            guard_factory=lambda: MachineGuard(
-                max_retries=1, escalate_unrecoverable=True),
+            system, n_workers=2,
+            config=FarmConfig(queue_capacity=4, checkpoint_every=8),
+            policy=kwargs.pop("policy", RestartPolicy()),
             injector_factory=self._chaos_factory(system, seed),
             **kwargs)
         stream = generate_event_stream(system.chart.events, items, seed=seed)
@@ -491,8 +491,7 @@ class TestSupervisor:
     def test_exhausted_restart_budget_fails_worker_and_sheds_queue(
             self, farm_system):
         report = self._run(farm_system,
-                           policy=RestartPolicy(max_restarts=0,
-                                                checkpoint_every=8))
+                           policy=RestartPolicy(max_restarts=0))
         assert report.conservation() == []
         assert report.permanent_failures >= 1
         failed = [w for w in report.workers if w["state"] == FAILED]
@@ -500,8 +499,8 @@ class TestSupervisor:
         assert report.shed.get("worker-failed", 0) >= 1
 
     def test_fault_free_farm_processes_everything(self, farm_system):
-        supervisor = Supervisor.for_system(farm_system, n_workers=2,
-                                           queue_capacity=8)
+        supervisor = Supervisor.for_system(
+            farm_system, n_workers=2, config=FarmConfig(queue_capacity=8))
         stream = generate_event_stream(farm_system.chart.events, 40, seed=1)
         report = supervisor.run(stream)
         assert report.conservation() == []
@@ -510,8 +509,9 @@ class TestSupervisor:
 
     def test_metrics_are_published(self, farm_system):
         metrics = MetricsRegistry()
-        supervisor = Supervisor.for_system(farm_system, n_workers=2,
-                                           metrics=metrics)
+        supervisor = Supervisor.for_system(
+            farm_system, n_workers=2, config=FarmConfig(queue_capacity=32),
+            metrics=metrics)
         stream = generate_event_stream(farm_system.chart.events, 20, seed=1)
         supervisor.run(stream)
         assert metrics["farm.processed"].value == 20
