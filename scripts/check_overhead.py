@@ -3,10 +3,12 @@
 
 Runs the bench_closed_loop workload (the paper's final architecture against
 the fast-motor physics) in four legs, timed after one untimed warmup and
-then interleaved round by round.  One closed-loop run lasts only tens of
-milliseconds, so each timed sample is *k* back-to-back runs, with *k* fixed
-once, before the first round, so that a disabled sample lasts at least
-``MIN_SAMPLE_S``:
+then interleaved round by round.  Samples are timed in process CPU time
+(:func:`time.process_time_ns`), which other processes on a shared host do
+not inflate the way they inflate wall-clock time.  One closed-loop run
+lasts only tens of milliseconds, so each timed sample is *k* back-to-back
+runs, with *k* fixed once, before the first round, so that a disabled
+sample takes at least ``MIN_SAMPLE_S`` of CPU time:
 
 * **disabled** — no instrumentation at all;
 * **recorder** — flight recorder attached, tracing off (the always-on
@@ -98,7 +100,7 @@ class LegTiming:
     __slots__ = ("times_ns", "payload")
 
     def __init__(self):
-        #: one wall-clock sample per timed round, in nanoseconds
+        #: one process-CPU-time sample per timed round, in nanoseconds
         self.times_ns = []
         #: the leg callable's return value from the last timed round
         self.payload = None
@@ -133,9 +135,9 @@ def measure_interleaved(legs, rounds):
             # without this they land *systematically* in whichever leg
             # the accumulated pattern taxes, biasing the paired ratios
             gc.collect()
-            started = time.perf_counter_ns()
+            started = time.process_time_ns()
             payload = run()
-            elapsed = time.perf_counter_ns() - started
+            elapsed = time.process_time_ns() - started
             timing = results[name]
             timing.times_ns.append(elapsed)
             timing.payload = payload
@@ -192,9 +194,9 @@ def runs_per_sample(system):
     run_once(system)
     times = []
     while sum(times) < MIN_SAMPLE_S:
-        started = time.perf_counter()
+        started = time.process_time()
         run_once(system)
-        times.append(time.perf_counter() - started)
+        times.append(time.process_time() - started)
     return math.ceil(MIN_SAMPLE_S / min(times))
 
 

@@ -40,7 +40,8 @@ from repro.action.ast import (
     walk_expr,
     walk_stmts,
 )
-from repro.action.check import CheckedProgram, CheckError, Externals, check_program
+from repro.action.check import (CheckedProgram, CheckError, Externals,
+                                check_program, fold_constant)
 from repro.action.lexer import LexError, Token, tokenize
 from repro.action.parser import ActionParseError, parse_program, parse_with_preamble
 from repro.action.stdlib import BUILTINS, PREAMBLE, is_builtin
@@ -52,7 +53,8 @@ __all__ = [
     "GlobalVar", "If", "Index", "IntLiteral", "IntType", "LexError",
     "NameRef", "PREAMBLE", "Param", "Program", "Return", "Stmt",
     "StructType", "Token", "Type", "Unary", "UnOp", "VarDecl", "VoidType",
-    "While", "called_functions", "check_program", "is_builtin",
+    "While", "called_functions", "check_program", "fold_constant",
+    "is_builtin",
     "parse_program", "parse_with_preamble", "tokenize", "type_width",
     "walk_expr", "walk_stmts",
 ]

@@ -343,6 +343,7 @@ class GlobalVar:
     init: Optional[Expr] = None
     #: initializer list for structs/arrays, e.g. ``{Event,1,0700,Output}``
     init_list: Optional[List[Expr]] = None
+    line: Optional[int] = None
 
 
 @dataclass

@@ -48,6 +48,7 @@ from repro.action.ast import (
 )
 from repro.action.lexer import LexError, Token, tokenize
 from repro.action.stdlib import PREAMBLE
+from repro.analysis.diag import Diagnostic, Severity, SourceLocation
 
 
 class ActionParseError(Exception):
@@ -56,6 +57,14 @@ class ActionParseError(Exception):
         #: the message without its line, to re-make the error at another line
         self.message = message
         self.line = line
+
+    @property
+    def diagnostics(self) -> List[Diagnostic]:
+        """This error as its one PSC301 diagnostic, at its line."""
+        return [Diagnostic(
+            code="PSC301", severity=Severity.ERROR,
+            message=f"action program does not parse: {self}",
+            location=SourceLocation(line=self.line))]
 
 
 _ASSIGN_OPS = {
@@ -166,12 +175,7 @@ class Parser:
         else:
             raise ActionParseError(f"expected type, got {token.value!r}",
                                    token.line)
-        while self.peek().value == "[":
-            self.take()
-            length = self.expect_number().number
-            self.expect("]")
-            base = ArrayType(base, length)
-        return base
+        return self.parse_array_suffix(base)
 
     # -- top level -----------------------------------------------------------
     def parse_program(self) -> Program:
@@ -254,18 +258,25 @@ class Parser:
         if self.peek().value == "(":
             program.functions.append(self.parse_function(typ, name, line))
         else:
-            program.globals.append(self.parse_global(typ, name))
+            program.globals.append(self.parse_global(typ, name, line))
 
     def parse_array_suffix(self, typ: Type) -> Type:
-        """C puts array lengths after the declared name: ``int:8 buf[16];``."""
+        """Positive array lengths, outermost first as in C (``m[2][3]`` is
+        two arrays of three), after a type or the declared name."""
+        lengths = []
         while self.peek().value == "[":
             self.take()
-            length = self.expect_number().number
+            length = self.expect_number()
+            if length.number < 1:
+                raise ActionParseError("array length must be positive",
+                                       length.line)
             self.expect("]")
+            lengths.append(length.number)
+        for length in reversed(lengths):
             typ = ArrayType(typ, length)
         return typ
 
-    def parse_global(self, typ: Type, name: str) -> GlobalVar:
+    def parse_global(self, typ: Type, name: str, line: int) -> GlobalVar:
         typ = self.parse_array_suffix(typ)
         init: Optional[Expr] = None
         init_list: Optional[List[Expr]] = None
@@ -281,7 +292,8 @@ class Parser:
             else:
                 init = self.parse_expr()
         self.expect(";")
-        return GlobalVar(name, typ, init=init, init_list=init_list)
+        return GlobalVar(name, typ, init=init, init_list=init_list,
+                         line=line)
 
     def parse_function(self, return_type: Type, name: str,
                        line: Optional[int] = None) -> Function:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.action.ast import BoolType, IntType, Type, VoidType
+from repro.action.ast import BoolType, IntType, StructType, Type, VoidType
 
 PREAMBLE = """
 enum ECD {Event, Condition, Data};
@@ -64,3 +64,9 @@ BUILTINS: Dict[str, Tuple[Tuple[str, ...], Type]] = {
 
 def is_builtin(name: str) -> bool:
     return name in BUILTINS
+
+
+def is_directive(typ: Type) -> bool:
+    """Is a global of *typ* an architecture directive, not data?"""
+    return isinstance(typ, StructType) and typ.name in (
+        "Port", "EventCondition", "port", "ec")

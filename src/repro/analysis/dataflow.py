@@ -27,8 +27,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.action.ast import (
     Assign,
-    Binary,
-    BinOp,
     BoolLiteral,
     BoolType,
     EnumType,
@@ -43,14 +41,12 @@ from repro.action.ast import (
     NameRef,
     Return,
     Stmt,
-    Unary,
-    UnOp,
     VarDecl,
     While,
     type_width,
     walk_expr,
 )
-from repro.action.check import CheckedProgram
+from repro.action.check import CheckedProgram, fold_constant
 from repro.analysis.diag import Collector, Diagnostic, SourceLocation
 
 
@@ -59,74 +55,11 @@ def action_dataflow(checked: CheckedProgram,
                     line_offset: int = 0) -> List[Diagnostic]:
     """All dataflow diagnostics for every function in *checked*."""
     out = Collector()
-    folder = _ConstFolder(checked)
+    enum_values = checked.enum_values()
     for function in checked.program.functions:
-        _FunctionDataflow(out, checked, function, folder,
-                          path, line_offset).run()
+        _FunctionDataflow(out, function, enum_values, path,
+                          line_offset).run()
     return out.diagnostics
-
-
-class _ConstFolder:
-    """Best-effort constant folding over checked expressions."""
-
-    def __init__(self, checked: CheckedProgram) -> None:
-        self.enum_values = checked.enum_values()
-
-    def fold(self, expr: Expr) -> Optional[int]:
-        """Fold to an int (bools as 0/1), or None when not constant."""
-        if isinstance(expr, IntLiteral):
-            return expr.value
-        if isinstance(expr, BoolLiteral):
-            return int(expr.value)
-        if isinstance(expr, NameRef):
-            return self.enum_values.get(expr.name)
-        if isinstance(expr, Unary):
-            value = self.fold(expr.operand)
-            if value is None:
-                return None
-            if expr.op is UnOp.NEG:
-                return -value
-            if expr.op is UnOp.BNOT:
-                return ~value
-            if expr.op is UnOp.LNOT:
-                return int(not value)
-        if isinstance(expr, Binary):
-            left = self.fold(expr.left)
-            # short-circuit forms can be decided from one side
-            if expr.op is BinOp.LAND and left == 0:
-                return 0
-            if expr.op is BinOp.LOR and left not in (None, 0):
-                return 1
-            right = self.fold(expr.right)
-            if left is None or right is None:
-                return None
-            try:
-                return _APPLY[expr.op](left, right)
-            except (KeyError, ZeroDivisionError):
-                return None
-        return None
-
-
-_APPLY = {
-    BinOp.ADD: lambda a, b: a + b,
-    BinOp.SUB: lambda a, b: a - b,
-    BinOp.MUL: lambda a, b: a * b,
-    BinOp.DIV: lambda a, b: int(a / b),
-    BinOp.MOD: lambda a, b: a - int(a / b) * b,
-    BinOp.AND: lambda a, b: a & b,
-    BinOp.OR: lambda a, b: a | b,
-    BinOp.XOR: lambda a, b: a ^ b,
-    BinOp.SHL: lambda a, b: a << b,
-    BinOp.SHR: lambda a, b: a >> b,
-    BinOp.EQ: lambda a, b: int(a == b),
-    BinOp.NE: lambda a, b: int(a != b),
-    BinOp.LT: lambda a, b: int(a < b),
-    BinOp.LE: lambda a, b: int(a <= b),
-    BinOp.GT: lambda a, b: int(a > b),
-    BinOp.GE: lambda a, b: int(a >= b),
-    BinOp.LAND: lambda a, b: int(bool(a) and bool(b)),
-    BinOp.LOR: lambda a, b: int(bool(a) or bool(b)),
-}
 
 
 def _is_scalar(typ) -> bool:
@@ -134,13 +67,12 @@ def _is_scalar(typ) -> bool:
 
 
 class _FunctionDataflow:
-    def __init__(self, out: Collector, checked: CheckedProgram,
-                 function: Function, folder: _ConstFolder,
-                 path: Optional[str], line_offset: int) -> None:
+    def __init__(self, out: Collector, function: Function,
+                 enum_values: Dict[str, int], path: Optional[str],
+                 line_offset: int) -> None:
         self.out = out
-        self.checked = checked
         self.function = function
-        self.folder = folder
+        self.enum_values = enum_values
         self.path = path
         self.line_offset = line_offset
         self.locals: Set[str] = set()
@@ -212,7 +144,7 @@ class _FunctionDataflow:
             return assigned
         if isinstance(stmt, If):
             self.check_reads(stmt.cond, assigned, stmt.line)
-            value = self.folder.fold(stmt.cond)
+            value = fold_constant(stmt.cond, self.enum_values)
             if value is not None:
                 dead = "else" if value else "then"
                 self.out.emit(
@@ -231,7 +163,7 @@ class _FunctionDataflow:
             return after_then & after_else
         if isinstance(stmt, While):
             self.check_reads(stmt.cond, assigned, stmt.line)
-            value = self.folder.fold(stmt.cond)
+            value = fold_constant(stmt.cond, self.enum_values)
             if value == 0:
                 self.out.emit(
                     "PSC312",

@@ -36,7 +36,6 @@ from repro.action.ast import (
     Function,
     If,
     Index,
-    IntLiteral,
     NameRef,
     Return,
     Stmt,
@@ -44,7 +43,7 @@ from repro.action.ast import (
     While,
     walk_expr,
 )
-from repro.action.check import CheckedProgram
+from repro.action.check import CheckedProgram, fold_constant
 from repro.action.stdlib import is_builtin
 from repro.statechart.labels import (
     action_arguments,
@@ -158,14 +157,7 @@ class EffectAnalyzer:
 
     # -- helpers -----------------------------------------------------------
     def constant_of(self, expr: Expr, binding: Binding) -> Optional[int]:
-        if isinstance(expr, IntLiteral):
-            return expr.value
-        if isinstance(expr, NameRef):
-            if expr.name in binding:
-                return binding[expr.name]
-            if expr.name in self.enum_values:
-                return self.enum_values[expr.name]
-        return None
+        return fold_constant(expr, {**self.enum_values, **binding})
 
     def _builtin_effects(self, name: str, arguments: List[str]) -> Effects:
         target = arguments[0].strip() if arguments else "?"

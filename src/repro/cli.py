@@ -250,9 +250,11 @@ def _load_project(project: str, routines: Optional[str], args, out,
     2: an unreadable project as ``error:`` on stderr, anything else as
     diagnostics on *out* — PSC100 when the chart does not parse, PSC111
     per unresolved ref state (the flow does not inline chart references),
-    PSC301 when *build* needs routines that do not parse or check (the
-    front end already gives the line in the routine file).
+    and the front end's own located PSC301/PSC302/PSC303 diagnostics when
+    *build* needs routines that do not parse or check.
     """
+    from dataclasses import replace
+
     from repro.action.check import CheckError
     from repro.action.parser import ActionParseError
     from repro.analysis import Diagnostic, Severity, SourceLocation, \
@@ -294,11 +296,9 @@ def _load_project(project: str, routines: Optional[str], args, out,
                 return _Project(chart_path, source_path, chart,
                                 build(chart, routine_text, args))
             except (ActionParseError, CheckError) as exc:
-                problems = [Diagnostic(
-                    code="PSC301", severity=Severity.ERROR,
-                    message=f"routines do not parse: {exc}",
-                    location=SourceLocation(
-                        file=source_path, line=getattr(exc, "line", None)))]
+                problems = [replace(d, location=replace(d.location,
+                                                        file=source_path))
+                            for d in exc.diagnostics]
     print(render_text(problems, header=chart_path), file=out, end="")
     return None
 
@@ -647,7 +647,7 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
     from repro.fault.model import TEP_FAIL, TEP_RUNAWAY
     from repro.obs import FarmSampler, FlightRecorder, MetricsRegistry, \
         Tracer, metrics_summary, render_dashboard, write_forensics_bundle, \
-        write_merged_chrome_trace
+        write_merged_chrome_trace, write_samples
     from repro.resil import RestartPolicy, Supervisor, generate_event_stream
 
     project = _load_project(args.project, args.routines, args, out)
@@ -730,10 +730,7 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
                                   metrics=metrics,
                                   dropped_events=report.timeline_dropped)
     if args.samples is not None:
-        if args.samples.endswith(".csv"):
-            sampler.write_csv(args.samples)
-        else:
-            sampler.write_json(args.samples)
+        write_samples(sampler, args.samples)
 
     if args.json:
         json.dump({
@@ -780,7 +777,7 @@ def _run_serve_distributed(args, chart, system, config, out) -> int:
     """
     from repro.fault.model import generate_kill_plan
     from repro.obs import FarmLineage, ShardAggregator, dag_flow_events, \
-        write_merged_chrome_trace
+        write_merged_chrome_trace, write_samples
     from repro.obs.export import FIRST_MACHINE_PID
     from repro.resil import RestartPolicy, generate_event_stream
     from repro.resil.shardfarm import ShardFarmError, ShardSupervisor
@@ -834,7 +831,7 @@ def _run_serve_distributed(args, chart, system, config, out) -> int:
                                   dropped_events=report.timeline_dropped,
                                   flows=flows)
     if args.samples is not None:
-        aggregator.write_json(args.samples)
+        write_samples(aggregator, args.samples)
 
     if args.json:
         document = {

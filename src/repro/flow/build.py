@@ -245,11 +245,7 @@ class Frontend(RoutineFrontend):
                     for node in walk_expr(root):
                         if (node.typ is not None and not isinstance(
                                 node.typ, (ArrayType, StructType))):
-                            try:
-                                max_width = max(max_width,
-                                                type_width(node.typ))
-                            except TypeError:
-                                pass
+                            max_width = max(max_width, type_width(node.typ))
                         if isinstance(node, Binary) and node.op in (
                                 BinOp.MUL, BinOp.DIV, BinOp.MOD):
                             needs_muldiv = True

@@ -45,7 +45,6 @@ from repro.action.ast import (
     Call,
     COMPARISONS,
     Expr,
-    ExprStmt,
     FieldAccess,
     Function,
     If,
@@ -69,14 +68,15 @@ from repro.action.check import (
     CheckError,
     Checker,
     check_program,
+    fold_constant,
 )
 from repro.action.parser import (
     PREAMBLE_LINES,
     ActionParseError,
     parse_with_preamble,
 )
-from repro.action.stdlib import is_builtin
-from repro.analysis.diag import Diagnostic, Severity, SourceLocation
+from repro.action.stdlib import is_builtin, is_directive
+from repro.analysis.diag import Diagnostic
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.cost import (
     Block,
@@ -103,13 +103,8 @@ from repro.isa.patterns import (
     leaf_variables,
 )
 
-#: struct types that are architecture directives, not data (section 2:
-#: "these code pieces are not actually executed")
-DIRECTIVE_STRUCTS = {"Port", "EventCondition", "port", "ec"}
-
-
 class CodegenError(Exception):
-    """Raised when source cannot be compiled for the given architecture."""
+    """Raised without the runtime helpers :func:`prepare_program` adds."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +153,17 @@ class NameMaps:
 # ---------------------------------------------------------------------------
 # storage allocation
 # ---------------------------------------------------------------------------
+
+def type_words(arch: ArchConfig, typ: Type) -> int:
+    """Data-bus words of a *typ* value: each element and field has words of
+    its own (``int:8 a[4]`` takes four), and every type at least one."""
+    if isinstance(typ, ArrayType):
+        return typ.length * type_words(arch, typ.element)
+    if isinstance(typ, StructType):
+        return max(1, sum(type_words(arch, ftype)
+                          for _, ftype in typ.fields))
+    return arch.words_for(type_width(typ))
+
 
 @dataclass(frozen=True)
 class VarLoc:
@@ -221,12 +227,14 @@ class Allocator:
                  default: StorageClass) -> VarLoc:
         if qualified in self.locations:
             return self.locations[qualified]
-        width = type_width(typ)
-        words = self.arch.words_for(width)
         storage = self.storage_map.get(qualified, default)
-        operands = self._take(storage, words)
+        if (isinstance(typ, (ArrayType, StructType))
+                and storage is StorageClass.REGISTER):
+            # elements are addressed in RAM (a dynamic index is LDI/STI)
+            storage = StorageClass.INTERNAL
+        operands = self._take(storage, type_words(self.arch, typ))
         signed = getattr(typ, "signed", True)
-        loc = VarLoc(qualified, tuple(operands), width, signed)
+        loc = VarLoc(qualified, tuple(operands), type_width(typ), signed)
         self.locations[qualified] = loc
         return loc
 
@@ -394,13 +402,12 @@ class CodeGenerator:
             return
         self._globals_allocated = True
         for gvar in self.program.globals:
-            if (isinstance(gvar.typ, StructType)
-                    and gvar.typ.name in DIRECTIVE_STRUCTS):
+            if is_directive(gvar.typ):
                 continue  # architecture directive, not data
             loc = self.allocator.allocate(gvar.name, gvar.typ,
                                           StorageClass.EXTERNAL)
-            if gvar.init is not None:
-                value = self._const_value(gvar.init)
+            value = self.checked.initial_values.get(gvar.name)
+            if value is not None:
                 self._record_initial(loc, value)
 
     def _record_initial(self, loc: VarLoc, value: int) -> None:
@@ -408,30 +415,6 @@ class CodeGenerator:
         for index, operand in enumerate(loc.words):
             word = (value >> (index * self.arch.data_width)) & mask
             self.allocator.initial_values.append((operand, word))
-
-    def _const_value(self, expr: Expr) -> int:
-        if isinstance(expr, IntLiteral):
-            return expr.value
-        if isinstance(expr, BoolLiteral):
-            return int(expr.value)
-        if isinstance(expr, NameRef) and expr.name in self._enum_values:
-            return self._enum_values[expr.name]
-        if isinstance(expr, Unary) and expr.op is UnOp.NEG:
-            return -self._const_value(expr.operand)
-        if isinstance(expr, Binary):
-            left = self._const_value(expr.left)
-            right = self._const_value(expr.right)
-            folds = {BinOp.ADD: lambda: left + right,
-                     BinOp.SUB: lambda: left - right,
-                     BinOp.MUL: lambda: left * right,
-                     BinOp.SHL: lambda: left << right,
-                     BinOp.SHR: lambda: left >> right,
-                     BinOp.AND: lambda: left & right,
-                     BinOp.OR: lambda: left | right,
-                     BinOp.XOR: lambda: left ^ right}
-            if expr.op in folds:
-                return folds[expr.op]()
-        raise CodegenError(f"global initializer must be constant: {expr}")
 
     def _qualify(self, name: str) -> str:
         assert self._current is not None
@@ -522,36 +505,20 @@ class CodeGenerator:
                 assert ret is not None
                 self._gen_into(stmt.value, ret)
             e.emit(Op.RET, comment="return")
-        elif isinstance(stmt, ExprStmt):
+        else:  # ExprStmt, the parser's sixth statement
             self._gen_expr_for_effect(stmt.expr)
-        else:  # pragma: no cover
-            raise CodegenError(f"unknown statement {stmt!r}")
 
     def _gen_assign(self, stmt: Assign) -> None:
-        value: Expr = stmt.value
-        if stmt.op is not None:
-            value = Binary(stmt.op, stmt.target, stmt.value)
-            value.typ = stmt.target.typ or stmt.value.typ
+        value = _assigned_value(stmt)
         target = stmt.target
-        if isinstance(target, NameRef):
-            loc = self._lookup_var(target.name)
-            if loc is not None:
-                self._gen_into(value, loc)
-                return
-            if target.name in self.maps.ports:
-                self._gen_into_acc(value)
-                self._emitter.emit(Op.OUTP, PortRef(self.maps.ports[target.name]),
-                                   comment=f"{target.name} <- ACC")
-                return
-            if target.name in self.maps.conditions:
-                raise CodegenError(
-                    f"assign to condition {target.name!r}: use SetTrue/SetFalse")
-            raise CodegenError(f"cannot assign to {target.name!r}")
-        if isinstance(target, (FieldAccess, Index)):
-            place = self._resolve_place(target)
-            self._gen_into_place(value, place)
-            return
-        raise CodegenError(f"bad assignment target {target!r}")
+        loc = (self._lookup_var(target.name) if isinstance(target, NameRef)
+               else self._resolve_place(target))
+        if loc is not None:
+            self._gen_into_place(value, loc)
+        else:  # the checker admits no other unallocated target than a port
+            self._gen_into_acc(value)
+            self._emitter.emit(Op.OUTP, PortRef(self.maps.ports[target.name]),
+                               comment=f"{target.name} <- ACC")
 
     def _gen_if(self, stmt: If) -> None:
         e = self._emitter
@@ -608,54 +575,29 @@ class CodeGenerator:
         (base VarLoc-like info + index expression)."""
         base, word_offset, index_expr, stride = self._peel_place(expr)
         if index_expr is None:
-            words = tuple(base.words[word_offset:word_offset +
-                          self.arch.words_for(type_width(expr.typ or IntType(16)))])
-            if not words:
-                raise CodegenError(f"field offset out of range for {expr}")
+            words = base.words[word_offset:word_offset + self._words_of(expr)]
             return VarLoc(f"{base.name}+{word_offset}", words,
-                          type_width(expr.typ or IntType(16)))
+                          self._width_of(expr),
+                          getattr(expr.typ, "signed", True))
         return _DynamicPlace(base, word_offset, index_expr, stride,
-                             self.arch.words_for(
-                                 type_width(expr.typ or IntType(16))))
+                             self._words_of(expr))
 
     def _peel_place(self, expr: Expr):
         """Return (base VarLoc, static word offset, index expr|None, stride)."""
         if isinstance(expr, NameRef):
-            loc = self._lookup_var(expr.name)
-            if loc is None:
-                raise CodegenError(f"unknown variable {expr.name!r}")
-            return loc, 0, None, 0
+            return self._lookup_var(expr.name), 0, None, 0
+        base, offset, index_expr, stride = self._peel_place(expr.base)
         if isinstance(expr, FieldAccess):
-            base, offset, index_expr, stride = self._peel_place(expr.base)
-            base_type = expr.base.typ
-            if not isinstance(base_type, StructType):
-                raise CodegenError(f"field access on non-struct: {expr}")
-            field_offset = 0
-            for fname, ftype in base_type.fields:
+            for fname, ftype in expr.base.typ.fields:
                 if fname == expr.field:
                     break
-                field_offset += self.arch.words_for(type_width(ftype))
-            return base, offset + field_offset, index_expr, stride
-        if isinstance(expr, Index):
-            base, offset, index_expr, stride = self._peel_place(expr.base)
-            array_type = expr.base.typ
-            if not isinstance(array_type, ArrayType):
-                raise CodegenError(f"indexing non-array: {expr}")
-            element_words = self.arch.words_for(type_width(array_type.element))
-            constant = self._try_const(expr.index)
-            if constant is not None:
-                return base, offset + constant * element_words, index_expr, stride
-            if index_expr is not None:
-                raise CodegenError(
-                    "only one dynamic index per access is supported")
-            return base, offset, expr.index, element_words
-        raise CodegenError(f"not an lvalue: {expr}")
-
-    def _try_const(self, expr: Expr) -> Optional[int]:
-        try:
-            return self._const_value(expr)
-        except CodegenError:
-            return None
+                offset += type_words(self.arch, ftype)
+            return base, offset, index_expr, stride
+        element_words = type_words(self.arch, expr.base.typ.element)
+        constant = fold_constant(expr.index, self._enum_values)
+        if constant is not None:
+            return base, offset + constant * element_words, index_expr, stride
+        return base, offset, expr.index, element_words
 
     # ------------------------------------------------------------------
     # expressions
@@ -664,6 +606,8 @@ class CodeGenerator:
         return type_width(expr.typ) if expr.typ is not None else 16
 
     def _words_of(self, expr: Expr) -> int:
+        if isinstance(expr.typ, (ArrayType, StructType)):
+            return type_words(self.arch, expr.typ)
         return self.arch.words_for(max(1, self._width_of(expr)))
 
     def _simple_operand(self, expr: Expr) -> Optional[Operand]:
@@ -696,23 +640,26 @@ class CodeGenerator:
 
     # -- single-word path ------------------------------------------------------
     def _gen_into_acc(self, expr: Expr) -> None:
-        """Evaluate a single-word expression into ACC."""
+        """Evaluate a single-word expression into ACC; of a wider one (a
+        value written to a port), its low word."""
         e = self._emitter
-        if self._words_of(expr) != 1:
-            raise CodegenError(f"multi-word value in single-word context: {expr}")
+        words = self._words_of(expr)
+        if words != 1:
+            e.emit(Op.LDA, self._force_loc(expr, words).word(0),
+                   comment="low word")
+            return
         operand = self._simple_operand(expr)
         if operand is not None:
             e.emit(Op.LDA, operand, comment=str(expr))
             return
         if isinstance(expr, NameRef):
+            # a name without a one-word location: a condition or a port
             name = expr.name
             if name in self.maps.conditions:
                 e.emit(Op.CTST, SignalRef(self.maps.conditions[name], name))
-                return
-            if name in self.maps.ports:
+            else:
                 e.emit(Op.INP, PortRef(self.maps.ports[name]), comment=name)
-                return
-            raise CodegenError(f"unknown name {name!r}")
+            return
         if isinstance(expr, (FieldAccess, Index)):
             place = self._resolve_place(expr)
             self._load_place_word(place, 0)
@@ -723,10 +670,7 @@ class CodeGenerator:
         if isinstance(expr, Binary):
             self._gen_binary_acc(expr)
             return
-        if isinstance(expr, Call):
-            self._gen_call(expr, want_value=True)
-            return
-        raise CodegenError(f"cannot evaluate {expr!r}")
+        self._gen_call(expr, want_value=True)
 
     def _gen_unary_acc(self, expr: Unary) -> None:
         e = self._emitter
@@ -742,10 +686,7 @@ class CodeGenerator:
             self._gen_into_acc(expr.operand)
             e.emit(Op.NOT)
             return
-        if expr.op is UnOp.LNOT:
-            self._materialize_bool(expr)
-            return
-        raise CodegenError(f"unknown unary {expr.op}")
+        self._materialize_bool(expr)  # LNOT
 
     _ALU_FOR_BINOP = {
         BinOp.ADD: Op.ADD, BinOp.SUB: Op.SUB, BinOp.AND: Op.AND,
@@ -767,12 +708,10 @@ class CodeGenerator:
             return
 
         if expr.op in (BinOp.MUL, BinOp.DIV, BinOp.MOD):
-            self._gen_muldiv(expr, single_word=True, dest=None)
+            self._gen_muldiv(expr)
             return
 
-        alu_op = self._ALU_FOR_BINOP.get(expr.op)
-        if alu_op is None:
-            raise CodegenError(f"unsupported operator {expr.op}")
+        alu_op = self._ALU_FOR_BINOP[expr.op]
         right_operand = self._simple_operand(expr.right)
         if right_operand is not None:
             self._gen_into_acc(expr.left)
@@ -787,11 +726,12 @@ class CodeGenerator:
 
     def _gen_shift_acc(self, expr: Binary) -> None:
         e = self._emitter
-        amount = self._try_const(expr.right)
+        amount = fold_constant(expr.right, self._enum_values)
         if amount is None:
             # variable shift amount: runtime helper
             self._gen_runtime_shift(expr)
             return
+        amount = min(amount, self.arch.data_width)  # all bits out by then
         self._gen_into_acc(expr.left)
         op = Op.SHL if expr.op is BinOp.SHL else Op.SHR
         if amount == 0:
@@ -810,25 +750,32 @@ class CodeGenerator:
         name = f"__{'shl' if expr.op is BinOp.SHL else 'shr'}{width}"
         self._gen_helper_call(name, [expr.left, expr.right], expr, dest=dest)
 
-    def _gen_muldiv(self, expr: Binary, single_word: bool,
+    def _gen_muldiv(self, expr: Binary,
                     dest: Optional[VarLoc] = None) -> None:
+        """Into ACC, or into a multi-word *dest*."""
         e = self._emitter
         width = self._width_of(expr)
-        if (self.arch.has_muldiv and width <= self.arch.data_width
-                and single_word):
+        # required_helpers' test: an M/D unit this wide needs no helper
+        if self.arch.has_muldiv and width <= self.arch.data_width:
             op = {BinOp.MUL: Op.MUL, BinOp.DIV: Op.DIV,
                   BinOp.MOD: Op.MOD}[expr.op]
             right_operand = self._simple_operand(expr.right)
             if right_operand is not None:
                 self._gen_into_acc(expr.left)
                 e.emit(op, right_operand, comment="M/D calculation unit")
-                return
-            temp = self._alloc_temp(1)
-            self._gen_into_acc(expr.right)
-            e.emit(Op.STA, temp.word(0))
-            self._gen_into_acc(expr.left)
-            e.emit(op, temp.word(0), comment="M/D calculation unit")
-            self._free_temp(temp)
+            else:
+                temp = self._alloc_temp(1)
+                self._gen_into_acc(expr.right)
+                e.emit(Op.STA, temp.word(0))
+                self._gen_into_acc(expr.left)
+                e.emit(op, temp.word(0), comment="M/D calculation unit")
+                self._free_temp(temp)
+            if dest is not None:
+                e.emit(Op.STA, dest.word(0))
+                self._extend(replace(dest, words=dest.words[:1],
+                                     signed=getattr(expr.typ, "signed",
+                                                    True)),
+                             dest, dest.n_words)
             return
         helper_width = 8 if width <= 8 else (16 if width <= 16 else 32)
         name = {BinOp.MUL: "mul", BinOp.DIV: "div",
@@ -1016,10 +963,8 @@ class CodeGenerator:
             e.emit(Op.JZ if invert else Op.JNZ, target)
         elif op is BinOp.LT:
             e.emit(Op.JP if invert else Op.JN, target)
-        elif op is BinOp.GE:
+        else:  # GE
             e.emit(Op.JN if invert else Op.JP, target)
-        else:  # pragma: no cover
-            raise CodegenError(f"unexpected comparison {op}")
 
     def _multi_word_compare_branch(self, op: BinOp, left: Expr, right: Expr,
                                    label: str, invert: bool,
@@ -1065,7 +1010,7 @@ class CodeGenerator:
             loc = self._lookup_var(expr.name)
             if loc is not None and loc.n_words >= words:
                 return loc
-        constant = self._try_const(expr)
+        constant = fold_constant(expr, self._enum_values)
         if constant is not None:
             temp = self._alloc_temp(words)
             self._store_constant(constant, temp, words)
@@ -1087,9 +1032,13 @@ class CodeGenerator:
         for index in range(min(words, source.n_words)):
             e.emit(Op.LDA, source.word(index))
             e.emit(Op.STA, dest.word(index))
+        self._extend(source, dest, words)
+
+    def _extend(self, source: VarLoc, dest: VarLoc, words: int) -> None:
+        """Sign- or zero-extend *source* into *dest*'s further words."""
+        e = self._emitter
         if words <= source.n_words:
             return
-        # widening: sign-extend signed sources, zero-extend unsigned ones
         if source.signed:
             e.emit(Op.LDA, source.word(source.n_words - 1))
             e.emit(Op.SHL, comment="sign bit -> carry")
@@ -1111,7 +1060,7 @@ class CodeGenerator:
             e.emit(Op.STA, dest.word(0))
             return
 
-        constant = self._try_const(expr)
+        constant = fold_constant(expr, self._enum_values)
         if constant is not None:
             self._store_constant(constant, dest, words)
             return
@@ -1131,9 +1080,14 @@ class CodeGenerator:
 
         if isinstance(expr, (FieldAccess, Index)):
             place = self._resolve_place(expr)
-            for index in range(words):
+            loaded = min(words, expr_words)
+            for index in range(loaded):
                 self._load_place_word(place, index)
                 e.emit(Op.STA, dest.word(index))
+            # a narrower element widens like a narrower variable
+            self._extend(replace(dest, words=dest.words[:loaded],
+                                 signed=getattr(expr.typ, "signed", True)),
+                         dest, words)
             return
 
         if isinstance(expr, Call):
@@ -1144,19 +1098,7 @@ class CodeGenerator:
             self._gen_unary_into(expr, dest)
             return
 
-        if isinstance(expr, Binary):
-            self._gen_binary_into(expr, dest)
-            return
-
-        # single-word value into a wider destination
-        if expr_words == 1:
-            self._gen_into_acc(expr)
-            e.emit(Op.STA, dest.word(0))
-            for index in range(1, words):
-                e.emit(Op.LDA, Imm(0))
-                e.emit(Op.STA, dest.word(index))
-            return
-        raise CodegenError(f"cannot evaluate {expr!r} into {dest.name}")
+        self._gen_binary_into(expr, dest)  # literals folded above
 
     def _gen_unary_into(self, expr: Unary, dest: VarLoc) -> None:
         e = self._emitter
@@ -1211,15 +1153,12 @@ class CodeGenerator:
                 e.emit(Op.STA, dest.word(index))
             return
         if expr.op in (BinOp.MUL, BinOp.DIV, BinOp.MOD):
-            self._gen_muldiv(expr, single_word=False, dest=dest)
+            self._gen_muldiv(expr, dest)
             return
         if expr.op in (BinOp.SHL, BinOp.SHR):
             self._gen_multiword_shift(expr, dest)
             return
-        chain = self._MULTIWORD_CHAIN.get(expr.op)
-        if chain is None:
-            raise CodegenError(f"unsupported multi-word operator {expr.op}")
-        first_op, rest_op = chain
+        first_op, rest_op = self._MULTIWORD_CHAIN[expr.op]
         left = self._force_loc(expr.left, words)
         right = self._force_loc(expr.right, words)
         for index in range(words):
@@ -1232,10 +1171,11 @@ class CodeGenerator:
     def _gen_multiword_shift(self, expr: Binary, dest: VarLoc) -> None:
         e = self._emitter
         words = dest.n_words
-        amount = self._try_const(expr.right)
+        amount = fold_constant(expr.right, self._enum_values)
         if amount is None:
             self._gen_runtime_shift(expr, dest=dest)
             return
+        amount = min(amount, words * self.arch.data_width)
         source = self._force_loc(expr.left, words)
         self._copy(source, dest, words)
         for _ in range(amount):
@@ -1367,12 +1307,10 @@ class CodeGenerator:
         elif name == "ReadPort":
             port = call.args[0].name
             e.emit(Op.INP, PortRef(self.maps.ports[port]), comment=port)
-        elif name == "WritePort":
+        else:  # WritePort
             port = call.args[0].name
             self._gen_into_acc(call.args[1])
             e.emit(Op.OUTP, PortRef(self.maps.ports[port]), comment=port)
-        else:  # pragma: no cover
-            raise CodegenError(f"unknown builtin {name}")
 
 
 @dataclass
@@ -1386,10 +1324,7 @@ class _DynamicPlace:
     value_words: int
 
     def base_word(self, word_index: int, arch: ArchConfig) -> Mem:
-        head = self.base.words[0]
-        if not isinstance(head, Mem):
-            raise CodegenError(
-                f"array {self.base.name} must live in RAM, not registers")
+        head = self.base.words[0]  # a Mem: aggregates never take a register
         return Mem(head.address + self.word_offset + word_index, head.space)
 
 
@@ -1435,9 +1370,9 @@ def _runtime_source(name: str, width: int) -> str:
           return {want};
         }}
         """
-    if name.startswith("__shl") or name.startswith("__shr"):
-        op = "<<" if name.startswith("__shl") else ">>"
-        return f"""
+    # a shift helper: required_helpers names no other
+    op = "<<" if name.startswith("__shl") else ">>"
+    return f"""
         {t} {name}({t} a, {t} n) {{
           @bound({width}) while (n != 0) {{
             a = a {op} 1;
@@ -1446,11 +1381,19 @@ def _runtime_source(name: str, width: int) -> str:
           return a;
         }}
         """
-    raise CodegenError(f"unknown runtime helper {name}")
+
+
+def _assigned_value(stmt: Assign) -> Expr:
+    """``x op= v`` stores ``x op v``."""
+    if stmt.op is None:
+        return stmt.value
+    value = Binary(stmt.op, stmt.target, stmt.value)
+    value.typ = stmt.target.typ or stmt.value.typ
+    return value
 
 
 def required_helpers(program, arch: ArchConfig) -> List[str]:
-    """Which runtime helpers the program needs on *arch*."""
+    """Which runtime helpers the program needs on *arch*, indices included."""
     from repro.action.ast import walk_expr, walk_stmts
 
     needed: List[str] = []
@@ -1465,8 +1408,11 @@ def required_helpers(program, arch: ArchConfig) -> List[str]:
         if function.name.startswith("__"):
             continue
         for stmt in walk_stmts(function.body):
-            for attr in ("value", "init", "cond", "expr"):
-                root = getattr(stmt, attr, None)
+            roots = [getattr(stmt, attr, None)
+                     for attr in ("value", "init", "cond", "expr", "target")]
+            if isinstance(stmt, Assign):
+                roots[0] = _assigned_value(stmt)
+            for root in roots:
                 if root is None:
                     continue
                 for node in walk_expr(root):
@@ -1501,28 +1447,21 @@ class RoutineFrontend:
     def __init__(self, source: str, externals=None) -> None:
         self.source = source
         self.externals = externals
-        #: why the routines do not parse or check; empty when they do
-        self.diagnostics: List[Diagnostic] = []
         self._error: Optional[Exception] = None
         self._by_helpers: Dict[Tuple[str, ...], CheckedProgram] = {}
         try:
-            program = parse_with_preamble(source)
+            self._by_helpers[()] = Checker(parse_with_preamble(source),
+                                           externals).run()
         except ActionParseError as exc:
             self._error = ActionParseError(exc.message, _user_line(exc.line))
-            self.diagnostics = [Diagnostic(
-                code="PSC301", severity=Severity.ERROR,
-                message=f"action program does not parse: {self._error}",
-                location=SourceLocation(line=self._error.line))]
-            return
-        checker = Checker(program, externals)
-        try:
-            self._by_helpers[()] = checker.run()
         except CheckError as exc:
-            self._error = exc
-            self.diagnostics = [
-                replace(d, location=replace(
+            self._error = CheckError(str(exc), sorted(
+                (replace(d, location=replace(
                     d.location, line=_user_line(d.location.line)))
-                for d in checker.diagnostics]
+                 for d in exc.diagnostics), key=Diagnostic.sort_key))
+        #: why the routines do not parse or check; empty when they do
+        self.diagnostics: List[Diagnostic] = (
+            [] if self._error is None else self._error.diagnostics)
 
     @property
     def typed(self) -> CheckedProgram:

@@ -33,7 +33,7 @@ from repro.obs.export import (
     write_merged_chrome_trace,
 )
 from repro.obs.farm import FarmSampler, ShardAggregator, render_dashboard, \
-    sparkline
+    sparkline, write_samples
 from repro.obs.flightrec import (
     FORENSICS_VERSION,
     SUPPORTED_FORENSICS_VERSIONS,
@@ -67,5 +67,5 @@ __all__ = [
     "render_chain",
     "render_dashboard", "render_forensics", "sparkline", "trace_summary",
     "write_chrome_trace", "write_forensics_bundle",
-    "write_merged_chrome_trace",
+    "write_merged_chrome_trace", "write_samples",
 ]

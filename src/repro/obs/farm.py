@@ -4,7 +4,8 @@ The supervisor's :class:`~repro.resil.supervisor.FarmReport` is an
 end-of-run summary; the :class:`FarmSampler` is its time axis.  Hooked into
 :meth:`Supervisor.run`, it snapshots the farm every *every* supervisor
 ticks — farm-level counters, per-worker gauges, and the dispatch-latency
-distribution digests — into an in-memory series with CSV/JSON export.
+distribution digests — into an in-memory series;
+:func:`write_samples` exports either sampler's series as CSV or JSON.
 Every sample carries the conservation identities, so the no-silent-loss
 ledger can be asserted *at every tick*, not just at the end.
 
@@ -17,10 +18,14 @@ last escalation.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 #: the sparkline ramp, lowest to highest
 _SPARK = "▁▂▃▄▅▆▇█"
+
+
+def _csv(rows: List[List[Any]]) -> str:
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _sample_violations(samples: List[Dict[str, Any]]) -> List[str]:
@@ -131,33 +136,17 @@ class FarmSampler:
         for name in worker_names:
             header += [f"{name}.queue_depth", f"{name}.processed",
                        f"{name}.restarts", f"{name}.latency_p95"]
-        lines = [",".join(header)]
+        rows = [header]
         for sample in self.samples:
-            row = [str(sample[field]) for field in farm_fields]
+            row = [sample[field] for field in farm_fields]
             by_name = {w["name"]: w for w in sample["workers"]}
             for name in worker_names:
                 worker = by_name[name]
                 p95 = worker["latency"]["p95"]
-                row += [str(worker["queue_depth"]), str(worker["processed"]),
-                        str(worker["restarts"]),
-                        "" if p95 is None else str(p95)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, destination: Union[str, IO[str]]) -> None:
-        text = self.to_csv()
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w") as handle:
-                handle.write(text)
-
-    def write_json(self, destination: Union[str, IO[str]]) -> None:
-        if hasattr(destination, "write"):
-            json.dump(self.to_json(), destination, indent=2)
-        else:
-            with open(destination, "w") as handle:
-                json.dump(self.to_json(), handle, indent=2)
+                row += [worker["queue_depth"], worker["processed"],
+                        worker["restarts"], "" if p95 is None else p95]
+            rows.append(row)
+        return _csv(rows)
 
 
 class ShardAggregator:
@@ -207,12 +196,27 @@ class ShardAggregator:
     def to_json(self) -> Dict[str, Any]:
         return {"dropped": self.dropped, "samples": self.samples}
 
-    def write_json(self, destination: Union[str, IO[str]]) -> None:
-        if hasattr(destination, "write"):
-            json.dump(self.to_json(), destination, indent=2)
+    def to_csv(self) -> str:
+        """Flat CSV: the tick, the farm counters, ``<shard>.<field>``."""
+        if not self.samples:
+            return ""
+        first = self.samples[0]
+        farm = ["tick"] + [k for k in first if k not in ("tick", "shards")]
+        shards = [(s, k) for s, row in first["shards"].items() for k in row]
+        return _csv([farm + [f"{s}.{k}" for s, k in shards]] + [
+            [sample[k] for k in farm]
+            + [sample["shards"].get(s, {}).get(k, "") for s, k in shards]
+            for sample in self.samples])
+
+
+def write_samples(series: Union[FarmSampler, ShardAggregator],
+                  path: str) -> None:
+    """*series* to *path*: CSV when it ends in ``.csv``, else JSON."""
+    with open(path, "w") as handle:
+        if path.endswith(".csv"):
+            handle.write(series.to_csv())
         else:
-            with open(destination, "w") as handle:
-                json.dump(self.to_json(), handle, indent=2)
+            json.dump(series.to_json(), handle, indent=2)
 
 
 # ---------------------------------------------------------------------------

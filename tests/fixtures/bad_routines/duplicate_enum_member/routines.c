@@ -1,0 +1,11 @@
+enum A {X, Y}; enum B {Y2, X2, X};
+int:16 jobs;
+
+void Begin() {
+  jobs = jobs + 1;
+  SetTrue(BUSY);
+}
+
+void Finish() {
+  SetFalse(BUSY);
+}

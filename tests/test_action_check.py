@@ -240,3 +240,130 @@ class TestEnumMembers:
                                "declared in enum A and again in enum B"):
                 build_system(chart, routines, MD16_TEP,
                              specialize=specialize)
+
+
+class TestOneGate:
+    """The checker admits only programs the code generator compiles: each
+    shape the back end cannot build is a PSC302 at its line."""
+
+    @staticmethod
+    def diagnostics(src, **externals):
+        from repro.action.check import Checker
+
+        checker = Checker(parse_program(src), Externals(**externals))
+        checker.analyze()
+        return [(d.code, d.location.line, d.message)
+                for d in checker.diagnostics]
+
+    def test_global_initializers_fold_every_operator(self):
+        checked = check("enum E {A, B, C};\n"
+                        "int:16 a = 8 / 2; int:16 b = ~1; int:16 c = 3 < 4;\n"
+                        "int:16 d = C * 2 - (0 - 7) % 2; bool e = !0 && 1;\n"
+                        "int:16 unset;")
+        assert checked.initial_values == {"a": 4, "b": -2, "c": 1, "d": 5,
+                                          "e": 1, "unset": None}
+
+    def test_global_initializer_must_be_constant(self):
+        assert self.diagnostics(
+            "int:16 a;\nint:16 b = a + 1;\nint:16 c = nosuch;\n"
+            "int:16 d = 1 / 0;") == [
+            ("PSC302", 2, "global 'b': initializer (a + 1) is not a "
+                          "constant expression"),
+            ("PSC302", 3, "global 'c': unknown name 'nosuch'"),
+            ("PSC302", 4, "global 'd': initializer (1 / 0) is not a "
+                          "constant expression")]
+
+    def test_initializer_list_only_on_directives(self):
+        assert self.diagnostics("int:16 a[2] = {5, 6};") == [
+            ("PSC302", 1, "global 'a': an initializer list is read only on "
+                          "a Port or EventCondition directive, not on data")]
+        assert check_program(parse_with_preamble(
+            "Port Buffer = {Data, 8, 0717, Bidirectional};")) is not None
+
+    def test_directive_is_no_routine_variable(self):
+        source = ("Port Buffer = {Data, 8, 0717, Bidirectional};\n"
+                  "int:8 x;\nvoid f() {\n  x = Buffer;\n}\n")
+        # with a chart port of that name, the name is the port
+        assert check_program(parse_with_preamble(source),
+                             Externals(ports={"Buffer"})) is not None
+        with pytest.raises(CheckError, match="unknown name 'Buffer'"):
+            check_program(parse_with_preamble(source))
+
+    def test_assignment_to_condition_or_enum_member(self):
+        assert self.diagnostics(
+            "enum Power {OFF, ON};\nvoid f() {\n  BUSY = 1;\n  ON = 1;\n"
+            "  P = 1;\n}", conditions={"BUSY"}, ports={"P"}) == [
+            ("PSC302", 3, "f: cannot assign to condition 'BUSY' (use "
+                          "SetTrue/SetFalse)"),
+            ("PSC302", 4, "f: cannot assign to enum member 'ON'")]
+
+    def test_a_local_may_shadow_nothing_assignable(self):
+        assert self.diagnostics(
+            "enum Power {OFF, ON};\nvoid f() {\n  int:8 ON;\n  ON = 1;\n}"
+        ) == []
+
+    def test_index_rules(self):
+        assert self.diagnostics(
+            "enum E {A, B};\nint:8 a[4];\nint:16 m[2][3];\nint:8 i;\n"
+            "void f() {\n"
+            "  a[3] = a[B + 1];\n"
+            "  a[4] = 1;\n"
+            "  a[0 - 1] = 1;\n"
+            "  m[i][i] = 1;\n"
+            "  m[i][2] = m[1][i];\n"
+            "}") == [
+            ("PSC302", 7, "f: index 4 is out of range for a (length 4)"),
+            ("PSC302", 8, "f: index -1 is out of range for a (length 4)"),
+            ("PSC302", 9, "f: m[i][i] has more than one dynamic index (at "
+                          "most one per access)")]
+
+    def test_access_starts_at_a_variable(self):
+        assert self.diagnostics(
+            "typedef struct pt { int:8 x; } Point;\nPoint p;\n"
+            "Point get() { return p; }\nint:8 v;\n"
+            "void f() {\n  v = get().x;\n}") == [
+            ("PSC302", 6, "f: get().x: only a variable's fields and "
+                          "elements can be accessed")]
+
+    def test_aggregates_are_no_operands_or_conditions(self):
+        assert self.diagnostics(
+            "typedef struct pt { int:8 x; } Point;\nPoint p;\nint:8 v;\n"
+            "void f() {\n  v = p <= 1;\n  if (p) { v = !p; }\n}") == [
+            ("PSC302", 5, "f: operator <= on struct Point"),
+            ("PSC302", 6, "f: condition on struct Point"),
+            ("PSC302", 6, "f: unary ! on struct Point")]
+
+    def test_check_error_carries_the_diagnostics(self):
+        with pytest.raises(CheckError) as excinfo:
+            check("void f() {\n  a = 1;\n}")
+        assert [(d.code, d.location.line) for d in
+                excinfo.value.diagnostics] == [("PSC302", 2)]
+
+
+class TestFoldConstant:
+    """The one constant folder: C semantics, never raising."""
+
+    @staticmethod
+    def fold(text):
+        from repro.action.check import fold_constant
+
+        program = parse_program(f"int:16 x = {text};")
+        return fold_constant(program.globals[0].init, {"ON": 1})
+
+    @pytest.mark.parametrize("text, value", [
+        ("7 / 2", 3), ("(0 - 7) / 2", -3), ("7 % (0 - 2)", 1),
+        ("(0 - 7) % 2", -1), ("~5", -6), ("!5", 0), ("-ON", -1),
+        ("1 << 4", 16), ("256 >> 4", 16), ("3 == 3", 1), ("3 != 3", 0),
+        ("2 < 1", 0), ("2 <= 2", 1), ("2 > 1", 1), ("1 >= 2", 0),
+        ("6 & 3", 2), ("6 | 3", 7), ("6 ^ 3", 5), ("0 && x", 0),
+        ("2 || x", 1), ("1 && 2", 1), ("0 || 0", 0), ("true", 1),
+    ])
+    def test_values(self, text, value):
+        assert self.fold(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "x", "1 / 0", "1 % 0", "1 << (0 - 1)", "1 >> (0 - 1)", "1 << 64",
+        "1 && x", "0 || x", "f()", "nosuch + 1",
+    ])
+    def test_not_constant(self, text):
+        assert self.fold(text) is None

@@ -265,10 +265,16 @@ class TestParseErrors:
         "void f() { @frob(3) while (1) {} }",
         "enum E {A, B}",
         "void f() { 1 = a; }",
+        "int:8 a[0];",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ActionParseError):
             parse_program(bad)
+
+    def test_array_lengths_read_outermost_first(self):
+        # as in C, m[2][3] is two arrays of three
+        typ = parse_program("int:16 m[2][3];").globals[0].typ
+        assert (typ.length, typ.element.length) == (2, 3)
 
     def test_error_carries_line(self):
         with pytest.raises(ActionParseError) as excinfo:

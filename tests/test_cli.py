@@ -245,3 +245,23 @@ def test_closed_stdout_ends_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=300) == 1
     assert "Traceback" not in stderr, stderr
+
+
+@pytest.mark.parametrize("mode", [[], ["--processes", "2"]],
+                         ids=["in-process", "distributed"])
+def test_samples_path_picks_csv_or_json(mode, tmp_path):
+    import json
+
+    for name in ("samples.csv", "samples.json"):
+        path = tmp_path / name
+        status, _ = invoke(["serve", SMD_PROJECT, "--items", "20",
+                            *mode, "--samples", str(path)])
+        assert status == 0
+        text = path.read_text()
+        if name.endswith(".csv"):
+            header, *rows = text.splitlines()
+            assert header.startswith("tick,submitted,") and rows
+            assert all(len(row.split(",")) == len(header.split(","))
+                       for row in rows)
+        else:
+            assert json.loads(text)["samples"]

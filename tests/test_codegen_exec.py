@@ -309,6 +309,78 @@ class TestAggregates:
         assert tep.read_variable(compiled.allocator.locations["g.__ret"]) == 305
 
 
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
+class TestCheckedPrograms:
+    """Shapes the checker admits, each built and run on the TEP."""
+
+    def test_constant_initializers_load_their_c_values(self, arch):
+        src = """
+        int:16 a = 8 / 2;
+        int:16 b = ~1;
+        int:16 c = 3 < 4;
+        int:16 d = (0 - 7) / 2;
+        int:16 e = (1 << 4) % 5 + !0;
+        void f() { }
+        """
+        _, values, *_ = run_function(src, "f", (), arch,
+                                     globals_out=("a", "b", "c", "d", "e"))
+        assert values == {"a": 4, "b": -2, "c": 1, "d": -3, "e": 2}
+
+    def test_sub_word_elements_take_a_word_each(self, arch):
+        src = """
+        int:8 small[4];
+        bool flags[3];
+        int:16 after;
+        void f(int:8 i) {
+          after = 5;
+          small[3] = 9;
+          small[i] = 7;
+          flags[2] = true;
+        }
+        int:16 g() { return small[2] + small[3] + flags[2]; }
+        """
+        _, values, _, tep, compiled = run_function(
+            src, "f", (2,), arch, globals_out=("after",))
+        assert values == {"after": 5}
+        tep.run("g")
+        assert tep.read_variable(compiled.allocator.locations["g.__ret"]) == 17
+
+    def test_narrow_element_widens_by_its_sign(self, arch):
+        src = """
+        int:8 signed_[2];
+        uint:8 unsigned_[2];
+        int:32 s;
+        int:32 u;
+        void f(int:8 v) {
+          signed_[1] = v;
+          unsigned_[1] = 200;
+          s = signed_[1];
+          u = unsigned_[1];
+        }
+        """
+        _, values, *_ = run_function(src, "f", (-3,), arch,
+                                     globals_out=("s", "u"))
+        assert values == {"s": -3, "u": 200}
+
+    def test_product_into_a_wider_destination(self, arch):
+        src = """
+        int:8 a = 0 - 7;
+        int:8 b = 6;
+        int:32 x;
+        void f() { x = a * b; }
+        """
+        _, values, *_ = run_function(src, "f", (), arch, globals_out=("x",))
+        assert values == {"x": -42}
+
+    def test_wide_value_written_to_a_port_sends_its_low_word(self, arch):
+        externals = Externals(ports={"Out"})
+        maps = NameMaps.from_externals(externals)
+        ports = SimplePorts({})
+        run_function("int:16 w = 300; void f() { Out = w; }", "f", (), arch,
+                     externals=externals, ports=ports)
+        assert ports.values[maps.ports["Out"]] & 0xFF == 300 & 0xFF
+
+
 class TestBuiltinsAndPorts:
     EXT = dict(events={"DONE"}, conditions={"READY", "FLAG"},
                ports={"Buffer", "Out"})

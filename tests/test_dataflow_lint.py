@@ -157,6 +157,29 @@ int:16 g;
 void F(int:1 c) { if (c) { g = 1; } }
 """) == []
 
+    def test_undefined_constants_do_not_fold(self):
+        # a negative shift count or a division by zero has no C value:
+        # the condition is not constant (and the lint does not raise)
+        for cond in ("1 << (0 - 1)", "1 >> (0 - 1)", "4 / (1 - 1)",
+                     "4 % 0"):
+            assert codes(f"""
+int:16 g;
+void F() {{ if ({cond}) {{ g = 1; }} }}
+""") == [], cond
+
+    def test_every_operator_folds_with_c_semantics(self):
+        # truncating division: -7 / 2 is -3 and -7 % 2 is -1 in C
+        for cond, value in (("(0 - 7) / 2 == (0 - 3)", "true"),
+                            ("(0 - 7) % 2 == (0 - 1)", "true"),
+                            ("~0 == (0 - 1)", "true"),
+                            ("!3", "false"), ("1 || g", "true")):
+            diagnostics = lint(f"""
+int:16 g;
+void F() {{ if ({cond}) {{ g = 1; }} }}
+""")
+            assert [d.code for d in diagnostics] == ["PSC312"], cond
+            assert f"is always {value}" in diagnostics[0].message
+
 
 class TestTruncation:
     def test_narrowing_assignment_flags(self):

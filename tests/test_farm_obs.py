@@ -15,7 +15,6 @@ The load-bearing properties:
   nothing.
 """
 
-import io
 import json
 import random
 
@@ -44,6 +43,7 @@ from repro.obs import (
     render_forensics,
     sparkline,
     write_forensics_bundle,
+    write_samples,
 )
 from repro.obs.export import FIRST_MACHINE_PID, TRACE_PID
 from repro.fault.model import ProcessKill
@@ -451,7 +451,7 @@ class TestFarmSampler:
             assert series[-1] <= worker.processed
             assert series == sorted(series)  # monotone counter
 
-    def test_csv_and_json_exports(self, chaos_run):
+    def test_csv_and_json_exports(self, chaos_run, tmp_path):
         _, sampler, _ = chaos_run
         text = sampler.to_csv()
         lines = text.strip().splitlines()
@@ -460,9 +460,10 @@ class TestFarmSampler:
         assert "worker0.queue_depth" in header
         assert "worker1.latency_p95" in header
         assert len(lines[1].split(",")) == len(header)
-        buffer = io.StringIO()
-        sampler.write_json(buffer)
-        document = json.loads(buffer.getvalue())
+        path = str(tmp_path / "samples.json")
+        write_samples(sampler, path)
+        with open(path) as handle:
+            document = json.load(handle)
         assert document["every"] == sampler.every
         assert len(document["samples"]) == len(sampler)
 

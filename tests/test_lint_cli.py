@@ -154,9 +154,10 @@ void Finish() {
 
 class TestBadRoutines:
     """Routines that do not parse or check.  Where the architecture is read
-    off the routines, the loader reports PSC301 and exits 2; with --arch,
-    lint reports located PSC301/PSC302/PSC303 and exits 1.  Every message
-    names lines of the routine file, not of the preamble-prefixed text."""
+    off the routines, the loader reports the front end's diagnostics and
+    exits 2; with --arch, lint reports the same diagnostics among its own
+    and exits 1.  Either way they are located PSC301/PSC302/PSC303 at
+    lines of the routine file, not of the preamble-prefixed text."""
 
     @pytest.fixture
     def project(self, tmp_path):
@@ -172,8 +173,8 @@ class TestBadRoutines:
         path, source = project(UNPARSEABLE)
         status, text = invoke(["check", path])
         assert status == 2
-        assert (f"{source}:4: error PSC301: routines do not parse: line 4: "
-                "unexpected token ';'\n") in text
+        assert (f"{source}:4: error PSC301: action program does not parse: "
+                "line 4: unexpected token ';'\n") in text
 
     def test_lint_parse_error_names_the_user_line(self, project):
         path, source = project(UNPARSEABLE)
@@ -182,19 +183,18 @@ class TestBadRoutines:
         assert (f"{source}:4: error PSC301: action program does not parse: "
                 "line 4: unexpected token ';'\n") in text
 
-    @pytest.mark.parametrize("argv, status, what", [
-        (["check"], 2, "routines do not parse"),
-        (["lint", "--arch", "minimal"], 1, "action program does not parse"),
+    @pytest.mark.parametrize("argv, status", [
+        (["check"], 2),
+        (["lint", "--arch", "minimal"], 1),
     ], ids=["check", "lint-arch"])
-    def test_lex_error_is_a_located_parse_error(self, project, argv, status,
-                                                what):
+    def test_lex_error_is_a_located_parse_error(self, project, argv, status):
         lines = (SAFE / "routines.c").read_text().splitlines(keepends=True)
         lines[3] = "  jobs = jobs $ 1;\n"
         path, source = project("".join(lines))
         code, text = invoke(argv[:1] + [path] + argv[1:])
         assert code == status
-        assert (f"{source}:4: error PSC301: {what}: line 4: unexpected "
-                "character '$'\n") in text
+        assert (f"{source}:4: error PSC301: action program does not parse: "
+                "line 4: unexpected character '$'\n") in text
 
     def test_lint_with_arch_locates_each_semantic_error(self, project):
         path, source = project(ILL_TYPED)
@@ -208,13 +208,19 @@ class TestBadRoutines:
             "declared condition",
             f"{source}:10: error PSC302: Finish: unknown name 'total'"]
 
-    def test_lint_without_arch_reports_psc301_and_exits_2(self, project):
+    def test_lint_without_arch_locates_each_semantic_error_and_exits_2(
+            self, project):
         path, source = project(ILL_TYPED)
         status, text = invoke(["lint", path])
         assert status == 2
-        assert (f"{source}: error PSC301: routines do not parse: action "
-                "program is not well-formed:\n") in text
-        assert "PSC302" not in text
+        assert [line for line in text.splitlines()
+                if line.startswith(source)] == [
+            f"{source}:8: error PSC303: recursion is not permitted: "
+            "Finish -> Finish",
+            f"{source}:9: error PSC302: Finish: SetFalse: 'GHOST' is not a "
+            "declared condition",
+            f"{source}:10: error PSC302: Finish: unknown name 'total'"]
+        assert "PSC301" not in text
 
 
 class TestLintSystem:
