@@ -19,10 +19,8 @@ system = build_system(chart, SMD_ROUTINES, MD16_TEP)
 
 seen = {}
 for t in chart.transitions:
-    if not t.action:
-        continue
-    name = t.action.split("(")[0]
-    seen.setdefault(name, system.transition_costs[t.index])
+    if t.call is not None:
+        seen.setdefault(t.call.routine, system.transition_costs[t.index])
 
 print(f"{'routine':16s} {'measured':>8s} {'target':>8s} {'diff':>6s}")
 for name, target in TARGETS.items():

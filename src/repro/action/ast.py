@@ -162,6 +162,9 @@ class NameRef(Expr):
 
     name: str
     typ: Optional[Type] = None
+    #: the enum member's value when the checker resolved the name to one
+    #: (no local or parameter of that name is in scope), else ``None``
+    member: Optional[int] = None
 
     def __str__(self) -> str:
         return self.name

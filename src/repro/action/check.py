@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.action.ast import (
@@ -91,25 +92,29 @@ _BINARY = {
 }
 
 
-def fold_constant(expr: Expr, enum_values: Mapping[str, int]) -> Optional[int]:
-    """*expr*'s value as a C constant over literals and *enum_values*
-    (bools as 0/1; ``0 && x`` is 0, ``1 || x`` is 1), or ``None``; a
-    division by zero or a shift by a negative count or by 64 bits or more
-    is not constant.  Never raises."""
+def fold_constant(expr: Expr,
+                  names: Mapping[str, Optional[int]] = MappingProxyType({})
+                  ) -> Optional[int]:
+    """*expr*'s value as a C constant over literals, the enum members the
+    checker resolved names to (:attr:`NameRef.member`) and any other name's
+    value in *names* (bools as 0/1; ``0 && x`` is 0, ``1 || x`` is 1), or
+    ``None``; a division by zero or a shift by a negative count or by 64
+    bits or more is not constant.  Never raises."""
     if isinstance(expr, (IntLiteral, BoolLiteral)):
         return int(expr.value)
     if isinstance(expr, NameRef):
-        return enum_values.get(expr.name)
+        return (expr.member if expr.member is not None
+                else names.get(expr.name))
     if isinstance(expr, Unary):
-        value = fold_constant(expr.operand, enum_values)
+        value = fold_constant(expr.operand, names)
         return None if value is None else int(_UNARY[expr.op](value))
     if isinstance(expr, Binary):
-        left = fold_constant(expr.left, enum_values)
+        left = fold_constant(expr.left, names)
         if expr.op is BinOp.LAND and left == 0:
             return 0
         if expr.op is BinOp.LOR and left not in (None, 0):
             return 1
-        right = fold_constant(expr.right, enum_values)
+        right = fold_constant(expr.right, names)
         if (left is None or right is None
                 or expr.op in (BinOp.DIV, BinOp.MOD) and right == 0
                 or expr.op in (BinOp.SHL, BinOp.SHR) and not 0 <= right < 64):
@@ -191,6 +196,8 @@ class _ExprChecker:
         if isinstance(expr, BoolLiteral):
             return BoolType()
         if isinstance(expr, NameRef):
+            expr.member = (None if any(expr.name in s for s in self.scopes)
+                           else self.checker.enum_values.get(expr.name))
             typ = self.lookup(expr.name)
             if typ is not None:
                 return typ
@@ -223,7 +230,7 @@ class _ExprChecker:
                 error(f"{fname}: indexing non-array {base}")
                 return IntType(16)
             self._check_access_base(expr)
-            index = fold_constant(expr.index, self.checker.enum_values)
+            index = fold_constant(expr.index)
             if index is None and self._dynamic_index_in(expr.base):
                 error(f"{fname}: {expr} has more than one dynamic index "
                       "(at most one per access)")
@@ -270,8 +277,7 @@ class _ExprChecker:
     def _dynamic_index_in(self, expr: Expr) -> bool:
         while isinstance(expr, (FieldAccess, Index)):
             if (isinstance(expr, Index)
-                    and fold_constant(expr.index,
-                                      self.checker.enum_values) is None):
+                    and fold_constant(expr.index) is None):
                 return True
             expr = expr.base
         return False
@@ -459,7 +465,7 @@ class Checker:
             return None
         problems = len(self.diagnostics)
         scope.check_expr(gvar.init)
-        value = fold_constant(gvar.init, self.enum_values)
+        value = fold_constant(gvar.init)
         if value is None and len(self.diagnostics) == problems:
             scope.error(f"{where}: initializer {gvar.init} is not a constant "
                         "expression")

@@ -49,7 +49,6 @@ from repro.action.check import CheckedProgram
 from repro.action.stdlib import is_builtin
 from repro.analysis.effects import EffectAnalyzer, Effects
 from repro.sla.synth import Pla
-from repro.statechart.labels import action_arguments, action_routine_name
 from repro.statechart.model import Chart
 
 #: (configuration, true conditions, pending raised events)
@@ -89,36 +88,41 @@ class ActionAbstraction:
         return forks
 
 
-def _top_level_builtins(program, function: Function, chart: Chart,
-                        seen: FrozenSet[str]
+def _top_level_builtins(program, calls, chart: Chart, seen: FrozenSet[str]
                         ) -> Tuple[List[Tuple[str, bool]], Set[str]]:
-    """Unconditional builtin effects of a function body, in order."""
+    """Unconditional builtin effects of *calls*, in order: each a
+    (routine, argument texts) pair, a builtin's applied, a routine's body
+    walked for its top-level calls."""
     cond: List[Tuple[str, bool]] = []
     raised: Set[str] = set()
-    for stmt in function.body:
-        if not isinstance(stmt, ExprStmt) or not isinstance(stmt.expr, Call):
-            continue
-        call = stmt.expr
-        if is_builtin(call.name):
-            target = str(call.args[0]).strip() if call.args else ""
-            if call.name == "SetTrue" and target in chart.conditions:
+    for name, arguments in calls:
+        if is_builtin(name):
+            target = arguments[0] if arguments else ""
+            if name == "SetTrue" and target in chart.conditions:
                 cond.append((target, True))
-            elif call.name == "SetFalse" and target in chart.conditions:
+            elif name == "SetFalse" and target in chart.conditions:
                 cond.append((target, False))
-            elif call.name == "Raise" and target in chart.events:
+            elif name == "Raise" and target in chart.events:
                 raised.add(target)
             continue
-        if call.name in seen:
+        if name in seen:
             continue
         try:
-            callee = program.function(call.name)
+            callee = program.function(name)
         except KeyError:
             continue
         sub_cond, sub_raised = _top_level_builtins(
-            program, callee, chart, seen | {call.name})
+            program, _body_calls(callee), chart, seen | {name})
         cond.extend(sub_cond)
         raised |= sub_raised
     return cond, raised
+
+
+def _body_calls(function: Function):
+    """The calls a function body makes as statements of its own."""
+    return [(stmt.expr.name, [str(a).strip() for a in stmt.expr.args])
+            for stmt in function.body
+            if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Call)]
 
 
 def abstract_actions(chart: Chart, checked: CheckedProgram
@@ -127,31 +131,13 @@ def abstract_actions(chart: Chart, checked: CheckedProgram
     analyzer = EffectAnalyzer(checked)
     out: Dict[int, ActionAbstraction] = {}
     for transition in chart.transitions:
-        if not transition.action:
+        call = transition.call
+        if call is None:
             continue
-        full: Effects = analyzer.action_effects(transition.action)
-        name = action_routine_name(transition.action)
-        if is_builtin(name):
-            arguments = action_arguments(transition.action)
-            target = arguments[0].strip() if arguments else ""
-            must_cond: List[Tuple[str, bool]] = []
-            must_raise: Set[str] = set()
-            if name == "SetTrue" and target in chart.conditions:
-                must_cond.append((target, True))
-            elif name == "SetFalse" and target in chart.conditions:
-                must_cond.append((target, False))
-            elif name == "Raise" and target in chart.events:
-                must_raise.add(target)
-        else:
-            try:
-                function = checked.program.function(name)
-            except KeyError:
-                function = None
-            if function is None:
-                must_cond, must_raise = [], set()
-            else:
-                must_cond, must_raise = _top_level_builtins(
-                    checked.program, function, chart, frozenset({name}))
+        full: Effects = analyzer.action_effects(call)
+        must_cond, must_raise = _top_level_builtins(
+            checked.program, [(call.routine, call.arguments)], chart,
+            frozenset())
         must_keys = {(c, v) for c, v in must_cond}
         may_cond = tuple(sorted(
             (c, v) for c, v in full.cond_writes

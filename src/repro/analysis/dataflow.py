@@ -55,10 +55,8 @@ def action_dataflow(checked: CheckedProgram,
                     line_offset: int = 0) -> List[Diagnostic]:
     """All dataflow diagnostics for every function in *checked*."""
     out = Collector()
-    enum_values = checked.enum_values()
     for function in checked.program.functions:
-        _FunctionDataflow(out, function, enum_values, path,
-                          line_offset).run()
+        _FunctionDataflow(out, function, path, line_offset).run()
     return out.diagnostics
 
 
@@ -68,11 +66,9 @@ def _is_scalar(typ) -> bool:
 
 class _FunctionDataflow:
     def __init__(self, out: Collector, function: Function,
-                 enum_values: Dict[str, int], path: Optional[str],
-                 line_offset: int) -> None:
+                 path: Optional[str], line_offset: int) -> None:
         self.out = out
         self.function = function
-        self.enum_values = enum_values
         self.path = path
         self.line_offset = line_offset
         self.locals: Set[str] = set()
@@ -144,7 +140,7 @@ class _FunctionDataflow:
             return assigned
         if isinstance(stmt, If):
             self.check_reads(stmt.cond, assigned, stmt.line)
-            value = fold_constant(stmt.cond, self.enum_values)
+            value = fold_constant(stmt.cond)
             if value is not None:
                 dead = "else" if value else "then"
                 self.out.emit(
@@ -163,7 +159,7 @@ class _FunctionDataflow:
             return after_then & after_else
         if isinstance(stmt, While):
             self.check_reads(stmt.cond, assigned, stmt.line)
-            value = fold_constant(stmt.cond, self.enum_values)
+            value = fold_constant(stmt.cond)
             if value == 0:
                 self.out.emit(
                     "PSC312",

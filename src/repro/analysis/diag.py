@@ -153,6 +153,8 @@ CODES: Dict[str, CodeInfo] = {
     "PSC301": CodeInfo("action parse error", Severity.ERROR),
     "PSC302": CodeInfo("action semantic error", Severity.ERROR),
     "PSC303": CodeInfo("recursion is not permitted", Severity.ERROR),
+    "PSC304": CodeInfo("a label's call does not link to the routines",
+                       Severity.ERROR),
     "PSC310": CodeInfo("use before initialization", Severity.ERROR),
     "PSC311": CodeInfo("dead store", Severity.WARNING),
     "PSC312": CodeInfo("constant condition; branch is dead",

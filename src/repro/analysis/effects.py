@@ -45,11 +45,7 @@ from repro.action.ast import (
 )
 from repro.action.check import CheckedProgram, fold_constant
 from repro.action.stdlib import is_builtin
-from repro.statechart.labels import (
-    action_arguments,
-    action_routine_name,
-    constant_argument,
-)
+from repro.statechart.labels import ActionCall, constant_argument
 from repro.statechart.model import Chart
 
 #: value a parameter is bound to at a call site: a known int or unknown
@@ -123,18 +119,16 @@ class EffectAnalyzer:
                          Effects] = {}
 
     # -- entry points ------------------------------------------------------
-    def action_effects(self, action: str) -> Effects:
-        """Effects of a transition action call text like ``DeltaT(MX)``."""
-        name = action_routine_name(action)
-        arguments = action_arguments(action)
-        if is_builtin(name):
-            return self._builtin_effects(name, list(arguments))
+    def action_effects(self, call: ActionCall) -> Effects:
+        """Effects of a transition's parsed call like ``DeltaT(MX)``."""
+        if is_builtin(call.routine):
+            return self._builtin_effects(call.routine, list(call.arguments))
         try:
-            function = self.program.function(name)
+            function = self.program.function(call.routine)
         except KeyError:
             return Effects()
         binding: Binding = {}
-        for param, argument in zip(function.params, arguments):
+        for param, argument in zip(function.params, call.arguments):
             binding[param.name] = constant_argument(argument,
                                                     self.enum_values)
         return self.function_effects(function, binding)
@@ -157,7 +151,7 @@ class EffectAnalyzer:
 
     # -- helpers -----------------------------------------------------------
     def constant_of(self, expr: Expr, binding: Binding) -> Optional[int]:
-        return fold_constant(expr, {**self.enum_values, **binding})
+        return fold_constant(expr, binding)
 
     def _builtin_effects(self, name: str, arguments: List[str]) -> Effects:
         target = arguments[0].strip() if arguments else "?"
@@ -291,7 +285,7 @@ def transition_effects(chart: Chart, checked: CheckedProgram
     analyzer = EffectAnalyzer(checked)
     summaries: Dict[int, Effects] = {}
     for transition in chart.transitions:
-        if transition.action:
+        if transition.call is not None:
             summaries[transition.index] = analyzer.action_effects(
-                transition.action)
+                transition.call)
     return summaries

@@ -28,18 +28,7 @@ from repro.analysis.chart_lint import (
 )
 from repro.analysis.diag import Collector, Diagnostic
 from repro.analysis.effects import Effects, write_conflicts
-from repro.statechart.labels import action_routine_name
 from repro.statechart.model import Chart
-
-
-def _excluded(first_action: str, second_action: str,
-              mutual_exclusions: FrozenSet[FrozenSet[str]]) -> bool:
-    try:
-        pair = frozenset({action_routine_name(first_action),
-                          action_routine_name(second_action)})
-    except Exception:
-        return False
-    return pair in mutual_exclusions
 
 
 def and_region_races(chart: Chart,
@@ -50,7 +39,7 @@ def and_region_races(chart: Chart,
     """One PSC203 warning per racing transition pair."""
     out = Collector()
     transitions = [t for t in chart.transitions
-                   if t.index in effects and t.action]
+                   if t.index in effects and t.call is not None]
     products = {t.index: enable_products(t) for t in transitions}
     scopes = {t.index: chart.transition_scope(t) for t in transitions}
 
@@ -73,7 +62,8 @@ def and_region_races(chart: Chart,
                                       effects[second.index])
             if not clashes:
                 continue
-            if _excluded(first.action, second.action, mutual_exclusions):
+            if frozenset({first.call.routine,
+                          second.call.routine}) in mutual_exclusions:
                 continue
             out.emit(
                 "PSC203",

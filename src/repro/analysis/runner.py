@@ -6,8 +6,9 @@ Pass pipeline (each stage only runs when its prerequisites hold):
    (later passes assume a well-formed chart);
 2. determinism (shadowed transitions / priority overlaps);
 3. the front end's action parse + semantic check diagnostics (it parsed
-   and checked the routines once, recording instead of raising) —
-   semantic errors stop here (dataflow and effects need typed ASTs);
+   and checked the routines once, recording instead of raising), else its
+   label calls that do not link (PSC106/PSC304, in the chart) — they stop
+   here (dataflow and effects need typed ASTs and bound calls);
 4. action dataflow (use-before-init, dead stores, constants, truncation);
 5. effect analysis -> AND-region races + quiescence;
 6. full system build from the front end -> WCET/budget + SLA/TAT checks.
@@ -88,11 +89,13 @@ def lint_system(frontend,
 
     diagnostics += determinism(chart, chart_path)
 
-    if frontend.diagnostics:
-        # untyped ASTs: dataflow would misfire
+    if frontend.diagnostics or frontend.unlinked:
+        # untyped ASTs or unbound calls: dataflow and effects would misfire
         return done(diagnostics + [
             replace(d, location=replace(d.location, file=source_path))
-            for d in frontend.diagnostics])
+            for d in frontend.diagnostics] + [
+            replace(d, location=replace(d.location, file=chart_path))
+            for d in frontend.unlinked])
 
     from repro.action.parser import PREAMBLE_LINES
     from repro.analysis.dataflow import action_dataflow

@@ -250,8 +250,10 @@ def _load_project(project: str, routines: Optional[str], args, out,
     2: an unreadable project as ``error:`` on stderr, anything else as
     diagnostics on *out* — PSC100 when the chart does not parse, PSC111
     per unresolved ref state (the flow does not inline chart references),
-    and the front end's own located PSC301/PSC302/PSC303 diagnostics when
-    *build* needs routines that do not parse or check.
+    the error-severity findings of lint's well-formedness pass, the front
+    end's own located PSC301/PSC302/PSC303 diagnostics when *build* needs
+    routines that do not parse or check, and its PSC106/PSC304 per label
+    whose call does not link to them, at the transition's chart line.
     """
     from dataclasses import replace
 
@@ -259,6 +261,8 @@ def _load_project(project: str, routines: Optional[str], args, out,
     from repro.action.parser import ActionParseError
     from repro.analysis import Diagnostic, Severity, SourceLocation, \
         render_text
+    from repro.analysis.chart_lint import wellformedness
+    from repro.flow.build import LinkError
     from repro.statechart.model import ChartError, StateKind
     from repro.statechart.parser import ParseError
 
@@ -291,13 +295,17 @@ def _load_project(project: str, routines: Optional[str], args, out,
             hint="the flow does not inline chart references; copy the "
                  "referenced chart's states in place of the ref state")
             for state in chart.preorder() if state.kind is StateKind.REF]
+        problems = problems or sorted(
+            (d for d in wellformedness(chart, chart_path)
+             if d.severity is Severity.ERROR), key=Diagnostic.sort_key)
         if not problems:
             try:
                 return _Project(chart_path, source_path, chart,
                                 build(chart, routine_text, args))
-            except (ActionParseError, CheckError) as exc:
-                problems = [replace(d, location=replace(d.location,
-                                                        file=source_path))
+            except (ActionParseError, CheckError, LinkError) as exc:
+                in_chart = isinstance(exc, LinkError)
+                path = chart_path if in_chart else source_path
+                problems = [replace(d, location=replace(d.location, file=path))
                             for d in exc.diagnostics]
     print(render_text(problems, header=chart_path), file=out, end="")
     return None

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.action.check import CheckedProgram, Checker, Externals
+from repro.analysis.diag import Diagnostic
 from repro.hw.area import AppStats, AreaEstimate, estimate_area
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.codegen import (
@@ -32,10 +33,11 @@ from repro.isa.codegen import (
     RoutineFrontend,
 )
 from repro.isa.microcode import DecoderRom
-from repro.pscp.machine import MachineImage, PscpMachine
+from repro.pscp.machine import LinkedCall, MachineImage, PscpMachine, link_call
 from repro.pscp.ports import PortBus
 from repro.pscp.scheduler import DISPATCH_OVERHEAD_CYCLES
 from repro.sla.synth import Pla, synthesize
+from repro.statechart.labels import ActionCall
 from repro.statechart.model import Chart
 from repro.flow.timing import TimingValidator
 
@@ -95,62 +97,55 @@ class BuiltSystem:
 
 
 def specialize_routines(chart: Chart, checked: CheckedProgram,
-                        externals: Externals) -> Tuple[Chart, CheckedProgram]:
+                        calls: Mapping[int, LinkedCall]
+                        ) -> Tuple[Chart, CheckedProgram]:
     """Clone constant-argument routines per call site and fold the constants.
 
     ``DeltaT(MX)`` becomes a call to the parameterless ``DeltaT_0`` whose
     body indexes the motor arrays statically — the code-generation
-    refinement the flow applies when violations persist.  Returns a copied
-    chart with rewritten action texts and the extended program, in which
+    refinement the flow applies when violations persist.  *calls* are the
+    chart's calls linked to *checked* (:attr:`Frontend.calls`).  Returns a
+    copied chart with rewritten calls and the extended program, in which
     only the clones are checked (:meth:`Checker.extend`).
     """
     import copy as _copy
 
     from repro.action.transform import TransformError, specialize_call
-    from repro.statechart.labels import (
-        action_arguments,
-        action_routine_name,
-        constant_argument,
-    )
 
     chart = _copy.deepcopy(chart)
     # the clones extend a copy of the function list: *checked* may be
     # shared by other builds (see :class:`Frontend`)
     program = replace(checked.program,
                       functions=list(checked.program.functions))
-    enum_values = checked.enum_values()
-    existing = {f.name for f in program.functions}
     made: Dict[Tuple[str, Tuple[int, ...]], str] = {}
-    changed = False
     for transition in chart.transitions:
-        if not transition.action:
+        linked = calls.get(transition.index)
+        if linked is None or not linked.bindings:
             continue
-        routine = action_routine_name(transition.action)
-        if routine not in existing:
-            continue
-        arguments = action_arguments(transition.action)
-        if not arguments:
-            continue
-        values = [constant_argument(a, enum_values) for a in arguments]
-        if any(v is None for v in values):
-            continue
-        key = (routine, tuple(values))
+        values = tuple(value for _, value in linked.bindings)
+        key = (linked.routine, values)
         if key not in made:
-            clone_name = f"{routine}_" + "_".join(str(v) for v in values)
+            clone_name = f"{linked.routine}_" + "_".join(map(str, values))
             try:
-                clone = specialize_call(program.function(routine),
-                                        [v for v in values if v is not None],
-                                        clone_name)
+                clone = specialize_call(program.function(linked.routine),
+                                        list(values), clone_name)
             except TransformError:
                 continue
             program.functions.append(clone)
-            existing.add(clone_name)
             made[key] = clone_name
-        transition.action = f"{made[key]}()"
-        changed = True
-    if changed:
-        checked = Checker(program, externals).extend(checked)
+        transition.call = ActionCall(f"{made[key]}()", made[key])
+    if made:
+        checked = Checker(program, checked.externals).extend(checked)
     return chart, checked
+
+
+class LinkError(Exception):
+    """Raised by :meth:`Frontend.build` when a label's call does not link;
+    :attr:`diagnostics` are the front end's :attr:`Frontend.unlinked`."""
+
+    def __init__(self, diagnostics: List[Diagnostic]) -> None:
+        super().__init__(diagnostics[0].message)
+        self.diagnostics = diagnostics
 
 
 class Frontend(RoutineFrontend):
@@ -164,12 +159,36 @@ class Frontend(RoutineFrontend):
     validator; every built system records its front end.  Nothing here
     writes to the shared ASTs or ``Pla``; a specialized build rewrites
     copies.
+
+    When the routines check, each label's call is linked to them once
+    (:func:`~repro.pscp.machine.link_call`), into :attr:`calls` or else
+    :attr:`unlinked`, and then :meth:`build` raises :class:`LinkError`.
     """
 
     def __init__(self, chart: Chart, source: str) -> None:
         super().__init__(source, Externals.from_chart(chart))
         self.chart = chart
         self._pla: Optional[Pla] = None
+        #: transition index -> its call bound to the checked routines
+        self.calls: Dict[int, LinkedCall] = {}
+        #: per call that does not link, why, at its transition's line (the
+        #: file left to the caller, as for :attr:`diagnostics`)
+        self.unlinked: List[Diagnostic] = []
+        if self.diagnostics:
+            return
+        functions = self.typed.program.functions
+        params = {f.name: [p.name for p in f.params] for f in functions}
+        enum_values = self.typed.enum_values()
+        for transition in chart.transitions:
+            if transition.call is None:
+                continue
+            linked = link_call(transition, params, enum_values,
+                               self.externals.conditions,
+                               self.externals.events)
+            if isinstance(linked, LinkedCall):
+                self.calls[transition.index] = linked
+            else:
+                self.unlinked.append(linked)
 
     @property
     def pla(self) -> Pla:
@@ -184,9 +203,10 @@ class Frontend(RoutineFrontend):
         (:meth:`MachineImage.link`).  A specialized build rewrites a copy
         of the chart and synthesizes that copy's SLA."""
         chart, checked = self.chart, self.checked(arch)
+        if self.unlinked:
+            raise LinkError(self.unlinked)
         if specialize:
-            chart, checked = specialize_routines(chart, checked,
-                                                 self.externals)
+            chart, checked = specialize_routines(chart, checked, self.calls)
         maps = NameMaps.from_chart(chart)
         compiled = CodeGenerator(checked, arch, maps=maps,
                                  storage_map=storage_map).compile()

@@ -168,7 +168,7 @@ def _chart_signature(chart: Chart) -> Dict[str, object]:
                          for s in chart.states.values()),
         "transitions": sorted(
             (t.source, t.target, t.index,
-             str(Label(t.trigger, t.guard, t.action)),
+             str(Label(t.trigger, t.guard, t.call)),
              t.wcet_override)
             for t in chart.transitions),
     }

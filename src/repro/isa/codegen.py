@@ -62,6 +62,7 @@ from repro.action.ast import (
     VoidType,
     While,
     type_width,
+    walk_expr,
 )
 from repro.action.check import (
     CheckedProgram,
@@ -98,10 +99,7 @@ from repro.isa.isa import (
     Reg,
     SignalRef,
 )
-from repro.isa.patterns import (
-    expression_signature,
-    leaf_variables,
-)
+from repro.isa.patterns import expression_signature
 
 class CodegenError(Exception):
     """Raised without the runtime helpers :func:`prepare_program` adds."""
@@ -385,7 +383,6 @@ class CodeGenerator:
         self.maps = maps or NameMaps.from_externals(checked.externals)
         self.allocator = Allocator(arch, storage_map)
         self._labels = itertools.count()
-        self._enum_values = checked.enum_values()
         self._globals_allocated = False
         self._current: Optional[Function] = None
         self._emitter: Optional[_Emitter] = None
@@ -458,7 +455,7 @@ class CodeGenerator:
             objects[name] = self._compile_function(function)
         return CompiledProgram(self.arch, objects, self.allocator,
                                self.maps, list(self.checked.call_order),
-                               dict(self._enum_values))
+                               self.checked.enum_values())
 
     def _compile_function(self, function: Function) -> CodeObject:
         self._current = function
@@ -594,7 +591,7 @@ class CodeGenerator:
                 offset += type_words(self.arch, ftype)
             return base, offset, index_expr, stride
         element_words = type_words(self.arch, expr.base.typ.element)
-        constant = fold_constant(expr.index, self._enum_values)
+        constant = fold_constant(expr.index)
         if constant is not None:
             return base, offset + constant * element_words, index_expr, stride
         return base, offset, expr.index, element_words
@@ -619,8 +616,8 @@ class CodeGenerator:
         if isinstance(expr, BoolLiteral):
             return Imm(int(expr.value))
         if isinstance(expr, NameRef):
-            if expr.name in self._enum_values:
-                return Imm(self._enum_values[expr.name])
+            if expr.member is not None:
+                return Imm(expr.member)
             loc = self._lookup_var(expr.name)
             if loc is not None and loc.n_words == 1:
                 return loc.word(0)
@@ -726,7 +723,7 @@ class CodeGenerator:
 
     def _gen_shift_acc(self, expr: Binary) -> None:
         e = self._emitter
-        amount = fold_constant(expr.right, self._enum_values)
+        amount = fold_constant(expr.right)
         if amount is None:
             # variable shift amount: runtime helper
             self._gen_runtime_shift(expr)
@@ -808,7 +805,11 @@ class CodeGenerator:
         custom = self.arch.custom_by_signature(signature)
         if custom is None:
             return False
-        leaves = leaf_variables(expr)
+        # each name leaf once, in first-use order (:func:`leaf_variables`)
+        leaves: Dict[str, NameRef] = {}
+        for node in walk_expr(expr):
+            if isinstance(node, NameRef):
+                leaves.setdefault(node.name, node)
         # non-variable leaves are baked into the unit; variables must fit
         # the datapath sources: ACC, OP, then registers
         if len(leaves) > 2 + self.arch.register_file_size:
@@ -816,8 +817,8 @@ class CodeGenerator:
         e = self._emitter
         index = self.arch.custom_instructions.index(custom)
         loaders = [Op.LDA, Op.LDO]
-        for position, leaf in enumerate(leaves):
-            operand = self._simple_operand(NameRef(leaf))
+        for position, (leaf, node) in enumerate(leaves.items()):
+            operand = self._simple_operand(node)
             if operand is None:
                 loc = self._lookup_var(leaf)
                 if loc is None or loc.n_words != 1:
@@ -1010,7 +1011,7 @@ class CodeGenerator:
             loc = self._lookup_var(expr.name)
             if loc is not None and loc.n_words >= words:
                 return loc
-        constant = fold_constant(expr, self._enum_values)
+        constant = fold_constant(expr)
         if constant is not None:
             temp = self._alloc_temp(words)
             self._store_constant(constant, temp, words)
@@ -1060,7 +1061,7 @@ class CodeGenerator:
             e.emit(Op.STA, dest.word(0))
             return
 
-        constant = fold_constant(expr, self._enum_values)
+        constant = fold_constant(expr)
         if constant is not None:
             self._store_constant(constant, dest, words)
             return
@@ -1171,7 +1172,7 @@ class CodeGenerator:
     def _gen_multiword_shift(self, expr: Binary, dest: VarLoc) -> None:
         e = self._emitter
         words = dest.n_words
-        amount = fold_constant(expr.right, self._enum_values)
+        amount = fold_constant(expr.right)
         if amount is None:
             self._gen_runtime_shift(expr, dest=dest)
             return
@@ -1394,7 +1395,7 @@ def _assigned_value(stmt: Assign) -> Expr:
 
 def required_helpers(program, arch: ArchConfig) -> List[str]:
     """Which runtime helpers the program needs on *arch*, indices included."""
-    from repro.action.ast import walk_expr, walk_stmts
+    from repro.action.ast import walk_stmts
 
     needed: List[str] = []
 

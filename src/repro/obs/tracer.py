@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.pscp.machine import MachineObserver
 from repro.pscp.scheduler import DISPATCH_OVERHEAD_CYCLES, SLA_OVERHEAD_CYCLES
-from repro.statechart.labels import action_routine_name
 
 #: event-record kinds (mirror the Chrome trace-event phases they export to)
 SPAN = "X"
@@ -94,8 +93,8 @@ class Tracer(MachineObserver):
                             for index in range(machine.arch.n_teps)]
         self._bus_track = self.track("cond-cache bus")
         self._span_names = {
-            t.index: f"t{t.index} " + (action_routine_name(t.action)
-                                       if t.action else "(no action)")
+            t.index: f"t{t.index} " + (t.call.routine if t.call is not None
+                                       else "(no action)")
             for t in machine.chart.transitions}
         self.metadata.setdefault("architecture", machine.arch.describe())
         self.metadata.setdefault("chart", machine.chart.name)

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import (Collection, Dict, FrozenSet, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple, Union)
 
+from repro.analysis.diag import Diagnostic, Severity, SourceLocation
 from repro.isa.codegen import CompiledProgram
 from repro.isa.isa import Imm, Instruction, LabelRef, Op, SignalRef
 from repro.pscp.condcache import ConditionCacheBridge
@@ -41,11 +42,7 @@ from repro.pscp.scheduler import (
 from repro.pscp.tep import ProgramImage, Tep
 from repro.sla.synth import Pla, synthesize
 from repro.sla.table import TransitionAddressTable
-from repro.statechart.labels import (
-    action_arguments,
-    action_routine_name,
-    constant_argument,
-)
+from repro.statechart.labels import constant_argument
 from repro.statechart.model import Chart, Transition
 
 
@@ -54,91 +51,104 @@ class MachineError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# transition stubs
+# linking and transition stubs
 # ---------------------------------------------------------------------------
 
-def _builtin_stub_body(routine: str, transition, compiled: CompiledProgram):
-    """Builtin actions in labels (``SetTrue(XFINISH)`` — Fig. 5) compile to
-    a single CR/cache instruction in the stub, no routine call needed."""
-    ops = {"SetTrue": Op.CSET, "SetFalse": Op.CCLR, "Raise": Op.EVSET}
-    if routine not in ops:
-        return None
-    arguments = action_arguments(transition.action)
-    if len(arguments) != 1:
-        raise MachineError(
-            f"transition {transition.describe()}: {routine} takes one name")
-    name = arguments[0]
-    pool = (compiled.maps.events if routine == "Raise"
-            else compiled.maps.conditions)
-    if name not in pool:
-        raise MachineError(
-            f"transition {transition.describe()}: unknown "
-            f"{'event' if routine == 'Raise' else 'condition'} {name!r}")
-    return [Instruction(ops[routine], SignalRef(pool[name], name),
-                        comment=transition.action)]
+#: the CR/cache instruction each label builtin (``SetTrue(XFINISH)`` —
+#: Fig. 5) compiles to in its stub, no routine call needed
+_BUILTIN_OPS = {"SetTrue": Op.CSET, "SetFalse": Op.CCLR, "Raise": Op.EVSET}
 
 
-def _call_stub_body(routine: str, transition: Transition,
-                    compiled: CompiledProgram,
-                    param_names: Optional[Dict[str, List[str]]]
-                    ) -> List[Instruction]:
-    if routine not in compiled.objects:
-        raise MachineError(
-            f"transition {transition.describe()}: routine "
-            f"{routine!r} was not compiled")
-    arguments = action_arguments(transition.action)
-    if param_names:
-        params = param_names.get(routine, [])
-    elif arguments:
-        raise MachineError(
-            f"transition {transition.describe()}: parameter names "
-            f"for {routine!r} are required to marshal arguments")
-    else:
-        params = []
-    if len(arguments) != len(params):
-        raise MachineError(
-            f"transition {transition.describe()}: {routine} takes "
-            f"{len(params)} argument(s), label passes "
-            f"{len(arguments)}")
-    arch = compiled.arch
-    mask = (1 << arch.data_width) - 1
-    body: List[Instruction] = []
-    for argument, param_name in zip(arguments, params):
-        value = constant_argument(argument, compiled.enum_values)
+@dataclass(frozen=True)
+class LinkedCall:
+    """A label's call bound to the routines: what its stub runs."""
+
+    routine: str
+    #: a routine call's (parameter name, constant value) per argument
+    bindings: Tuple[Tuple[str, int], ...] = ()
+    #: the declared condition or event a label builtin names
+    signal: Optional[str] = None
+
+
+def link_call(transition: Transition,
+              params: Mapping[str, Optional[Sequence[str]]],
+              enum_values: Mapping[str, int],
+              conditions: Collection[str],
+              events: Collection[str]) -> Union[LinkedCall, Diagnostic]:
+    """Bind *transition*'s parsed call to the routines, or say why it does
+    not link, at the transition's line: the one link decision.
+
+    *params* maps each callable routine to its parameter names in order
+    (``None`` when they are not known, so only a call without arguments
+    links).  A label builtin must name exactly one declared condition
+    (``SetTrue``/``SetFalse``) or event (``Raise``) of *conditions* and
+    *events*, else PSC106 for an undeclared one; a routine call must name
+    a routine of *params* and pass one constant per parameter
+    (:func:`constant_argument` over *enum_values*); every other reason is
+    PSC304."""
+    call = transition.call
+
+    def unlinked(reason: str, code: str = "PSC304",
+                 where: bool = True) -> Diagnostic:
+        if where:  # described only when it does not link
+            reason = f"transition {transition.describe()}: {reason}"
+        return Diagnostic(code, Severity.ERROR, reason, SourceLocation(
+            line=transition.line, obj=f"transition {transition.index}"))
+
+    if call.routine in _BUILTIN_OPS:
+        if len(call.arguments) != 1:
+            return unlinked(f"{call.routine} takes one name")
+        name = call.arguments[0]
+        kind = "event" if call.routine == "Raise" else "condition"
+        if name not in (events if kind == "event" else conditions):
+            return unlinked(f"unknown {kind} {name!r}", "PSC106")
+        return LinkedCall(call.routine, signal=name)
+    if call.routine not in params:
+        return unlinked(f"routine {call.routine!r} was not compiled")
+    names = params[call.routine]
+    if names is None and call.arguments:
+        return unlinked(f"parameter names for {call.routine!r} are "
+                        "required to marshal arguments")
+    if len(call.arguments) != len(names or ()):
+        return unlinked(f"{call.routine} takes {len(names)} "
+                        f"argument(s), label passes {len(call.arguments)}")
+    bindings = []
+    for argument, name in zip(call.arguments, names or ()):
+        value = constant_argument(argument, enum_values)
         if value is None:
-            raise MachineError(
-                f"cannot resolve action argument {argument!r}: transition "
-                "label arguments must be integers or enum members")
-        loc = compiled.allocator.locations[f"{routine}.{param_name}"]
-        for word_index, operand in enumerate(loc.words):
-            word = (value >> (word_index * arch.data_width)) & mask
-            body.append(Instruction(Op.LDA, Imm(word)))
-            body.append(Instruction(Op.STA, operand))
-    body.append(Instruction(Op.CALL, LabelRef(routine),
-                            comment=transition.action))
-    return body
+            return unlinked(f"cannot resolve action argument {argument!r}: "
+                            "transition label arguments must be integers or "
+                            "enum members", where=False)
+        bindings.append((name, value))
+    return LinkedCall(call.routine, tuple(bindings))
 
 
-def _transition_stub(
-    transition: Transition,
-    compiled: CompiledProgram,
-    param_names: Optional[Dict[str, List[str]]],
-) -> List[Instruction]:
+def _transition_stub(transition: Transition, linked: Optional[LinkedCall],
+                     compiled: CompiledProgram) -> List[Instruction]:
     """The unlabelled stub one transition dispatches to: a builtin's single
     CR/cache instruction, or the routine's argument marshalling and call;
-    then ``TRET``.
-
-    ``param_names`` maps routine name to its parameter names in order.  The
-    compiled objects do not record them, so without it (``None`` or empty)
-    only parameterless routines can be called and a label that passes
-    arguments raises :class:`MachineError`.
-    """
+    then ``TRET``.  *linked* is the transition's call as
+    :func:`link_call` bound it (``None`` without
+    an action)."""
     body: List[Instruction] = []
-    if transition.action:
-        routine = action_routine_name(transition.action)
-        body = (_builtin_stub_body(routine, transition, compiled)
-                or _call_stub_body(routine, transition, compiled,
-                                   param_names))
+    if linked is not None and linked.signal is not None:
+        pool = (compiled.maps.events if linked.routine == "Raise"
+                else compiled.maps.conditions)
+        body.append(Instruction(_BUILTIN_OPS[linked.routine],
+                                SignalRef(pool[linked.signal], linked.signal),
+                                comment=transition.action))
+    elif linked is not None:
+        arch = compiled.arch
+        mask = (1 << arch.data_width) - 1
+        for param_name, value in linked.bindings:
+            loc = compiled.allocator.locations[
+                f"{linked.routine}.{param_name}"]
+            for word_index, operand in enumerate(loc.words):
+                word = (value >> (word_index * arch.data_width)) & mask
+                body.append(Instruction(Op.LDA, Imm(word)))
+                body.append(Instruction(Op.STA, operand))
+        body.append(Instruction(Op.CALL, LabelRef(linked.routine),
+                                comment=transition.action))
     return body + [Instruction(Op.TRET, comment=transition.describe())]
 
 
@@ -159,19 +169,34 @@ class MachineImage:
     #: transition index -> the priced slots of its stub plus the called
     #: routine's compiled WCET (declared ``wcet`` overrides not applied)
     costs: Mapping[int, int]
+    #: per transition index, the routine (or label builtin) its call names,
+    #: ``None`` without an action: what the scheduler's exclusions read
+    routines: Tuple[Optional[str], ...]
 
     @classmethod
     def link(cls, chart: Chart, compiled: CompiledProgram,
              param_names: Optional[Dict[str, List[str]]]) -> "MachineImage":
-        """Emit each transition's stub once, labelled ``__t<index>``, after
-        *compiled*'s routines, link and price the whole program once, and
-        derive each transition's cost from its stub's prices.
-        *param_names* is as for :func:`_transition_stub`."""
+        """Link each transition's call to *compiled*'s routines
+        (:func:`link_call`; :class:`MachineError` when one does not link),
+        emit its stub once, labelled ``__t<index>``, after the routines,
+        link and price the whole program once, and derive each
+        transition's cost from its stub's prices.  Without *param_names*
+        (routine -> parameter names in order; ``None`` or empty) only calls
+        without arguments link."""
+        params = {name: (param_names.get(name, ()) if param_names else None)
+                  for name in compiled.objects}
         program = compiled.flat_instructions()
         entries: Dict[int, str] = {}
         stubs: Dict[int, range] = {}
         for transition in chart.transitions:
-            body = _transition_stub(transition, compiled, param_names)
+            bound = None
+            if transition.call is not None:
+                bound = link_call(transition, params, compiled.enum_values,
+                                  compiled.maps.conditions,
+                                  compiled.maps.events)
+                if isinstance(bound, Diagnostic):
+                    raise MachineError(bound.message)
+            body = _transition_stub(transition, bound, compiled)
             entries[transition.index] = label = f"__t{transition.index}"
             stubs[transition.index] = range(len(program),
                                             len(program) + len(body))
@@ -183,7 +208,8 @@ class MachineImage:
                        if program[slot].op is Op.CALL)
                  for index, slots in stubs.items()}
         return cls(chart, compiled, linked, MappingProxyType(entries),
-                   MappingProxyType(costs))
+                   MappingProxyType(costs),
+                   tuple(t.call and t.call.routine for t in chart.transitions))
 
     def wcet(self, index: int) -> int:
         """Static worst-case cycles of transition *index*'s stub and
@@ -275,6 +301,7 @@ class PscpMachine:
         self.cr = ConfigurationRegister(self.pla.layout)
         self.ports = port_bus if port_bus is not None else PortBus()
         self.tat = TransitionAddressTable(image.entries)
+        self._routine_by_index = image.routines.__getitem__
         #: single executor with shared memory; see scheduler docstring
         self.executor = Tep(image.program, ports=self.ports,
                             name="tep-shared")
@@ -465,7 +492,7 @@ class PscpMachine:
         dispatch = enabled + retries
         self._idle_word = None if dispatch else word
         plan = round_robin_dispatch(
-            dispatch, self._routine_of, self.arch,
+            dispatch, self._routine_by_index, self.arch,
             self._available_teps) if dispatch else None
 
         costs: Dict[int, int] = {}
@@ -650,12 +677,6 @@ class PscpMachine:
             observer.on_repeat(self.cycle_count, n, external)
         self.time += n * SLA_OVERHEAD_CYCLES
         self.cycle_count += n
-
-    def _routine_of(self, transition_index: int) -> Optional[str]:
-        transition = self.chart.transitions[transition_index]
-        if not transition.action:
-            return None
-        return action_routine_name(transition.action)
 
     # -- convenience ------------------------------------------------------------
     def condition(self, name: str) -> bool:

@@ -20,13 +20,7 @@ from repro.statechart.expr import (
     parse_expr,
 )
 from repro.statechart.graph import ParallelContext, TransitionGraph, reachable_states
-from repro.statechart.labels import (
-    Label,
-    LabelError,
-    action_arguments,
-    action_routine_name,
-    parse_label,
-)
+from repro.statechart.labels import Label, LabelError, parse_label
 from repro.statechart.model import (
     Chart,
     ChartError,
@@ -40,7 +34,7 @@ from repro.statechart.model import (
     Transition,
 )
 from repro.statechart.parser import ParseError, emit_chart, parse_chart
-from repro.statechart.semantics import Interpreter, StepResult, check_configuration
+from repro.statechart.semantics import Interpreter, StepResult
 from repro.statechart.validate import (
     chart_problems,
     chart_warnings,
@@ -53,8 +47,7 @@ __all__ = [
     "Expr", "ExprError", "Interpreter", "Label", "LabelError", "Name",
     "Not", "Or", "ParallelContext", "ParseError", "Port", "PortDirection",
     "PortKind", "State", "StateHandle", "StateKind", "StepResult",
-    "Transition", "TransitionGraph", "action_arguments",
-    "action_routine_name", "chart_problems", "chart_warnings", "check_configuration",
+    "Transition", "TransitionGraph", "chart_problems", "chart_warnings",
     "conjunction", "disjunction", "emit_chart", "parse_chart", "parse_expr",
     "parse_label", "reachable_states", "resolve_references", "validate_chart",
 ]

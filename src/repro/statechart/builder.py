@@ -118,7 +118,7 @@ class ChartBuilder:
             label = parse_label(label_text)
             self._chart.add_transition(
                 source, target,
-                trigger=label.trigger, guard=label.guard, action=label.action,
+                trigger=label.trigger, guard=label.guard, call=label.call,
                 label=label_text, wcet_override=wcet)
         self._pending = []
         if validate:

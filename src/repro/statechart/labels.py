@@ -14,13 +14,14 @@ with every part optional:
 * ``/StartMotor(MX, XParams)``               action only (completion)
 
 The trigger and guard parts are boolean expressions over event/condition
-names (:mod:`repro.statechart.expr`).  The action part is kept as call text;
-it is resolved against the routine library written in the intermediate C
-dialect by the code-generation flow.
+names (:mod:`repro.statechart.expr`).  The action part is parsed once, here,
+into an :class:`ActionCall`; :func:`repro.pscp.machine.link_call` binds it to
+the routine library written in the intermediate C dialect.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
@@ -32,12 +33,33 @@ class LabelError(Exception):
 
 
 @dataclass(frozen=True)
+class ActionCall:
+    """A label's action: the routine (or label builtin) it calls and the
+    texts of its arguments, with the call text as written."""
+
+    text: str
+    routine: str
+    arguments: Tuple[str, ...] = ()
+
+    def __str__(self) -> str:
+        return self.text
+
+    def __deepcopy__(self, memo) -> "ActionCall":
+        return self  # immutable, so a copied chart shares it
+
+
+@dataclass(frozen=True)
 class Label:
     """The three parsed parts of a transition label."""
 
     trigger: Optional[Expr]
     guard: Optional[Expr]
-    action: Optional[str]
+    call: Optional[ActionCall]
+
+    @property
+    def action(self) -> Optional[str]:
+        """The action's call text, or ``None``."""
+        return None if self.call is None else self.call.text
 
     def __str__(self) -> str:
         parts = []
@@ -84,6 +106,10 @@ def _split_guard(text: str) -> Tuple[str, Optional[str]]:
     raise LabelError(f"unbalanced brackets in label {text!r}")
 
 
+#: a routine name, then optionally its parenthesized argument text
+_CALL = re.compile(r"(\w+)\s*(?:\((.*)\))?", re.DOTALL)
+
+
 def parse_label(text: str) -> Label:
     """Parse a transition label into (trigger, guard, action)."""
     text = text.strip()
@@ -96,51 +122,26 @@ def parse_label(text: str) -> Label:
         guard = parse_expr(guard_text) if guard_text else None
     except ExprError as exc:
         raise LabelError(f"bad label {text!r}: {exc}") from exc
-    if action == "":
-        action = None
-    return Label(trigger, guard, action)
+    return Label(trigger, guard, parse_action(action) if action else None)
 
 
-def action_routine_name(action: str) -> str:
-    """Extract the routine name from action call text like ``DeltaT(MX)``.
-
-    Actions without parentheses (bare routine names) are accepted too.
-    """
-    action = action.strip()
-    paren = action.find("(")
-    name = action if paren < 0 else action[:paren]
-    name = name.strip()
-    if not name.replace("_", "a").isalnum():
-        raise LabelError(f"bad action call {action!r}")
-    return name
-
-
-def action_arguments(action: str) -> Tuple[str, ...]:
-    """Extract the textual argument list from action call text."""
-    action = action.strip()
-    start = action.find("(")
-    if start < 0:
-        return ()
-    if not action.endswith(")"):
-        raise LabelError(f"bad action call {action!r}")
-    inner = action[start + 1:-1].strip()
-    if not inner:
-        return ()
-    args = []
-    depth = 0
-    current = []
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+def parse_action(text: str) -> ActionCall:
+    """Parse action call text like ``DeltaT(MX)`` (or a bare routine name)
+    into an :class:`ActionCall`: the one parser of a label's action."""
+    match = _CALL.fullmatch(text.strip())
+    if match is None:
+        raise LabelError(f"bad action call {text.strip()!r}")
+    routine, inner = match.group(1), (match.group(2) or "").strip()
+    arguments = []
+    depth = start = 0
+    for i, ch in enumerate(inner):
+        depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
-            args.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    args.append("".join(current).strip())
-    return tuple(args)
+            arguments.append(inner[start:i].strip())
+            start = i + 1
+    if inner:
+        arguments.append(inner[start:].strip())
+    return ActionCall(text, routine, tuple(arguments))
 
 
 def constant_argument(argument: str,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.statechart.expr import Expr
+from repro.statechart.labels import ActionCall, Label
 
 
 class StateKind(enum.Enum):
@@ -118,16 +119,17 @@ class Transition:
 
     ``trigger`` is the event expression before the brackets, ``guard`` the
     condition expression inside ``[...]``; either may be ``None`` (Fig. 5/6
-    use all combinations).  ``action`` is the call-text after ``/`` — a call
-    into a routine written in the intermediate C dialect, compiled to a TEP
-    program whose address ends up in the Transition Address Table.
+    use all combinations).  ``call`` is the parsed call after ``/`` — into
+    a routine written in the intermediate C dialect, compiled to a TEP
+    program whose address ends up in the Transition Address Table — and
+    ``action`` its text.
     """
 
     source: str
     target: str
     trigger: Optional[Expr] = None
     guard: Optional[Expr] = None
-    action: Optional[str] = None
+    call: Optional[ActionCall] = None
     label: str = ""
     #: Explicit WCET override in cycles ("explicit timing constraints must be
     #: specified" when a routine's length cannot be derived — section 4).
@@ -137,6 +139,11 @@ class Transition:
     index: int = -1
     #: Source line in the textual chart, when parsed from one.
     line: Optional[int] = None
+
+    @property
+    def action(self) -> Optional[str]:
+        """The action's call text as written, or ``None``."""
+        return None if self.call is None else self.call.text
 
     def names_consumed(self) -> frozenset:
         """Every event/condition name this transition is sensitive to."""
@@ -163,15 +170,8 @@ class Transition:
         return False
 
     def describe(self) -> str:
-        parts = []
-        if self.trigger is not None:
-            parts.append(str(self.trigger))
-        if self.guard is not None:
-            parts.append(f"[{self.guard}]")
-        if self.action:
-            parts.append(f"/{self.action}")
-        body = " ".join(parts) if parts else "(completion)"
-        return f"{self.source} --{body}--> {self.target}"
+        body = str(Label(self.trigger, self.guard, self.call))
+        return f"{self.source} --{body or '(completion)'}--> {self.target}"
 
 
 @dataclass
@@ -257,7 +257,7 @@ class Chart:
         target: str,
         trigger: Optional[Expr] = None,
         guard: Optional[Expr] = None,
-        action: Optional[str] = None,
+        call: Optional[ActionCall] = None,
         label: str = "",
         wcet_override: Optional[int] = None,
         line: Optional[int] = None,
@@ -270,7 +270,7 @@ class Chart:
             target=target,
             trigger=trigger,
             guard=guard,
-            action=action,
+            call=call,
             label=label,
             wcet_override=wcet_override,
             index=len(self.transitions),

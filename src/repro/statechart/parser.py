@@ -370,7 +370,7 @@ class _ChartParser:
                     chart.add_transition(
                         name, target,
                         trigger=label.trigger, guard=label.guard,
-                        action=label.action, label=label_text,
+                        call=label.call, label=label_text,
                         wcet_override=wcet, line=line)
                 except ChartError as exc:
                     raise ParseError(
@@ -428,7 +428,7 @@ def emit_chart(chart: Chart) -> str:
             lines.append("  transition {")
             lines.append(f"    target {transition.target};")
             label = transition.label or str(Label(
-                transition.trigger, transition.guard, transition.action))
+                transition.trigger, transition.guard, transition.call))
             escaped = label.replace('"', '\\"')
             lines.append(f'    label "{escaped}";')
             if transition.wcet_override is not None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 
-from repro.statechart.model import Chart, StateKind, Transition
+from repro.statechart.model import Chart, Transition
 
 #: Signature of an action handler: it receives the interpreter and the
 #: transition being executed, and may call :meth:`Interpreter.raise_event`
@@ -185,10 +185,9 @@ class Interpreter:
         self.configuration = frozenset(configuration)
 
         for transition in fired:
-            if transition.action:
+            if transition.call is not None:
                 self.action_log.append(transition.action)
-                from repro.statechart.labels import action_routine_name
-                handler = self.actions.get(action_routine_name(transition.action))
+                handler = self.actions.get(transition.call.routine)
                 if handler is not None:
                     handler(self, transition)
 
@@ -218,29 +217,3 @@ class Interpreter:
         self._raised = set()
         self.cycle = 0
         self.action_log = []
-
-
-def check_configuration(chart: Chart, configuration: FrozenSet[str]) -> List[str]:
-    """Check configuration consistency; returns a list of violations.
-
-    A legal configuration contains the root; for every active OR state
-    exactly one child is active; for every active AND state all children are
-    active; every active non-root state has its parent active.
-    """
-    problems = []
-    if chart.root not in configuration:
-        problems.append("root not active")
-    for name in configuration:
-        state = chart.states[name]
-        if state.parent is not None and state.parent not in configuration:
-            problems.append(f"{name} active but parent {state.parent} is not")
-        if state.kind is StateKind.OR and state.children:
-            active_children = [c for c in state.children if c in configuration]
-            if len(active_children) != 1:
-                problems.append(
-                    f"OR state {name} has {len(active_children)} active children")
-        if state.kind is StateKind.AND:
-            missing = [c for c in state.children if c not in configuration]
-            if missing:
-                problems.append(f"AND state {name} missing regions {missing}")
-    return problems

@@ -91,7 +91,7 @@ def resolve_references(chart: Chart, library: dict) -> Chart:
             chart.add_transition(
                 rename[transition.source], rename[transition.target],
                 trigger=transition.trigger, guard=transition.guard,
-                action=transition.action, label=transition.label,
+                call=transition.call, label=transition.label,
                 wcet_override=transition.wcet_override)
         for event in sub.events.values():
             if event.name not in chart.events and event.name not in chart.conditions:

@@ -1,0 +1,10 @@
+int:16 jobs;
+
+void Begin() {
+  jobs = jobs + 1;
+  SetTrue(BUSY);
+}
+
+void Finish() {
+  SetFalse(BUSY);
+}

@@ -23,6 +23,7 @@ from repro.analysis.races import and_region_races
 from repro.analysis.sla_lint import sla_lint
 from repro.sla.encode import StateEncoding
 from repro.statechart import parse_chart
+from repro.statechart.labels import parse_action
 from repro.statechart.validate import chart_problems
 
 
@@ -360,9 +361,10 @@ basicstate R0 {{ transition {{ target R0; label "TOCK/{right_action}"; }} }}
     def test_builtin_effects_from_action_text(self):
         chart = self.two_region_chart("Bump(0)", "Bump(1)")
         analyzer = EffectAnalyzer(checked_for(chart, CONSTANT_ARG_ROUTINES))
-        assert analyzer.action_effects("Raise(DONE)").raises == \
-            frozenset({"DONE"})
-        assert analyzer.action_effects("SetTrue(C)").cond_writes == \
+        assert analyzer.action_effects(parse_action("Raise(DONE)")).raises \
+            == frozenset({"DONE"})
+        assert analyzer.action_effects(
+            parse_action("SetTrue(C)")).cond_writes == \
             frozenset({("C", True)})
 
 

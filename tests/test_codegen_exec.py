@@ -380,6 +380,38 @@ class TestCheckedPrograms:
                      externals=externals, ports=ports)
         assert ports.values[maps.ports["Out"]] & 0xFF == 300 & 0xFF
 
+    def test_local_hides_an_enum_member(self, arch):
+        src = """
+        enum E {r, q};
+        int:16 out;
+        void f() { int:16 r = 5; out = r; }
+        """
+        _, values, *_ = run_function(src, "f", (), arch, globals_out=("out",))
+        assert values == {"out": 5}
+
+    def test_parameter_hides_an_enum_member(self, arch):
+        src = """
+        enum E {a, b};
+        int:16 out;
+        void g(int:16 b) { out = b; }
+        void f() { g(7); }
+        """
+        _, values, *_ = run_function(src, "f", (), arch, globals_out=("out",))
+        assert values == {"out": 7}
+
+    def test_helper_locals_hide_an_enum_member(self, arch):
+        # without M/D, the division runs in the __div helper, whose
+        # locals are named q and r
+        src = """
+        enum E {q, r};
+        int:8 x = 17;
+        int:8 y = 5;
+        int:8 out;
+        void f() { out = x / y; }
+        """
+        _, values, *_ = run_function(src, "f", (), arch, globals_out=("out",))
+        assert values == {"out": 3}
+
 
 class TestBuiltinsAndPorts:
     EXT = dict(events={"DONE"}, conditions={"READY", "FLAG"},

@@ -158,7 +158,8 @@ def test_specialize_routines_copies_the_function_list():
     externals = Externals.from_chart(chart)
     checked = prepare_program(SMD_ROUTINES, MD16_TEP, externals)
     before = [f.name for f in checked.program.functions]
-    _, specialized = specialize_routines(chart, checked, externals)
+    _, specialized = specialize_routines(
+        chart, checked, Frontend(chart, SMD_ROUTINES).calls)
     assert [f.name for f in checked.program.functions] == before
     assert [f.name for f in specialized.program.functions] == before + [
         "StartMotor_0_0", "DeltaT_0", "StartMotor_1_1", "DeltaT_1",
@@ -196,7 +197,7 @@ def test_specialized_program_equals_a_full_check(make_source):
     chart, source, arch = make_source()
     frontend = Frontend(chart, source)
     _, specialized = specialize_routines(chart, frontend.checked(arch),
-                                         frontend.externals)
+                                         frontend.calls)
     full = check_program(copy.deepcopy(specialized.program),
                          frontend.externals)
     assert specialized.program == full.program

@@ -9,9 +9,8 @@ from repro.isa import MD16_TEP, Imm
 from repro.statechart import parse_chart
 from repro.statechart.expr import Name, Not, Or
 from repro.statechart.labels import (
+    ActionCall,
     LabelError,
-    action_arguments,
-    action_routine_name,
     constant_argument,
     parse_label,
 )
@@ -102,22 +101,31 @@ class TestEdgeCases:
 
 
 class TestActionHelpers:
+    """The action is parsed with the label, once, into its call."""
+
     def test_routine_name(self):
-        assert action_routine_name("DeltaT(MX)") == "DeltaT"
-        assert action_routine_name("Stop()") == "Stop"
-        assert action_routine_name("Bare") == "Bare"
+        assert parse_label("X_PULSE/DeltaT(MX)").call.routine == "DeltaT"
+        assert parse_label("/Stop()").call.routine == "Stop"
+        assert parse_label("E/Bare").call == ActionCall("Bare", "Bare", ())
 
     def test_arguments(self):
-        assert action_arguments("StartMotor(MX, XParams)") == ("MX", "XParams")
-        assert action_arguments("Stop()") == ()
-        assert action_arguments("Bare") == ()
+        assert parse_label("/StartMotor(MX, XParams)").call.arguments == (
+            "MX", "XParams")
+        assert parse_label("/Stop()").call.arguments == ()
+        assert parse_label("/Stop( )").call.arguments == ()
+        assert parse_label("E/Bare").call.arguments == ()
 
     def test_nested_call_arguments(self):
-        assert action_arguments("F(g(a, b), c)") == ("g(a, b)", "c")
+        call = parse_label("/F(g(a, b), c)").call
+        assert call.arguments == ("g(a, b)", "c")
+        assert call.text == str(call) == "F(g(a, b), c)"
+        scale = parse_label("/Scale(a/b)").call
+        assert (scale.routine, scale.arguments) == ("Scale", ("a/b",))
 
     def test_bad_call_rejected(self):
-        with pytest.raises(LabelError):
-            action_arguments("F(a")
+        for text in ("E/F(a", "/Be gin(", "/Begin() x", "/(a)"):
+            with pytest.raises(LabelError, match="bad action call"):
+                parse_label(text)
 
 
 FORMS_CHART = """
@@ -158,3 +166,59 @@ class TestConstantArguments:
     def test_non_constant_is_none(self):
         assert constant_argument("someVariable", {"S3": 3}) is None
         assert constant_argument("B:12", {}) is None
+
+
+class TestOneParse:
+    """A label's action is parsed with the chart and never again: every
+    later layer reads the parsed or the linked call."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Counts calls through every module binding of the parser."""
+        import sys
+
+        from repro.statechart import labels
+
+        counted = {"calls": 0}
+        raw = labels.parse_action
+
+        def counting(text):
+            counted["calls"] += 1
+            return raw(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(
+                    module, "parse_action", None) is raw:
+                monkeypatch.setattr(module, "parse_action", counting)
+        return counted
+
+    def test_no_layer_parses_after_the_chart(self, parses):
+        from repro.analysis import lint_system
+        from repro.analysis.bmc import check_system
+        from repro.flow import build_system
+        from repro.obs import Tracer
+        from repro.workloads import SMD_ROUTINES, smd_chart
+        from repro.workloads.elevator import (ELEVATOR_PROPERTIES,
+                                              ELEVATOR_ROUTINES,
+                                              elevator_chart)
+
+        smd, elevator = smd_chart(), elevator_chart()
+        assert parses["calls"] == sum(
+            t.call is not None
+            for t in smd.transitions + elevator.transitions)
+        parses["calls"] = 0
+
+        build_system(smd, SMD_ROUTINES, MD16_TEP, specialize=True)
+        frontend = Frontend(elevator, ELEVATOR_ROUTINES)
+        codes = {d.code for d in lint_system(frontend, MD16_TEP).diagnostics}
+        assert "PSC402" in codes  # the last pass ran; no call was unlinked
+        system = frontend.build(MD16_TEP)
+        check_system(elevator, ELEVATOR_ROUTINES, system,
+                     properties_text=ELEVATOR_PROPERTIES)
+        machine = system.make_machine()
+        tracer = Tracer()
+        machine.attach(tracer)
+        events = sorted(elevator.events)
+        machine.run([{events[cycle % len(events)]} for cycle in range(100)])
+        assert tracer.events
+        assert parses["calls"] == 0

@@ -3,11 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.statechart import (
-    ChartBuilder,
-    Interpreter,
-    check_configuration,
-)
+from repro.fault import configuration_problems
+from repro.statechart import ChartBuilder, Interpreter
 
 
 def blinker():
@@ -186,24 +183,24 @@ class TestConfigurationConsistency:
         interp = Interpreter(chart)
         for events in trace:
             interp.step(events)
-            problems = check_configuration(chart, interp.configuration)
+            problems = configuration_problems(chart, interp.configuration)
             assert problems == [], problems
 
     def test_check_flags_missing_root(self):
         chart = blinker()
-        problems = check_configuration(chart, frozenset({"Top", "Off"}))
+        problems = configuration_problems(chart, frozenset({"Top", "Off"}))
         assert any("root" in p for p in problems)
 
     def test_check_flags_two_or_children(self):
         chart = blinker()
         bad = frozenset({"Root", "Top", "Off", "On"})
-        problems = check_configuration(chart, bad)
+        problems = configuration_problems(chart, bad)
         assert any("active children" in p for p in problems)
 
     def test_check_flags_orphan(self):
         chart = blinker()
         bad = frozenset({"Root", "Off"})
-        problems = check_configuration(chart, bad)
+        problems = configuration_problems(chart, bad)
         assert any("parent" in p for p in problems)
 
 

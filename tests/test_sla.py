@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.fault import configuration_problems
 from repro.sla import (
     TransitionAddressTable,
     TatError,
@@ -18,12 +19,7 @@ from repro.sla import (
     parse_blif,
     synthesize,
 )
-from repro.statechart import (
-    ChartBuilder,
-    Interpreter,
-    StateKind,
-    check_configuration,
-)
+from repro.statechart import ChartBuilder, Interpreter, StateKind
 from repro.workloads import smd_chart
 from repro.workloads.elevator import elevator_chart
 
@@ -243,7 +239,7 @@ class TestNextStatePlane:
         pla = synthesize(chart)
         configurations = reached_configurations(chart)
         # the stuck-on case is covered: some configurations are illegal
-        assert any(check_configuration(chart, c) for c in configurations)
+        assert any(configuration_problems(chart, c) for c in configurations)
         for configuration in configurations:
             for transition in chart.transitions:
                 expected = ((configuration
