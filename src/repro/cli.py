@@ -1437,9 +1437,14 @@ def run(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
             print(TransitionGraph(chart).to_dot(), file=out)
 
     if args.floorplan:
-        from repro.hw import floorplan
+        from repro.hw import FloorplanError, floorplan
+        try:
+            plan = floorplan(system.area())
+        except FloorplanError as exc:
+            print(f"error: floorplan: {exc}", file=sys.stderr)
+            return 1
         print(file=out)
-        print(floorplan(system.area()).ascii_map(), file=out)
+        print(plan.ascii_map(), file=out)
 
     return 1 if violations else 0
 

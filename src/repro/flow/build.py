@@ -118,6 +118,7 @@ def specialize_routines(chart: Chart, checked: CheckedProgram,
     program = replace(checked.program,
                       functions=list(checked.program.functions))
     made: Dict[Tuple[str, Tuple[int, ...]], str] = {}
+    taken = {function.name for function in program.functions}
     for transition in chart.transitions:
         linked = calls.get(transition.index)
         if linked is None or not linked.bindings:
@@ -126,12 +127,17 @@ def specialize_routines(chart: Chart, checked: CheckedProgram,
         key = (linked.routine, values)
         if key not in made:
             clone_name = f"{linked.routine}_" + "_".join(map(str, values))
+            # a routine may already carry the clone's name: take the
+            # first free one, the same on every build
+            while clone_name in taken:
+                clone_name += "_"
             try:
                 clone = specialize_call(program.function(linked.routine),
                                         list(values), clone_name)
             except TransformError:
                 continue
             program.functions.append(clone)
+            taken.add(clone_name)
             made[key] = clone_name
         transition.call = ActionCall(f"{made[key]}()", made[key])
     if made:

@@ -15,7 +15,8 @@ implementations:
    :meth:`~repro.flow.improve.Improver.run` evaluates, walked to the end
    so every rung is exercised even when the baseline already meets
    timing,
-3. a mid-run ``snapshot()``/``restore()`` continuation on the final rung,
+3. a mid-run ``snapshot_machine``/``restore_machine`` continuation on the
+   final rung,
 4. a delta-chain reconstruction (``diff_snapshots``/``apply_delta``) whose
    reconstructed snapshot must be fingerprint-identical and must continue
    the run bit-for-bit.
@@ -50,6 +51,7 @@ from repro.fuzz.generator import (
 from repro.fuzz.reference import SpecEvaluator
 from repro.pscp.machine import MachineObserver
 from repro.resil.delta import apply_delta, diff_snapshots, snapshot_fingerprint
+from repro.resil.snapshot import restore_machine, snapshot_machine
 from repro.statechart.labels import Label
 from repro.statechart.model import Chart
 from repro.statechart.parser import emit_chart, parse_chart
@@ -451,9 +453,9 @@ class OracleHarness:
         divergence = self._run_machine(stage, system, machine, 0, mid)
         if divergence is not None:
             return divergence
-        snapshot = machine.snapshot()
+        snapshot = snapshot_machine(machine)
         fresh = self._machine(system)
-        fresh.restore(snapshot)
+        restore_machine(fresh, snapshot)
         return self._run_machine(stage, system, fresh, mid, self.cycles)
 
     def _run_delta_stage(self, stage: str,
@@ -464,11 +466,11 @@ class OracleHarness:
         divergence = self._run_machine(stage, system, machine, 0, first)
         if divergence is not None:
             return divergence
-        base = machine.snapshot()
+        base = snapshot_machine(machine)
         divergence = self._run_machine(stage, system, machine, first, mid)
         if divergence is not None:
             return divergence
-        target = machine.snapshot()
+        target = snapshot_machine(machine)
         delta = diff_snapshots(base, target)
         reconstructed = apply_delta(base, delta)
         want = snapshot_fingerprint(target)
@@ -476,7 +478,7 @@ class OracleHarness:
         if want != got:
             return Divergence(stage, mid, "snapshot-fingerprint", want, got)
         fresh = self._machine(system)
-        fresh.restore(reconstructed)
+        restore_machine(fresh, reconstructed)
         return self._run_machine(stage, system, fresh, mid, self.cycles)
 
     def run_stage(self, index: int) -> Optional[Divergence]:

@@ -18,15 +18,15 @@ digesting, no string formatting, no dict allocation — and one run-length
 tuple per run of repeated cycles (:meth:`PscpMachine.repeat
 <repro.pscp.machine.PscpMachine.repeat>`).  Digesting into JSON-ready
 form, one entry per cycle, happens only when a bundle is dumped or the
-ring is captured into a snapshot.  ``scripts/check_overhead.py`` enforces the
-budget: a recorder-attached, tracing-off run must stay within the same
-wall-clock envelope as an uninstrumented one.
+ring is read.  ``scripts/check_overhead.py`` enforces the budget: a
+recorder-attached, tracing-off run must stay within the same wall-clock
+envelope as an uninstrumented one.
 
-The ring participates in checkpoint/restore: ``snapshot_state`` /
-``restore_state`` round-trip the digested ring through
-:class:`~repro.resil.snapshot.MachineSnapshot` attachment state, so a
-restored machine's recorder continues with the pre-snapshot history intact
-and a restore-then-escalate still produces a complete bundle.
+The ring is no part of a machine snapshot: a restore replaces the
+machine's architectural state and leaves its attached recorder as it was,
+so after a restart the ring holds the pre-restart history followed by the
+restored timeline, and a restore-then-escalate still produces a complete
+bundle.
 """
 
 from __future__ import annotations
@@ -146,27 +146,6 @@ class FlightRecorder(MachineObserver):
         newest_first.reverse()
         return newest_first
 
-    # -- checkpoint/restore ------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        """JSON-ready state for ``MachineSnapshot`` attachment capture."""
-        return {
-            "capacity": self.capacity,
-            "recorded": self.recorded,
-            "entries": self.entries(),
-            "last_checkpoint": self.last_checkpoint,
-            "last_escalation": self.last_escalation,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Load a :meth:`snapshot_state` document back (digested entries
-        re-digest to identical JSON, so snapshot round-trips stay
-        byte-identical)."""
-        self.capacity = state["capacity"]
-        self._ring = deque(state["entries"], maxlen=self.capacity)
-        self.recorded = state["recorded"]
-        self.last_checkpoint = state["last_checkpoint"]
-        self.last_escalation = state["last_escalation"]
-
     # -- the bundle --------------------------------------------------------
     def forensics_bundle(self, cause: Dict[str, Any],
                          worker: Optional[str] = None,
@@ -223,9 +202,8 @@ def _digests(entry, last: int) -> List[Dict[str, Any]]:
     """The last *last* canonical JSON-ready entries *entry* stands for.
 
     Hot-path step entries are ``(cycle, MachineStep)`` tuples and runs
-    :class:`_Run` tuples, one digest per cycle; marks and restored entries
-    are already dicts and pass through unchanged (so a snapshot round trip
-    re-digests to identical JSON).
+    :class:`_Run` tuples, one digest per cycle; marks are already dicts
+    and pass through unchanged.
     """
     if isinstance(entry, dict):
         return [entry]

@@ -420,26 +420,6 @@ class PscpMachine:
             raise MachineError("all TEPs failed; no executor survives")
         self._available_teps = survivors
 
-    # -- checkpoint/restore -------------------------------------------------
-    def snapshot(self, include_attachments: bool = True, timer_bank=None):
-        """Capture the complete architectural state as a versioned,
-        JSON-serializable :class:`~repro.resil.snapshot.MachineSnapshot`
-        (call between steps)."""
-        from repro.resil.snapshot import snapshot_machine
-
-        return snapshot_machine(self, include_attachments=include_attachments,
-                                timer_bank=timer_bank)
-
-    def restore(self, snapshot, restore_attachments: bool = True,
-                timer_bank=None) -> None:
-        """Load *snapshot* back into this machine; the continuation is
-        step-for-step identical to the original run from that cycle on."""
-        from repro.resil.snapshot import restore_machine
-
-        restore_machine(self, snapshot,
-                        restore_attachments=restore_attachments,
-                        timer_bank=timer_bank)
-
     # -- stepping ----------------------------------------------------------------
     def step(self, external_events: Iterable[str] = ()) -> MachineStep:
         """Run one configuration cycle."""

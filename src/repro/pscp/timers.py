@@ -49,20 +49,6 @@ class Timer:
         self._next = at_time + (self.phase if self.phase is not None
                                 else self.period)
 
-    # -- checkpoint/restore ------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """JSON-serializable counter state (for machine snapshots)."""
-        return {"event": self.event, "period": self.period,
-                "enabled": self.enabled, "next": self._next}
-
-    def restore_state(self, state: dict) -> None:
-        if state["event"] != self.event or state["period"] != self.period:
-            raise ValueError(
-                f"timer state for {state['event']!r}/{state['period']} "
-                f"cannot restore timer {self.event!r}/{self.period}")
-        self.enabled = state["enabled"]
-        self._next = state["next"]
-
 
 class TimerBank:
     """A set of timers stepped together with the machine clock."""

@@ -40,11 +40,6 @@ class EventRecord:
     superseded: bool = False
     #: sampled into a cycle whose fired transitions did not consume it
     dropped: bool = False
-    #: machine time of the superseding arrival / the dropping cycle's end
-    resolved_at: Optional[int] = None
-    #: the consuming cycle's start and length (critical-path attribution)
-    consumed_start: Optional[int] = None
-    consumed_length: Optional[int] = None
 
     @property
     def outcome(self) -> str:
@@ -103,10 +98,6 @@ class DeadlineMonitor:
             name: [] for name in self.periods}
         self._open: Dict[str, EventRecord] = {}
         self._now: Optional[int] = None
-        #: (start, end, kind) spans of cycles the guard spent recovering —
-        #: fed only when a step carries recoveries, so the common path
-        #: stays one truthiness check per observed step
-        self._anomalies: List[tuple] = []
 
     def arrival(self, event: str, time: int) -> None:
         """An external constrained event was offered to the machine."""
@@ -116,7 +107,6 @@ class DeadlineMonitor:
         previous = self._open.get(event)
         if previous is not None:
             previous.superseded = True
-            previous.resolved_at = time
         record = EventRecord(event, time)
         self.records[event].append(record)
         self._open[event] = record
@@ -124,21 +114,16 @@ class DeadlineMonitor:
     def observe(self, step: MachineStep) -> None:
         """Give the monitor the machine step that sampled recent arrivals."""
         self._now = step.end_time
-        if step.recoveries:
-            self._note_anomalies(step)
         for event in step.events_sampled:
             record = self._open.get(event)
             if record is None:
                 continue
             if any(t.consumes(event) for t in step.fired):
                 record.consumed_time = step.end_time
-                record.consumed_start = step.start_time
-                record.consumed_length = step.cycle_length
             else:
                 # the CR resets the event part at end of cycle: an arrival
                 # sampled but not consumed this cycle is gone for good
                 record.dropped = True
-                record.resolved_at = step.end_time
             del self._open[event]
 
     def advance(self, now: int) -> None:
@@ -146,13 +131,6 @@ class DeadlineMonitor:
         <repro.pscp.machine.PscpMachine.repeat>`) up to *now*: no arrival
         was open for their input, so only the clock moves."""
         self._now = now
-
-    def _note_anomalies(self, step: MachineStep) -> None:
-        """Classify a recovery-bearing cycle for latency attribution."""
-        kinds = {r.kind for r in step.recoveries}
-        retry_kinds = {"watchdog-abort", "retry-exhausted"}
-        kind = "retry" if kinds & retry_kinds else "restart"
-        self._anomalies.append((step.start_time, step.end_time, kind))
 
     def report(self, event: str) -> DeadlineReport:
         period = self.periods[event]
@@ -174,86 +152,6 @@ class DeadlineMonitor:
 
     def all_met(self) -> bool:
         return all(report.misses == 0 for report in self.reports())
-
-    # -- critical-path attribution -----------------------------------------
-    def explain(self, miss, ledger_timeline=None) -> Dict[str, object]:
-        """Where did one arrival's latency go?  *miss* is an
-        :class:`EventRecord` or an event name (the worst miss of that
-        event is picked; with no miss, the worst consumed latency).
-
-        Returns the dominant path split into cycle-cost segments:
-        ``queued`` (arrival to the start of the resolving cycle, minus
-        recovery cycles), ``retry`` (watchdog-abort/retry cycles inside
-        the wait), ``restart`` (safe-state/failover recovery cycles) and
-        ``dispatch`` (the consuming cycle itself).  *ledger_timeline* — a
-        supervisor :attr:`~repro.resil.supervisor.FarmLedger.timeline` —
-        adds tick-stamped shed/restart-from-checkpoint annotations from
-        the farm layer.  Deterministic: same run, same answer.
-        """
-        record = miss if isinstance(miss, EventRecord) \
-            else self._pick_record(miss)
-        period = self.periods.get(record.event)
-        is_miss = period is not None and record.is_miss(period, self._now)
-        if record.consumed_start is not None:
-            resolved = record.consumed_start
-        elif record.resolved_at is not None:
-            resolved = record.resolved_at
-        else:
-            resolved = self._now if self._now is not None \
-                else record.arrival_time
-        resolved = max(resolved, record.arrival_time)
-
-        retry = restart = 0
-        for start, end, kind in self._anomalies:
-            if start >= record.arrival_time and end <= resolved:
-                if kind == "retry":
-                    retry += end - start
-                else:
-                    restart += end - start
-        queued = max(0, resolved - record.arrival_time - retry - restart)
-        segments = [{"kind": "queued", "cycles": queued}]
-        if retry:
-            segments.append({"kind": "retry", "cycles": retry})
-        if restart:
-            segments.append({"kind": "restart", "cycles": restart})
-        if record.consumed_length is not None:
-            segments.append({"kind": "dispatch",
-                             "cycles": record.consumed_length})
-        dominant = max(segments, key=lambda s: (s["cycles"], s["kind"]))
-
-        annotations = []
-        if ledger_timeline:
-            farm_kinds = {"shed", "respawn", "promotion", "backoff",
-                          "worker-lost", "process-kill"}
-            annotations = [dict(entry) for entry in ledger_timeline
-                           if entry.get("kind") in farm_kinds]
-        outcome = record.outcome
-        if outcome == "consumed":
-            outcome = "late" if is_miss else "met"
-        elif outcome == "open" and is_miss:
-            outcome = "expired-open"
-        return {
-            "event": record.event,
-            "arrival_time": record.arrival_time,
-            "period": period,
-            "deadline": (record.arrival_time + period
-                         if period is not None else None),
-            "outcome": outcome,
-            "miss": is_miss,
-            "latency": record.latency,
-            "segments": segments,
-            "dominant": dominant["kind"],
-            "annotations": annotations,
-        }
-
-    def _pick_record(self, event: str) -> EventRecord:
-        records = self.records.get(event)
-        if not records:
-            raise KeyError(f"no arrivals recorded for event {event!r}")
-        period = self.periods[event]
-        misses = [r for r in records if r.is_miss(period, self._now)]
-        pool = misses if misses else records
-        return max(pool, key=lambda r: (r.latency or 0, r.arrival_time))
 
     def publish(self, metrics) -> None:
         """Publish the monitor's state into a metrics registry

@@ -2,8 +2,7 @@
 
 ``snapshot``
     Versioned, deterministic, JSON-serializable capture of a machine's
-    complete architectural state, with byte-identical round-trip restore
-    and atomic snapshot-file IO.
+    architectural state, with byte-identical round-trip restore.
 ``queue``
     Bounded admission queues with backpressure, priority load shedding,
     and per-worker circuit breakers.
@@ -32,10 +31,8 @@ from repro.resil.snapshot import (
     SNAPSHOT_VERSION,
     MachineSnapshot,
     SnapshotError,
-    read_snapshot,
     restore_machine,
     snapshot_machine,
-    write_snapshot,
 )
 from repro.resil.queue import (
     Admission,
@@ -82,8 +79,6 @@ __all__ = [
     "SnapshotError",
     "snapshot_machine",
     "restore_machine",
-    "write_snapshot",
-    "read_snapshot",
     "WorkItem",
     "Admission",
     "BoundedQueue",

@@ -170,14 +170,12 @@ class WorkerCore:
         *snapshot_doc* when the shard is respawned."""
         machine = farm_machine(system)
         if snapshot_doc is not None:
-            restore_machine(machine, MachineSnapshot.from_json(snapshot_doc),
-                            restore_attachments=False)
+            restore_machine(machine, MachineSnapshot.from_json(snapshot_doc))
         return cls(config, machine, lineage=lineage)
 
     # -- checkpointing -----------------------------------------------------
     def _checkpoint(self) -> Dict[str, Any]:
-        snapshot = snapshot_machine(self.machine,
-                                    include_attachments=False)
+        snapshot = snapshot_machine(self.machine)
         kind, doc = self.chain.record(snapshot)
         self._since_checkpoint = 0
         return {"kind": kind, "doc": doc, "processed": self.processed,
@@ -242,10 +240,7 @@ class WorkerCore:
                 self.escalations.append(str(exc))
                 shed.append([item.seq, SHED_MACHINE_ESCALATION])
                 if self.chain.last_full is not None:
-                    restore_machine(self.machine, self.chain.last_full,
-                                    restore_attachments=False)
-                    if self.machine.guard is not None:
-                        self.machine.guard.reset_transient()
+                    restore_machine(self.machine, self.chain.last_full)
                     self.restarts += 1
                 continue
             self.processed += 1

@@ -98,8 +98,7 @@ class StandbyReplica:
     def fingerprint(self) -> str:
         from repro.resil.delta import snapshot_fingerprint
 
-        return snapshot_fingerprint(
-            snapshot_machine(self.machine, include_attachments=False))
+        return snapshot_fingerprint(snapshot_machine(self.machine))
 
     # -- the op table ------------------------------------------------------
     def ready(self) -> Dict[str, Any]:
@@ -161,8 +160,7 @@ class StandbyReplica:
                 dropped.append([item["seq"], SHED_MACHINE_ESCALATION])
                 continue
             processed.append(item["seq"])
-        snapshot = snapshot_machine(self.machine,
-                                    include_attachments=False)
+        snapshot = snapshot_machine(self.machine)
         watermark = self.log.replayed + len(processed)
         self.successor = WorkerCore(self.config, self.machine,
                                     lineage=self.lineage,

@@ -19,9 +19,9 @@ the supervision layer between the two: a :class:`Supervisor` runs N
   fault escalates out of the machine
   (:class:`~repro.fault.guard.MachineEscalation`), the worker restores its
   last checkpoint after a bounded exponential backoff and re-runs the
-  in-flight item.  Restarts are restored with
-  ``restore_attachments=False``: a fault that already bit stays consumed,
-  so a single fault cannot wedge a worker in an escalation loop;
+  in-flight item.  A restore leaves the injector's state alone: a fault
+  that already bit stays consumed, so a single fault cannot wedge a
+  worker in an escalation loop;
 * **a terminal state** — after ``max_restarts`` restarts the worker is
   marked permanently failed; its queue is drained and every pending item
   reported shed (``worker-failed``), never silently lost.
@@ -275,8 +275,7 @@ class MachineWorker:
 
     # -- checkpointing -----------------------------------------------------
     def _take_checkpoint(self) -> MachineSnapshot:
-        snapshot = snapshot_machine(self.machine,
-                                    include_attachments=False)
+        snapshot = snapshot_machine(self.machine)
         self.ledger.checkpoints += 1
         self._since_checkpoint = 0
         self._checkpoint_seq += 1
@@ -395,16 +394,9 @@ class MachineWorker:
                                                      key=self.name)
 
     def _restart(self, tick: int) -> None:
-        """Restore the machine from the last checkpoint and resume.
-
-        ``restore_attachments=False`` keeps the injector's already-bitten
-        faults consumed and the guard's transient retry state cleared — a
-        restart is a fresh start from known-good architectural state.
-        """
-        restore_machine(self.machine, self.checkpoint,
-                        restore_attachments=False)
-        if self.machine.guard is not None:
-            self.machine.guard.reset_transient()
+        """Restore the machine from the last checkpoint and resume: a
+        fresh start from known-good architectural state."""
+        restore_machine(self.machine, self.checkpoint)
         self.restarts_used += 1
         self.restored_from_snapshot += 1
         self.ledger.restarts += 1

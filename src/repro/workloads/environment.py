@@ -202,14 +202,16 @@ class SmdClosedLoop:
     def _loop_checkpoint(self, pending, completed, previous_time):
         """Controller snapshot + deep copy of the plant and loop state.
 
-        The machine snapshot excludes attachments on purpose: after a
-        restore the injector's already-bitten faults stay consumed, so the
-        fault that forced the escalation does not re-bite forever.
+        The machine snapshot holds no attachment state: after a restore the
+        injector's already-bitten faults stay consumed, so the fault that
+        forced the escalation does not re-bite forever.
         """
         import copy
 
+        from repro.resil.snapshot import snapshot_machine
+
         return {
-            "machine": self.machine.snapshot(include_attachments=False),
+            "machine": snapshot_machine(self.machine),
             "motors": copy.deepcopy(self.motors),
             "queue": list(self._queue),
             "sequence": self._sequence,
@@ -223,12 +225,11 @@ class SmdClosedLoop:
 
     def _restore_loop(self, checkpoint):
         """Roll controller, plant and loop state back to *checkpoint*."""
-        self.machine.restore(checkpoint["machine"],
-                             restore_attachments=False)
-        if self.machine.guard is not None:
-            self.machine.guard.reset_transient()
         import copy
 
+        from repro.resil.snapshot import restore_machine
+
+        restore_machine(self.machine, checkpoint["machine"])
         self.motors = copy.deepcopy(checkpoint["motors"])
         self._queue = list(checkpoint["queue"])
         self._sequence = checkpoint["sequence"]

@@ -105,6 +105,16 @@ class TestCli:
         code, text = invoke([*project, "--floorplan"])
         assert "floorplan" in text
 
+    def test_floorplan_that_does_not_fit_is_an_error_line(self, capsys):
+        code, text = invoke([f"{SMD_PROJECT}/chart.sc",
+                             f"{SMD_PROJECT}/routines.c",
+                             "--improve", "--floorplan"])
+        assert code == 1
+        assert "total: 857 CLBs (XC4025)" in text
+        assert capsys.readouterr().err == (
+            "error: floorplan: shelf packing overflowed placing "
+            "'configuration-register' (14 CLBs) on XC4025\n")
+
     def test_missing_file_error(self, tmp_path):
         code, _ = invoke([str(tmp_path / "nope.sc"), str(tmp_path / "nope.c")])
         assert code == 2

@@ -16,6 +16,7 @@ from repro.pscp.scheduler import (
     DISPATCH_OVERHEAD_CYCLES,
     round_robin_dispatch,
 )
+from repro.resil import restore_machine, snapshot_machine
 from repro.sla import cr_layout
 from repro.statechart import ChartBuilder
 
@@ -155,7 +156,7 @@ class TestPackedWordCoherence:
         moved.step({"GO"})
         fresh = system.make_machine()
         assert_coherent(fresh.cr)
-        fresh.restore(moved.snapshot())
+        restore_machine(fresh, snapshot_machine(moved))
         assert "R1" in fresh.cr.configuration
         assert_coherent(fresh.cr)
 

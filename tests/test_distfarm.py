@@ -6,7 +6,7 @@ snapshot byte-identical reconstruction and compaction, hot-standby
 promotion under SIGKILL chaos, double-kill permanent failure with the
 conservation ledger intact, two-run determinism, and the robustness
 satellites (bounded timeline ring, seeded backoff jitter, atomic
-forensics/snapshot writes with attributed torn-file errors).
+forensics writes with attributed torn-file errors).
 """
 
 import json
@@ -48,10 +48,8 @@ from repro.resil import (
     diff_snapshots,
     encode_frame,
     generate_event_stream,
-    read_snapshot,
     snapshot_fingerprint,
     snapshot_machine,
-    write_snapshot,
 )
 from repro.resil import shardfarm
 from repro.resil.standby import StandbyLog
@@ -154,10 +152,10 @@ def _snapshots_apart(system, first_steps, more_steps):
     events = sorted(system.chart.events)
     for i in range(first_steps):
         machine.step([events[i % len(events)]])
-    base = snapshot_machine(machine, include_attachments=False)
+    base = snapshot_machine(machine)
     for i in range(more_steps):
         machine.step([events[i % len(events)]])
-    target = snapshot_machine(machine, include_attachments=False)
+    target = snapshot_machine(machine)
     return base, target
 
 
@@ -205,8 +203,7 @@ class TestDeltaSnapshots:
         kinds = []
         for i in range(10):
             machine.step([events[i % len(events)]])
-            kind, _doc = chain.record(
-                snapshot_machine(machine, include_attachments=False))
+            kind, _doc = chain.record(snapshot_machine(machine))
             kinds.append(kind)
         assert kinds[0] == "full"
         assert "delta" in kinds
@@ -222,8 +219,7 @@ class TestDeltaSnapshots:
         last_full = None
         for i in range(8):
             machine.step([events[i % len(events)]])
-            snapshot = snapshot_machine(machine,
-                                        include_attachments=False)
+            snapshot = snapshot_machine(machine)
             kind, doc = chain.record(snapshot)
             if kind == "full":
                 last_full = MachineSnapshot.from_json(doc)
@@ -460,21 +456,6 @@ class TestAtomicWrites:
         assert not isinstance(err.value, json.JSONDecodeError)
         assert "truncated or corrupt" in str(err.value)
         assert "bundle.json" in str(err.value)
-
-    def test_snapshot_file_roundtrip_and_torn_file(self, system,
-                                                   tmp_path):
-        machine = system.make_machine()
-        machine.step([sorted(system.chart.events)[0]])
-        snapshot = snapshot_machine(machine, include_attachments=False)
-        path = tmp_path / "ckpt.json"
-        write_snapshot(snapshot, str(path))
-        loaded = read_snapshot(str(path))
-        assert loaded.to_json_str() == snapshot.to_json_str()
-        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
-        path.write_text(path.read_text()[:40])
-        with pytest.raises(SnapshotError) as err:
-            read_snapshot(str(path))
-        assert "truncated or corrupt" in str(err.value)
 
 
 class TestShardAggregator:

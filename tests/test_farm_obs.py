@@ -52,9 +52,10 @@ from repro.resil import (
     MachineSnapshot,
     RestartPolicy,
     ShardSupervisor,
-    SnapshotError,
     Supervisor,
     generate_event_stream,
+    restore_machine,
+    snapshot_machine,
 )
 from repro.workloads.generators import parallel_servers
 
@@ -207,7 +208,7 @@ class TestRecorderSnapshots:
     def test_snapshot_has_explicit_null_without_recorder(self, system):
         machine = system.make_machine()
         machine.step(round_robin_stimulus(system.chart, 1)[0])
-        document = machine.snapshot().to_json()
+        document = snapshot_machine(machine).to_json()
         assert "flight_recorder" in document
         assert document["flight_recorder"] is None
 
@@ -219,59 +220,49 @@ class TestRecorderSnapshots:
         original.attach(original_recorder)
         for events in stimulus[:cut]:
             original.step(events)
-        snapshot = original.snapshot()
+        snapshot = snapshot_machine(original)
         reference = [original.step(events) for events in stimulus[cut:]]
 
         restored = system.make_machine()
         restored_recorder = FlightRecorder(capacity=8)
         restored.attach(restored_recorder)
-        restored.restore(snapshot)
+        restore_machine(restored, snapshot)
         continued = [restored.step(events) for events in stimulus[cut:]]
 
         assert ([step_fingerprint(s) for s in continued]
                 == [step_fingerprint(s) for s in reference])
-        # both recorders agree on the ring from the continuation on, and
-        # re-snapshotting stays byte-identical (digest is a fixpoint)
+        # the continuation outlasts the ring, so both recorders hold the
+        # same cycles, and re-snapshotting stays byte-identical
         assert restored_recorder.entries() == original_recorder.entries()
-        assert (restored.snapshot().to_json_str()
-                == original.snapshot().to_json_str())
+        assert (snapshot_machine(restored).to_json_str()
+                == snapshot_machine(original).to_json_str())
 
-    def test_recorder_state_round_trips_through_json(self, system):
+    def test_restore_leaves_the_attached_ring_alone(self, system):
+        stimulus = round_robin_stimulus(system.chart, 9)
         machine = system.make_machine()
-        recorder = FlightRecorder(capacity=4)
+        recorder = FlightRecorder(capacity=16)
         machine.attach(recorder)
-        for events in round_robin_stimulus(system.chart, 9):
+        for events in stimulus[:5]:
             machine.step(events)
-        recorder.note_checkpoint(9, "ref")
-        text = machine.snapshot().to_json_str()
-        reparsed = MachineSnapshot.from_json_str(text)
-        assert reparsed.to_json_str() == text
-        fresh = system.make_machine()
-        fresh_recorder = FlightRecorder(capacity=4)
-        fresh.attach(fresh_recorder)
-        fresh.restore(reparsed)
-        assert fresh_recorder.entries() == recorder.entries()
-        assert fresh_recorder.recorded == recorder.recorded
-        assert fresh_recorder.last_checkpoint == "ref"
-
-    def test_restore_without_recorder_is_refused(self, system):
-        machine = system.make_machine()
-        machine.attach(FlightRecorder(capacity=4))
-        machine.step(round_robin_stimulus(system.chart, 1)[0])
-        snapshot = machine.snapshot()
-        bare = system.make_machine()
-        with pytest.raises(SnapshotError, match="recorder"):
-            bare.restore(snapshot)
-        # but skipping attachments restores fine
-        bare.restore(snapshot, restore_attachments=False)
+        checkpoint = snapshot_machine(machine)
+        for events in stimulus[5:]:
+            machine.step(events)
+        before = recorder.entries()
+        restore_machine(machine, checkpoint)
+        assert recorder.entries() == before
+        assert recorder.recorded == 9
+        # the restored timeline appends after the pre-restore history
+        machine.step(stimulus[5])
+        assert [e["cycle"] for e in recorder.entries()] == \
+            list(range(9)) + [5]
 
     def test_old_documents_without_the_field_still_load(self, system):
         machine = system.make_machine()
         machine.step(round_robin_stimulus(system.chart, 1)[0])
-        document = machine.snapshot().to_json()
+        text = snapshot_machine(machine).to_json_str()
+        document = json.loads(text)
         del document["flight_recorder"]  # a pre-recorder version-1 document
-        snapshot = MachineSnapshot.from_json(document)
-        assert snapshot.flight_recorder is None
+        assert MachineSnapshot.from_json(document).to_json_str() == text
 
 
 # ---------------------------------------------------------------------------

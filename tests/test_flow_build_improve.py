@@ -122,6 +122,26 @@ class TestSpecialization:
         build_system(chart, src, MD16_TEP, specialize=True)
         assert chart.transitions[0].action == "Tick(2)"
 
+    def test_clone_takes_the_first_name_no_function_has(self):
+        b = ChartBuilder("collide")
+        b.event("GO", period=400)
+        with b.or_state("T", default="S"):
+            b.basic("S").transition("S", label="GO/Add(3)")
+        chart = b.build()
+        src = """
+        int:16 jobs;
+        void Add(int:16 n) { jobs = jobs + n; }
+        void Add_3() { jobs = jobs - 1; }
+        void Add_3_() { jobs = jobs - 2; }
+        """
+        system = build_system(chart, src, MD16_TEP, specialize=True)
+        assert [name for name in system.param_names
+                if name.startswith("Add")] == [
+            "Add", "Add_3", "Add_3_", "Add_3__"]
+        machine = system.make_machine()
+        machine.step({"GO"})
+        assert machine.read_global("jobs") == 3
+
     def test_assigned_parameter_not_folded(self):
         b = ChartBuilder("nospec")
         b.event("P", period=400)

@@ -1,5 +1,5 @@
-"""Causal event lineage: machine-level provenance, the queryable DAG,
-deadline critical paths, and cross-process farm stitching.
+"""Causal event lineage: machine-level provenance, the queryable DAG and
+cross-process farm stitching.
 
 The load-bearing properties:
 
@@ -35,7 +35,6 @@ from repro.obs import (
     render_chain,
     render_forensics,
 )
-from repro.pscp.trace import DeadlineMonitor
 from repro.workloads.generators import parallel_servers, pipeline_chart
 
 
@@ -244,115 +243,6 @@ class TestRenderChain:
             render_chain(dag, "latch:3")
         with pytest.raises(KeyError):
             render_chain(dag, "no-such-node")
-
-
-# ---------------------------------------------------------------------------
-# deadline critical paths: DeadlineMonitor.explain
-# ---------------------------------------------------------------------------
-
-def make_monitor(period=100):
-    chart = SimpleNamespace(constrained_events=lambda: [
-        SimpleNamespace(name="GO", period=period)])
-    return DeadlineMonitor(chart)
-
-
-def consuming_step(event, start, length, recoveries=()):
-    transition = SimpleNamespace(consumes=lambda name: name == event)
-    return SimpleNamespace(events_sampled=(event,),
-                           fired=(transition,),
-                           start_time=start, end_time=start + length,
-                           cycle_length=length, recoveries=recoveries)
-
-
-def idle_step(start, length, recoveries=()):
-    return SimpleNamespace(events_sampled=(), fired=(),
-                           start_time=start, end_time=start + length,
-                           cycle_length=length, recoveries=recoveries)
-
-
-class TestExplain:
-    def test_segments_split_queued_retry_dispatch(self):
-        monitor = make_monitor(period=100)
-        monitor.arrival("GO", 0)
-        # 2 recovery cycles (watchdog retry), then the consuming cycle
-        monitor.observe(idle_step(0, 40, recoveries=(
-            SimpleNamespace(kind="watchdog-abort"),)))
-        monitor.observe(idle_step(40, 30))
-        monitor.observe(consuming_step("GO", 70, 60))
-        explanation = monitor.explain("GO")
-        segments = {s["kind"]: s["cycles"]
-                    for s in explanation["segments"]}
-        assert segments == {"queued": 30, "retry": 40, "dispatch": 60}
-        assert explanation["dominant"] == "dispatch"
-        assert explanation["outcome"] == "late"
-        assert explanation["miss"] is True
-        assert explanation["latency"] == 130
-        assert explanation["deadline"] == 100
-
-    def test_restart_cycles_attributed_separately(self):
-        monitor = make_monitor(period=500)
-        monitor.arrival("GO", 0)
-        monitor.observe(idle_step(0, 80, recoveries=(
-            SimpleNamespace(kind="tep-failover"),)))
-        monitor.observe(consuming_step("GO", 80, 20))
-        explanation = monitor.explain("GO")
-        segments = {s["kind"]: s["cycles"]
-                    for s in explanation["segments"]}
-        assert segments == {"queued": 0, "restart": 80, "dispatch": 20}
-        assert explanation["dominant"] == "restart"
-        assert explanation["outcome"] == "met"
-        assert explanation["miss"] is False
-
-    def test_dropped_arrival_explains_to_its_resolution(self):
-        monitor = make_monitor(period=50)
-        monitor.arrival("GO", 0)
-        # sampled into a cycle that fired nothing: dropped
-        step = idle_step(10, 20)
-        step.events_sampled = ("GO",)
-        monitor.observe(step)
-        explanation = monitor.explain("GO")
-        assert explanation["outcome"] == "dropped"
-        assert explanation["miss"] is True
-        assert explanation["latency"] is None
-        segments = {s["kind"]: s["cycles"]
-                    for s in explanation["segments"]}
-        assert segments == {"queued": 30}
-
-    def test_open_arrival_past_deadline_is_expired(self):
-        monitor = make_monitor(period=10)
-        monitor.arrival("GO", 0)
-        monitor.observe(idle_step(0, 40))
-        explanation = monitor.explain("GO")
-        assert explanation["outcome"] == "expired-open"
-        assert explanation["miss"] is True
-
-    def test_picks_the_worst_miss_and_accepts_records(self):
-        monitor = make_monitor(period=30)
-        monitor.arrival("GO", 0)
-        monitor.observe(consuming_step("GO", 0, 10))     # met, latency 10
-        monitor.arrival("GO", 100)
-        monitor.observe(consuming_step("GO", 100, 80))   # late, latency 80
-        explanation = monitor.explain("GO")
-        assert explanation["arrival_time"] == 100
-        assert explanation["latency"] == 80
-        # an explicit EventRecord bypasses the picker
-        record = monitor.records["GO"][0]
-        assert monitor.explain(record)["outcome"] == "met"
-        with pytest.raises(KeyError):
-            monitor.explain("NEVER_SEEN")
-
-    def test_ledger_timeline_annotations_are_filtered(self):
-        monitor = make_monitor()
-        monitor.arrival("GO", 0)
-        monitor.observe(consuming_step("GO", 0, 10))
-        timeline = [
-            {"tick": 3, "kind": "shed", "worker": "shard0"},
-            {"tick": 4, "kind": "sample"},
-            {"tick": 5, "kind": "process-kill", "worker": "shard1"},
-        ]
-        explanation = monitor.explain("GO", ledger_timeline=timeline)
-        kinds = [a["kind"] for a in explanation["annotations"]]
-        assert kinds == ["shed", "process-kill"]
 
 
 # ---------------------------------------------------------------------------

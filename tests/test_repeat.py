@@ -24,7 +24,8 @@ from repro.isa import MD16_TEP
 from repro.obs import FlightRecorder, LineageTracker, Tracer
 from repro.obs.export import write_chrome_trace
 from repro.pscp import MachineError, MachineObserver, PscpMachine
-from repro.resil.snapshot import MachineSnapshot
+from repro.resil.snapshot import MachineSnapshot, restore_machine, \
+    snapshot_machine
 from repro.workloads import (FAST_MOTORS, SMD_MUTUAL_EXCLUSIONS,
                              SMD_ROUTINES, MoveCommand, SmdClosedLoop,
                              smd_chart)
@@ -96,7 +97,7 @@ def machine_state(machine):
         "time": machine.time,
         "cycle_count": machine.cycle_count,
         "cr": machine.cr.bits,
-        "snapshot": machine.snapshot().to_json_str(),
+        "snapshot": snapshot_machine(machine).to_json_str(),
     }
 
 
@@ -290,18 +291,20 @@ def test_repeat_refused_with_an_injector_or_a_guard(smd_system, unit):
 
 def test_repeat_refused_with_internal_events_pending(smd_system):
     machine = idle_machine(smd_system)
-    document = json.loads(machine.snapshot().to_json_str())
+    document = json.loads(snapshot_machine(machine).to_json_str())
     document["pending_internal_events"] = ["BUF_EMPTY"]
-    machine.restore(MachineSnapshot.from_json_str(json.dumps(document)))
+    restore_machine(machine,
+                    MachineSnapshot.from_json_str(json.dumps(document)))
     assert_refused(machine)
 
 
 def test_repeat_refused_after_restoring_another_cr_word(smd_system):
     early = smd_system.make_machine()
-    snapshot = early.snapshot()  # before POWER: the initial configuration
+    # before POWER: the initial configuration
+    snapshot = snapshot_machine(early)
     machine = idle_machine(smd_system)
     assert machine.repeat_refusal() is None
-    machine.restore(snapshot)
+    restore_machine(machine, snapshot)
     assert_refused(machine)
 
 

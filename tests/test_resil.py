@@ -2,17 +2,21 @@
 
 The two load-bearing properties:
 
-* **round-trip** — ``restore(snapshot(m))`` at an arbitrary cycle produces
-  the exact same ``MachineStep`` sequence as the uninterrupted run from
-  that cycle on, for every workload generator and even mid fault campaign;
+* **round-trip** — ``restore_machine(m2, snapshot_machine(m))`` at an
+  arbitrary cycle produces the exact same ``MachineStep`` sequence as the
+  uninterrupted run from that cycle on, for every workload generator;
 * **conservation** — the supervised farm never loses work silently: under
   seeded chaos, submitted = accepted + rejected and accepted = processed +
   shed + in-flight, with every drop carrying a reason.
 """
 
+import hashlib
 import json
+import pathlib
 
 import pytest
+
+import repro.pscp
 
 from repro.action.check import Externals
 from repro.fault import (
@@ -23,14 +27,12 @@ from repro.fault import (
     MachineEscalation,
     MachineGuard,
 )
-from repro.fault.model import Fault, CR_STATE_FLIP, TEP_FAIL, TEP_RUNAWAY, \
-    TEP_STALL
+from repro.fault.model import TEP_FAIL, TEP_RUNAWAY, Fault
 from repro.flow import build_system, select_initial_architecture
 from repro.isa import CodeGenerator, MD16_TEP, NameMaps, prepare_program
 from repro.obs import MetricsRegistry, Tracer
 from repro.pscp import MachineImage, PscpMachine
 from repro.pscp.machine import MachineError
-from repro.pscp.timers import Timer, TimerBank
 from repro.resil import (
     BoundedQueue,
     CircuitBreaker,
@@ -42,14 +44,19 @@ from repro.resil import (
     Supervisor,
     WorkItem,
     generate_event_stream,
+    restore_machine,
+    snapshot_machine,
 )
 from repro.resil.queue import REJECT_QUEUE_FULL
-from repro.resil.supervisor import FAILED
+from repro.resil.snapshot import ATTACHMENT_SECTIONS
+from repro.resil.supervisor import FAILED, farm_machine
 from repro.fault.campaign import FaultCampaign
 from repro.statechart import ChartBuilder
 from repro.workloads import (
     SMD_MUTUAL_EXCLUSIONS,
     SMD_ROUTINES,
+    MoveCommand,
+    SmdClosedLoop,
     smd_chart,
 )
 from repro.workloads.generators import (
@@ -123,11 +130,11 @@ class TestSnapshotRoundTrip:
         original = system.make_machine()
         for events in stimulus[:cut]:
             original.step(events)
-        snapshot = original.snapshot()
+        snapshot = snapshot_machine(original)
         reference = [original.step(events) for events in stimulus[cut:]]
 
         restored = system.make_machine()
-        restored.restore(snapshot)
+        restore_machine(restored, snapshot)
         continued = [restored.step(events) for events in stimulus[cut:]]
 
         assert ([step_fingerprint(s) for s in continued]
@@ -144,13 +151,13 @@ class TestSnapshotRoundTrip:
         machine = system.make_machine()
         for events in round_robin_stimulus(chart, 9):
             machine.step(events)
-        snapshot = machine.snapshot()
+        snapshot = snapshot_machine(machine)
         text = snapshot.to_json_str()
         reparsed = MachineSnapshot.from_json_str(text)
         assert reparsed.to_json_str() == text
         # and the reparsed document restores just as well
         machine2 = system.make_machine()
-        machine2.restore(reparsed)
+        restore_machine(machine2, reparsed)
         assert machine2.cr.configuration == machine.cr.configuration
 
     def test_snapshotting_does_not_perturb_the_run(self):
@@ -161,28 +168,11 @@ class TestSnapshotRoundTrip:
         plain_steps = [plain.step(events) for events in stimulus]
         observed_steps = []
         for events in stimulus:
-            observed.snapshot()  # pure read
+            snapshot_machine(observed)  # pure read
             observed_steps.append(observed.step(events))
         assert ([step_fingerprint(s) for s in plain_steps]
                 == [step_fingerprint(s) for s in observed_steps])
         assert plain.read_global("total") == observed.read_global("total")
-
-    def test_timer_state_round_trips(self):
-        chart = pingpong_chart()
-        machine = build_machine(chart, PINGPONG_ROUTINES)
-        bank = TimerBank([Timer("GO", period=40), Timer("BACK", period=70)])
-        bank.events_between(0, 100)  # advance the counters
-        snapshot = machine.snapshot(timer_bank=bank)
-        assert snapshot.timers is not None
-        bank.events_between(100, 500)  # perturb past the snapshot
-        machine2 = build_machine(chart, PINGPONG_ROUTINES)
-        bank2 = TimerBank([Timer("GO", period=40), Timer("BACK", period=70)])
-        machine2.restore(snapshot, timer_bank=bank2)
-        # the restored bank fires exactly like the original did after t=100
-        fresh = TimerBank([Timer("GO", period=40), Timer("BACK", period=70)])
-        fresh.events_between(0, 100)
-        assert (bank2.events_between(100, 300)
-                == fresh.events_between(100, 300))
 
 
 class TestSnapshotValidation:
@@ -190,13 +180,13 @@ class TestSnapshotValidation:
         chart = pingpong_chart()
         machine = build_machine(chart, PINGPONG_ROUTINES)
         machine.step({"GO"})
-        return machine, machine.snapshot()
+        return machine, snapshot_machine(machine)
 
     def test_version_mismatch_is_refused(self):
         machine, snapshot = self._snapshot()
         snapshot.version = SNAPSHOT_VERSION + 1
         with pytest.raises(SnapshotError, match="version"):
-            machine.restore(snapshot)
+            restore_machine(machine, snapshot)
         with pytest.raises(SnapshotError, match="version"):
             MachineSnapshot.from_json(snapshot.to_json())
 
@@ -206,7 +196,7 @@ class TestSnapshotValidation:
         arch = select_initial_architecture(chart, routines)
         other = build_system(chart, routines, arch).make_machine()
         with pytest.raises(SnapshotError, match="chart"):
-            other.restore(snapshot)
+            restore_machine(other, snapshot)
 
     def test_missing_field_is_refused(self):
         _, snapshot = self._snapshot()
@@ -224,7 +214,7 @@ class TestSnapshotValidation:
         fresh = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
         with pytest.raises(SnapshotError,
                            match=rf"cr\.{field} names \['{name}'\]"):
-            fresh.restore(snapshot)
+            restore_machine(fresh, snapshot)
         # refused before any state was loaded: the machine still steps
         assert fresh.cycle_count == 0
         assert fresh.step({"GO"}).fired
@@ -235,73 +225,78 @@ class TestSnapshotValidation:
         fresh = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
         with pytest.raises(SnapshotError,
                            match=r"pending_internal_events names \['GHOST'\]"):
-            fresh.restore(snapshot)
+            restore_machine(fresh, snapshot)
 
-    def test_attachment_state_needs_an_attachment(self):
-        chart = pingpong_chart()
-        machine = build_machine(chart, PINGPONG_ROUTINES)
-        machine.attach_injector(FaultInjector(FaultPlan.empty()))
-        machine.step({"GO"})
-        snapshot = machine.snapshot()
-        bare = build_machine(chart, PINGPONG_ROUTINES)
-        with pytest.raises(SnapshotError, match="injector"):
-            bare.restore(snapshot)
-        # dropping attachment state restores fine
-        bare.restore(snapshot, restore_attachments=False)
-        assert bare.cycle_count == machine.cycle_count
+    @pytest.mark.parametrize("section", ATTACHMENT_SECTIONS)
+    def test_attachment_section_is_refused(self, section):
+        _, snapshot = self._snapshot()
+        document = snapshot.to_json()
+        document[section] = {"faults": []}
+        with pytest.raises(SnapshotError, match="attachment state"):
+            MachineSnapshot.from_json(document)
 
 
 # ---------------------------------------------------------------------------
-# snapshot determinism under faults (the mid-campaign checkpoint property)
+# one checkpoint: architectural state only, restored one way
 # ---------------------------------------------------------------------------
 
-class TestSnapshotUnderFaults:
-    CUT = 6
+def test_the_machine_layer_does_not_import_resil():
+    pscp = pathlib.Path(repro.pscp.__file__).parent
+    importers = sorted(path.name for path in pscp.glob("*.py")
+                       if "repro.resil" in path.read_text())
+    assert importers == []
 
-    def _plan(self):
-        return FaultPlan((
-            Fault(TEP_STALL, 2, None, 900),
-            Fault(CR_STATE_FLIP, 4, 0),
-            Fault(TEP_STALL, 9, None, 900),
-        ))
 
-    def _stimulus(self):
-        return [{"GO"} if i % 2 == 0 else {"BACK"} for i in range(20)]
+def _sha256(snapshot):
+    return hashlib.sha256(snapshot.to_json_str().encode("utf-8")).hexdigest()
 
-    def _machine(self):
+
+class TestOneCheckpoint:
+    # a checkpoint's bytes decide where the farm's delta chain compacts,
+    # so the documents are pinned byte for byte
+    CLOSED_LOOP_SHA256 = (
+        "68473657f230b98df9b6231d4e9ec4ed5567184af9d13a1f81331842961c8b08")
+    FARM_MACHINE_SHA256 = (
+        "c6ff89f5de3cae403a67e088d8d63dd92e42e411edfe995de70c7cef860f968b")
+
+    def test_closed_loop_snapshot_is_pinned(self, smd_system):
+        loop = SmdClosedLoop(smd_system, motor_specs=FAST_MOTORS)
+        loop.run([MoveCommand(60, 45, 8)], max_configuration_cycles=20000)
+        assert _sha256(snapshot_machine(loop.machine)) == \
+            self.CLOSED_LOOP_SHA256
+
+    def test_guarded_farm_machine_snapshot_is_pinned(self, farm_system):
+        machine = farm_machine(farm_system)
+        for item in generate_event_stream(farm_system.chart.events, 12,
+                                          seed=1):
+            machine.step(item.events)
+        snapshot = snapshot_machine(machine)
+        assert _sha256(snapshot) == self.FARM_MACHINE_SHA256
+        document = snapshot.to_json()
+        assert all(document[name] is None for name in ATTACHMENT_SECTIONS)
+
+    def test_restore_drops_the_guards_retry_and_open_abort(self):
         machine = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
-        machine.attach_injector(FaultInjector(self._plan()))
-        machine.attach_guard(MachineGuard())
-        return machine
+        machine.attach_injector(FaultInjector(FaultPlan((
+            Fault(TEP_RUNAWAY, 0),))))
+        guard = MachineGuard()
+        machine.attach_guard(guard)
+        checkpoint = snapshot_machine(machine)
+        step = machine.step({"GO"})
+        (aborted,) = [d.target for d in step.recoveries]
+        assert guard.has_open_abort(aborted)
+        assert guard.retries_scheduled == 1
 
-    def test_checkpoint_mid_campaign_continues_byte_identically(self):
-        stimulus = self._stimulus()
-        reference = self._machine()
-        reference_steps = [reference.step(e) for e in stimulus]
-        assert reference.injector.injected, "plan never bit; test is vacuous"
-        assert reference.guard.detections, "guard never fired"
-
-        interrupted = self._machine()
-        for events in stimulus[:self.CUT]:
-            interrupted.step(events)
-        snapshot = interrupted.snapshot(include_attachments=True)
-        text = snapshot.to_json_str()  # survives serialization too
-
-        resumed = build_machine(pingpong_chart(), PINGPONG_ROUTINES)
-        resumed.attach_injector(FaultInjector(FaultPlan.empty()))
-        resumed.attach_guard(MachineGuard())
-        resumed.restore(MachineSnapshot.from_json_str(text))
-        continued = [resumed.step(e) for e in stimulus[self.CUT:]]
-
-        ref_tail = [step_fingerprint(s)
-                    for s in reference_steps[self.CUT:]]
-        assert [step_fingerprint(s) for s in continued] == ref_tail
-        assert resumed.read_global("total") == reference.read_global("total")
-        # detection/injection history carried across the checkpoint
-        assert ([d.describe() for d in resumed.guard.detections]
-                == [d.describe() for d in reference.guard.detections])
-        assert ([f.describe() for f in resumed.injector.injected]
-                == [f.describe() for f in reference.injector.injected])
+        restore_machine(machine, checkpoint)
+        assert not guard.has_open_abort(aborted)
+        assert guard.due_retries(10 ** 9) == []
+        # the detection log and the counters are history and survive
+        assert [d.kind for d in guard.detections] == ["watchdog-abort"]
+        assert guard.watchdog_aborts == 1
+        # the fault that bit stays consumed: the rerun dispatches cleanly
+        rerun = machine.step({"GO"})
+        assert rerun.fired and not rerun.recoveries
+        assert machine.read_global("total") == 3
 
 
 # ---------------------------------------------------------------------------
