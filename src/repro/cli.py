@@ -356,6 +356,27 @@ def _simulate(system, cycles: Optional[int], tracer, metrics):
     return machine, None
 
 
+def _simulate_project(project: _Project, cycles: Optional[int], tracer,
+                      metrics):
+    """:func:`_simulate` the project's built system, or print an ``error:``
+    line naming the transition whose routine overran its cycle budget (a
+    ``@bound`` the routine does not keep) and return None."""
+    from repro.pscp.tep import TepBudgetExceeded
+
+    system = project.built
+    try:
+        return _simulate(system, cycles, tracer, metrics)
+    except TepBudgetExceeded as exc:
+        where = project.chart_path
+        for index, label in system.image.entries.items():
+            if label == exc.entry:
+                transition = system.chart.transitions[index]
+                where = (f"{where}:{transition.line}: transition "
+                         f"{transition.describe()}")
+        print(f"error: {where}: {exc}", file=sys.stderr)
+        return None
+
+
 def run_trace(argv: List[str], out=sys.stdout) -> int:
     """``repro trace``: simulate and export a Perfetto-loadable trace."""
     parser = _sim_argument_parser(
@@ -383,7 +404,10 @@ def run_trace(argv: List[str], out=sys.stdout) -> int:
     system = project.built
     tracer = Tracer()
     metrics = MetricsRegistry()
-    machine, _report = _simulate(system, args.cycles, tracer, metrics)
+    simulated = _simulate_project(project, args.cycles, tracer, metrics)
+    if simulated is None:
+        return 1
+    machine = simulated[0]
     write_chrome_trace(tracer, args.out, metrics)
     print(f"wrote {args.out}: {len(tracer.events)} trace events on "
           f"{len(tracer.track_names)} tracks "
@@ -417,7 +441,10 @@ def run_stats(argv: List[str], out=sys.stdout) -> int:
         return 2
     chart, system = project.chart, project.built
     metrics = MetricsRegistry()
-    machine, report = _simulate(system, args.cycles, None, metrics)
+    simulated = _simulate_project(project, args.cycles, None, metrics)
+    if simulated is None:
+        return 1
+    machine, report = simulated
     if args.json:
         document = {
             "schema_version": STATS_SCHEMA_VERSION,

@@ -11,12 +11,13 @@ machine knowing how.
 The copy itself is behaviour the cycle-exact benchmarks depend on, so the
 bridge preserves the historical iteration orders exactly: copy-in walks the
 chart's condition declaration order, copy-back walks the compiled
-condition-index map.
+condition-index map.  Both orders are fixed when the bridge is built, as
+(condition name, cache slot) pairs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List, Optional
 
 from repro.pscp.cr import ConfigurationRegister
 
@@ -24,15 +25,32 @@ from repro.pscp.cr import ConfigurationRegister
 class ConditionCacheBridge:
     """Copy-in/copy-back between the CR and one TEP's condition cache."""
 
-    __slots__ = ("condition_indices", "index_to_name",
+    __slots__ = ("_copy_in_pairs", "_copy_back_pairs", "_undeclared",
                  "words_copied_in", "words_copied_back", "transfers",
                  "injector")
 
-    def __init__(self, condition_indices: Dict[str, int]) -> None:
-        #: condition name -> cache slot (the compiled NameMaps view)
-        self.condition_indices = dict(condition_indices)
-        self.index_to_name = {index: name for name, index
-                              in condition_indices.items()}
+    def __init__(self, declared: Iterable[str],
+                 condition_indices: Dict[str, int]) -> None:
+        """*declared* is the chart's conditions in declaration order, which
+        the CR's condition part holds; *condition_indices* maps a condition
+        name to its cache slot (the compiled NameMaps view)."""
+        declared = tuple(declared)
+        self._copy_in_pairs = tuple(
+            (name, condition_indices[name]) for name in declared
+            if name in condition_indices)
+        #: copy-back stops at the first compiled condition the chart does
+        #: not declare, and raises as the CR's write would
+        declared_names = frozenset(declared)
+        back = []
+        self._undeclared: Optional[str] = None
+        index_to_name = {index: name
+                         for name, index in condition_indices.items()}
+        for index, name in index_to_name.items():
+            if name not in declared_names:
+                self._undeclared = name
+                break
+            back.append((name, index))
+        self._copy_back_pairs = tuple(back)
         self.words_copied_in = 0
         self.words_copied_back = 0
         self.transfers = 0
@@ -42,12 +60,10 @@ class ConditionCacheBridge:
     def copy_in(self, cr: ConfigurationRegister,
                 cache: List[bool]) -> int:
         """CR condition part -> cache; returns words moved."""
-        moved = 0
-        for name, value in cr.condition_vector().items():
-            cache_index = self.condition_indices.get(name)
-            if cache_index is not None:
-                cache[cache_index] = value
-                moved += 1
+        conditions = cr.conditions
+        for name, cache_index in self._copy_in_pairs:
+            cache[cache_index] = name in conditions
+        moved = len(self._copy_in_pairs)
         self.words_copied_in += moved
         self.transfers += 1
         if self.injector is not None:
@@ -59,11 +75,15 @@ class ConditionCacheBridge:
         """Cache -> CR condition part; returns words moved."""
         if self.injector is not None:
             self.injector.on_cache_copy_back(cache)
-        updates = {}
-        for cache_index, name in self.index_to_name.items():
-            updates[name] = cache[cache_index]
-        cr.write_conditions(updates)
-        moved = len(updates)
+        conditions = cr.conditions
+        for name, cache_index in self._copy_back_pairs:
+            if cache[cache_index]:
+                conditions.add(name)
+            else:
+                conditions.discard(name)
+        if self._undeclared is not None:
+            raise KeyError(f"unknown condition {self._undeclared!r}")
+        moved = len(self._copy_back_pairs)
         self.words_copied_back += moved
         return moved
 

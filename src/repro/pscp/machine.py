@@ -307,7 +307,7 @@ class PscpMachine:
                             name="tep-shared")
         self.executor.load_memory(self.compiled.allocator.initial_values)
         self.cond_cache_bridge = ConditionCacheBridge(
-            self.compiled.maps.conditions)
+            self.cr.layout.chart.conditions, self.compiled.maps.conditions)
         self._event_index_to_name = {index: name for name, index
                                      in self.compiled.maps.events.items()}
         self._event_names = frozenset(self.chart.events)

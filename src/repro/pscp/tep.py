@@ -10,6 +10,18 @@ once per program slot when the program is linked), so the simulator's cycle
 counts are *exactly* the quantities the static WCET analysis bounds — the
 property the closed-loop benchmarks check.
 
+"Once a particular PSCP version has been fixed" (section 3.2) its
+microprograms are fixed too, so each slot of a linked
+:class:`ProgramImage` is decoded once, the first time any TEP executes it,
+into a handler with its operand resolved: the masked immediate, the memory
+space and address, the branch target's slot, the signal index, the port
+address, the custom instruction.  A link decodes nothing, and every TEP on
+the image shares the decoded slots.  A handler reaches the TEP's state only
+through the TEP it is given, which a restore may have refilled.  A slot's
+error (an undefined label, an operand its instruction cannot take,
+hardware the architecture lacks) is raised each time the slot executes,
+never when it is linked or decoded.
+
 Flag conventions (documented here once, relied on by the code generator):
 
 * loads (``LDA``/``LDI``/``CTST``/``INP``) set Z and N, preserve C;
@@ -21,9 +33,10 @@ Flag conventions (documented here once, relied on by the code generator):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
 from repro.isa.arch import ArchConfig, StorageClass
 from repro.isa.isa import (
@@ -51,6 +64,12 @@ class TepBudgetExceeded(TepError):
     The machine's watchdog catches this to abort the dispatch at the budget;
     without a watchdog it surfaces as the runaway-execution guard."""
 
+    def __init__(self, entry: str, max_cycles: int) -> None:
+        super().__init__(
+            f"runaway execution in {entry!r} (> {max_cycles} cycles)")
+        #: the entry label of the run that overran
+        self.entry = entry
+
 
 class SimplePorts:
     """Dict-backed port bus for standalone tests."""
@@ -67,10 +86,27 @@ class SimplePorts:
         self.writes.append((address, value))
 
 
+#: a decoded slot: executes on the TEP it is given at program slot ``pc``
+#: and returns the next slot, or :data:`_END` to end the run
+Handler = Callable[["Tep", int], int]
+
+#: what a handler returns to end the run: ``TRET``, or the ``RET`` that
+#: finds the call stack at the run's entry depth
+_END = -1
+
+
+def _undecoded(tep: "Tep", pc: int) -> int:
+    """The handler of every slot no TEP has executed yet: decode the slot
+    for every TEP of the image, then execute it."""
+    handler = tep.handlers[pc] = _decode(tep.image, pc)
+    return handler(tep, pc)
+
+
 @dataclass(frozen=True)
 class ProgramImage:
     """A linked TEP program memory: read-only, shared by every TEP that
-    runs it.  Build one with :meth:`link`."""
+    runs it; only its table of decoded slots fills in as they first
+    execute.  Build one with :meth:`link`."""
 
     arch: ArchConfig
     instructions: Tuple[Instruction, ...]
@@ -78,11 +114,19 @@ class ProgramImage:
     labels: Mapping[str, int]
     #: cycle price of each program slot, charged when it executes
     prices: Tuple[int, ...]
+    #: each slot's handler: :func:`_undecoded` until a TEP first executes
+    #: the slot, then its decoded handler
+    handlers: List[Handler] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "handlers",
+                           [_undecoded] * len(self.instructions))
 
     @classmethod
     def link(cls, arch: ArchConfig,
              program: Iterable[Instruction]) -> "ProgramImage":
-        """Resolve *program*'s labels and price each slot once."""
+        """Resolve *program*'s labels and price each slot once; a slot is
+        decoded only when it first executes."""
         program = tuple(program)
         labels: Dict[str, int] = {}
         for index, instruction in enumerate(program):
@@ -115,12 +159,13 @@ class Tep:
                  name: str = "tep0") -> None:
         arch = self.arch = image.arch
         self.name = name
+        self.image = image
         self.program = image.instructions
         self.labels = image.labels
         self.prices = image.prices
+        self.handlers = image.handlers
         self.ports = ports if ports is not None else SimplePorts()
         self.mask = (1 << arch.data_width) - 1
-        self.sign_bit = 1 << (arch.data_width - 1)
         # architectural state
         self.acc = 0
         self.op = 0
@@ -135,6 +180,8 @@ class Tep:
         self.call_stack: List[int] = []
         self.cycles = 0
         self.instructions_executed = 0
+        #: the call-stack depth at which a ``RET`` ends the current run
+        self.return_depth = 0
 
     # -- state access -----------------------------------------------------
     def load_memory(self, values) -> None:
@@ -192,250 +239,514 @@ class Tep:
     def state(self) -> TepState:
         return TepState(self.acc, self.op, self.z, self.c, self.n, self.cycles)
 
-    # -- operand evaluation ---------------------------------------------------
-    def _value(self, operand: Operand) -> int:
-        if isinstance(operand, Imm):
-            return operand.value & self.mask
-        if isinstance(operand, (Reg, Mem)):
-            return self.read_location(operand)
-        raise TepError(f"cannot evaluate operand {operand!r}")
-
-    def _set_zn(self, value: int) -> None:
-        self.z = value == 0
-        self.n = bool(value & self.sign_bit)
-
     # -- execution ---------------------------------------------------------------
     def run(self, entry: str, max_cycles: int = 1_000_000) -> int:
         """Execute from *entry* until the matching RET/TRET; returns cycles
-        consumed by this run."""
+        consumed by this run.  ``cycles`` and ``instructions_executed``
+        count every slot that started executing, however the run ends."""
         if entry not in self.labels:
             raise TepError(f"unknown entry label {entry!r}")
-        start_cycles = self.cycles
-        pc = self.labels[entry]
-        depth = len(self.call_stack)
+        handlers = self.handlers
         prices = self.prices
-        while True:
-            if pc < 0 or pc >= len(self.program):
-                raise TepError(f"PC out of range: {pc}")
-            instruction = self.program[pc]
-            self.cycles += prices[pc]
-            self.instructions_executed += 1
-            if self.cycles - start_cycles > max_cycles:
-                raise TepBudgetExceeded(
-                    f"runaway execution in {entry!r} (> {max_cycles} cycles)")
-            if instruction.op is Op.TRET:
-                return self.cycles - start_cycles
-            if instruction.op is Op.RET and len(self.call_stack) == depth:
-                # the return matching this run()'s entry
-                return self.cycles - start_cycles
-            next_pc = self._execute(instruction, pc)
-            if next_pc is None:
-                raise TepError("unbalanced return")
-            pc = next_pc
+        size = len(prices)
+        start_cycles = cycles = self.cycles
+        limit = start_cycles + max_cycles
+        executed = self.instructions_executed
+        self.return_depth = len(self.call_stack)
+        pc = self.labels[entry]
+        try:
+            while 0 <= pc < size:
+                cycles += prices[pc]
+                executed += 1
+                if cycles > limit:
+                    raise TepBudgetExceeded(entry, max_cycles)
+                pc = handlers[pc](self, pc)
+        finally:
+            self.cycles = cycles
+            self.instructions_executed = executed
+        if pc != _END:
+            raise TepError(f"PC out of range: {pc}")
+        return cycles - start_cycles
 
-    def _branch_target(self, instruction: Instruction) -> int:
-        operand = instruction.operand
-        if isinstance(operand, LabelRef):
-            if operand.name not in self.labels:
-                raise TepError(f"undefined label {operand.name!r}")
-            return self.labels[operand.name]
-        raise TepError(f"bad jump operand {operand!r}")
 
-    def _execute(self, instruction: Instruction, pc: int) -> Optional[int]:
-        op = instruction.op
-        operand = instruction.operand
-        mask = self.mask
+# ---------------------------------------------------------------------------
+# decoding: one handler per slot, its operand resolved
+# ---------------------------------------------------------------------------
+#
+# Each decoder takes the slot's instruction, the image's architecture and
+# labels and returns the slot's handler.  Checks run in the order the
+# instruction's semantics read them: the hardware first, then the operand,
+# then (for branches) the target, which only a taken branch resolves.
 
-        if op is Op.NOP:
-            return pc + 1
-        if op is Op.LDA:
-            self.acc = self._value(operand)
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.LDO:
-            self.op = self._value(operand)
-            return pc + 1
-        if op is Op.TAO:
-            self.op = self.acc
-            return pc + 1
-        if op is Op.STA:
-            self._write_location(operand, self.acc)
-            return pc + 1
-        if op is Op.LDI:
-            if not isinstance(operand, Mem):
-                raise TepError("LDI needs a memory base")
-            self.acc = self.read_location(
-                Mem(operand.address + self.op, operand.space))
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.STI:
-            if not isinstance(operand, Mem):
-                raise TepError("STI needs a memory base")
-            self._write_location(
-                Mem(operand.address + self.op, operand.space), self.acc)
-            return pc + 1
+def _decode(image: ProgramImage, pc: int) -> Handler:
+    """Slot *pc* of *image* as a handler."""
+    instruction = image.instructions[pc]
+    return _DECODERS[instruction.op](instruction, image.arch, image.labels)
 
-        if op in (Op.ADD, Op.ADC):
-            source = self._value(operand)
-            total = self.acc + source + (1 if op is Op.ADC and self.c else 0)
-            self.c = total > mask
-            self.acc = total & mask
-            self._set_zn(self.acc)
-            return pc + 1
-        if op in (Op.SUB, Op.SBC, Op.CMP):
-            source = self._value(operand)
-            borrow = 1 if op is Op.SBC and self.c else 0
-            total = self.acc - source - borrow
-            self.c = total < 0
-            result = total & mask
-            if op is not Op.CMP:
-                self.acc = result
-            self.z = result == 0
-            self.n = bool(result & self.sign_bit)
-            return pc + 1
-        if op in (Op.AND, Op.ORR, Op.XOR):
-            source = self._value(operand)
-            fn = {Op.AND: lambda a, b: a & b,
-                  Op.ORR: lambda a, b: a | b,
-                  Op.XOR: lambda a, b: a ^ b}[op]
-            self.acc = fn(self.acc, source) & mask
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.NOT:
-            self.acc = (~self.acc) & mask
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.NEG:
-            if not self.arch.has_negator:
-                raise TepError("NEG executed without a negator ALU")
-            self.acc = (-self.acc) & mask
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.INC:
-            self.acc = (self.acc + 1) & mask
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.DEC:
-            self.acc = (self.acc - 1) & mask
-            self._set_zn(self.acc)
-            return pc + 1
 
-        if op is Op.SHL:
-            self.c = bool(self.acc & self.sign_bit)
-            self.acc = (self.acc << 1) & mask
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.SHR:
-            self.c = bool(self.acc & 1)
-            self.acc >>= 1
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.RCL:
-            carry_in = 1 if self.c else 0
-            self.c = bool(self.acc & self.sign_bit)
-            self.acc = ((self.acc << 1) | carry_in) & mask
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.RCR:
-            carry_in = self.sign_bit if self.c else 0
-            self.c = bool(self.acc & 1)
-            self.acc = (self.acc >> 1) | carry_in
-            self._set_zn(self.acc)
-            return pc + 1
-        if op in (Op.SHLN, Op.SHRN):
-            if not self.arch.has_barrel_shifter:
-                raise TepError(f"{op.name} executed without a barrel shifter")
-            amount = self._value(operand)
-            if op is Op.SHLN:
-                self.acc = (self.acc << amount) & mask
-            else:
-                self.acc >>= amount
-            self._set_zn(self.acc)
-            return pc + 1
+def _fault(message: str) -> Handler:
+    """A slot that raises *message* each time it executes."""
+    def fault(tep: Tep, pc: int) -> int:
+        raise TepError(message)
+    return fault
 
-        if op in (Op.MUL, Op.DIV, Op.MOD):
-            if not self.arch.has_muldiv:
-                raise TepError(f"{op.name} executed without an M/D unit")
-            source = self._value(operand)
-            if op is Op.MUL:
-                self.acc = (self.acc * source) & mask
-            elif source == 0:
-                self.acc = mask  # division by zero saturates
-            elif op is Op.DIV:
-                self.acc = (self.acc // source) & mask
-            else:
-                self.acc = (self.acc % source) & mask
-            self._set_zn(self.acc)
-            return pc + 1
 
-        if op is Op.JMP:
-            return self._branch_target(instruction)
-        if op in (Op.JZ, Op.JNZ, Op.JC, Op.JNC, Op.JN, Op.JP):
-            taken = {Op.JZ: self.z, Op.JNZ: not self.z,
-                     Op.JC: self.c, Op.JNC: not self.c,
-                     Op.JN: self.n, Op.JP: not self.n}[op]
-            return self._branch_target(instruction) if taken else pc + 1
-        if op in (Op.CBEQ, Op.CBNE):
-            if not self.arch.has_comparator:
-                raise TepError(f"{op.name} executed without a comparator")
-            source = self._value(operand)
-            equal = (self.acc & mask) == source
-            taken = equal if op is Op.CBEQ else not equal
-            if instruction.target is None:
-                raise TepError(f"{op.name} without branch target")
-            if taken:
-                name = instruction.target.name
-                if name not in self.labels:
-                    raise TepError(f"undefined label {name!r}")
-                return self.labels[name]
-            return pc + 1
-        if op is Op.CALL:
-            self.call_stack.append(pc + 1)
-            if len(self.call_stack) > 64:
-                raise TepError("call stack overflow (recursion?)")
-            return self._branch_target(instruction)
-        if op is Op.RET:
-            if not self.call_stack:
-                return None
-            return self.call_stack.pop()
-        if op is Op.TRET:
-            return None
+def _widths(arch: ArchConfig) -> Tuple[int, int]:
+    """(word mask, sign bit) of *arch*'s data bus."""
+    return (1 << arch.data_width) - 1, 1 << (arch.data_width - 1)
 
-        if op is Op.INP:
-            if not isinstance(operand, PortRef):
-                raise TepError("INP needs a port operand")
-            self.acc = self.ports.read(operand.address) & mask
-            self._set_zn(self.acc)
-            return pc + 1
-        if op is Op.OUTP:
-            if not isinstance(operand, PortRef):
-                raise TepError("OUTP needs a port operand")
-            self.ports.write(operand.address, self.acc)
-            return pc + 1
 
-        if op in (Op.EVSET, Op.CSET, Op.CCLR, Op.CTST):
-            if not isinstance(operand, SignalRef):
-                raise TepError(f"{op.name} needs a signal operand")
-            index = operand.index
-            if op is Op.EVSET:
-                self.events_raised.add(index)
-            elif op is Op.CSET:
-                self.condition_cache[index] = True
-            elif op is Op.CCLR:
-                self.condition_cache[index] = False
-            else:
-                self.acc = 1 if self.condition_cache[index] else 0
-                self._set_zn(self.acc)
-            return pc + 1
+def _reader(operand: Operand, mask: int) -> Optional[Callable[[Tep], int]]:
+    """The operand's value on a TEP, or ``None`` when it has none."""
+    if isinstance(operand, Imm):
+        value = operand.value & mask
+        return lambda tep: value
+    if isinstance(operand, Reg):
+        index = operand.index
+        return lambda tep: tep.registers[index]
+    if isinstance(operand, Mem):
+        address = operand.address
+        if operand.space is StorageClass.INTERNAL:
+            return lambda tep: tep.internal.get(address, 0)
+        return lambda tep: tep.external.get(address, 0)
+    return None
 
-        if op is Op.CUSTOM:
-            index = operand.value if isinstance(operand, Imm) else -1
-            if not 0 <= index < len(self.arch.custom_instructions):
-                raise TepError(f"undefined CUSTOM #{index}")
-            custom = self.arch.custom_instructions[index]
-            operands = [self.acc, self.op] + list(self.registers)
-            self.acc = evaluate_signature(custom.signature, operands, mask)
-            self._set_zn(self.acc)
-            return pc + 1
 
-        raise TepError(f"unimplemented opcode {op}")
+def _target(operand: Operand, labels: Mapping[str, int]
+            ) -> Tuple[Optional[int], str]:
+    """(slot, '') of a resolved branch target, else (None, the error)."""
+    if isinstance(operand, LabelRef):
+        if operand.name not in labels:
+            return None, f"undefined label {operand.name!r}"
+        return labels[operand.name], ""
+    return None, f"bad jump operand {operand!r}"
+
+
+# -- control -------------------------------------------------------------------
+
+def _nop(tep: Tep, pc: int) -> int:
+    return pc + 1
+
+
+def _tret(tep: Tep, pc: int) -> int:
+    return _END
+
+
+def _ret(tep: Tep, pc: int) -> int:
+    # only CALL grows the stack during a run, so it never falls below the
+    # run's entry depth
+    stack = tep.call_stack
+    if len(stack) == tep.return_depth:
+        return _END
+    return stack.pop()
+
+
+def _decode_shared(handler: Handler):
+    return lambda instruction, arch, labels: handler
+
+
+def _decode_jmp(instruction, arch, labels) -> Handler:
+    target, error = _target(instruction.operand, labels)
+    if target is None:
+        return _fault(error)
+    return lambda tep, pc: target
+
+
+#: conditional jump -> (flag, the flag's value that takes the branch)
+_CONDITIONS = {Op.JZ: ("z", True), Op.JNZ: ("z", False),
+               Op.JC: ("c", True), Op.JNC: ("c", False),
+               Op.JN: ("n", True), Op.JP: ("n", False)}
+
+
+def _decode_conditional(instruction, arch, labels) -> Handler:
+    target, error = _target(instruction.operand, labels)
+    flag, taken = _CONDITIONS[instruction.op]
+
+    def conditional(tep: Tep, pc: int) -> int:
+        if bool(getattr(tep, flag)) is not taken:
+            return pc + 1
+        if target is None:
+            raise TepError(error)
+        return target
+    return conditional
+
+
+def _decode_call(instruction, arch, labels) -> Handler:
+    target, error = _target(instruction.operand, labels)
+
+    def call(tep: Tep, pc: int) -> int:
+        stack = tep.call_stack
+        stack.append(pc + 1)
+        if len(stack) > 64:
+            raise TepError("call stack overflow (recursion?)")
+        if target is None:
+            raise TepError(error)
+        return target
+    return call
+
+
+def _decode_compare_branch(instruction, arch, labels) -> Handler:
+    op = instruction.op
+    if not arch.has_comparator:
+        return _fault(f"{op.name} executed without a comparator")
+    mask, _ = _widths(arch)
+    read = _reader(instruction.operand, mask)
+    if read is None:
+        return _fault(f"cannot evaluate operand {instruction.operand!r}")
+    if instruction.target is None:
+        message = f"{op.name} without branch target"
+
+        def untargeted(tep: Tep, pc: int) -> int:
+            read(tep)
+            raise TepError(message)
+        return untargeted
+    target, error = _target(instruction.target, labels)
+    on_equal = op is Op.CBEQ
+
+    def compare_branch(tep: Tep, pc: int) -> int:
+        if ((tep.acc & mask) == read(tep)) is not on_equal:
+            return pc + 1
+        if target is None:
+            raise TepError(error)
+        return target
+    return compare_branch
+
+
+# -- loads and stores ----------------------------------------------------------
+
+def _decode_lda(instruction, arch, labels) -> Handler:
+    mask, sign = _widths(arch)
+    operand = instruction.operand
+    if isinstance(operand, Imm):
+        # a fifth of the elevator's instructions: flags resolved too
+        value = operand.value & mask
+        z, n = value == 0, (value & sign) != 0
+
+        def load_immediate(tep: Tep, pc: int) -> int:
+            tep.acc = value
+            tep.z = z
+            tep.n = n
+            return pc + 1
+        return load_immediate
+    read = _reader(operand, mask)
+    if read is None:
+        return _fault(f"cannot evaluate operand {operand!r}")
+
+    def load(tep: Tep, pc: int) -> int:
+        acc = tep.acc = read(tep)
+        tep.z = acc == 0
+        tep.n = (acc & sign) != 0
+        return pc + 1
+    return load
+
+
+def _decode_ldo(instruction, arch, labels) -> Handler:
+    mask, _ = _widths(arch)
+    read = _reader(instruction.operand, mask)
+    if read is None:
+        return _fault(f"cannot evaluate operand {instruction.operand!r}")
+
+    def load_op(tep: Tep, pc: int) -> int:
+        tep.op = read(tep)
+        return pc + 1
+    return load_op
+
+
+def _tao(tep: Tep, pc: int) -> int:
+    tep.op = tep.acc
+    return pc + 1
+
+
+def _decode_sta(instruction, arch, labels) -> Handler:
+    mask, _ = _widths(arch)
+    operand = instruction.operand
+    if isinstance(operand, Reg):
+        index = operand.index
+
+        def store_register(tep: Tep, pc: int) -> int:
+            registers = tep.registers
+            while index >= len(registers):
+                registers.append(0)
+            registers[index] = tep.acc & mask
+            return pc + 1
+        return store_register
+    if isinstance(operand, Mem):
+        address = operand.address
+        if operand.space is StorageClass.INTERNAL:
+            def store_internal(tep: Tep, pc: int) -> int:
+                tep.internal[address] = tep.acc & mask
+                return pc + 1
+            return store_internal
+
+        def store_external(tep: Tep, pc: int) -> int:
+            tep.external[address] = tep.acc & mask
+            return pc + 1
+        return store_external
+    return _fault(f"cannot write location {operand!r}")
+
+
+def _decode_indexed(instruction, arch, labels) -> Handler:
+    """``LDI``/``STI``: the word at the base address plus ``OP``."""
+    op = instruction.op
+    operand = instruction.operand
+    if not isinstance(operand, Mem):
+        return _fault(f"{op.name} needs a memory base")
+    mask, sign = _widths(arch)
+    base = operand.address
+    internal = operand.space is StorageClass.INTERNAL
+    if op is Op.LDI:
+        def load_indexed(tep: Tep, pc: int) -> int:
+            store = tep.internal if internal else tep.external
+            acc = tep.acc = store.get(base + tep.op, 0)
+            tep.z = acc == 0
+            tep.n = (acc & sign) != 0
+            return pc + 1
+        return load_indexed
+
+    def store_indexed(tep: Tep, pc: int) -> int:
+        store = tep.internal if internal else tep.external
+        store[base + tep.op] = tep.acc & mask
+        return pc + 1
+    return store_indexed
+
+
+# -- arithmetic and logic ------------------------------------------------------
+
+def _decode_add(instruction, arch, labels) -> Handler:
+    """``ADD``/``ADC``: C is the carry out."""
+    mask, sign = _widths(arch)
+    read = _reader(instruction.operand, mask)
+    if read is None:
+        return _fault(f"cannot evaluate operand {instruction.operand!r}")
+    with_carry = instruction.op is Op.ADC
+
+    def add(tep: Tep, pc: int) -> int:
+        total = tep.acc + read(tep)
+        if with_carry and tep.c:
+            total += 1
+        tep.c = total > mask
+        acc = tep.acc = total & mask
+        tep.z = acc == 0
+        tep.n = (acc & sign) != 0
+        return pc + 1
+    return add
+
+
+def _decode_subtract(instruction, arch, labels) -> Handler:
+    """``SUB``/``SBC``/``CMP``: C is the borrow; ``CMP`` keeps ACC."""
+    mask, sign = _widths(arch)
+    read = _reader(instruction.operand, mask)
+    if read is None:
+        return _fault(f"cannot evaluate operand {instruction.operand!r}")
+    with_borrow = instruction.op is Op.SBC
+    keep = instruction.op is not Op.CMP
+
+    def subtract(tep: Tep, pc: int) -> int:
+        total = tep.acc - read(tep)
+        if with_borrow and tep.c:
+            total -= 1
+        tep.c = total < 0
+        result = total & mask
+        if keep:
+            tep.acc = result
+        tep.z = result == 0
+        tep.n = (result & sign) != 0
+        return pc + 1
+    return subtract
+
+
+#: ACC <- f(ACC, source, mask), setting Z and N; C is kept
+_COMBINE = {
+    Op.AND: lambda acc, source, mask: acc & source & mask,
+    Op.ORR: lambda acc, source, mask: (acc | source) & mask,
+    Op.XOR: lambda acc, source, mask: (acc ^ source) & mask,
+    Op.SHLN: lambda acc, amount, mask: (acc << amount) & mask,
+    Op.SHRN: lambda acc, amount, mask: acc >> amount,
+    Op.MUL: lambda acc, source, mask: (acc * source) & mask,
+    # division by zero saturates
+    Op.DIV: lambda acc, source, mask: ((acc // source) & mask if source
+                                       else mask),
+    Op.MOD: lambda acc, source, mask: ((acc % source) & mask if source
+                                       else mask),
+}
+
+#: the hardware an operation needs: (ArchConfig flag, what it is called)
+_NEEDS = {Op.SHLN: ("has_barrel_shifter", "a barrel shifter"),
+          Op.SHRN: ("has_barrel_shifter", "a barrel shifter"),
+          Op.MUL: ("has_muldiv", "an M/D unit"),
+          Op.DIV: ("has_muldiv", "an M/D unit"),
+          Op.MOD: ("has_muldiv", "an M/D unit"),
+          Op.NEG: ("has_negator", "a negator ALU")}
+
+
+def _missing_unit(op: Op, arch: ArchConfig) -> Optional[Handler]:
+    """The fault of *op* on *arch* without the unit it needs, else None."""
+    if op in _NEEDS and not getattr(arch, _NEEDS[op][0]):
+        return _fault(f"{op.name} executed without {_NEEDS[op][1]}")
+    return None
+
+
+def _decode_combine(instruction, arch, labels) -> Handler:
+    fault = _missing_unit(instruction.op, arch)
+    if fault is not None:
+        return fault
+    mask, sign = _widths(arch)
+    read = _reader(instruction.operand, mask)
+    if read is None:
+        return _fault(f"cannot evaluate operand {instruction.operand!r}")
+    combine = _COMBINE[instruction.op]
+
+    def combined(tep: Tep, pc: int) -> int:
+        acc = tep.acc = combine(tep.acc, read(tep), mask)
+        tep.z = acc == 0
+        tep.n = (acc & sign) != 0
+        return pc + 1
+    return combined
+
+
+#: ACC <- f(ACC, mask), setting Z and N; C is kept
+_UNARY = {
+    Op.NOT: lambda acc, mask: ~acc & mask,
+    Op.NEG: lambda acc, mask: -acc & mask,
+    Op.INC: lambda acc, mask: (acc + 1) & mask,
+    Op.DEC: lambda acc, mask: (acc - 1) & mask,
+}
+
+
+def _decode_unary(instruction, arch, labels) -> Handler:
+    fault = _missing_unit(instruction.op, arch)
+    if fault is not None:
+        return fault
+    mask, sign = _widths(arch)
+    apply = _UNARY[instruction.op]
+
+    def unary(tep: Tep, pc: int) -> int:
+        acc = tep.acc = apply(tep.acc, mask)
+        tep.z = acc == 0
+        tep.n = (acc & sign) != 0
+        return pc + 1
+    return unary
+
+
+#: one-bit shifts: (ACC, C) <- f(ACC, C, mask, sign), setting Z and N;
+#: the outgoing bit goes to C, and RCL/RCR rotate the old C in
+_SHIFTS = {
+    Op.SHL: lambda acc, c, mask, sign: ((acc << 1) & mask,
+                                        (acc & sign) != 0),
+    Op.SHR: lambda acc, c, mask, sign: (acc >> 1, (acc & 1) != 0),
+    Op.RCL: lambda acc, c, mask, sign: (((acc << 1) | (1 if c else 0))
+                                        & mask, (acc & sign) != 0),
+    Op.RCR: lambda acc, c, mask, sign: ((acc >> 1) | (sign if c else 0),
+                                        (acc & 1) != 0),
+}
+
+
+def _decode_shift(instruction, arch, labels) -> Handler:
+    mask, sign = _widths(arch)
+    apply = _SHIFTS[instruction.op]
+
+    def shift(tep: Tep, pc: int) -> int:
+        acc, tep.c = apply(tep.acc, tep.c, mask, sign)
+        tep.acc = acc
+        tep.z = acc == 0
+        tep.n = (acc & sign) != 0
+        return pc + 1
+    return shift
+
+
+def _decode_custom(instruction, arch, labels) -> Handler:
+    operand = instruction.operand
+    index = operand.value if isinstance(operand, Imm) else -1
+    if not 0 <= index < len(arch.custom_instructions):
+        return _fault(f"undefined CUSTOM #{index}")
+    signature = arch.custom_instructions[index].signature
+    mask, sign = _widths(arch)
+
+    def custom(tep: Tep, pc: int) -> int:
+        acc = tep.acc = evaluate_signature(
+            signature, [tep.acc, tep.op] + tep.registers, mask)
+        tep.z = acc == 0
+        tep.n = (acc & sign) != 0
+        return pc + 1
+    return custom
+
+
+# -- ports and the CR ----------------------------------------------------------
+
+def _decode_port(instruction, arch, labels) -> Handler:
+    op = instruction.op
+    operand = instruction.operand
+    if not isinstance(operand, PortRef):
+        return _fault(f"{op.name} needs a port operand")
+    address = operand.address
+    if op is Op.OUTP:
+        def output(tep: Tep, pc: int) -> int:
+            tep.ports.write(address, tep.acc)
+            return pc + 1
+        return output
+    mask, sign = _widths(arch)
+
+    def input_(tep: Tep, pc: int) -> int:
+        acc = tep.acc = tep.ports.read(address) & mask
+        tep.z = acc == 0
+        tep.n = (acc & sign) != 0
+        return pc + 1
+    return input_
+
+
+def _decode_signal(instruction, arch, labels) -> Handler:
+    op = instruction.op
+    operand = instruction.operand
+    if not isinstance(operand, SignalRef):
+        return _fault(f"{op.name} needs a signal operand")
+    index = operand.index
+    if op is Op.EVSET:
+        def raise_event(tep: Tep, pc: int) -> int:
+            tep.events_raised.add(index)
+            return pc + 1
+        return raise_event
+    if op is Op.CSET or op is Op.CCLR:
+        value = op is Op.CSET
+
+        def set_condition(tep: Tep, pc: int) -> int:
+            tep.condition_cache[index] = value
+            return pc + 1
+        return set_condition
+    _, sign = _widths(arch)
+
+    def test_condition(tep: Tep, pc: int) -> int:
+        acc = tep.acc = 1 if tep.condition_cache[index] else 0
+        tep.z = acc == 0
+        tep.n = (acc & sign) != 0
+        return pc + 1
+    return test_condition
+
+
+_DECODERS: Dict[Op, Callable[..., Handler]] = {
+    Op.NOP: _decode_shared(_nop),
+    Op.TRET: _decode_shared(_tret),
+    Op.RET: _decode_shared(_ret),
+    Op.TAO: _decode_shared(_tao),
+    Op.JMP: _decode_jmp,
+    **{op: _decode_conditional for op in _CONDITIONS},
+    Op.CALL: _decode_call,
+    Op.CBEQ: _decode_compare_branch,
+    Op.CBNE: _decode_compare_branch,
+    Op.LDA: _decode_lda,
+    Op.LDO: _decode_ldo,
+    Op.STA: _decode_sta,
+    Op.LDI: _decode_indexed,
+    Op.STI: _decode_indexed,
+    Op.ADD: _decode_add,
+    Op.ADC: _decode_add,
+    Op.SUB: _decode_subtract,
+    Op.SBC: _decode_subtract,
+    Op.CMP: _decode_subtract,
+    **{op: _decode_combine for op in _COMBINE},
+    **{op: _decode_unary for op in _UNARY},
+    **{op: _decode_shift for op in _SHIFTS},
+    Op.CUSTOM: _decode_custom,
+    Op.INP: _decode_port,
+    Op.OUTP: _decode_port,
+    **{op: _decode_signal for op in (Op.EVSET, Op.CSET, Op.CCLR, Op.CTST)},
+}

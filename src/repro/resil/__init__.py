@@ -60,6 +60,7 @@ from repro.resil.transport import (
 )
 from repro.resil.delta import (
     DELTA_VERSION,
+    DeltaBase,
     DeltaChain,
     DeltaSnapshot,
     apply_delta,
@@ -99,6 +100,7 @@ __all__ = [
     "encode_frame",
     "DELTA_VERSION",
     "DeltaSnapshot",
+    "DeltaBase",
     "DeltaChain",
     "diff_snapshots",
     "apply_delta",

@@ -143,51 +143,77 @@ class DeltaSnapshot:
         return len(self.to_json_str())
 
 
+class DeltaBase:
+    """A full snapshot that deltas are taken against and applied to.  Its
+    canonical document, encoded size and fingerprint are computed once,
+    however many deltas name it."""
+
+    def __init__(self, snapshot: MachineSnapshot) -> None:
+        self.snapshot = snapshot
+        self.document = snapshot.to_json()
+        text = json.dumps(self.document, sort_keys=True,
+                          separators=(",", ":"))
+        self.encoded_bytes = len(text)
+        self.fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def diff(self, target: MachineSnapshot) -> DeltaSnapshot:
+        """The delta that rebuilds *target* from this base
+        byte-identically."""
+        base = self.snapshot
+        if base.chart != target.chart:
+            raise SnapshotError(
+                f"cannot delta across charts: base {base.chart!r}, "
+                f"target {target.chart!r}")
+        ops: List[Tuple[str, Any]] = []
+        target_document = target.to_json()
+        _diff(self.document, target_document, "", ops)
+        return DeltaSnapshot(
+            version=DELTA_VERSION,
+            chart=target.chart,
+            base_cycle=base.cycle_count,
+            target_cycle=target.cycle_count,
+            base_fingerprint=self.fingerprint,
+            target_fingerprint=_document_fingerprint(target_document),
+            ops=ops,
+        )
+
+    def apply(self, delta: DeltaSnapshot) -> MachineSnapshot:
+        """Rebuild the delta's target from this base; refuses the wrong
+        base and proves the rebuild against the recorded target
+        fingerprint."""
+        if self.fingerprint != delta.base_fingerprint:
+            raise SnapshotError(
+                f"delta targets base {delta.base_fingerprint[:12]}… at "
+                f"cycle {delta.base_cycle}; this snapshot is "
+                f"{self.fingerprint[:12]}… at cycle "
+                f"{self.snapshot.cycle_count}")
+        document = copy.deepcopy(self.document)
+        for path, value in delta.ops:
+            try:
+                _apply_op(document, path, copy.deepcopy(value))
+            except (KeyError, IndexError, ValueError) as exc:
+                raise SnapshotError(
+                    f"delta op at {path!r} does not fit the base document: "
+                    f"{exc}") from None
+        rebuilt = _document_fingerprint(document)
+        if rebuilt != delta.target_fingerprint:
+            raise SnapshotError(
+                f"delta reconstruction fingerprint {rebuilt[:12]}… does not "
+                f"match the recorded target "
+                f"{delta.target_fingerprint[:12]}…")
+        return MachineSnapshot.from_json(document)
+
+
 def diff_snapshots(base: MachineSnapshot,
                    target: MachineSnapshot) -> DeltaSnapshot:
     """The delta that rebuilds *target* from *base* byte-identically."""
-    if base.chart != target.chart:
-        raise SnapshotError(
-            f"cannot delta across charts: base {base.chart!r}, "
-            f"target {target.chart!r}")
-    ops: List[Tuple[str, Any]] = []
-    _diff(base.to_json(), target.to_json(), "", ops)
-    return DeltaSnapshot(
-        version=DELTA_VERSION,
-        chart=target.chart,
-        base_cycle=base.cycle_count,
-        target_cycle=target.cycle_count,
-        base_fingerprint=snapshot_fingerprint(base),
-        target_fingerprint=snapshot_fingerprint(target),
-        ops=ops,
-    )
+    return DeltaBase(base).diff(target)
 
 
 def apply_delta(base: MachineSnapshot,
                 delta: DeltaSnapshot) -> MachineSnapshot:
-    """Rebuild the delta's target from *base*; refuses the wrong base and
-    proves the rebuild against the recorded target fingerprint."""
-    fingerprint = snapshot_fingerprint(base)
-    if fingerprint != delta.base_fingerprint:
-        raise SnapshotError(
-            f"delta targets base {delta.base_fingerprint[:12]}… at cycle "
-            f"{delta.base_cycle}; this snapshot is {fingerprint[:12]}… at "
-            f"cycle {base.cycle_count}")
-    document = copy.deepcopy(base.to_json())
-    for path, value in delta.ops:
-        try:
-            _apply_op(document, path, copy.deepcopy(value))
-        except (KeyError, IndexError, ValueError) as exc:
-            raise SnapshotError(
-                f"delta op at {path!r} does not fit the base document: "
-                f"{exc}") from None
-    rebuilt = _document_fingerprint(document)
-    if rebuilt != delta.target_fingerprint:
-        raise SnapshotError(
-            f"delta reconstruction fingerprint {rebuilt[:12]}… does not "
-            f"match the recorded target "
-            f"{delta.target_fingerprint[:12]}…")
-    return MachineSnapshot.from_json(document)
+    """Rebuild the delta's target from *base* (:meth:`DeltaBase.apply`)."""
+    return DeltaBase(base).apply(delta)
 
 
 class DeltaChain:
@@ -210,8 +236,8 @@ class DeltaChain:
             raise ValueError("max deltas between fulls must be >= 1")
         self.compact_ratio = compact_ratio
         self.max_deltas = max_deltas
-        self.last_full: Optional[MachineSnapshot] = None
-        self.last_full_bytes = 0
+        #: the last full emitted, which every later delta names as base
+        self._base: Optional[DeltaBase] = None
         self.deltas_since_full = 0
         self.fulls_emitted = 0
         self.deltas_emitted = 0
@@ -220,16 +246,20 @@ class DeltaChain:
         self.compactions = 0
         self._compact_next = False
 
+    @property
+    def last_full(self) -> Optional[MachineSnapshot]:
+        return None if self._base is None else self._base.snapshot
+
     def record(self, snapshot: MachineSnapshot
                ) -> Tuple[str, Dict[str, Any]]:
-        if (self.last_full is None or self._compact_next
+        if (self._base is None or self._compact_next
                 or self.deltas_since_full >= self.max_deltas):
-            if self.last_full is not None:
+            if self._base is not None:
                 self.compactions += 1
             return "full", self._emit_full(snapshot)
-        delta = diff_snapshots(self.last_full, snapshot)
+        delta = self._base.diff(snapshot)
         encoded = delta.encoded_bytes
-        if encoded >= self.compact_ratio * self.last_full_bytes:
+        if encoded >= self.compact_ratio * self._base.encoded_bytes:
             self.compactions += 1
             return "full", self._emit_full(snapshot)
         # the delta stays relative to the last *full*, so the consumer
@@ -241,12 +271,11 @@ class DeltaChain:
         return "delta", delta.to_json()
 
     def _emit_full(self, snapshot: MachineSnapshot) -> Dict[str, Any]:
-        self.last_full = snapshot
-        self.last_full_bytes = len(snapshot.to_json_str())
+        self._base = DeltaBase(snapshot)
         self.deltas_since_full = 0
         self._compact_next = False
         self.fulls_emitted += 1
-        self.full_bytes += self.last_full_bytes
+        self.full_bytes += self._base.encoded_bytes
         return snapshot.to_json()
 
     def describe(self) -> Dict[str, Any]:

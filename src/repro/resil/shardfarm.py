@@ -54,9 +54,9 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.resil.delta import (
+    DeltaBase,
     DeltaChain,
     DeltaSnapshot,
-    apply_delta,
     snapshot_fingerprint,
 )
 from repro.resil.queue import (
@@ -359,7 +359,7 @@ class ShardHandle:
         #: lineage digests so replayed cycles never collide across lives
         self.generation = 0
         #: the last FULL snapshot received (every delta names it as base)
-        self.base_full: Optional[MachineSnapshot] = None
+        self.base_full: Optional[DeltaBase] = None
         #: the current reconstructed state (base full + latest delta)
         self.last_full: Optional[MachineSnapshot] = None
         self.checkpoint_processed = 0
@@ -830,13 +830,14 @@ class ShardSupervisor:
     def _apply_checkpoint(self, shard: ShardHandle,
                           payload: Dict[str, Any]) -> None:
         if payload["kind"] == "full":
-            shard.base_full = MachineSnapshot.from_json(payload["doc"])
-            shard.last_full = shard.base_full
+            shard.base_full = DeltaBase(
+                MachineSnapshot.from_json(payload["doc"]))
+            shard.last_full = shard.base_full.snapshot
         else:
             # deltas are always encoded against the last full, never
             # chained — each one alone rebuilds the current state
             delta = DeltaSnapshot.from_json(payload["doc"])
-            shard.last_full = apply_delta(shard.base_full, delta)
+            shard.last_full = shard.base_full.apply(delta)
             shard.deltas_applied += 1
         shard.checkpoint_processed = payload["processed"]
         shard.checkpoints += 1

@@ -120,6 +120,33 @@ class TestCli:
         assert code == 2
 
 
+#: ``Begin()`` declares ``@bound(2)`` for a loop that never ends; lint,
+#: check and the flow accept the designer's claim
+BOUND_OVERRUN = str(pathlib.Path(__file__).resolve().parent / "fixtures"
+                    / "run_errors" / "bound_overrun")
+
+
+@pytest.mark.parametrize("command", [["stats"],
+                                     ["trace", "--out", "trace.json"]])
+def test_routine_that_overruns_its_bound_is_an_error_line(
+        command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, text = invoke([command[0], BOUND_OVERRUN, *command[1:]])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err == (
+        f"error: {BOUND_OVERRUN}/chart.sc:12: transition Idle --GO "
+        f"/Begin()--> Work: runaway execution in '__t0' "
+        f"(> 1000000 cycles)\n")
+
+
+@pytest.mark.parametrize("command", [["lint"], ["check"],
+                                     ["serve", "--items", "4"]])
+def test_bound_overrun_passes_the_static_commands(command):
+    code, _ = invoke([command[0], BOUND_OVERRUN, *command[1:]])
+    assert code == 0
+
+
 #: a chart whose only leaf is a chart reference the flow never inlines
 REF_CHART = """
 chart refs;

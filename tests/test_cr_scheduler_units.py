@@ -11,6 +11,7 @@ from repro.fault import (
 )
 from repro.flow import build_system
 from repro.isa import MD16_TEP, ArchConfig
+from repro.pscp.condcache import ConditionCacheBridge
 from repro.pscp.cr import ConfigurationRegister
 from repro.pscp.scheduler import (
     DISPATCH_OVERHEAD_CYCLES,
@@ -72,6 +73,38 @@ class TestConfigurationRegister:
         assert events == {"E1"}
         assert conditions == {"C1"}
         assert states == cr.configuration
+
+
+class TestConditionCacheBridge:
+    """Copy-in walks the chart's declaration order, copy-back the compiled
+    map's; both orders are fixed when the bridge is built."""
+
+    def test_copies_move_each_condition_once(self):
+        chart = small_chart()
+        cr = ConfigurationRegister(cr_layout(chart))
+        bridge = ConditionCacheBridge(chart.conditions, {"C2": 5, "C1": 9})
+        cache = [False] * 64
+        assert bridge.copy_in(cr, cache) == 2
+        assert (cache[9], cache[5]) == (True, False)
+        cache[5], cache[9] = True, False
+        assert bridge.copy_back(cr, cache) == 2
+        assert cr.conditions == {"C2"}
+        assert (bridge.words_copied_in, bridge.words_copied_back,
+                bridge.transfers) == (2, 2, 1)
+
+    def test_an_undeclared_compiled_condition_fails_the_copy_back(self):
+        chart = small_chart()
+        cr = ConfigurationRegister(cr_layout(chart))
+        bridge = ConditionCacheBridge(chart.conditions,
+                                      {"C2": 0, "GHOST": 1, "C1": 2})
+        cache = [False] * 64
+        assert bridge.copy_in(cr, cache) == 2
+        cache[0] = True
+        with pytest.raises(KeyError, match="unknown condition 'GHOST'"):
+            bridge.copy_back(cr, cache)
+        # the compiled map's conditions before the undeclared one landed
+        assert cr.conditions == {"C1", "C2"}
+        assert bridge.words_copied_back == 0
 
 
 def nested_chart():

@@ -230,6 +230,53 @@ class TestDeltaSnapshots:
                                       DeltaSnapshot.from_json(doc))
                 assert rebuilt.to_json_str() == snapshot.to_json_str()
 
+    def test_each_full_is_serialized_and_fingerprinted_once(
+            self, system, monkeypatch):
+        """The producer diffs every delta against the full's kept document
+        and fingerprint, and the supervisor applies every delta against
+        the fingerprint it kept when the full arrived."""
+        from repro.resil import DeltaSnapshot
+
+        machine = system.make_machine()
+        events = sorted(system.chart.events)
+        chain = DeltaChain(compact_ratio=1.0, max_deltas=100)
+        full = snapshot_machine(machine)
+        payload = {"kind": "full", "doc": full.to_json(), "processed": 0}
+        documents = {}
+        to_json = MachineSnapshot.to_json
+
+        def counting(snapshot):
+            documents[id(snapshot)] = documents.get(id(snapshot), 0) + 1
+            return to_json(snapshot)
+        monkeypatch.setattr(MachineSnapshot, "to_json", counting)
+        assert chain.record(full)[0] == "full"
+        shard = shardfarm.ShardHandle(0, "shard-0")
+        supervisor = type("Supervisor", (), {"ledger": FarmLedger()})()
+        apply = shardfarm.ShardSupervisor._apply_checkpoint
+        apply(supervisor, shard, payload)
+        received = shard.base_full.snapshot
+        deltas = []
+        for i in range(6):
+            machine.step([events[i % len(events)]])
+            snapshot = snapshot_machine(machine)
+            kind, doc = chain.record(snapshot)
+            assert kind == "delta"
+            apply(supervisor, shard, {"kind": kind, "doc": doc,
+                                      "processed": i + 1})
+            deltas.append((snapshot, doc, shard.last_full))
+        # the full: one document to diff against, one for the payload;
+        # the received full: one document to apply deltas to
+        assert documents[id(full)] == 2
+        assert documents[id(received)] == 1
+        assert shard.deltas_applied == 6
+        for snapshot, doc, rebuilt in deltas:
+            assert rebuilt.to_json_str() == snapshot.to_json_str()
+            assert doc == diff_snapshots(full, snapshot).to_json()
+        stale = DeltaSnapshot.from_json(doc)
+        shard.base_full = shardfarm.DeltaBase(snapshot)
+        with pytest.raises(SnapshotError, match="delta targets base"):
+            shard.base_full.apply(stale)
+
 
 # ---------------------------------------------------------------------------
 # process-kill fault model
