@@ -145,6 +145,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _check_writable(*paths: Optional[str]) -> None:
+    """Raise :class:`OSError` for the first given path that cannot be
+    written, leaving behind no file that the command has not written."""
+    for path in paths:
+        if path is not None:
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                os.remove(path)
+
+
 def _add_project_arguments(parser: argparse.ArgumentParser,
                            required: bool = True) -> None:
     parser.add_argument("project", nargs=None if required else "?",
@@ -396,8 +407,7 @@ def run_trace(argv: List[str], out=sys.stdout) -> int:
         return 2
     try:
         # fail on an unwritable destination now, not after the simulation
-        with open(args.out, "a"):
-            pass
+        _check_writable(args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -689,13 +699,8 @@ def run_serve(argv: List[str], out=sys.stdout) -> int:
     if project is None:
         return 2
     try:
-        # fail on an unwritable trace destination now, not after the soak
-        if args.trace is not None:
-            with open(args.trace, "a"):
-                pass
-        if args.lineage is not None:
-            with open(args.lineage, "a"):
-                pass
+        # fail on an unwritable destination now, not after the soak
+        _check_writable(args.trace, args.lineage)
         if args.forensics_dir is not None:
             os.makedirs(args.forensics_dir, exist_ok=True)
     except OSError as exc:
@@ -859,7 +864,7 @@ def _run_serve_distributed(args, chart, system, config, out) -> int:
         flows = None
         if lineage is not None:
             pids = {shard.name: FIRST_MACHINE_PID + index
-                    for index, shard in enumerate(supervisor.shards)}
+                    for index, shard in enumerate(supervisor.workers)}
             flows = dag_flow_events(lineage.dag, pids=pids)
         write_merged_chrome_trace({}, args.trace,
                                   supervisor_events=report.timeline,

@@ -2,9 +2,9 @@
 
 The supervisor's :class:`~repro.resil.supervisor.FarmReport` is an
 end-of-run summary; the :class:`FarmSampler` is its time axis.  Hooked into
-:meth:`Supervisor.run`, it snapshots the farm every *every* supervisor
-ticks — farm-level counters, per-worker gauges, and the dispatch-latency
-distribution digests — into an in-memory series;
+the in-process :meth:`Supervisor.run`, it snapshots the farm every
+*every* supervisor ticks — farm-level counters, per-worker gauges, and the
+dispatch-latency distribution digests — into an in-memory series;
 :func:`write_samples` exports either sampler's series as CSV or JSON.
 Every sample carries the conservation identities, so the no-silent-loss
 ledger can be asserted *at every tick*, not just at the end.
@@ -72,8 +72,8 @@ class FarmSampler:
             workers.append({
                 "name": worker.name,
                 "state": worker.state,
-                "queue_depth": len(worker.queue),
-                "processed": worker.processed,
+                "queue_depth": len(worker.core.queue),
+                "processed": ledger.tallies[worker.name].processed,
                 "restarts": worker.restarts_used,
                 "breaker": worker.breaker.state,
                 "latency": worker.latency.summary(),
@@ -85,7 +85,7 @@ class FarmSampler:
             "processed": ledger.processed,
             "rejected": ledger.rejected_total,
             "shed": ledger.shed_total,
-            "in_flight": sum(len(w.queue) for w in supervisor.workers),
+            "in_flight": sum(w["queue_depth"] for w in workers),
             "escalations": ledger.escalations,
             "restarts": ledger.restarts,
             "permanent_failures": ledger.permanent_failures,
@@ -292,8 +292,9 @@ def render_dashboard(supervisor, sampler: FarmSampler) -> str:
         latency = ("-" if not digest["count"] else
                    f"p50={digest['p50']} p95={digest['p95']} "
                    f"p99={digest['p99']}")
-        rows.append((worker.name, worker.state, worker.processed,
-                     len(worker.queue), worker.restarts_used,
+        rows.append((worker.name, worker.state,
+                     ledger.tallies[worker.name].processed,
+                     len(worker.core.queue), worker.restarts_used,
                      worker.breaker.state, latency,
                      worker.last_escalation or "-"))
     lines.append(ascii_table(

@@ -7,10 +7,10 @@
     Bounded admission queues with backpressure, priority load shedding,
     and per-worker circuit breakers.
 ``supervisor``
-    A farm of N supervised machines over a shared event stream with
-    restart-from-snapshot and conservation-checked accounting, plus what
-    both farm engines share: the :class:`FarmConfig` settings, the farm
-    machine and the ledger identities.
+    The one farm engine: a :class:`Supervisor` routing a shared event
+    stream over N supervised workers (one :class:`WorkerCore` each) with
+    bounded admission, a restart ladder and a conservation-checked
+    :class:`FarmLedger`; in-process workers are called directly.
 ``transport``
     Length-prefixed JSON frames between farm processes: per-request
     timeouts, oversized-frame rejection, attributed close.
@@ -22,9 +22,9 @@
     Hot-standby replicas replaying the stream one checkpoint behind, so
     escalation becomes promotion.
 ``shardfarm``
-    The distributed farm: a :class:`ShardSupervisor` over N worker
-    *processes* with failover, respawn and process-kill chaos, keeping
-    the conservation ledger global.
+    The same engine over N worker *processes*: a :class:`ShardSupervisor`
+    adding fork, heartbeats, failover, delta-encoded checkpoints and
+    process-kill chaos.
 """
 
 from repro.resil.snapshot import (
@@ -44,9 +44,9 @@ from repro.resil.supervisor import (
     FarmConfig,
     FarmLedger,
     FarmReport,
-    MachineWorker,
     RestartPolicy,
     Supervisor,
+    WorkerCore,
     generate_event_stream,
 )
 from repro.resil.transport import (
@@ -88,8 +88,8 @@ __all__ = [
     "RestartPolicy",
     "FarmLedger",
     "FarmReport",
-    "MachineWorker",
     "Supervisor",
+    "WorkerCore",
     "generate_event_stream",
     "Channel",
     "TransportError",

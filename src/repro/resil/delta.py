@@ -223,7 +223,7 @@ class DeltaChain:
     ``("delta", document)``.  A fresh full is emitted when the previous
     delta's encoded size exceeded ``compact_ratio`` of the full document's
     size, or after ``max_deltas`` consecutive deltas — whichever bites
-    first.  The consumer (:class:`ShardState` on the supervisor side)
+    first.  The consumer (:class:`ShardHandle` on the supervisor side)
     applies deltas in order to its last full and always holds the current
     state at O(1) history.
     """
@@ -244,16 +244,10 @@ class DeltaChain:
         self.delta_bytes = 0
         self.full_bytes = 0
         self.compactions = 0
-        self._compact_next = False
-
-    @property
-    def last_full(self) -> Optional[MachineSnapshot]:
-        return None if self._base is None else self._base.snapshot
 
     def record(self, snapshot: MachineSnapshot
                ) -> Tuple[str, Dict[str, Any]]:
-        if (self._base is None or self._compact_next
-                or self.deltas_since_full >= self.max_deltas):
+        if self._base is None or self.deltas_since_full >= self.max_deltas:
             if self._base is not None:
                 self.compactions += 1
             return "full", self._emit_full(snapshot)
@@ -273,7 +267,6 @@ class DeltaChain:
     def _emit_full(self, snapshot: MachineSnapshot) -> Dict[str, Any]:
         self._base = DeltaBase(snapshot)
         self.deltas_since_full = 0
-        self._compact_next = False
         self.fulls_emitted += 1
         self.full_bytes += self._base.encoded_bytes
         return snapshot.to_json()

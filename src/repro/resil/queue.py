@@ -2,7 +2,7 @@
 
 The farm's unit of work is a :class:`WorkItem` — one configuration cycle's
 worth of external events plus a priority.  Each
-:class:`~repro.resil.supervisor.MachineWorker` owns one
+:class:`~repro.resil.supervisor.WorkerCore` owns one
 :class:`BoundedQueue`; admission follows the backpressure ladder:
 
 1. queue has room → **accepted** (FIFO; priority never reorders service,

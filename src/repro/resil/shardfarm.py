@@ -1,44 +1,33 @@
-"""A distributed farm: the supervisor sharded across OS processes.
+"""A distributed farm: the one farm engine, carried to OS processes.
 
-The paper scales by adding TEPs inside one PSCP; the ROADMAP's next rung
-shards the whole supervised farm across **worker processes**, ConPro-style
-— isolated sequential workers exchanging typed frames over channels
-(:mod:`repro.resil.transport`), with one :class:`ShardSupervisor` owning
-the stream, the routing and the global conservation ledger
-(Harel-style inter-object coordination in exactly one place).
+The paper scales by adding TEPs inside one PSCP; the farm shards the same
+supervised engine (:mod:`repro.resil.supervisor`) across **worker
+processes**, ConPro-style — isolated sequential workers exchanging typed
+frames over channels (:mod:`repro.resil.transport`).  The
+:class:`ShardSupervisor` keeps its base :class:`Supervisor`'s tick loop,
+routing, restart ladder and global conservation ledger (Harel-style
+inter-object coordination in exactly one place) and adds only what
+processes need:
 
-Topology and failure story
---------------------------
-
-* ``N`` **shards**, each a forked primary process wrapping the familiar
-  worker loop — a :class:`~repro.resil.queue.BoundedQueue`, a machine
-  with a guard, and checkpoint-every-K items encoded through a
-  :class:`~repro.resil.delta.DeltaChain` (full snapshot first, cheap
-  deltas after, compaction when deltas stop paying);
-* work routes by **shard key** (``seq % N``); a dead or backing-off
-  shard's traffic **reroutes** to the next live shard (counted and
-  visible in the report), and when nothing is live the item is rejected
-  with a reason — degraded, attributed, never hung;
-* the supervisor detects a dead worker by the **EOF** its kill leaves on
-  the channel and a hung worker by **missed heartbeats** (bounded
-  per-request timeouts; ``MISS_THRESHOLD`` misses and the process is
-  SIGKILLed and handled as dead);
-* recovery is **promotion** when the shard has a hot standby
-  (:mod:`repro.resil.standby`): the standby drains its delta log and
-  takes over on its own socket — no rewind.  Without a standby the
-  supervisor **respawns** the primary from the last checkpoint it
-  reconstructed from the delta stream (bounded restarts with
-  seeded-jitter backoff), and past the restart budget the shard fails
-  permanently: queued work is shed ``shard-lost``, in-dispatch work is
+* **fork**: each shard is a forked primary process serving a
+  :class:`~repro.resil.supervisor.WorkerCore`; its checkpoints cross the
+  wire through a :class:`~repro.resil.delta.DeltaChain` (full snapshot
+  first, cheap deltas after) and the supervisor reconstructs each one;
+* **heartbeats**: a killed worker leaves **EOF** on its channel, a hung
+  one misses heartbeats (``MISS_THRESHOLD`` misses and it is SIGKILLed
+  and handled as dead); a dead shard's traffic **reroutes** to the next
+  live shard, or is rejected with a reason when nothing is live;
+* **failover**: a process death climbs the engine's restart ladder by
+  promoting the shard's **hot standby** (:mod:`repro.resil.standby`) or,
+  after the ladder's backoff, **respawning** the primary from the latest
+  checkpoint; either way its in-flight items are redispatched.  Past the
+  restart budget queued work is shed ``shard-lost`` and in-dispatch work
   rejected ``shard-lost``, every item attributed;
-* **chaos** is a seeded :class:`~repro.fault.model.ProcessKill` plan:
-  at the planned tick the dispatch carries ``kill_after=j`` and the
-  worker SIGKILLs *itself* mid-dispatch after processing ``j`` items —
-  a real uncatchable death at a deterministic stream position, so two
-  runs with the same seed produce byte-identical per-shard ledgers.
+* **chaos**: a seeded :class:`~repro.fault.model.ProcessKill` plan rides
+  the dispatch as ``kill_after=j``, and the worker SIGKILLs *itself*
+  after processing ``j`` items — a real uncatchable death at a
+  deterministic stream position, so same-seed runs stay byte-identical.
 
-Everything the supervisor counts lands in the same conservation-checked
-:class:`~repro.resil.supervisor.FarmLedger` the single-process farm uses:
 ``submitted = accepted + rejected + in-dispatch`` and ``accepted =
 processed + shed + queued`` hold at every sample and at the end.
 """
@@ -48,32 +37,25 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.resil.delta import (
-    DeltaBase,
-    DeltaChain,
-    DeltaSnapshot,
-    snapshot_fingerprint,
-)
-from repro.resil.queue import (
-    BoundedQueue,
-    REJECT_QUEUE_FULL,
-    REJECT_WORKER_FAILED,
-    SHED_OVERLOAD,
-    WorkItem,
-)
-from repro.resil.snapshot import MachineSnapshot, snapshot_machine, \
-    restore_machine
+from repro.resil.delta import DeltaBase, DeltaSnapshot
+from repro.resil.queue import WorkItem
+from repro.resil.snapshot import MachineSnapshot
 from repro.resil.supervisor import (
-    MAX_TICKS,
+    BACKOFF,
+    FAILED,
+    RUNNING,
     FarmConfig,
-    FarmLedger,
     RestartPolicy,
-    farm_machine,
+    Supervisor,
+    Tally,
+    Worker,
+    WorkerCore,
+    decode_item,
+    encode_item,
     ledger_violations,
     render_verdict,
 )
@@ -86,23 +68,10 @@ from repro.resil.transport import (
     channel_pair,
 )
 
-#: shard lifecycle states (the worker-process analogues of the
-#: single-process worker's RUNNING/BACKOFF/FAILED)
-RUNNING = "running"
-BACKOFF = "backoff"
-FAILED = "failed"
-
 #: attribution reasons specific to the distributed farm
 SHED_SHARD_LOST = "shard-lost"
 SHED_RESPAWN_OVERFLOW = "respawn-overflow"
-SHED_MACHINE_ESCALATION = "machine-escalation"
 
-
-#: a worker's delta chain emits a full snapshot once a delta's encoded
-#: size reaches this share of the last full one, or after this many
-#: consecutive deltas
-COMPACT_RATIO = 0.5
-MAX_DELTAS = 16
 #: the byte ceiling of every frame between the supervisor and a worker
 MAX_FRAME = DEFAULT_MAX_FRAME
 #: seconds the supervisor waits for a forked worker's ``ready`` frame, and
@@ -115,167 +84,6 @@ MISS_THRESHOLD = 3
 
 class ShardFarmError(Exception):
     """Raised for unusable farm configurations."""
-
-
-def encode_item(item: WorkItem) -> Dict[str, Any]:
-    return {"seq": item.seq, "events": list(item.events),
-            "priority": item.priority, "origin": item.origin}
-
-
-def decode_item(doc: Dict[str, Any]) -> WorkItem:
-    return WorkItem(doc["seq"], tuple(doc["events"]),
-                    doc.get("priority", 0), doc.get("origin", "stream"))
-
-
-# ---------------------------------------------------------------------------
-# process side: the worker core and serve loop
-# ---------------------------------------------------------------------------
-
-class WorkerCore:
-    """One shard's machine, queue and checkpoint chain (process side): the
-    primary's op handlers under :func:`serve_worker`.
-
-    With *lineage* a :class:`~repro.obs.lineage.LineageTracker` rides the
-    machine and every result frame ships its causal-hop digests (the
-    supervisor stitches them into one DAG).
-    """
-
-    #: a primary keeps its role for the life of its process
-    successor = None
-
-    def __init__(self, config: FarmConfig, machine, lineage: bool = False,
-                 processed: int = 0) -> None:
-        self.config = config
-        self.machine = machine
-        self.lineage = None
-        if lineage:
-            from repro.obs.lineage import LineageTracker
-
-            self.lineage = LineageTracker(origin="worker")
-            self.machine.attach(self.lineage)
-        self.queue = BoundedQueue(config.queue_capacity,
-                                  shed_enabled=config.shed_enabled)
-        self.chain = DeltaChain(compact_ratio=COMPACT_RATIO,
-                                max_deltas=MAX_DELTAS)
-        self.processed = processed
-        self.restarts = 0
-        self.escalations: List[str] = []
-        self._since_checkpoint = 0
-
-    @classmethod
-    def spawn(cls, system, config: FarmConfig, lineage: bool,
-              snapshot_doc: Optional[Dict[str, Any]] = None
-              ) -> "WorkerCore":
-        """A forked primary's core: a fresh farm machine, restored from
-        *snapshot_doc* when the shard is respawned."""
-        machine = farm_machine(system)
-        if snapshot_doc is not None:
-            restore_machine(machine, MachineSnapshot.from_json(snapshot_doc))
-        return cls(config, machine, lineage=lineage)
-
-    # -- checkpointing -----------------------------------------------------
-    def _checkpoint(self) -> Dict[str, Any]:
-        snapshot = snapshot_machine(self.machine)
-        kind, doc = self.chain.record(snapshot)
-        self._since_checkpoint = 0
-        return {"kind": kind, "doc": doc, "processed": self.processed,
-                "cycle": snapshot.cycle_count}
-
-    # -- the op table ------------------------------------------------------
-    def ready(self) -> Dict[str, Any]:
-        """The ``ready`` handshake, shipping the anchor checkpoint."""
-        return {"op": "ready", "role": "primary",
-                "checkpoint": self._checkpoint()}
-
-    def ops(self) -> Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]]:
-        return {"dispatch": self.on_dispatch, "hang": self.on_hang}
-
-    def farewell(self) -> Dict[str, Any]:
-        """What the ``bye`` reply to ``stop`` carries besides transport."""
-        return {"chain": self.chain.describe(), "restarts": self.restarts,
-                "escalations": self.escalations}
-
-    def on_hang(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        # test hook: a worker that stops answering without dying
-        time.sleep(message.get("seconds", 60.0))
-        return {"op": "hung-done"}
-
-    # -- dispatch ----------------------------------------------------------
-    def on_dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.fault.guard import MachineEscalation
-        from repro.pscp.machine import MachineError
-
-        accepted: List[int] = []
-        rejected: List[List[Any]] = []
-        shed: List[List[Any]] = []
-        for doc in message.get("items", ()):
-            item = decode_item(doc)
-            admission = self.queue.offer(item)
-            if admission.accepted:
-                accepted.append(item.seq)
-                if admission.shed is not None:
-                    shed.append([admission.shed.seq, SHED_OVERLOAD])
-            else:
-                rejected.append([item.seq,
-                                 admission.reason or REJECT_QUEUE_FULL])
-
-        kill_after = message.get("kill_after")
-        processed: List[int] = []
-        checkpoints: List[Dict[str, Any]] = []
-        for _ in range(message.get("batch", self.config.batch)):
-            if kill_after is not None and kill_after <= 0:
-                os.kill(os.getpid(), signal.SIGKILL)
-            item = self.queue.pop()
-            if item is None:
-                break
-            if self.lineage is not None:
-                # bind each stepped event to the item's wire trace context
-                for name in item.events:
-                    self.lineage.note_injection(name, item.trace_id)
-            try:
-                self.machine.step(item.events)
-            except (MachineEscalation, MachineError) as exc:
-                # rewind to the last full checkpoint, attribute the item;
-                # the machine continues from known-good state
-                self.escalations.append(str(exc))
-                shed.append([item.seq, SHED_MACHINE_ESCALATION])
-                if self.chain.last_full is not None:
-                    restore_machine(self.machine, self.chain.last_full)
-                    self.restarts += 1
-                continue
-            self.processed += 1
-            processed.append(item.seq)
-            if kill_after is not None:
-                kill_after -= 1
-            self._since_checkpoint += 1
-            if self._since_checkpoint >= self.config.checkpoint_every:
-                checkpoints.append(self._checkpoint())
-        if kill_after is not None:
-            # the seeded kill always lands at its tick: even when the
-            # queue drained first, die before acknowledging — the reply
-            # is never sent and the supervisor sees EOF mid-dispatch
-            os.kill(os.getpid(), signal.SIGKILL)
-        result = {
-            "op": "result",
-            "accepted": accepted,
-            "rejected": rejected,
-            "shed": shed,
-            "processed": processed,
-            "queue_depth": len(self.queue),
-            "checkpoints": checkpoints,
-            "sample": {
-                "queue_depth": len(self.queue),
-                "processed": self.processed,
-                "cycle_count": self.machine.cycle_count,
-                "restarts": self.restarts,
-            },
-        }
-        if self.lineage is not None:
-            # only the delta since the last acked reply rides the frame;
-            # hops a SIGKILL takes down with the process are re-derived
-            # at the item level by the supervisor (death + redispatch)
-            result["lineage"] = self.lineage.drain()
-        return result
 
 
 def serve_worker(child_sock, make_role: Callable[[], Any],
@@ -332,21 +140,16 @@ def serve_worker(child_sock, make_role: Callable[[], Any],
         os._exit(1)
 
 
-# ---------------------------------------------------------------------------
-# supervisor side
-# ---------------------------------------------------------------------------
-
-class ShardHandle:
-    """Supervisor-side bookkeeping for one shard."""
+class ShardHandle(Worker):
+    """The supervisor's side of one shard: its processes and channels,
+    its in-flight items and its reconstructed checkpoint."""
 
     def __init__(self, index: int, name: str) -> None:
-        self.index = index
-        self.name = name
+        super().__init__(index, name)
         self.process = None
         self.channel: Optional[Channel] = None
         self.standby_process = None
         self.standby_channel: Optional[Channel] = None
-        self.state = RUNNING
         #: accepted-but-unresolved items, seq -> item document
         self.outstanding: Dict[int, Dict[str, Any]] = {}
         #: dispatched item documents with no acknowledgement yet
@@ -355,40 +158,36 @@ class ShardHandle:
         self.exempt: set = set()
         self.pending_retry = False
         self.awaiting_reply = False
+        #: the next dispatch restores the latest checkpoint in place
+        self.restore_pending = False
         #: worker incarnation (respawns + promotions) — namespaces the
         #: lineage digests so replayed cycles never collide across lives
         self.generation = 0
         #: the last FULL snapshot received (every delta names it as base)
         self.base_full: Optional[DeltaBase] = None
-        #: the current reconstructed state (base full + latest delta)
+        #: the current reconstructed state (base full + latest delta) and
+        #: the fingerprint its reconstruction proved
         self.last_full: Optional[MachineSnapshot] = None
-        self.checkpoint_processed = 0
+        self.fingerprint: Optional[str] = None
         self.queue_depth = 0
         self.missed_heartbeats = 0
-        self.resume_at: Optional[int] = None
-        self.failed_at: Optional[int] = None
-        # per-shard ledger (the distributed analogue of worker.describe())
-        self.accepted = 0
-        self.processed = 0
-        self.rejected = 0
-        self.shed = 0
         self.respawns = 0
         self.promotions = 0
+        #: in-place restarts after machine escalations
+        self.worker_restarts = 0
         self.kills = 0
         self.checkpoints = 0
         self.deltas_applied = 0
         self.standby_verified = 0
         self.standby_divergences = 0
         self.standby_lost = False
-        self.rerouted_here = 0
         self.cycle_count = 0
-        self.worker_restarts = 0
         self.transport: Optional[Dict[str, Any]] = None
         self.chain_stats: Optional[Dict[str, Any]] = None
 
     @property
-    def live(self) -> bool:
-        return self.state == RUNNING and self.channel is not None \
+    def routable(self) -> bool:
+        return self.state != FAILED and self.channel is not None \
             and not self.awaiting_reply
 
     @property
@@ -400,14 +199,14 @@ class ShardHandle:
         return bool(self.outstanding or self.unacked or self.queue_depth
                     or self.pending_retry or self.awaiting_reply)
 
-    def describe(self) -> Dict[str, Any]:
+    def describe(self, tally: Tally) -> Dict[str, Any]:
         return {
             "name": self.name,
             "state": self.state,
-            "accepted": self.accepted,
-            "processed": self.processed,
-            "rejected": self.rejected,
-            "shed": self.shed,
+            "accepted": tally.accepted,
+            "processed": tally.processed,
+            "rejected": tally.rejected,
+            "shed": tally.shed,
             "queue_depth": self.queue_depth,
             "respawns": self.respawns,
             "promotions": self.promotions,
@@ -417,7 +216,7 @@ class ShardHandle:
             "standby_verified": self.standby_verified,
             "standby_divergences": self.standby_divergences,
             "standby_lost": self.standby_lost,
-            "rerouted_here": self.rerouted_here,
+            "rerouted_here": tally.rerouted,
             "cycle_count": self.cycle_count,
             "worker_restarts": self.worker_restarts,
             "transport": self.transport,
@@ -511,8 +310,13 @@ class ShardFarmReport:
                                              self.timeline_dropped)
 
 
-class ShardSupervisor:
-    """Routes a work stream over N worker processes, with failover."""
+class ShardSupervisor(Supervisor):
+    """The farm engine over N worker processes, with failover.
+
+    *lineage* (an optional :class:`repro.obs.causal.FarmLineage`) rides the
+    ledger; every worker then traces its machine-level hops, which the
+    supervisor stitches in.
+    """
 
     def __init__(self, system, n_shards: int = 2,
                  config: Optional[FarmConfig] = None,
@@ -523,22 +327,14 @@ class ShardSupervisor:
                  lineage=None) -> None:
         if n_shards < 1:
             raise ShardFarmError("a distributed farm needs >= 1 shard")
+        super().__init__([ShardHandle(i, f"shard{i}")
+                          for i in range(n_shards)],
+                         config, policy, lineage=lineage)
         self.system = system
-        self.config = config if config is not None else FarmConfig()
-        self.policy = policy if policy is not None else RestartPolicy()
         self.standby = standby
         self.kill_plan = sorted(kill_plan or (),
                                 key=lambda k: (k.tick, k.shard))
         self.aggregator = aggregator
-        #: optional :class:`repro.obs.causal.FarmLineage` — item-level
-        #: provenance stitched with the workers' machine-level digests,
-        #: which every worker then traces
-        self.lineage = lineage
-        self.ledger = FarmLedger()
-        self.shards = [ShardHandle(i, f"shard{i}")
-                       for i in range(n_shards)]
-        self.tick = 0
-        self.rerouted = 0
         self.kills_fired = 0
         self.kills_skipped = 0
         self._parent_socks: List[Any] = []
@@ -553,7 +349,7 @@ class ShardSupervisor:
             raise ShardFarmError(
                 "the distributed farm requires the fork start method")
         self._ctx = multiprocessing.get_context("fork")
-        for shard in self.shards:
+        for shard in self.workers:
             self._spawn_primary(shard)
             if self.standby:
                 self._spawn_standby(shard)
@@ -585,7 +381,8 @@ class ShardSupervisor:
                        ) -> None:
         shard.channel, shard.process = self._fork(
             shard.name, partial(WorkerCore.spawn, self.system, self.config,
-                                self.lineage is not None, snapshot_doc))
+                                self.ledger.lineage is not None,
+                                snapshot_doc))
         ready = self._await_ready(shard.channel, f"{shard.name} primary")
         self._apply_checkpoint(shard, ready["checkpoint"])
 
@@ -595,7 +392,7 @@ class ShardSupervisor:
         shard.standby_channel, shard.standby_process = self._fork(
             f"{shard.name}-standby",
             partial(StandbyReplica, self.system, self.config,
-                    self.lineage is not None))
+                    self.ledger.lineage is not None))
         self._await_ready(shard.standby_channel, f"{shard.name} standby")
 
     def _close_channel(self, channel: Optional[Channel]) -> None:
@@ -607,7 +404,7 @@ class ShardSupervisor:
 
     def shutdown(self) -> None:
         """Stop every live process, collecting final transport stats."""
-        for shard in self.shards:
+        for shard in self.workers:
             for which, channel in (("primary", shard.channel),
                                    ("standby", shard.standby_channel)):
                 if channel is None:
@@ -631,22 +428,7 @@ class ShardSupervisor:
             shard.process = None
             shard.standby_process = None
 
-    # -- routing -----------------------------------------------------------
-    def _route(self, seq: int) -> Optional[ShardHandle]:
-        n = len(self.shards)
-        preferred = seq % n
-        for offset in range(n):
-            shard = self.shards[(preferred + offset) % n]
-            if shard.live:
-                if offset:
-                    self.rerouted += 1
-                    shard.rerouted_here += 1
-                    self.ledger.note(self.tick, "reroute", shard.name,
-                                     f"item {seq} from shard{preferred}")
-                return shard
-        return None
-
-    # -- the drive loop ----------------------------------------------------
+    # -- the tick ----------------------------------------------------------
     def run(self, stream: Iterable[WorkItem]) -> ShardFarmReport:
         """Drive the farm until the stream drains; returns the report.
 
@@ -657,50 +439,26 @@ class ShardSupervisor:
         if own:
             self.start()
         try:
-            items = [encode_item(item) for item in stream]
-            arrivals = self.config.arrivals_per_tick
-            cursor = 0
-            ticks = 0
-            while ticks < MAX_TICKS:
-                ticks += 1
-                self.tick = ticks
-                self._fire_kills(ticks)
-                self._respawn_due(ticks)
-                burst = items[cursor:cursor + arrivals]
-                cursor += len(burst)
-                self._tick_once(burst, ticks)
-                if self.aggregator is not None \
-                        and ticks % self.config.sample_every == 0:
-                    self.aggregator.on_tick(ticks, self._counters(),
-                                            self._shard_rows())
-                if cursor >= len(items) and self._drained():
-                    break
-            self.kills_skipped += len([k for k in self.kill_plan
-                                       if k.tick > ticks])
-            return self.report(ticks)
+            return super().run(stream)
         finally:
             if own:
                 self.shutdown()
 
-    def _tick_once(self, burst: List[Dict[str, Any]], tick: int) -> None:
-        lineage = self.lineage
+    def _tick_once(self, burst: List[WorkItem], tick: int) -> None:
+        """One distributed tick: fire due kills, resume, route the burst,
+        then one dispatch (or heartbeat) per live shard in lockstep."""
+        self._fire_kills(tick)
+        self._resume_due(tick)
         buckets: Dict[int, List[Dict[str, Any]]] = {}
-        for doc in burst:
-            self.ledger.submitted += 1
-            if lineage is not None:
-                lineage.on_submit(tick, doc)
-            shard = self._route(doc["seq"])
-            if shard is None:
-                self.ledger.reject(REJECT_WORKER_FAILED)
-                if lineage is not None:
-                    lineage.on_reject(tick, doc["seq"],
-                                      REJECT_WORKER_FAILED)
-            else:
-                buckets.setdefault(shard.index, []).append(doc)
+        for item in burst:
+            shard = self._admit(item, tick)
+            if shard is not None:
+                buckets.setdefault(shard.index, []).append(encode_item(item))
 
+        lineage = self.ledger.lineage
         contacted: List[Tuple[ShardHandle, str]] = []
-        for shard in self.shards:
-            if shard.state != RUNNING or shard.channel is None:
+        for shard in self.workers:
+            if shard.state == FAILED or shard.channel is None:
                 continue
             if shard.awaiting_reply:
                 contacted.append((shard, "late"))
@@ -715,12 +473,18 @@ class ShardSupervisor:
                 shard.exempt = set(shard.outstanding)
                 shard.pending_retry = False
             kill_after = self._pending_kill.pop(shard.index, None)
-            if bucket or shard.queue_depth or kill_after is not None:
+            running = shard.state == RUNNING
+            if bucket or (running and shard.queue_depth) \
+                    or kill_after is not None or shard.restore_pending:
                 fresh = [doc for doc in bucket
                          if doc["seq"] not in shard.exempt]
-                message: Dict[str, Any] = {"op": "dispatch",
-                                           "items": bucket,
-                                           "batch": self.config.batch}
+                message: Dict[str, Any] = {
+                    "op": "dispatch", "items": bucket,
+                    # a shard backing off in place admits, but works nothing
+                    "batch": self.config.batch if running else 0}
+                if shard.restore_pending:
+                    message["restore"] = True
+                    shard.restore_pending = False
                 if kill_after is not None:
                     message["kill_after"] = kill_after
                     shard.kills += 1
@@ -749,7 +513,7 @@ class ShardSupervisor:
                 contacted.append((shard, "ping"))
 
         for shard, what in contacted:
-            if shard.channel is None or shard.state != RUNNING:
+            if shard.channel is None or shard.state == FAILED:
                 continue
             try:
                 reply = shard.channel.recv(REQUEST_TIMEOUT)
@@ -766,66 +530,54 @@ class ShardSupervisor:
                     self._on_death(shard, tick,
                                    f"worker error: {reply.get('detail')}")
 
+    def _sample(self, tick: int) -> None:
+        if self.aggregator is not None \
+                and tick % self.config.sample_every == 0:
+            self.aggregator.on_tick(tick, self._counters(),
+                                    self._shard_rows())
+
+    def _drained(self) -> bool:
+        return super()._drained() and not self._pending_kill
+
     # -- reply accounting --------------------------------------------------
     def _on_result(self, shard: ShardHandle, reply: Dict[str, Any],
                    tick: int) -> None:
         ledger = self.ledger
-        lineage = self.lineage
         dispatched = {doc["seq"]: doc for doc in shard.unacked}
-        for seq in reply.get("accepted", ()):
+        for seq in reply["accepted"]:
             if seq in shard.exempt:
                 continue
-            ledger.accepted += 1
-            shard.accepted += 1
-            if lineage is not None:
-                lineage.on_accept(tick, seq)
+            self._accepted(shard, seq, tick)
             if seq in dispatched:
                 shard.outstanding[seq] = dispatched[seq]
-        for seq, reason in reply.get("rejected", ()):
+        for seq, reason in reply["rejected"]:
             if seq in shard.exempt:
                 # an item the dead primary had accepted no longer fits
                 # the respawned worker's queue: attributed shed, not loss
                 shard.outstanding.pop(seq, None)
-                ledger.drop(SHED_RESPAWN_OVERFLOW)
-                shard.shed += 1
-                if lineage is not None:
-                    lineage.on_shed(tick, seq, SHED_RESPAWN_OVERFLOW)
+                ledger.drop(tick, shard.name, seq, SHED_RESPAWN_OVERFLOW)
             else:
-                ledger.reject(reason)
-                shard.rejected += 1
-                if lineage is not None:
-                    lineage.on_reject(tick, seq, reason)
-        for seq, reason in reply.get("shed", ()):
-            shard.outstanding.pop(seq, None)
-            ledger.drop(reason)
-            shard.shed += 1
-            if lineage is not None:
-                lineage.on_shed(tick, seq, reason)
-            ledger.note(tick, "shed", shard.name,
-                        f"item {seq}: {reason}")
+                ledger.reject(tick, shard.name, seq, reason)
+        for seq, _reason in reply["shed"]:
+            self._evicted(shard, decode_item(shard.outstanding.pop(seq)),
+                          tick)
         processed_docs: List[Dict[str, Any]] = []
-        for seq in reply.get("processed", ()):
-            doc = shard.outstanding.pop(seq, None)
-            if doc is not None:
-                processed_docs.append(doc)
-            ledger.processed += 1
-            shard.processed += 1
-            if lineage is not None:
-                lineage.on_processed(tick, seq)
-        if lineage is not None and "lineage" in reply:
-            lineage.merge_worker(shard.name, shard.generation,
-                                 reply["lineage"])
+        for seq in reply["processed"]:
+            processed_docs.append(shard.outstanding.pop(seq))
+            self._completed(shard, seq, tick)
+        if ledger.lineage is not None and "lineage" in reply:
+            ledger.lineage.merge_worker(shard.name, shard.generation,
+                                        reply["lineage"])
         shard.unacked = []
         shard.exempt = set()
-        shard.queue_depth = reply.get("queue_depth", 0)
-        sample = reply.get("sample") or {}
-        shard.cycle_count = sample.get("cycle_count", shard.cycle_count)
-        shard.worker_restarts = sample.get("restarts",
-                                           shard.worker_restarts)
+        shard.queue_depth = reply["queue_depth"]
+        shard.cycle_count = reply["sample"]["cycle_count"]
         self._tee(shard, processed_docs, tick)
-        for payload in reply.get("checkpoints", ()):
+        for payload in reply["checkpoints"]:
             self._apply_checkpoint(shard, payload)
             self._advance_standby(shard, payload, tick)
+        if "escalation" in reply:
+            self._escalate(shard, tick, reply["escalation"])
 
     def _apply_checkpoint(self, shard: ShardHandle,
                           payload: Dict[str, Any]) -> None:
@@ -833,42 +585,46 @@ class ShardSupervisor:
             shard.base_full = DeltaBase(
                 MachineSnapshot.from_json(payload["doc"]))
             shard.last_full = shard.base_full.snapshot
+            shard.fingerprint = shard.base_full.fingerprint
         else:
             # deltas are always encoded against the last full, never
-            # chained — each one alone rebuilds the current state
+            # chained — each one alone rebuilds the current state, and
+            # its target fingerprint is what the rebuild just proved
             delta = DeltaSnapshot.from_json(payload["doc"])
             shard.last_full = shard.base_full.apply(delta)
+            shard.fingerprint = delta.target_fingerprint
             shard.deltas_applied += 1
-        shard.checkpoint_processed = payload["processed"]
         shard.checkpoints += 1
         self.ledger.checkpoints += 1
 
     # -- standby coordination ----------------------------------------------
-    def _tee(self, shard: ShardHandle, docs: List[Dict[str, Any]],
-             tick: int) -> None:
-        if shard.standby_channel is None or not docs:
-            return
+    def _standby_request(self, shard: ShardHandle, message: Dict[str, Any],
+                         tick: int) -> Optional[Dict[str, Any]]:
+        """One request to the shard's standby; a standby that does not
+        answer is lost (``None``)."""
         try:
-            shard.standby_channel.request({"op": "tee", "items": docs},
-                                          REQUEST_TIMEOUT)
+            return shard.standby_channel.request(message, REQUEST_TIMEOUT)
         except TransportError as exc:
             self._lose_standby(shard, tick, str(exc))
+            return None
+
+    def _tee(self, shard: ShardHandle, docs: List[Dict[str, Any]],
+             tick: int) -> None:
+        if shard.standby_channel is not None and docs:
+            self._standby_request(shard, {"op": "tee", "items": docs}, tick)
 
     def _advance_standby(self, shard: ShardHandle,
                          payload: Dict[str, Any], tick: int) -> None:
         if shard.standby_channel is None:
             return
-        fingerprint = snapshot_fingerprint(shard.last_full)
-        try:
-            reply = shard.standby_channel.request(
-                {"op": "advance", "through": payload["processed"],
-                 "fingerprint": fingerprint}, REQUEST_TIMEOUT)
-        except TransportError as exc:
-            self._lose_standby(shard, tick, str(exc))
+        reply = self._standby_request(
+            shard, {"op": "advance", "through": payload["processed"],
+                    "fingerprint": shard.fingerprint}, tick)
+        if reply is None:
             return
-        if reply.get("verified"):
+        if reply["verified"]:
             shard.standby_verified += 1
-        elif reply.get("verified") is False:
+        else:
             shard.standby_divergences += 1
             self.ledger.note(tick, "standby-divergence", shard.name,
                              f"at {payload['processed']} processed")
@@ -900,79 +656,48 @@ class ShardSupervisor:
 
     def _on_death(self, shard: ShardHandle, tick: int,
                   cause: str) -> None:
+        """A shard process died: promote its standby, or climb the restart
+        ladder to a respawn.  Either way its in-flight items are
+        redispatched once it is live again."""
         self.ledger.escalations += 1
         self.ledger.note(tick, "worker-lost", shard.name, cause)
-        if self.lineage is not None:
-            self.lineage.on_worker_lost(tick, shard.name, cause)
+        if self.ledger.lineage is not None:
+            self.ledger.lineage.on_worker_lost(tick, shard.name, cause)
         self._close_channel(shard.channel)
         shard.channel = None
         shard.awaiting_reply = False
         if shard.process is not None:
             shard.process.join(timeout=5)
             shard.process = None
-        if shard.standby_channel is not None:
-            if self._promote(shard, tick):
-                return
-        if shard.respawns < self.policy.max_restarts \
-                and shard.last_full is not None:
-            shard.state = BACKOFF
-            shard.failed_at = tick
-            shard.resume_at = tick + self.policy.backoff(shard.respawns,
-                                                         key=shard.name)
-            shard.pending_retry = True
-            self.ledger.note(tick, "backoff", shard.name,
-                             f"respawn at tick {shard.resume_at}")
-        else:
-            self._fail_shard(shard, tick, cause)
+        if shard.standby_channel is not None and self._promote(shard, tick):
+            return
+        if shard.restarts_used >= self.policy.max_restarts:
+            self._fail_permanently(shard, tick, cause, SHED_SHARD_LOST)
+            return
+        self._back_off(shard, tick)
+        shard.pending_retry = True
+        self.ledger.note(tick, "backoff", shard.name,
+                         f"respawn at tick {shard.resume_at}")
 
     def _promote(self, shard: ShardHandle, tick: int) -> bool:
         """Promote the standby; True when the shard is live again."""
-        retry = sorted(shard.outstanding.values(),
-                       key=lambda doc: doc["seq"])
-        fresh = list(shard.unacked)
         try:
-            reply = shard.standby_channel.request(
-                {"op": "promote", "retry": retry, "fresh": fresh},
-                REQUEST_TIMEOUT)
+            reply = shard.standby_channel.request({"op": "promote"},
+                                                  REQUEST_TIMEOUT)
         except TransportError as exc:
             # double kill: the standby died too — fall back to respawn
             # or permanent failure, with both losses attributed
             self._lose_standby(shard, tick, f"died at promotion: {exc}")
             return False
-        lineage = self.lineage
-        if lineage is not None:
-            lineage.on_promotion(tick, shard.name)
-        fresh_seqs = {doc["seq"] for doc in fresh}
-        for seq in reply.get("processed", ()):
-            if seq in fresh_seqs:
-                self.ledger.accepted += 1
-                shard.accepted += 1
-                if lineage is not None:
-                    lineage.on_accept(tick, seq)
-            shard.outstanding.pop(seq, None)
-            self.ledger.processed += 1
-            shard.processed += 1
-            if lineage is not None:
-                lineage.on_processed(tick, seq)
-        for seq, reason in reply.get("dropped", ()):
-            if seq in fresh_seqs:
-                self.ledger.reject(reason)
-                shard.rejected += 1
-                if lineage is not None:
-                    lineage.on_reject(tick, seq, reason)
-            else:
-                shard.outstanding.pop(seq, None)
-                self.ledger.drop(reason)
-                shard.shed += 1
-                if lineage is not None:
-                    lineage.on_shed(tick, seq, reason)
-        shard.unacked = []
+        if self.ledger.lineage is not None:
+            self.ledger.lineage.on_promotion(tick, shard.name)
         self._apply_checkpoint(shard, reply["checkpoint"])
         shard.channel = shard.standby_channel
         shard.process = shard.standby_process
         shard.standby_channel = None
         shard.standby_process = None
         shard.queue_depth = 0
+        shard.pending_retry = True
         shard.promotions += 1
         shard.generation += 1
         self.ledger.promotions += 1
@@ -983,58 +708,54 @@ class ShardSupervisor:
                          f"{reply['checkpoint']['processed']} processed")
         return True
 
-    def _fail_shard(self, shard: ShardHandle, tick: int,
-                    cause: str) -> None:
-        shard.state = FAILED
-        self.ledger.permanent_failures += 1
-        self.ledger.note(tick, "permanent-failure", shard.name, cause)
+    def _restore(self, shard: ShardHandle, tick: int) -> bool:
+        if shard.channel is not None:
+            # a machine escalation: the process lives on and restores its
+            # latest checkpoint with the next dispatch; the standby drops
+            # what it buffered since, which the restore undid
+            shard.restore_pending = True
+            shard.worker_restarts += 1
+            if shard.standby_channel is not None:
+                self._standby_request(shard, {"op": "rewind"}, tick)
+            self.ledger.note(tick, "restart", shard.name,
+                             f"restart {shard.restarts_used} from cycle "
+                             f"{shard.last_full.cycle_count}")
+            return True
+        try:
+            self._spawn_primary(shard, snapshot_doc=shard.last_full.to_json())
+        except (TransportError, OSError) as exc:
+            self._fail_permanently(shard, tick, f"respawn failed: {exc}",
+                                   SHED_SHARD_LOST)
+            return False
+        shard.respawns += 1
+        shard.generation += 1
+        shard.queue_depth = 0
+        if self.ledger.lineage is not None:
+            self.ledger.lineage.on_respawn(tick, shard.name)
+        self.ledger.note(tick, "respawn", shard.name,
+                         f"respawn {shard.respawns} from cycle "
+                         f"{shard.last_full.cycle_count}")
+        return True
+
+    def _abandon(self, shard: ShardHandle, tick: int, reason: str) -> None:
+        """Shed the shard's queued items and reject its unacknowledged
+        ones, all with *reason*."""
         for seq in sorted(shard.outstanding):
-            self.ledger.drop(SHED_SHARD_LOST)
-            shard.shed += 1
-            if self.lineage is not None:
-                self.lineage.on_shed(tick, seq, SHED_SHARD_LOST)
+            self.ledger.drop(tick, shard.name, seq, reason)
         shard.outstanding.clear()
-        for _doc in shard.unacked:
-            self.ledger.reject(SHED_SHARD_LOST)
-            shard.rejected += 1
-            if self.lineage is not None:
-                self.lineage.on_reject(tick, _doc["seq"], SHED_SHARD_LOST)
+        for doc in shard.unacked:
+            self.ledger.reject(tick, shard.name, doc["seq"], reason)
         shard.unacked = []
         shard.queue_depth = 0
         shard.pending_retry = False
         if shard.standby_channel is not None:
             self._lose_standby(shard, tick, "shard failed permanently")
 
-    def _respawn_due(self, tick: int) -> None:
-        for shard in self.shards:
-            if shard.state != BACKOFF or tick < (shard.resume_at or 0):
-                continue
-            try:
-                self._spawn_primary(shard,
-                                    snapshot_doc=shard.last_full.to_json())
-            except (TransportError, OSError) as exc:
-                self._fail_shard(shard, tick, f"respawn failed: {exc}")
-                continue
-            shard.state = RUNNING
-            shard.respawns += 1
-            shard.generation += 1
-            shard.queue_depth = 0
-            self.ledger.restarts += 1
-            if self.lineage is not None:
-                self.lineage.on_respawn(tick, shard.name)
-            if shard.failed_at is not None:
-                self.ledger.time_to_recover.append(tick - shard.failed_at)
-                shard.failed_at = None
-            self.ledger.note(
-                tick, "respawn", shard.name,
-                f"respawn {shard.respawns} from cycle "
-                f"{shard.last_full.cycle_count}")
-
     # -- chaos -------------------------------------------------------------
     def _fire_kills(self, tick: int) -> None:
         due = [kill for kill in self.kill_plan if kill.tick == tick]
         for kill in due:
-            shard = self.shards[kill.shard % len(self.shards)]
+            shard = self.workers[kill.shard % len(self.workers)]
             if kill.target == "standby":
                 if shard.standby_channel is None:
                     self.kills_skipped += 1
@@ -1055,10 +776,6 @@ class ShardSupervisor:
                 self._pending_kill[shard.index] = kill.after_items
 
     # -- reporting ---------------------------------------------------------
-    def _drained(self) -> bool:
-        return not any(shard.busy for shard in self.shards) \
-            and not self._pending_kill
-
     def _counters(self) -> Dict[str, int]:
         return {
             "submitted": self.ledger.submitted,
@@ -1066,8 +783,8 @@ class ShardSupervisor:
             "processed": self.ledger.processed,
             "rejected": self.ledger.rejected_total,
             "shed": self.ledger.shed_total,
-            "queued": sum(len(s.outstanding) for s in self.shards),
-            "in_dispatch": sum(len(s.unacked) for s in self.shards
+            "queued": sum(len(s.outstanding) for s in self.workers),
+            "in_dispatch": sum(len(s.unacked) for s in self.workers
                                if s.state != RUNNING or s.pending_retry
                                or s.awaiting_reply),
         }
@@ -1077,22 +794,24 @@ class ShardSupervisor:
             shard.name: {
                 "state": shard.state,
                 "queue_depth": shard.queue_depth,
-                "processed": shard.processed,
+                "processed": self.ledger.tallies[shard.name].processed,
                 "cycle_count": shard.cycle_count,
                 "promotions": shard.promotions,
                 "respawns": shard.respawns,
             }
-            for shard in self.shards
+            for shard in self.workers
         }
 
     def report(self, ticks: Optional[int] = None) -> ShardFarmReport:
         ledger = self.ledger
+        ticks = ticks if ticks is not None else self.tick
         counters = self._counters()
         return ShardFarmReport(
-            ticks=ticks if ticks is not None else self.tick,
-            n_shards=len(self.shards),
+            ticks=ticks,
+            n_shards=len(self.workers),
             standby=self.standby,
-            shards=[shard.describe() for shard in self.shards],
+            shards=[shard.describe(ledger.tallies[shard.name])
+                    for shard in self.workers],
             submitted=ledger.submitted,
             accepted=ledger.accepted,
             processed=ledger.processed,
@@ -1101,12 +820,14 @@ class ShardSupervisor:
             queued=counters["queued"],
             in_dispatch=counters["in_dispatch"],
             promotions=ledger.promotions,
-            respawns=sum(shard.respawns for shard in self.shards),
+            respawns=sum(shard.respawns for shard in self.workers),
             permanent_failures=ledger.permanent_failures,
             checkpoints=ledger.checkpoints,
             kills_fired=self.kills_fired,
-            kills_skipped=self.kills_skipped,
-            rerouted=self.rerouted,
+            # planned kills past the last tick never fired
+            kills_skipped=self.kills_skipped + sum(
+                1 for kill in self.kill_plan if kill.tick > ticks),
+            rerouted=ledger.rerouted,
             timeline=list(ledger.timeline),
             timeline_dropped=ledger.timeline_dropped,
         )

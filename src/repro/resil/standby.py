@@ -17,11 +17,16 @@ process** serving this module's op handlers:
   must equal the fingerprint of the snapshot the supervisor
   reconstructed from the primary's (delta-encoded) checkpoint.  Replay
   determinism and delta reconstruction verify each other continuously;
+* when the primary restores its latest checkpoint after a machine
+  escalation, the supervisor sends ``rewind``: the standby already holds
+  that checkpoint's state, so it drops the items buffered since, which
+  the restore undid, and restores the held state the same way;
 * when the primary dies, escalation becomes **promotion**: the standby
   drains the rest of its delta log (reaching the primary's last
-  acknowledged state), replays the in-flight items the supervisor still
-  holds, emits a fresh full checkpoint, and takes over as the shard's
-  primary — same process, same socket, no rewind.
+  acknowledged state), ships a fresh full checkpoint and takes over as
+  the shard's primary — same process, same socket, no rewind.  The
+  supervisor then redispatches the in-flight items it still holds, as
+  it would to a respawned primary.
 
 The standby never talks to the primary directly; the supervisor owns the
 stream and the ledger, Harel-style: inter-object coordination lives in
@@ -32,9 +37,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.resil.shardfarm import SHED_MACHINE_ESCALATION, WorkerCore
-from repro.resil.snapshot import snapshot_machine
-from repro.resil.supervisor import FarmConfig, farm_machine
+from repro.resil.delta import snapshot_fingerprint
+from repro.resil.snapshot import restore_machine, snapshot_machine
+from repro.resil.supervisor import FarmConfig, WorkerCore, farm_machine
 
 
 class StandbyLog:
@@ -47,7 +52,6 @@ class StandbyLog:
 
     def __init__(self) -> None:
         self._items: List[Dict[str, Any]] = []
-        self.teed = 0
         self.replayed = 0
 
     def __len__(self) -> int:
@@ -55,7 +59,6 @@ class StandbyLog:
 
     def append(self, items: List[Dict[str, Any]]) -> None:
         self._items.extend(items)
-        self.teed += len(items)
 
     def take_through(self, watermark: int) -> List[Dict[str, Any]]:
         """Items to replay so that ``replayed`` reaches *watermark*."""
@@ -85,8 +88,6 @@ class StandbyReplica:
         self.config = config
         self.lineage = lineage
         self.log = StandbyLog()
-        self.verified = 0
-        self.divergences = 0
         #: the primary this standby becomes once promoted
         self.successor: Optional[WorkerCore] = None
 
@@ -95,22 +96,17 @@ class StandbyReplica:
         for item in items:
             self.machine.step(tuple(item["events"]))
 
-    def fingerprint(self) -> str:
-        from repro.resil.delta import snapshot_fingerprint
-
-        return snapshot_fingerprint(snapshot_machine(self.machine))
-
     # -- the op table ------------------------------------------------------
     def ready(self) -> Dict[str, Any]:
         return {"op": "ready", "role": "standby"}
 
     def ops(self) -> Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]]:
         return {"tee": self.on_tee, "advance": self.on_advance,
-                "promote": self.on_promote}
+                "rewind": self.on_rewind, "promote": self.on_promote}
 
     def farewell(self) -> Dict[str, Any]:
         """What the ``bye`` reply to ``stop`` carries besides transport."""
-        return {"verified": self.verified, "divergences": self.divergences}
+        return {}
 
     # -- operations --------------------------------------------------------
     def on_tee(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -118,60 +114,36 @@ class StandbyReplica:
         return {"op": "ok", "buffered": len(self.log)}
 
     def on_advance(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Replay through the checkpoint watermark, then prove the state."""
+        """Replay through the checkpoint watermark, then prove the state:
+        its fingerprint must be the one the supervisor's reconstruction of
+        the primary's checkpoint proved."""
         self._replay(self.log.take_through(message["through"]))
-        verified: Optional[bool] = None
-        expected = message.get("fingerprint")
-        if expected is not None:
-            verified = self.fingerprint() == expected
-            if verified:
-                self.verified += 1
-            else:
-                self.divergences += 1
+        verified = snapshot_fingerprint(snapshot_machine(self.machine)) \
+            == message["fingerprint"]
         return {"op": "advanced", "replayed": self.log.replayed,
                 "buffered": len(self.log), "verified": verified}
 
+    def on_rewind(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """The primary restored its latest checkpoint, which this standby
+        already holds: drop what it buffered since, and restore the held
+        state the same way, so that the guard drops its in-flight
+        recovery state as the primary's did."""
+        # the dropped items still count toward the watermark, as the
+        # primary's processed count keeps them
+        self.log.drain()
+        restore_machine(self.machine, snapshot_machine(self.machine))
+        return {"op": "rewound", "replayed": self.log.replayed}
+
     def on_promote(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Drain the delta log, replay the in-flight items, take over.
+        """Drain the delta log and take over as the shard's primary.
 
-        ``retry`` items were accepted by the dead primary but never
-        processed; ``fresh`` items were dispatched but never acknowledged.
-        Both are (re)played here — the supervisor sorts out the ledger
-        (retry items keep their acceptance, fresh ones gain it).  The
-        replica's machine then serves on as the shard's primary.
+        The replica's machine reaches the dead primary's last acknowledged
+        state and serves on as the shard's primary, anchored at a fresh
+        full checkpoint.
         """
-        from repro.fault.guard import MachineEscalation
-        from repro.pscp.machine import MachineError
-
         self._replay(self.log.drain())
-        processed: List[int] = []
-        dropped: List[List[Any]] = []
-        escalation: Optional[str] = None
-        pending = list(message.get("retry", ())) + \
-            list(message.get("fresh", ()))
-        for item in pending:
-            if escalation is not None:
-                dropped.append([item["seq"], SHED_MACHINE_ESCALATION])
-                continue
-            try:
-                self.machine.step(tuple(item["events"]))
-            except (MachineEscalation, MachineError) as exc:
-                escalation = str(exc)
-                dropped.append([item["seq"], SHED_MACHINE_ESCALATION])
-                continue
-            processed.append(item["seq"])
-        snapshot = snapshot_machine(self.machine)
-        watermark = self.log.replayed + len(processed)
         self.successor = WorkerCore(self.config, self.machine,
                                     lineage=self.lineage,
-                                    processed=watermark)
-        return {
-            "op": "promoted",
-            "replayed": self.log.replayed,
-            "processed": processed,
-            "dropped": dropped,
-            "escalation": escalation,
-            "checkpoint": {"kind": "full", "doc": snapshot.to_json(),
-                           "processed": watermark,
-                           "cycle": snapshot.cycle_count},
-        }
+                                    processed=self.log.replayed)
+        return {"op": "promoted", "replayed": self.log.replayed,
+                "checkpoint": self.successor.anchor()}

@@ -1,47 +1,54 @@
-"""A supervised farm of PSCP machines: restart-from-snapshot under faults.
+"""One farm engine: a supervised farm of PSCP machines, in process or sharded.
 
-The paper's PSCP is *scalable* — an array of reactive processors — and the
-ROADMAP's north star is a production-scale service.  This module provides
-the supervision layer between the two: a :class:`Supervisor` runs N
-:class:`MachineWorker` instances over a shared stream of
-:class:`~repro.resil.queue.WorkItem`\\ s with
+The paper's PSCP scales by adding TEPs behind one scheduler; the farm
+scales the same way, by adding workers behind one :class:`Supervisor`.
+Every farm decision is made here, once, whatever carries the work to the
+workers:
 
-* **bounded admission queues** — every worker owns a
-  :class:`~repro.resil.queue.BoundedQueue`; a full queue rejects with a
-  reason (backpressure) or sheds its lowest-priority pending item to admit
-  higher-priority traffic (load shedding);
-* **per-worker circuit breakers** — consecutive failures open the breaker,
-  diverting traffic away during the cooldown, with a half-open probe before
-  it closes again;
-* **restart-from-snapshot** — each worker checkpoints its machine every
-  :attr:`FarmConfig.checkpoint_every` processed items
-  (:func:`~repro.resil.snapshot.snapshot_machine`); when an unrecoverable
-  fault escalates out of the machine
-  (:class:`~repro.fault.guard.MachineEscalation`), the worker restores its
-  last checkpoint after a bounded exponential backoff and re-runs the
-  in-flight item.  A restore leaves the injector's state alone: a fault
-  that already bit stays consumed, so a single fault cannot wedge a
-  worker in an escalation loop;
-* **a terminal state** — after ``max_restarts`` restarts the worker is
-  marked permanently failed; its queue is drained and every pending item
-  reported shed (``worker-failed``), never silently lost.
+* **one tick loop** (:meth:`Supervisor.run`) — each tick offers the next
+  ``arrivals_per_tick`` stream items and lets every running worker process
+  up to ``batch`` items of its queue;
+* **one admission path** — an item prefers worker ``seq % N``; a worker
+  that cannot take work is routed past (a reroute), and the chosen
+  worker's **circuit breaker** and then its
+  :class:`~repro.resil.queue.BoundedQueue` have the final word:
+  backpressure (a rejection with a reason) or priority load shedding;
+* **one worker core** (:class:`WorkerCore`) — the only code that pops a
+  worker's queue, steps its machine and takes its checkpoints.  In-process
+  workers call it directly; shard processes
+  (:mod:`repro.resil.shardfarm`) serve the same core over a channel;
+* **one restart ladder** — when a fault escalates out of the machine
+  (:class:`~repro.fault.guard.MachineEscalation`), the worker backs off
+  for a bounded exponential number of ticks, restores its latest
+  checkpoint and retries the in-flight item.  A restore leaves an
+  injector's state alone: a fault that already bit stays consumed, so a
+  single fault cannot wedge a worker in an escalation loop.  Past
+  ``max_restarts`` the worker fails permanently and every item it held
+  is shed (``worker-failed``), never silently lost;
+* **one ledger** (:class:`FarmLedger`) — every item outcome is recorded
+  once, farm-wide and per worker, and fed to the farm lineage when one is
+  attached.
 
 Accounting is conservation-checked: ``submitted = accepted + rejected`` and
-``accepted = processed + shed + in-flight``, with each item counted exactly
-once (:meth:`FarmReport.conservation`).  The whole farm is deterministic —
-no wall clock, no OS threads; time is the supervisor's integer tick — so a
-seeded chaos soak is reproducible bit for bit.
+``accepted = processed + shed + held`` (:func:`ledger_violations`).  The
+whole farm is deterministic — no wall clock, no OS threads; time is the
+supervisor's integer tick — so a seeded chaos soak is reproducible bit for
+bit.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, \
-    Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, \
+    NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import Tracer
+from repro.resil.delta import DeltaChain
 from repro.resil.queue import (
     BoundedQueue,
     CircuitBreaker,
@@ -63,21 +70,26 @@ FAILED = "failed"
 #: restart backoff: ``BACKOFF_BASE_TICKS * 2^restarts`` ticks, capped
 BACKOFF_BASE_TICKS = 2
 BACKOFF_CAP_TICKS = 32
-#: both farm engines stop driving after this many ticks
+#: the farm stops driving after this many ticks
 MAX_TICKS = 100000
 #: recoverable-fault retries of every farm machine's guard: a tight budget
 #: keeps a chaos soak short, two consecutive runaway bites already
 #: escalate to the supervisor
 GUARD_RETRIES = 1
+#: a worker's delta chain emits a full snapshot once a delta's encoded
+#: size reaches this share of the last full one, or after this many
+#: consecutive deltas
+COMPACT_RATIO = 0.5
+MAX_DELTAS = 16
 
 
 @dataclass(frozen=True)
 class FarmConfig:
-    """What ``repro serve`` sets for both farm engines, in one place.
+    """What ``repro serve`` sets for the farm, in one place.
 
-    :class:`Supervisor`, :class:`~repro.resil.shardfarm.ShardSupervisor`,
-    the shard worker processes and the hot standbys all read this one
-    object; the defaults are ``repro serve``'s.
+    :class:`Supervisor` under either transport, the shard worker processes
+    and the hot standbys all read this one object; the defaults are
+    ``repro serve``'s.
     """
 
     #: per-worker (per-shard) admission queue depth
@@ -181,14 +193,32 @@ def render_verdict(problems: List[str], timeline_dropped: int) -> str:
 
 
 @dataclass
+class Tally:
+    """One worker's share of the ledger's item outcomes."""
+
+    accepted: int = 0
+    processed: int = 0
+    rejected: int = 0
+    shed: int = 0
+    #: items routed here past their preferred worker
+    rerouted: int = 0
+
+
+@dataclass
 class FarmLedger:
-    """The farm's conservation-checked accounting, shared by all workers."""
+    """The farm's conservation-checked accounting.
+
+    Every item outcome — submitted, accepted, rejected, shed, processed —
+    is recorded here once, farm-wide and in the worker's :class:`Tally`,
+    and fed to the optional :class:`~repro.obs.causal.FarmLineage`.
+    """
 
     submitted: int = 0
     accepted: int = 0
     processed: int = 0
     rejected: Dict[str, int] = field(default_factory=dict)
     shed: Dict[str, int] = field(default_factory=dict)
+    rerouted: int = 0
     escalations: int = 0
     restarts: int = 0
     #: standby promotions (distributed farm only)
@@ -205,14 +235,47 @@ class FarmLedger:
     timeline: List[Dict[str, Any]] = field(default_factory=list)
     timeline_limit: Optional[int] = 4096
     timeline_dropped: int = 0
+    #: worker name -> that worker's outcome tally
+    tallies: Dict[str, Tally] = field(default_factory=dict)
+    #: item-level provenance, fed every outcome when attached
+    lineage: Any = None
 
-    def reject(self, reason: str) -> None:
+    # -- item outcomes -----------------------------------------------------
+    def submit(self, tick: int, item: WorkItem) -> None:
+        self.submitted += 1
+        if self.lineage is not None:
+            self.lineage.on_submit(tick, encode_item(item))
+
+    def accept(self, tick: int, worker: str, seq: int) -> None:
+        self.accepted += 1
+        self.tallies[worker].accepted += 1
+        if self.lineage is not None:
+            self.lineage.on_accept(tick, seq)
+
+    def reject(self, tick: int, worker: Optional[str], seq: int,
+               reason: str) -> None:
+        """*seq* refused at admission; *worker* is ``None`` when no worker
+        could take it."""
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
+        if worker is not None:
+            self.tallies[worker].rejected += 1
+        if self.lineage is not None:
+            self.lineage.on_reject(tick, seq, reason)
 
-    def drop(self, reason: str, count: int = 1) -> None:
-        if count:
-            self.shed[reason] = self.shed.get(reason, 0) + count
+    def drop(self, tick: int, worker: str, seq: int, reason: str) -> None:
+        """An accepted item leaves unprocessed, shed with *reason*."""
+        self.shed[reason] = self.shed.get(reason, 0) + 1
+        self.tallies[worker].shed += 1
+        if self.lineage is not None:
+            self.lineage.on_shed(tick, seq, reason)
 
+    def complete(self, tick: int, worker: str, seq: int) -> None:
+        self.processed += 1
+        self.tallies[worker].processed += 1
+        if self.lineage is not None:
+            self.lineage.on_processed(tick, seq)
+
+    # -- the timeline ------------------------------------------------------
     def note(self, tick: int, kind: str, worker: Optional[str] = None,
              detail: Optional[str] = None) -> None:
         """Append one supervisor-level event to the timeline."""
@@ -237,26 +300,260 @@ class FarmLedger:
         return sum(self.shed.values())
 
 
-class MachineWorker:
-    """One supervised machine instance with its queue and checkpoint."""
+def encode_item(item: WorkItem) -> Dict[str, Any]:
+    return {"seq": item.seq, "events": list(item.events),
+            "priority": item.priority, "origin": item.origin}
 
-    def __init__(self, name: str, machine, ledger: FarmLedger,
-                 config: FarmConfig, policy: RestartPolicy) -> None:
-        self.name = name
-        self.ledger = ledger
+
+def decode_item(doc: Dict[str, Any]) -> WorkItem:
+    return WorkItem(doc["seq"], tuple(doc["events"]),
+                    doc.get("priority", 0), doc.get("origin", "stream"))
+
+
+class Work(NamedTuple):
+    """What one :meth:`WorkerCore.work` call did."""
+
+    processed: List[WorkItem]
+    #: ``(processed count, snapshot)`` of every checkpoint taken
+    checkpoints: List[Tuple[int, MachineSnapshot]]
+    #: the escalation that stopped the batch, if one did
+    failure: Optional[str]
+
+
+class WorkerCore:
+    """One worker's machine, admission queue and checkpoints.
+
+    The only farm code that pops a worker's queue, steps its machine and
+    takes its checkpoints.  In-process workers call :meth:`work` and
+    :meth:`restore` and offer :class:`WorkItem`\\ s to :attr:`queue`
+    directly.  A shard process serves the same core over a channel
+    (:func:`~repro.resil.shardfarm.serve_worker`): items arrive as
+    documents in a ``dispatch`` (:meth:`on_dispatch`) and its checkpoints
+    leave delta-encoded.
+
+    With *lineage* a :class:`~repro.obs.lineage.LineageTracker` rides the
+    machine and every result frame ships its causal-hop digests (the
+    supervisor stitches them into one DAG).
+    """
+
+    #: a primary keeps its role for the life of its process
+    successor = None
+
+    def __init__(self, config: FarmConfig, machine, name: str = "worker",
+                 lineage: bool = False, processed: int = 0) -> None:
         self.config = config
-        self.policy = policy
+        self.machine = machine
+        self.name = name
+        self.lineage = None
+        if lineage:
+            from repro.obs.lineage import LineageTracker
+
+            self.lineage = LineageTracker(origin="worker")
+            machine.attach(self.lineage)
         self.queue = BoundedQueue(config.queue_capacity,
                                   shed_enabled=config.shed_enabled)
-        self.breaker = CircuitBreaker()
-        self.machine = machine
-        self.state = RUNNING
-        self.processed = 0
-        self.restarts_used = 0
-        self.restored_from_snapshot = 0
+        self.processed = processed
+        self.restarts = 0
+        #: delta-encodes the checkpoints a shard process ships
+        self.chain = DeltaChain(compact_ratio=COMPACT_RATIO,
+                                max_deltas=MAX_DELTAS)
         self._since_checkpoint = 0
-        self._resume_at: Optional[int] = None
-        self._failed_at: Optional[int] = None
+        self._checkpoints_taken = 0
+        #: progress counters at the latest checkpoint (forensics deltas)
+        self.progress: Dict[str, int] = {}
+        #: the restart anchor: taken now, so a restore is always defined,
+        #: and refreshed every ``checkpoint_every`` processed items
+        self.checkpoint = self.take_checkpoint()
+
+    @classmethod
+    def spawn(cls, system, config: FarmConfig, lineage: bool,
+              snapshot_doc: Optional[Dict[str, Any]] = None
+              ) -> "WorkerCore":
+        """A forked primary's core: a fresh farm machine, restored from
+        *snapshot_doc* when the shard is respawned."""
+        machine = farm_machine(system)
+        if snapshot_doc is not None:
+            restore_machine(machine, MachineSnapshot.from_json(snapshot_doc))
+        return cls(config, machine, lineage=lineage)
+
+    # -- checkpoints -------------------------------------------------------
+    def take_checkpoint(self) -> MachineSnapshot:
+        machine = self.machine
+        snapshot = snapshot_machine(machine)
+        self.checkpoint = snapshot
+        self._since_checkpoint = 0
+        self._checkpoints_taken += 1
+        self.progress = {"processed": self.processed,
+                         "cycle_count": machine.cycle_count,
+                         "time": machine.time, "restarts": self.restarts}
+        recorder = machine.observer(FlightRecorder)
+        if recorder is not None:
+            recorder.note_checkpoint(
+                snapshot.cycle_count,
+                f"{self.name}:ckpt{self._checkpoints_taken}"
+                f"@cycle{snapshot.cycle_count}")
+        return snapshot
+
+    def restore(self) -> MachineSnapshot:
+        """Put the machine back to the latest checkpoint: a fresh start
+        from known-good architectural state."""
+        restore_machine(self.machine, self.checkpoint)
+        self.restarts += 1
+        return self.checkpoint
+
+    # -- the work loop -----------------------------------------------------
+    def work(self, batch: int) -> Work:
+        """Step up to *batch* queued items.  An escalation stops the batch
+        and leaves its item at the queue head: it stays in flight and is
+        retried once the supervisor restores the machine."""
+        from repro.fault.guard import MachineEscalation
+        from repro.pscp.machine import MachineError
+
+        processed: List[WorkItem] = []
+        checkpoints: List[Tuple[int, MachineSnapshot]] = []
+        queue, machine, lineage = self.queue, self.machine, self.lineage
+        every = self.config.checkpoint_every
+        for _ in range(batch):
+            item = queue.pop()
+            if item is None:
+                break
+            if lineage is not None:
+                # bind each stepped event to the item's wire trace context
+                for name in item.events:
+                    lineage.note_injection(name, item.trace_id)
+            try:
+                machine.step(item.events)
+            except MachineEscalation as exc:
+                queue.push_front(item)
+                return Work(processed, checkpoints, exc.describe())
+            except MachineError as exc:
+                # an un-escalated crash is supervised the same way
+                queue.push_front(item)
+                return Work(processed, checkpoints, f"crash: {exc}")
+            self.processed += 1
+            processed.append(item)
+            self._since_checkpoint += 1
+            if self._since_checkpoint >= every:
+                checkpoints.append((self.processed, self.take_checkpoint()))
+        return Work(processed, checkpoints, None)
+
+    def forensics_bundle(self, cause: Dict[str, Any]
+                         ) -> Optional[Dict[str, Any]]:
+        """The machine's flight-recorder ring as a forensics bundle, with
+        the progress since the latest checkpoint (``None`` without a
+        recorder attached)."""
+        machine = self.machine
+        recorder = machine.observer(FlightRecorder)
+        if recorder is None:
+            return None
+        progress = self.progress
+        delta = {
+            "processed": self.processed - progress["processed"],
+            "cycle_count": machine.cycle_count - progress["cycle_count"],
+            "time": machine.time - progress["time"],
+            "restarts": self.restarts - progress["restarts"],
+        }
+        return recorder.forensics_bundle(cause, worker=self.name,
+                                         metrics_delta=delta)
+
+    # -- served over a channel ---------------------------------------------
+    def _ship(self, processed: int,
+              snapshot: MachineSnapshot) -> Dict[str, Any]:
+        kind, doc = self.chain.record(snapshot)
+        return {"kind": kind, "doc": doc, "processed": processed,
+                "cycle": snapshot.cycle_count}
+
+    def anchor(self) -> Dict[str, Any]:
+        """The anchor checkpoint as its first (full) delta-chain link."""
+        return self._ship(self.processed, self.checkpoint)
+
+    def ready(self) -> Dict[str, Any]:
+        """The ``ready`` handshake, shipping the anchor checkpoint."""
+        return {"op": "ready", "role": "primary", "checkpoint": self.anchor()}
+
+    def ops(self) -> Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]]:
+        return {"dispatch": self.on_dispatch, "hang": self.on_hang}
+
+    def farewell(self) -> Dict[str, Any]:
+        """What the ``bye`` reply to ``stop`` carries besides transport."""
+        return {"chain": self.chain.describe()}
+
+    def on_hang(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        # test hook: a worker that stops answering without dying
+        time.sleep(message.get("seconds", 60.0))
+        return {"op": "hung-done"}
+
+    def on_dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Admit the dispatched items, then work the batch.  ``restore``
+        restores the latest checkpoint first; ``kill_after=j`` SIGKILLs
+        this process after ``j`` processed items, before it replies."""
+        if message.get("restore"):
+            self.restore()
+        accepted: List[int] = []
+        rejected: List[List[Any]] = []
+        shed: List[List[Any]] = []
+        for doc in message["items"]:
+            item = decode_item(doc)
+            admission = self.queue.offer(item)
+            if admission.accepted:
+                accepted.append(item.seq)
+                if admission.shed is not None:
+                    shed.append([admission.shed.seq, SHED_OVERLOAD])
+            else:
+                rejected.append([item.seq,
+                                 admission.reason or REJECT_QUEUE_FULL])
+        batch = message["batch"]
+        kill_after = message.get("kill_after")
+        if kill_after is not None:
+            batch = min(batch, kill_after)
+        done = self.work(batch)
+        if kill_after is not None:
+            # the seeded kill always lands at its tick: even when the
+            # queue drained first, die before acknowledging — the reply
+            # is never sent and the supervisor sees EOF mid-dispatch
+            os.kill(os.getpid(), signal.SIGKILL)
+        result = {
+            "op": "result",
+            "accepted": accepted,
+            "rejected": rejected,
+            "shed": shed,
+            "processed": [item.seq for item in done.processed],
+            "queue_depth": len(self.queue),
+            "checkpoints": [self._ship(processed, snapshot)
+                            for processed, snapshot in done.checkpoints],
+            "sample": {
+                "queue_depth": len(self.queue),
+                "processed": self.processed,
+                "cycle_count": self.machine.cycle_count,
+                "restarts": self.restarts,
+            },
+        }
+        if done.failure is not None:
+            result["escalation"] = done.failure
+        if self.lineage is not None:
+            # only the delta since the last acked reply rides the frame;
+            # hops a SIGKILL takes down with the process are re-derived
+            # at the item level by the supervisor (death + redispatch)
+            result["lineage"] = self.lineage.drain()
+        return result
+
+
+class Worker:
+    """The supervisor's side of one worker, under either transport: its
+    place on the restart ladder, its circuit breaker and its dispatch
+    latency.  In-process, :attr:`core` is the worker's
+    :class:`WorkerCore`; a shard's core lives in its process."""
+
+    def __init__(self, index: int, name: str,
+                 core: Optional[WorkerCore] = None) -> None:
+        self.index = index
+        self.name = name
+        self.core = core
+        self.state = RUNNING
+        self.breaker = CircuitBreaker()
+        self.restarts_used = 0
+        self.resume_at = 0
+        self.failed_at = 0
         self.last_escalation: Optional[str] = None
         #: dispatch latency in supervisor ticks (enqueue -> processed);
         #: restarts and backoff count into the retried item's latency
@@ -264,172 +561,29 @@ class MachineWorker:
             f"{name}.dispatch_latency_ticks",
             "ticks from queue admission to completed processing",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512))
-        self._enqueued_at: Dict[int, int] = {}
+        self.enqueued_at: Dict[int, int] = {}
         #: forensics bundles dumped on escalation / permanent failure
         self.forensics: List[Dict[str, Any]] = []
-        self._checkpoint_seq = 0
-        self._progress_at_checkpoint: Dict[str, int] = {}
-        #: restart-from-snapshot anchor; taken at start so a restart is
-        #: always defined, refreshed every ``checkpoint_every`` items
-        self.checkpoint: MachineSnapshot = self._take_checkpoint()
 
-    # -- checkpointing -----------------------------------------------------
-    def _take_checkpoint(self) -> MachineSnapshot:
-        snapshot = snapshot_machine(self.machine)
-        self.ledger.checkpoints += 1
-        self._since_checkpoint = 0
-        self._checkpoint_seq += 1
-        self._progress_at_checkpoint = {
-            "processed": self.processed,
-            "cycle_count": self.machine.cycle_count,
-            "time": self.machine.time,
-            "restarts": self.restarts_used,
-        }
-        recorder = self.machine.observer(FlightRecorder)
-        if recorder is not None:
-            recorder.note_checkpoint(
-                snapshot.cycle_count,
-                f"{self.name}:ckpt{self._checkpoint_seq}"
-                f"@cycle{snapshot.cycle_count}")
-        return snapshot
+    @property
+    def routable(self) -> bool:
+        """Whether admission may choose this worker."""
+        return self.state != FAILED
 
-    def _dump_forensics(self, tick: int, kind: str, detail: str) -> None:
-        """Dump the machine's flight-recorder ring as a forensics bundle
-        (no-op without a recorder attached)."""
-        recorder = self.machine.observer(FlightRecorder)
-        if recorder is None:
-            return
-        progress = self._progress_at_checkpoint
-        delta = {
-            "processed": self.processed - progress.get("processed", 0),
-            "cycle_count": (self.machine.cycle_count
-                            - progress.get("cycle_count", 0)),
-            "time": self.machine.time - progress.get("time", 0),
-            "restarts": self.restarts_used - progress.get("restarts", 0),
-        }
-        cause = {"kind": kind, "tick": tick, "detail": detail}
-        self.forensics.append(recorder.forensics_bundle(
-            cause, worker=self.name, metrics_delta=delta))
+    @property
+    def busy(self) -> bool:
+        """Whether the worker still holds work the farm must wait for."""
+        return self.state == BACKOFF or (self.state == RUNNING
+                                         and len(self.core.queue) > 0)
 
-    # -- admission ---------------------------------------------------------
-    def offer(self, item: WorkItem, tick: int) -> bool:
-        """Route one item to this worker; returns True when accepted."""
-        if self.state == FAILED:
-            self.ledger.reject(REJECT_WORKER_FAILED)
-            return False
-        if not self.breaker.admits(tick):
-            self.ledger.reject(REJECT_CIRCUIT_OPEN)
-            return False
-        admission = self.queue.offer(item)
-        if not admission.accepted:
-            self.ledger.reject(admission.reason or REJECT_QUEUE_FULL)
-            return False
-        self.ledger.accepted += 1
-        self._enqueued_at[item.seq] = tick
-        if admission.shed is not None:
-            # the evicted item was accepted earlier; it leaves as shed
-            self.ledger.drop(SHED_OVERLOAD)
-            self._enqueued_at.pop(admission.shed.seq, None)
-            self.ledger.note(tick, "shed", self.name,
-                             admission.shed.describe())
-        return True
-
-    # -- the work loop -----------------------------------------------------
-    def advance(self, tick: int) -> None:
-        """Run this worker for one supervisor tick."""
-        if self.state == BACKOFF:
-            if tick >= (self._resume_at or 0):
-                self._restart(tick)
-            else:
-                return
-        if self.state != RUNNING:
-            return
-        for _ in range(self.config.batch):
-            item = self.queue.pop()
-            if item is None:
-                return
-            if not self._process(item, tick):
-                return
-
-    def _process(self, item: WorkItem, tick: int) -> bool:
-        from repro.fault.guard import MachineEscalation
-        from repro.pscp.machine import MachineError
-
-        try:
-            self.machine.step(item.events)
-        except MachineEscalation as exc:
-            self._on_failure(item, tick, exc.describe())
-            return False
-        except MachineError as exc:
-            # an un-escalated crash is supervised the same way
-            self._on_failure(item, tick, f"crash: {exc}")
-            return False
-        self.processed += 1
-        self.ledger.processed += 1
-        self.latency.observe(tick - self._enqueued_at.pop(item.seq, tick))
-        self.breaker.record_success()
-        self._since_checkpoint += 1
-        if self._since_checkpoint >= self.config.checkpoint_every:
-            self.checkpoint = self._take_checkpoint()
-        return True
-
-    def _on_failure(self, item: WorkItem, tick: int, detail: str) -> None:
-        self.ledger.escalations += 1
-        self.last_escalation = detail
-        self.breaker.record_failure(tick)
-        self.ledger.note(tick, "escalation", self.name, detail)
-        permanent = self.restarts_used >= self.policy.max_restarts
-        self._dump_forensics(
-            tick, "permanent-failure" if permanent else "escalation",
-            detail)
-        if permanent:
-            self._fail_permanently(item, tick)
-            return
-        # the in-flight item goes back to the head: it is retried from the
-        # restored snapshot, so it stays in-flight, not lost
-        self.queue.push_front(item)
-        self.state = BACKOFF
-        self._failed_at = tick
-        self._resume_at = tick + self.policy.backoff(self.restarts_used,
-                                                     key=self.name)
-
-    def _restart(self, tick: int) -> None:
-        """Restore the machine from the last checkpoint and resume: a
-        fresh start from known-good architectural state."""
-        restore_machine(self.machine, self.checkpoint)
-        self.restarts_used += 1
-        self.restored_from_snapshot += 1
-        self.ledger.restarts += 1
-        if self._failed_at is not None:
-            self.ledger.time_to_recover.append(tick - self._failed_at)
-            self._failed_at = None
-        self.state = RUNNING
-        self.ledger.note(tick, "restart", self.name,
-                         f"restart {self.restarts_used} from "
-                         f"cycle {self.checkpoint.cycle_count}")
-
-    def _fail_permanently(self, in_flight: Optional[WorkItem],
-                          tick: int) -> None:
-        self.state = FAILED
-        self.ledger.permanent_failures += 1
-        self.ledger.note(tick, "permanent-failure", self.name,
-                         self.last_escalation)
-        drained = self.queue.drain()
-        count = len(drained) + (1 if in_flight is not None else 0)
-        self.ledger.drop(SHED_WORKER_FAILED, count)
-        for item in drained:
-            self._enqueued_at.pop(item.seq, None)
-        if in_flight is not None:
-            self._enqueued_at.pop(in_flight.seq, None)
-
-    # -- reporting ---------------------------------------------------------
-    def describe(self) -> Dict[str, Any]:
+    def describe(self, tally: Tally) -> Dict[str, Any]:
+        queue = self.core.queue
         return {
             "name": self.name,
             "state": self.state,
-            "processed": self.processed,
-            "queue_depth": len(self.queue),
-            "queue_high_watermark": self.queue.high_watermark,
+            "processed": tally.processed,
+            "queue_depth": len(queue),
+            "queue_high_watermark": queue.high_watermark,
             "restarts": self.restarts_used,
             "breaker": self.breaker.state,
             "breaker_opened": self.breaker.opened_count,
@@ -441,7 +595,7 @@ class MachineWorker:
 
 @dataclass
 class FarmReport:
-    """Outcome of one supervised run, conservation-checked."""
+    """Outcome of one in-process run, conservation-checked."""
 
     ticks: int
     workers: List[Dict[str, Any]]
@@ -513,19 +667,32 @@ class FarmReport:
 
 
 class Supervisor:
-    """Routes a work stream over N supervised machine workers."""
+    """Routes a work stream over N supervised machine workers.
 
-    def __init__(self, workers: Sequence[MachineWorker],
-                 ledger: FarmLedger, config: FarmConfig, metrics=None,
-                 sampler=None) -> None:
+    This class is the farm engine and its in-process transport: the
+    workers' cores live in this process and are called directly.
+    :class:`~repro.resil.shardfarm.ShardSupervisor` carries the same
+    engine to worker processes.
+    """
+
+    def __init__(self, workers: Sequence[Worker],
+                 config: Optional[FarmConfig] = None,
+                 policy: Optional[RestartPolicy] = None, metrics=None,
+                 sampler=None, lineage=None) -> None:
         if not workers:
             raise ValueError("a farm needs at least one worker")
         self.workers = list(workers)
-        self.ledger = ledger
-        self.config = config
+        self.config = config if config is not None else FarmConfig()
+        self.policy = policy if policy is not None else RestartPolicy()
         self.metrics = metrics
         #: a :class:`~repro.obs.FarmSampler` fed at the end of every tick
         self.sampler = sampler
+        self.ledger = FarmLedger(lineage=lineage)
+        for worker in self.workers:
+            self.ledger.tallies[worker.name] = Tally()
+            if worker.core is not None:
+                # the core took its anchor checkpoint when it was built
+                self.ledger.checkpoints += 1
         self.tick = 0
 
     @classmethod
@@ -547,8 +714,6 @@ class Supervisor:
         :class:`~repro.obs.Tracer` (for the merged Perfetto export).
         """
         config = config if config is not None else FarmConfig()
-        policy = policy if policy is not None else RestartPolicy()
-        ledger = FarmLedger()
         workers = []
         for index in range(n_workers):
             machine = farm_machine(system)
@@ -557,28 +722,13 @@ class Supervisor:
             if observer_factory is not None:
                 for observer in observer_factory(index):
                     machine.attach(observer)
-            workers.append(MachineWorker(f"worker{index}", machine, ledger,
-                                         config, policy))
-        return cls(workers, ledger, config, metrics=metrics, sampler=sampler)
+            name = f"worker{index}"
+            workers.append(Worker(index, name,
+                                  WorkerCore(config, machine, name=name)))
+        return cls(workers, config, policy, metrics=metrics, sampler=sampler)
 
-    # -- admission ---------------------------------------------------------
-    def submit(self, item: WorkItem) -> bool:
-        """Admit one item: the preferred worker is ``seq % N``; failed
-        workers are probed past, but a live worker's backpressure is final
-        (no spillover — the producer is told to slow down)."""
-        self.ledger.submitted += 1
-        n = len(self.workers)
-        preferred = item.seq % n
-        for offset in range(n):
-            worker = self.workers[(preferred + offset) % n]
-            if worker.state == FAILED:
-                continue
-            return worker.offer(item, self.tick)
-        self.ledger.reject(REJECT_WORKER_FAILED)
-        return False
-
-    # -- the drive loop ----------------------------------------------------
-    def run(self, stream: Iterable[WorkItem]) -> FarmReport:
+    # -- the tick loop -----------------------------------------------------
+    def run(self, stream: Iterable[WorkItem]):
         """Drive the farm until the stream drains and the queues empty."""
         pending = list(stream)
         arrivals = self.config.arrivals_per_tick
@@ -589,36 +739,167 @@ class Supervisor:
             self.tick = ticks
             burst = pending[cursor:cursor + arrivals]
             cursor += len(burst)
-            for item in burst:
-                self.submit(item)
-            for worker in self.workers:
-                worker.advance(ticks)
-            if self.sampler is not None:
-                self.sampler.on_tick(self, ticks)
+            self._tick_once(burst, ticks)
+            self._sample(ticks)
             if cursor >= len(pending) and self._drained():
                 break
         return self.report(ticks)
 
-    def _drained(self) -> bool:
+    def _tick_once(self, burst: List[WorkItem], tick: int) -> None:
+        """One in-process tick: resume, admit the burst, then let every
+        running worker work its batch."""
+        self._resume_due(tick)
+        for item in burst:
+            worker = self._admit(item, tick)
+            if worker is None:
+                continue
+            admission = worker.core.queue.offer(item)
+            if not admission.accepted:
+                self.ledger.reject(tick, worker.name, item.seq,
+                                   admission.reason or REJECT_QUEUE_FULL)
+                continue
+            self._accepted(worker, item.seq, tick)
+            if admission.shed is not None:
+                self._evicted(worker, admission.shed, tick)
+        batch = self.config.batch
         for worker in self.workers:
-            if worker.state == BACKOFF:
-                return False
-            if worker.state == RUNNING and len(worker.queue):
-                return False
+            if worker.state != RUNNING:
+                continue
+            done = worker.core.work(batch)
+            for item in done.processed:
+                self._completed(worker, item.seq, tick)
+            self.ledger.checkpoints += len(done.checkpoints)
+            if done.failure is not None:
+                self._escalate(worker, tick, done.failure)
+
+    def _sample(self, tick: int) -> None:
+        if self.sampler is not None:
+            self.sampler.on_tick(self, tick)
+
+    def _drained(self) -> bool:
+        return not any(worker.busy for worker in self.workers)
+
+    # -- admission ---------------------------------------------------------
+    def _admit(self, item: WorkItem, tick: int) -> Optional[Worker]:
+        """Submit one item and choose its worker, or reject it.
+
+        The preferred worker is ``seq % N``; a worker that cannot take
+        work is routed past, but the chosen worker's breaker is final (no
+        spillover — the producer is told to slow down), and so is its
+        queue's verdict, which the caller asks for.
+        """
+        ledger = self.ledger
+        ledger.submit(tick, item)
+        workers = self.workers
+        n = len(workers)
+        preferred = item.seq % n
+        for offset in range(n):
+            worker = workers[(preferred + offset) % n]
+            if not worker.routable:
+                continue
+            if offset:
+                ledger.rerouted += 1
+                ledger.tallies[worker.name].rerouted += 1
+                ledger.note(tick, "reroute", worker.name,
+                            f"item {item.seq} from {workers[preferred].name}")
+            if not worker.breaker.admits(tick):
+                ledger.reject(tick, worker.name, item.seq,
+                              REJECT_CIRCUIT_OPEN)
+                return None
+            return worker
+        ledger.reject(tick, None, item.seq, REJECT_WORKER_FAILED)
+        return None
+
+    def _accepted(self, worker: Worker, seq: int, tick: int) -> None:
+        self.ledger.accept(tick, worker.name, seq)
+        worker.enqueued_at[seq] = tick
+
+    def _evicted(self, worker: Worker, item: WorkItem, tick: int) -> None:
+        """A queued item evicted to admit a higher-priority arrival: it
+        was accepted earlier, so it leaves as shed."""
+        self.ledger.drop(tick, worker.name, item.seq, SHED_OVERLOAD)
+        worker.enqueued_at.pop(item.seq, None)
+        self.ledger.note(tick, "shed", worker.name, item.describe())
+
+    def _completed(self, worker: Worker, seq: int, tick: int) -> None:
+        self.ledger.complete(tick, worker.name, seq)
+        worker.latency.observe(tick - worker.enqueued_at.pop(seq, tick))
+        worker.breaker.record_success()
+
+    # -- the restart ladder ------------------------------------------------
+    def _escalate(self, worker: Worker, tick: int, detail: str) -> None:
+        """A fault escalated out of the worker's machine: back off, or fail
+        permanently once the restart budget is spent."""
+        self.ledger.escalations += 1
+        worker.last_escalation = detail
+        worker.breaker.record_failure(tick)
+        self.ledger.note(tick, "escalation", worker.name, detail)
+        permanent = worker.restarts_used >= self.policy.max_restarts
+        if worker.core is not None:
+            bundle = worker.core.forensics_bundle({
+                "kind": "permanent-failure" if permanent else "escalation",
+                "tick": tick, "detail": detail})
+            if bundle is not None:
+                worker.forensics.append(bundle)
+        if permanent:
+            self._fail_permanently(worker, tick, detail, SHED_WORKER_FAILED)
+        else:
+            self._back_off(worker, tick)
+
+    def _back_off(self, worker: Worker, tick: int) -> None:
+        worker.state = BACKOFF
+        worker.failed_at = tick
+        worker.resume_at = tick + self.policy.backoff(worker.restarts_used,
+                                                      key=worker.name)
+
+    def _resume_due(self, tick: int) -> None:
+        """Every worker whose backoff ran out restores its latest
+        checkpoint; its in-flight items are retried from there."""
+        for worker in self.workers:
+            if worker.state != BACKOFF or tick < worker.resume_at:
+                continue
+            worker.restarts_used += 1
+            if not self._restore(worker, tick):
+                continue
+            worker.state = RUNNING
+            self.ledger.restarts += 1
+            self.ledger.time_to_recover.append(tick - worker.failed_at)
+
+    def _restore(self, worker: Worker, tick: int) -> bool:
+        """Restore *worker*'s machine; True when it runs again."""
+        checkpoint = worker.core.restore()
+        self.ledger.note(tick, "restart", worker.name,
+                         f"restart {worker.restarts_used} from "
+                         f"cycle {checkpoint.cycle_count}")
         return True
+
+    def _fail_permanently(self, worker: Worker, tick: int, detail: str,
+                          reason: str) -> None:
+        worker.state = FAILED
+        self.ledger.permanent_failures += 1
+        self.ledger.note(tick, "permanent-failure", worker.name, detail)
+        self._abandon(worker, tick, reason)
+
+    def _abandon(self, worker: Worker, tick: int, reason: str) -> None:
+        """Shed, with *reason*, every item a failed worker still held."""
+        for item in worker.core.queue.drain():
+            self.ledger.drop(tick, worker.name, item.seq, reason)
+            worker.enqueued_at.pop(item.seq, None)
 
     # -- reporting ---------------------------------------------------------
     def report(self, ticks: Optional[int] = None) -> FarmReport:
         ledger = self.ledger
         report = FarmReport(
             ticks=ticks if ticks is not None else self.tick,
-            workers=[worker.describe() for worker in self.workers],
+            workers=[worker.describe(ledger.tallies[worker.name])
+                     for worker in self.workers],
             submitted=ledger.submitted,
             accepted=ledger.accepted,
             processed=ledger.processed,
             rejected=dict(ledger.rejected),
             shed=dict(ledger.shed),
-            in_flight=sum(len(worker.queue) for worker in self.workers),
+            in_flight=sum(len(worker.core.queue)
+                          for worker in self.workers),
             escalations=ledger.escalations,
             restarts=ledger.restarts,
             permanent_failures=ledger.permanent_failures,
@@ -640,7 +921,7 @@ class Supervisor:
         ``ledger.timeline`` for the whole-farm Perfetto view."""
         tracers: Dict[str, Any] = {}
         for worker in self.workers:
-            tracer = worker.machine.observer(Tracer)
+            tracer = worker.core.machine.observer(Tracer)
             if tracer is not None:
                 tracer.flush()
                 tracers[worker.name] = tracer
@@ -684,10 +965,11 @@ class Supervisor:
             recover.observe(ticks)
         for worker in self.workers:
             scoped = metrics.scoped(f"farm.{worker.name}")
-            scoped.gauge("queue_depth").set(len(worker.queue))
-            scoped.gauge("queue_high_watermark").set(
-                worker.queue.high_watermark)
-            scoped.counter("processed").value = worker.processed
+            queue = worker.core.queue
+            scoped.gauge("queue_depth").set(len(queue))
+            scoped.gauge("queue_high_watermark").set(queue.high_watermark)
+            scoped.counter("processed").value = \
+                self.ledger.tallies[worker.name].processed
             scoped.counter("restarts").value = worker.restarts_used
             scoped.counter("forensics_bundles",
                            "post-mortem bundles dumped").value = \

@@ -138,6 +138,36 @@ def test_routine_that_overruns_its_bound_is_an_error_line(
         f"error: {BOUND_OVERRUN}/chart.sc:12: transition Idle --GO "
         f"/Begin()--> Work: runaway execution in '__t0' "
         f"(> 1000000 cycles)\n")
+    # a failed command leaves no empty output file behind
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_serve_leaves_no_output_file(tmp_path, monkeypatch, capsys):
+    from repro.resil import shardfarm
+
+    monkeypatch.setattr(shardfarm.multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.chdir(tmp_path)
+    code, _ = invoke(["serve", SMD_PROJECT, "--items", "4", "--processes",
+                      "2", "--trace", "trace.json", "--lineage", "dag.json"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the distributed farm requires the fork start method\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", BOUND_OVERRUN, "--out"],
+    ["serve", SMD_PROJECT, "--items", "4", "--trace"],
+    ["serve", SMD_PROJECT, "--items", "4", "--processes", "2",
+     "--lineage"]], ids=["trace", "serve-trace", "serve-lineage"])
+def test_unwritable_output_exits_2_before_the_run(argv, tmp_path, capsys):
+    # a run would exit 1 (the overrun) or 0, and fork for the lineage
+    path = tmp_path / "missing" / "out.json"
+    code, text = invoke([*argv, str(path)])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["lint"], ["check"],

@@ -234,7 +234,8 @@ class TestDeltaSnapshots:
             self, system, monkeypatch):
         """The producer diffs every delta against the full's kept document
         and fingerprint, and the supervisor applies every delta against
-        the fingerprint it kept when the full arrived."""
+        the fingerprint it kept when the full arrived, keeping each
+        checkpoint's proven fingerprint for the standby."""
         from repro.resil import DeltaSnapshot
 
         machine = system.make_machine()
@@ -255,6 +256,7 @@ class TestDeltaSnapshots:
         apply = shardfarm.ShardSupervisor._apply_checkpoint
         apply(supervisor, shard, payload)
         received = shard.base_full.snapshot
+        fingerprints = [shard.fingerprint]
         deltas = []
         for i in range(6):
             machine.step([events[i % len(events)]])
@@ -264,6 +266,7 @@ class TestDeltaSnapshots:
             apply(supervisor, shard, {"kind": kind, "doc": doc,
                                       "processed": i + 1})
             deltas.append((snapshot, doc, shard.last_full))
+            fingerprints.append(shard.fingerprint)
         # the full: one document to diff against, one for the payload;
         # the received full: one document to apply deltas to
         assert documents[id(full)] == 2
@@ -272,6 +275,10 @@ class TestDeltaSnapshots:
         for snapshot, doc, rebuilt in deltas:
             assert rebuilt.to_json_str() == snapshot.to_json_str()
             assert doc == diff_snapshots(full, snapshot).to_json()
+        # the fingerprint the standby is checked against is the one each
+        # checkpoint's reconstruction already held, never hashed again
+        assert fingerprints == [snapshot_fingerprint(full)] + [
+            snapshot_fingerprint(snapshot) for snapshot, _, _ in deltas]
         stale = DeltaSnapshot.from_json(doc)
         shard.base_full = shardfarm.DeltaBase(snapshot)
         with pytest.raises(SnapshotError, match="delta targets base"):
@@ -405,7 +412,7 @@ class TestShardFarm:
         supervisor.start()
         try:
             # wedge shard0's primary: alive but silent
-            supervisor.shards[0].channel.send({"op": "hang",
+            supervisor.workers[0].channel.send({"op": "hang",
                                                "seconds": 30.0})
             stream = generate_event_stream(system.chart.events, 30,
                                            seed=3)

@@ -439,7 +439,8 @@ class TestFarmSampler:
             sorted(sampler.series("processed"))
         for worker in supervisor.workers:
             series = sampler.worker_series(worker.name, "processed")
-            assert series[-1] <= worker.processed
+            assert series[-1] <= \
+                supervisor.ledger.tallies[worker.name].processed
             assert series == sorted(series)  # monotone counter
 
     def test_csv_and_json_exports(self, chaos_run, tmp_path):
@@ -558,7 +559,7 @@ def run_distributed_lineage(system, seed=7):
     stream = generate_event_stream(system.chart.events, 40, seed=seed)
     report = supervisor.run(stream)
     pids = {shard.name: FIRST_MACHINE_PID + index
-            for index, shard in enumerate(supervisor.shards)}
+            for index, shard in enumerate(supervisor.workers)}
     return lineage, report, pids
 
 
