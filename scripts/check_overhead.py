@@ -34,6 +34,11 @@ Checks, against ``scripts/overhead_baseline.json``:
   regression only firms up.  The tracer leg is advisory: it may cost
   something, a warning is printed when it does.
 
+Each leg also prints what it adds to one closed-loop run in ms of CPU
+time (:func:`added_cost_ms`: the leg's median minus the disabled median,
+over the runs per sample), which tells a faster disabled run apart from a
+costlier observer: the percentage grows in either case.
+
 Host-time regressions of the simulator itself are the job of the
 end-to-end benchmark (``python -m benchmarks.e2e run``), not of this guard.
 
@@ -162,6 +167,14 @@ def paired_overhead(candidate, reference):
     return median(ratios) - 1.0
 
 
+def added_cost_ms(candidate, reference, runs):
+    """What *candidate* adds to one closed-loop run, in ms of CPU time:
+    the difference of the two legs' medians, over the *runs* per sample.
+    Unlike the paired percentage, it does not grow when only the
+    reference run gets faster."""
+    return (candidate.median_ns - reference.median_ns) / runs / 1e6
+
+
 def build_final_system():
     arch = MD16_TEP.with_(n_teps=2, microcode_optimized=True,
                           mutual_exclusions=SMD_MUTUAL_EXCLUSIONS)
@@ -224,13 +237,16 @@ def measure(system, rounds, runs):
         "enabled": leg(tracer=Tracer),
     }, rounds)
     disabled = legs["disabled"]
-    print(f"  disabled median {disabled.median_ns / 1e6:.1f} ms, "
+    print(f"  disabled median {disabled.median_ns / 1e6:.1f} ms "
+          f"({disabled.median_ns / runs / 1e6:.3f} ms per run), "
           f"{disabled.payload[0]['total_cycles']} cycles per run")
     overheads = {}
     for name in MEASURED_LEGS:
         overheads[name] = paired_overhead(legs[name], disabled)
         print(f"  {name:8s} median {legs[name].median_ns / 1e6:.1f} ms "
-              f"({overheads[name] * 100:+.1f}% vs disabled, paired)")
+              f"({overheads[name] * 100:+.1f}% vs disabled, paired; "
+              f"{added_cost_ms(legs[name], disabled, runs):+.3f} ms "
+              f"per run)")
     return legs, overheads
 
 
@@ -283,7 +299,9 @@ def main(argv=None):
         overheads = {name: paired_overhead(legs[name], legs["disabled"])
                      for name in MEASURED_LEGS}
         print("  pooled   " + ", ".join(
-            f"{name} {overheads[name] * 100:+.1f}%"
+            f"{name} {overheads[name] * 100:+.1f}% "
+            f"({added_cost_ms(legs[name], legs['disabled'], runs):+.3f} "
+            f"ms per run)"
             for name in MEASURED_LEGS))
 
     record = legs["disabled"].payload[0]

@@ -108,6 +108,19 @@ class ConfigurationRegister:
         return self.configuration
 
     # -- packed view -----------------------------------------------------------
+    def state_field(self, configuration: FrozenSet[str]) -> int:
+        """*configuration*'s state code, in place in the packed word."""
+        layout = self.layout
+        return layout.encoding.encode(configuration) << layout.state_offset
+
+    def load_state(self, configuration: FrozenSet[str],
+                   state_field: int) -> None:
+        """Make *configuration* the state part, its :meth:`state_field`
+        already known to be *state_field*: the next word needs no
+        re-encoding."""
+        self.configuration = self._encoded = configuration
+        self._state_word = state_field
+
     @property
     def bits(self) -> int:
         """The packed CR word (see the module docstring for the caching)."""
@@ -118,9 +131,7 @@ class ConfigurationRegister:
         :attr:`bits` reads after :meth:`sample_events` of *events* alone."""
         configuration = self.configuration
         if configuration is not self._encoded:
-            layout = self.layout
-            self._state_word = (layout.encoding.encode(configuration)
-                                << layout.state_offset)
+            self._state_word = self.state_field(configuration)
             self._encoded = configuration
         word = self._state_word
         masks = self._signal_masks

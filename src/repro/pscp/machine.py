@@ -23,10 +23,10 @@ parallelism across TEPs is a timing model — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (Collection, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Set, Tuple, Union)
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from repro.analysis.diag import Diagnostic, Severity, SourceLocation
 from repro.isa.codegen import CompiledProgram
@@ -156,8 +156,10 @@ def _transition_stub(transition: Transition, linked: Optional[LinkedCall],
 class MachineImage:
     """One PSCP version's program memory (section 3.2): the compiled
     routines plus every transition's stub, linked once per build and shared,
-    read-only, by every machine of that build.  A run changes only a
-    machine's CR, TAT queue, caches and RAM.  Build one with :meth:`link`."""
+    read-only, by every machine of that build; only its SLA memos
+    (:meth:`sla_memo`) fill in as CR words first occur.  A run changes only
+    a machine's CR, TAT queue, caches and RAM.  Build one with
+    :meth:`link`."""
 
     chart: Chart
     compiled: CompiledProgram
@@ -172,6 +174,13 @@ class MachineImage:
     #: per transition index, the routine (or label builtin) its call names,
     #: ``None`` without an action: what the scheduler's exclusions read
     routines: Tuple[Optional[str], ...]
+    #: ``id`` of each PLA the build's machines step under -> that PLA and
+    #: its SLA memo (:meth:`sla_memo`); holding the PLA keeps the id its own
+    _sla_memos: Dict[int, Tuple[Pla, Dict[int, "SlaOutputs"]]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_sla_memos", {})
 
     @classmethod
     def link(cls, chart: Chart, compiled: CompiledProgram,
@@ -219,14 +228,53 @@ class MachineImage:
         override = self.chart.transitions[index].wcet_override
         return self.costs[index] if override is None else override
 
+    def sla_memo(self, pla: Pla) -> Dict[int, "SlaOutputs"]:
+        """CR word -> :class:`SlaOutputs` under *pla*: one memo per
+        (image, PLA), shared by every machine that steps this image under
+        *pla* and filled as each word first occurs.  Two PLAs of one chart
+        (a binary and a one-hot state code) read the same word
+        differently, so each gets its own."""
+        return self._sla_memos.setdefault(id(pla), (pla, {}))[1]
+
 
 # ---------------------------------------------------------------------------
 # the machine
 # ---------------------------------------------------------------------------
 
+#: CR words one SLA memo holds at most; a cycle whose word is new past the
+#: cap computes its outputs and stores nothing
+SLA_MEMO_CAP = 4096
+
+
+class SlaOutputs(NamedTuple):
+    """What the SLA and the scheduler's decode logic make of one CR word —
+    combinational, so the same on every cycle that samples the word.  A
+    memo entry is shared by every cycle and every machine that reads it:
+    nothing may mutate its lists or its plan."""
+
+    #: the enabled transition indices, ascending: what the TAT receives
+    enabled: List[int]
+    #: their transitions
+    fired: List[Transition]
+    #: the TEP queues of *enabled*; ``None`` when nothing dispatches
+    plan: Optional[DispatchPlan]
+    #: the configuration the entry was computed from; *target* (the
+    #: configuration after *enabled* fire) and its state field
+    #: (:meth:`ConfigurationRegister.state_field`) hold only for it
+    source: Optional[FrozenSet[str]]
+    target: Optional[FrozenSet[str]]
+    target_field: int
+
+
+#: the outputs of every word that enables nothing
+_QUIESCENT = SlaOutputs([], [], None, None, None, 0)
+
+
 @dataclass
 class MachineStep:
-    """What one configuration cycle did."""
+    """What one configuration cycle did.  :attr:`fired` and :attr:`plan`
+    come from the build's SLA memo, shared with every cycle that sampled
+    the same CR word: read them, never mutate them."""
 
     fired: List[Transition]
     configuration: FrozenSet[str]
@@ -268,7 +316,9 @@ class MachineObserver:
 
     def on_sla(self, cycle: int, sampled: FrozenSet[str],
                enabled: List[int], retries: List[int]) -> None:
-        """The TAT holds *enabled* plus the guard's *retries*, undrained."""
+        """The TAT holds *enabled* plus the guard's *retries*, undrained.
+        *enabled* is shared with every cycle that sampled the same CR
+        word: read it, never mutate it."""
 
     def on_dispatch(self, cycle: int, index: int, completed: bool,
                     cost: int, raised: Set[int],
@@ -302,6 +352,8 @@ class PscpMachine:
         self.ports = port_bus if port_bus is not None else PortBus()
         self.tat = TransitionAddressTable(image.entries)
         self._routine_by_index = image.routines.__getitem__
+        #: the build's SLA outputs per CR word under this PLA
+        self._sla_memo = image.sla_memo(self.pla)
         #: single executor with shared memory; see scheduler docstring
         self.executor = Tep(image.program, ports=self.ports,
                             name="tep-shared")
@@ -449,31 +501,35 @@ class PscpMachine:
                         self.cycle_count, problems)
         sampled = frozenset(self.cr.events)
 
+        # the SLA's outputs: once per CR word from the build's memo, unless
+        # a stuck-at output, a due retry or a failed TEP changes them
         word = self.cr.bits
-        enabled = self.pla.enabled(word)
-        if injector is not None:
-            # stuck-at faults on the SLA product-term outputs
-            enabled = injector.filter_enabled(self.cycle_count, enabled)
         retries: List[int] = []
-        if guard is not None:
-            due = guard.due_retries(self.cycle_count)
+        due = guard.due_retries(self.cycle_count) if guard is not None else ()
+        if injector is None and not due and self._available_teps is None:
+            sla = self._sla_memo.get(word)
+            if sla is None:
+                sla = self._evaluate_sla(self.pla.enabled(word), [])
+                if len(self._sla_memo) < SLA_MEMO_CAP:
+                    self._sla_memo[word] = sla
+        else:
+            enabled = self.pla.enabled(word)
+            if injector is not None:
+                # stuck-at faults on the SLA product-term outputs
+                enabled = injector.filter_enabled(self.cycle_count, enabled)
             if due:
                 # a natural re-firing supersedes the scheduled retry: the
                 # dispatch below is the same routine execution either way
                 enabled_set = set(enabled)
                 retries = [i for i in due if i not in enabled_set]
+            sla = self._evaluate_sla(enabled, retries)
+        enabled, transitions, plan, source, target, target_field = sla
         self.tat.post(enabled)
         if retries:
             self.tat.post(retries)
         for observer in self._sla_observers:
             observer.on_sla(self.cycle_count, sampled, enabled, retries)
-
-        transitions = [self.chart.transitions[i] for i in enabled]
-        dispatch = enabled + retries
-        self._idle_word = None if dispatch else word
-        plan = round_robin_dispatch(
-            dispatch, self._routine_by_index, self.arch,
-            self._available_teps) if dispatch else None
+        self._idle_word = None if plan is not None else word
 
         costs: Dict[int, int] = {}
         raised_names: Set[str] = set()
@@ -527,11 +583,17 @@ class PscpMachine:
                 guard.on_retry_success(self.cycle_count, index)
 
         # state update through the SLA's next-state plane (same
-        # per-transition order as the interpreter); a quiescent cycle keeps
-        # its configuration object, so the CR's state field stays cached
+        # per-transition order as the interpreter), computed for the source
+        # configuration only: an illegal configuration may share its word;
+        # a quiescent cycle keeps its configuration object, so the CR's
+        # state field stays cached
         if enabled:
-            self.cr.configuration = self.pla.next_configuration(
-                self.cr.configuration, enabled)
+            configuration = self.cr.configuration
+            if configuration is source or configuration == source:
+                self.cr.load_state(target, target_field)
+            else:
+                self.cr.configuration = self.pla.next_configuration(
+                    configuration, enabled)
 
         self.cr.reset_events()
         self._pending_internal_events |= raised_names
@@ -565,6 +627,22 @@ class PscpMachine:
         self.time += cycle_length
         self.cycle_count += 1
         return step
+
+    def _evaluate_sla(self, enabled: List[int],
+                      retries: List[int]) -> SlaOutputs:
+        """The outputs of a cycle that enables *enabled* and re-posts
+        *retries*, from the CR's configuration: the transitions, the plan
+        and the next configuration with its state field."""
+        if not enabled and not retries:
+            return _QUIESCENT
+        source = self.cr.configuration
+        target = (self.pla.next_configuration(source, enabled) if enabled
+                  else source)
+        return SlaOutputs(
+            enabled, [self.chart.transitions[i] for i in enabled],
+            round_robin_dispatch(enabled + retries, self._routine_by_index,
+                                 self.arch, self._available_teps),
+            source, target, self.cr.state_field(target))
 
     def _execute_dispatch(self, index: int, effect, budget: Optional[int]
                           ) -> Tuple[int, bool, bool]:

@@ -145,16 +145,19 @@ class DeltaSnapshot:
 
 class DeltaBase:
     """A full snapshot that deltas are taken against and applied to.  Its
-    canonical document, encoded size and fingerprint are computed once,
-    however many deltas name it."""
+    canonical document, canonical text, encoded size and fingerprint are
+    computed once, however many deltas name it."""
 
     def __init__(self, snapshot: MachineSnapshot) -> None:
         self.snapshot = snapshot
         self.document = snapshot.to_json()
-        text = json.dumps(self.document, sort_keys=True,
-                          separators=(",", ":"))
-        self.encoded_bytes = len(text)
-        self.fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        #: the canonical encoding: each :meth:`apply` decodes a fresh copy
+        #: of the document from it
+        self.text = json.dumps(self.document, sort_keys=True,
+                               separators=(",", ":"))
+        self.encoded_bytes = len(self.text)
+        self.fingerprint = hashlib.sha256(
+            self.text.encode("utf-8")).hexdigest()
 
     def diff(self, target: MachineSnapshot) -> DeltaSnapshot:
         """The delta that rebuilds *target* from this base
@@ -187,7 +190,7 @@ class DeltaBase:
                 f"cycle {delta.base_cycle}; this snapshot is "
                 f"{self.fingerprint[:12]}… at cycle "
                 f"{self.snapshot.cycle_count}")
-        document = copy.deepcopy(self.document)
+        document = json.loads(self.text)
         for path, value in delta.ops:
             try:
                 _apply_op(document, path, copy.deepcopy(value))

@@ -599,14 +599,21 @@ class ShardSupervisor(Supervisor):
 
     # -- standby coordination ----------------------------------------------
     def _standby_request(self, shard: ShardHandle, message: Dict[str, Any],
-                         tick: int) -> Optional[Dict[str, Any]]:
-        """One request to the shard's standby; a standby that does not
-        answer is lost (``None``)."""
+                         tick: int, context: str = ""
+                         ) -> Optional[Dict[str, Any]]:
+        """One request to the shard's standby.  A standby that does not
+        answer, or answers that its handler failed (it has then exited),
+        is lost at once, its cause prefixed with *context* (``None``)."""
         try:
-            return shard.standby_channel.request(message, REQUEST_TIMEOUT)
+            reply = shard.standby_channel.request(message, REQUEST_TIMEOUT)
         except TransportError as exc:
-            self._lose_standby(shard, tick, str(exc))
-            return None
+            cause = str(exc)
+        else:
+            if reply.get("op") != "error":
+                return reply
+            cause = f"worker error: {reply.get('detail')}"
+        self._lose_standby(shard, tick, context + cause)
+        return None
 
     def _tee(self, shard: ShardHandle, docs: List[Dict[str, Any]],
              tick: int) -> None:
@@ -681,13 +688,11 @@ class ShardSupervisor(Supervisor):
 
     def _promote(self, shard: ShardHandle, tick: int) -> bool:
         """Promote the standby; True when the shard is live again."""
-        try:
-            reply = shard.standby_channel.request({"op": "promote"},
-                                                  REQUEST_TIMEOUT)
-        except TransportError as exc:
-            # double kill: the standby died too — fall back to respawn
-            # or permanent failure, with both losses attributed
-            self._lose_standby(shard, tick, f"died at promotion: {exc}")
+        reply = self._standby_request(shard, {"op": "promote"}, tick,
+                                      "died at promotion: ")
+        if reply is None:
+            # double kill, or a standby that failed to promote: fall back
+            # to respawn or permanent failure, with both losses attributed
             return False
         if self.ledger.lineage is not None:
             self.ledger.lineage.on_promotion(tick, shard.name)

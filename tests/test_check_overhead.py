@@ -1,5 +1,7 @@
-"""Argument validation of ``scripts/check_overhead.py``."""
+"""Argument validation and leg arithmetic of
+``scripts/check_overhead.py``."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -19,3 +21,21 @@ def test_bad_count_is_a_usage_error(argv):
     assert argv[0] in proc.stderr
     # rejected before the system is built or any leg is timed
     assert proc.stdout == ""
+
+
+def test_added_cost_is_per_run_and_independent_of_the_reference_speed():
+    spec = importlib.util.spec_from_file_location("check_overhead", SCRIPT)
+    guard = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(guard)
+
+    def leg(*ms):
+        timing = guard.LegTiming()
+        timing.times_ns = [int(value * 1e6) for value in ms]
+        return timing
+
+    # 4 runs per sample: a leg 2 ms slower per sample adds 0.5 ms a run,
+    # whether the disabled sample takes 40 ms or 20 ms
+    assert guard.added_cost_ms(leg(42, 43, 41), leg(40, 41, 39), 4) == 0.5
+    assert guard.added_cost_ms(leg(22, 23, 21), leg(20, 21, 19), 4) == 0.5
+    assert guard.paired_overhead(leg(22, 23, 21), leg(20, 21, 19)) \
+        > guard.paired_overhead(leg(42, 43, 41), leg(40, 41, 39))

@@ -52,7 +52,7 @@ from repro.resil import (
     snapshot_machine,
 )
 from repro.resil import shardfarm
-from repro.resil.standby import StandbyLog
+from repro.resil.standby import StandbyLog, StandbyReplica
 from repro.statechart import ChartBuilder
 
 
@@ -400,6 +400,65 @@ class TestShardFarm:
         kinds = [e["kind"] for e in report.timeline]
         assert "standby-lost" in kinds
         assert "permanent-failure" in kinds
+
+    @pytest.mark.parametrize("handler", ["on_tee", "on_advance"])
+    def test_standby_failing_in_a_handler_is_lost_with_its_cause(
+            self, system, monkeypatch, handler):
+        """A standby whose handler raises answers ``error`` and exits: it
+        is lost at that request, with the worker's detail, and the
+        primaries serve on as they do without a standby."""
+        original = getattr(StandbyReplica, handler)
+        calls = []  # each forked standby counts in its own copy
+
+        def failing(replica, message):
+            calls.append(message["op"])
+            if len(calls) == 2:
+                raise RuntimeError(f"{handler} broke")
+            return original(replica, message)
+
+        monkeypatch.setattr(StandbyReplica, handler, failing)
+        requests = []  # (shard, op, tick) of every standby request
+        request = ShardSupervisor._standby_request
+
+        def spy(supervisor, shard, message, tick):
+            requests.append((shard.name, message["op"], tick))
+            return request(supervisor, shard, message, tick)
+
+        monkeypatch.setattr(ShardSupervisor, "_standby_request", spy)
+        report = _run_farm(system, n_shards=2, standby=True, items=60)
+        plain = _run_farm(system, n_shards=2, items=60)
+        assert report.conservation() == []
+        assert report.processed == report.submitted == 60
+        lost = [e for e in report.timeline if e["kind"] == "standby-lost"]
+        assert sorted(e["worker"] for e in lost) == ["shard0", "shard1"]
+        for event in lost:
+            ticks = [tick for name, op, tick in requests
+                     if name == event["worker"] and op == handler[3:]]
+            assert event["tick"] == ticks[1]
+            assert event["detail"] == \
+                f"worker error: RuntimeError: {handler} broke"
+        assert [s["processed"] for s in report.shards] \
+            == [s["processed"] for s in plain.shards]
+
+    def test_standby_failing_at_promotion_falls_back_to_respawn(
+            self, system, monkeypatch):
+        def failing(replica, message):
+            raise RuntimeError("on_promote broke")
+
+        monkeypatch.setattr(StandbyReplica, "on_promote", failing)
+        report = _run_farm(
+            system, standby=True,
+            kill_plan=[ProcessKill(tick=4, shard=1, after_items=1)])
+        assert report.promotions == 0
+        assert report.respawns == 1
+        assert report.processed == report.submitted
+        assert report.conservation() == []
+        lost = [e for e in report.timeline if e["kind"] == "worker-lost"]
+        assert [(e["tick"], e["worker"], e["detail"]) for e in report.timeline
+                if e["kind"] == "standby-lost"] == [
+            (lost[0]["tick"], "shard1",
+             "died at promotion: worker error: RuntimeError: "
+             "on_promote broke")]
 
     def test_hung_worker_is_detected_and_promoted(self, system,
                                                   monkeypatch):
